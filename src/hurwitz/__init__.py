@@ -28,7 +28,7 @@ from .closedform import (
     s_series,
     tree,
 )
-from .cutjoin import CutJoinState, evolve, extract_c, rhs, run, step
+from .cutjoin import CutJoinState, evolve, extract_c, run
 from .oracle import (
     FactorizationProblem,
     Permutation,
@@ -39,6 +39,7 @@ from .oracle import (
     count_walks,
 )
 from .partitions import (
+    IntegralityError,
     Partition,
     a_coeff,
     class_size,
@@ -52,13 +53,12 @@ from .series import (
     PSeries,
     Truncation,
     TruncationMismatch,
-    USeries,
     exp,
     inv_one_minus,
     log1,
     solve_fixed_point,
     subst_x,
 )
-from .verify import CheckResult, build_ABCDE, check_u1, check_u2, check_u3, residual_T, run_all_checks, symmetrize
+from .verify import CheckResult, build_ABCDE, check_u1, check_u2, check_u3, residual_T, run_all_checks
 
 __version__ = "0.1.0"

@@ -10,9 +10,10 @@ Four commands:
 Output is byte-deterministic for a fixed invocation: rows follow the
 reverse-lexicographic partition order and all numbers are exact rational
 strings (never decimals).  Exit status: 0 success / all pass, 1 a
-verification or comparison failure, 2 usage errors (including size
-refusals).  The environment variable HURWITZ_TRUNC_N overrides the default
-truncation degree when --N is not given.
+verification or comparison failure or a count that is not a nonnegative
+integer, 2 usage errors (including size refusals).  The environment
+variable HURWITZ_TRUNC_N overrides the default truncation degree when --N
+is not given.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from . import closedform, cutjoin, oracle, verify
 from .oracle import SizeLimitExceeded
-from .partitions import Partition, class_size, partitions_of
+from .partitions import IntegralityError, Partition, class_size, partitions_of
 from .series import Truncation
 
 EXIT_OK = 0
@@ -235,10 +236,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     if n < 1:
         raise UsageError("n must be at least 1")
     methods = ["cutjoin", "closed"]
-    if n <= 5:
+    if n <= oracle.WALK_MAX_N:
         methods.insert(0, "oracle")
     else:
-        print(f"note: oracle skipped for n={n} > 5", file=sys.stderr)
+        print(f"note: oracle skipped for n={n} > WALK_MAX_N={oracle.WALK_MAX_N}", file=sys.stderr)
     rows = []
     disagreements = 0
     for alpha in partitions_of(n):
@@ -280,6 +281,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, SizeLimitExceeded, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegralityError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

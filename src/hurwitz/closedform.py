@@ -35,7 +35,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, a_coeff, class_size, elem_sym, partitions_of, psi
+from .partitions import (
+    Partition,
+    a_coeff,
+    class_size,
+    elem_sym,
+    factorization_count,
+    partitions_of,
+    psi,
+)
 from .series import PSeries, Truncation, exp, log1, solve_fixed_point, subst_x
 
 
@@ -115,9 +123,7 @@ def c_value(alpha: Partition, g: int) -> int:
         mu = mu1(alpha)
     else:
         raise ValueError(f"no closed formula for genus {g}")
-    raw = mu * factorial(alpha.n) / class_size(alpha)
-    assert raw.denominator == 1 and raw >= 0, f"non-integral count for {alpha}: {raw}"
-    return int(raw)
+    return factorization_count(mu, alpha, g)
 
 
 def record(alpha: Partition, g: int) -> HurwitzRecord:

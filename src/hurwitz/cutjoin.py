@@ -1,12 +1,12 @@
-"""Evolution of the full factorization generating series, one u-order at a time.
+"""Cut-and-join evolution of the Hurwitz numbers, as a recurrence on partitions.
 
-The generating series Phi(u, x, z, p) collects |C_alpha| c_g(alpha) with
-weight u^r/r! x^n/n! z^g p_alpha, r = n + m + 2(g - 1).  Multiplying a
-factorization by one more transposition either joins two cycles (producing
-p_{i+j} from p_i p_j, with the genus-raising variant carrying z) or cuts one
-(p_i p_j from p_{i+j}), which makes Phi satisfy a first-order PDE in u whose
-right side is quadratic.  Reading that PDE as a recurrence on the u-orders
-gives
+The generating series Phi(u, x, z, p) collects the Hurwitz numbers
+mu_g(alpha) = |C_alpha| c_g(alpha) / n! with weight u^r/r! x^n z^g p_alpha,
+r = n + m + 2(g - 1).  Multiplying a factorization by one more
+transposition either joins two cycles (producing p_{i+j} from p_i p_j,
+with the genus-raising variant carrying z) or cuts one (p_i p_j from
+p_{i+j}), which makes Phi satisfy a first-order PDE in u whose right side
+is quadratic.  Reading that PDE as a recurrence on the u-orders gives
 
     Phi_{r+1} = 1/2 * [ sum_{i,j} i j p_{i+j} z d2(Phi_r)/dp_i dp_j
                         + sum_{i,j} (i+j) p_i p_j d(Phi_r)/dp_{i+j}
@@ -14,138 +14,130 @@ gives
                               d(Phi_s)/dp_i * d(Phi_{r-s})/dp_j ]
 
 with the single seed Phi_0 = x p_1 (the empty factorization of the one-cycle
-in S_1).  The binomial weights come from the 1/r! normalization living in
-the USeries index.
+in S_1).  The binomial weights come from the u^r/r! normalization.
+
+In every monomial of Phi_r the x-degree is the size n of alpha and the
+z-degree is g = (r - n - m)/2 + 1, so neither carries information: order r
+is stored as a map from the parts of alpha to mu_g(alpha).  On one term
+the three families of the recurrence act as follows:
+
+* cut: a part k splits into {i, k - i}; n and g are kept;
+* handle join: two parts merge into their sum; n is kept and g rises by 1;
+* cross join: a part of a term of Phi_s and a part of a term of Phi_{r-s}
+  merge into their sum; n and g are the sums of those of the two terms.
+
+Terms with n > N or g > G are dropped.  No family lowers n or g, so every
+kept coefficient equals its value in the untruncated recurrence.  The
+p-index bound K plays no part: a partition of n <= N <= K has no part
+above K.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
+from typing import Iterator
 
-from .partitions import Partition, class_size, partitions_of
-from .series import PSeries, Truncation, USeries
+from .partitions import Partition, factorization_count, partitions_of
+from .series import PSeries, Truncation
 
-_HALF = Fraction(1, 2)
+Parts = tuple[int, ...]
+Order = dict[Parts, Fraction]
+# The p-derivatives of one order, bucketed by the (n, g) of the term they
+# come from: d/dp_i of c p_alpha is the entry (i, alpha less one part i,
+# multiplicity of i in alpha times c).
+Derivatives = dict[tuple[int, int], list[tuple[int, Parts, Fraction]]]
 
-
-def _pair_pexp(i: int, j: int) -> tuple[tuple[int, int], ...]:
-    return ((i, 2),) if i == j else ((min(i, j), 1), (max(i, j), 1))
-
-
-def _join_handle(diffs: dict[int, PSeries], trunc: Truncation) -> PSeries:
-    """sum_{i,j} i j p_{i+j} z * second partials (the genus-raising join)."""
-    acc = PSeries.zero(trunc)
-    if trunc.G < 1:
-        return acc
-    for k in range(2, trunc.K + 1):
-        for i in range(1, k):
-            j = k - i
-            second = diffs[i].pdiff(j)
-            if not second.is_zero:
-                acc = acc + second.shift(i * j, z=1, p=((k, 1),))
-    return acc
+_ZERO = Fraction(0)
 
 
-def _cut(diffs: dict[int, PSeries], trunc: Truncation) -> PSeries:
-    """sum_{i,j} (i+j) p_i p_j * d/dp_{i+j} (one cycle cut into two)."""
-    acc = PSeries.zero(trunc)
-    for k in range(2, trunc.K + 1):
-        dk = diffs[k]
-        if dk.is_zero:
-            continue
-        for i in range(1, k):
-            acc = acc + dk.shift(k, p=_pair_pexp(i, k - i))
-    return acc
+def _genus(r: int, parts: Parts) -> int:
+    return (r - sum(parts) - len(parts)) // 2 + 1
 
 
-def _join_cross(
-    da: dict[int, PSeries], db: dict[int, PSeries], trunc: Truncation
-) -> PSeries:
-    """sum_{i,j} i j p_{i+j} * (d a/dp_i)(d b/dp_j) (the genus-preserving join)."""
-    acc = PSeries.zero(trunc)
-    for k in range(2, trunc.K + 1):
-        for i in range(1, k):
-            j = k - i
-            if da[i].is_zero or db[j].is_zero:
+def _distinct(parts: Parts) -> Iterator[tuple[Parts, int, int]]:
+    """(parts less one copy of k, k, multiplicity of k) for each distinct part k."""
+    for pos, k in enumerate(parts):
+        if pos == 0 or parts[pos - 1] != k:
+            yield parts[:pos] + parts[pos + 1 :], k, parts.count(k)
+
+
+def _add(acc: Order, parts: Parts, c: Fraction) -> None:
+    key = tuple(sorted(parts, reverse=True))
+    acc[key] = acc.get(key, _ZERO) + c
+
+
+def _derivatives(phi: Order, r: int) -> Derivatives:
+    out: Derivatives = {}
+    for parts, c in phi.items():
+        bucket = out.setdefault((sum(parts), _genus(r, parts)), [])
+        for rest, i, e in _distinct(parts):
+            bucket.append((i, rest, e * c))
+    return out
+
+
+def _cut_and_handle_join(phi: Order, r: int, G: int, acc: Order) -> None:
+    """Add the cut and genus-raising join terms of Phi_{r+1}, halved."""
+    for parts, c in phi.items():
+        for rest, k, e in _distinct(parts):
+            for i in range(1, k // 2 + 1):
+                weight = e * k if 2 * i < k else Fraction(e * k, 2)
+                _add(acc, rest + (i, k - i), weight * c)
+        if _genus(r, parts) < G:
+            for a, b in combinations(range(len(parts)), 2):
+                rest = parts[:a] + parts[a + 1 : b] + parts[b + 1 :]
+                _add(acc, rest + (parts[a] + parts[b],), parts[a] * parts[b] * c)
+
+
+def _cross_join(
+    da: Derivatives, db: Derivatives, weight: Fraction, trunc: Truncation, acc: Order
+) -> None:
+    """Add weight * sum_{i,j} i j p_{i+j} (d a/dp_i)(d b/dp_j) within the truncation."""
+    for (na, ga), entries_a in da.items():
+        for (nb, gb), entries_b in db.items():
+            if na + nb > trunc.N or ga + gb > trunc.G:
                 continue
-            acc = acc + (da[i] * db[j]).shift(i * j, p=((k, 1),))
-    return acc
+            for i, rest_a, ca in entries_a:
+                wa = weight * i * ca
+                for j, rest_b, cb in entries_b:
+                    _add(acc, rest_a + rest_b + (i + j,), wa * j * cb)
 
 
-def _diffs(f: PSeries) -> dict[int, PSeries]:
-    return {i: f.pdiff(i) for i in range(1, f.trunc.K + 1)}
-
-
-def rhs(f: PSeries, g_partner: PSeries) -> PSeries:
-    """The full cut-and-join right side, bilinear in (f, g_partner).
-
-    The quadratic join term is evaluated on the pair; with g_partner = f
-    this is the PDE right side itself.
-    """
-    f._check(g_partner)
-    trunc = f.trunc
-    df = _diffs(f)
-    dg = df if g_partner is f else _diffs(g_partner)
-    total = _join_handle(df, trunc) + _cut(df, trunc) + _join_cross(df, dg, trunc)
-    return total * _HALF
-
-
+@dataclass(frozen=True)
 class CutJoinState:
-    """Orders Phi_0..Phi_r of the evolution, with their p-derivatives cached."""
+    """Orders Phi_0..Phi_r of the evolution, each a map parts -> mu_g(alpha)."""
 
-    __slots__ = ("phi", "_diffs")
-
-    def __init__(self, phi: USeries, diffs: tuple[dict[int, PSeries], ...] | None = None):
-        self.phi = phi
-        if diffs is None:
-            diffs = tuple(_diffs(f) for f in phi.coeffs)
-        self._diffs = diffs
-
-    @property
-    def trunc(self) -> Truncation:
-        return self.phi.trunc
+    trunc: Truncation
+    phi: tuple[Order, ...]
 
     @property
     def order(self) -> int:
-        return len(self.phi.coeffs) - 1
-
-
-def initial_state(trunc: Truncation) -> CutJoinState:
-    """Seed Phi_0 = x p_1: the empty factorization of the 1-cycle."""
-    phi0 = PSeries.term(trunc, 1, x=1, p=((1, 1),))
-    return CutJoinState(USeries(trunc, (phi0,)))
-
-
-def step(state: CutJoinState) -> CutJoinState:
-    """Extend the state by the next u-order."""
-    trunc = state.trunc
-    r = state.order
-    dr = state._diffs[r]
-    acc = _join_handle(dr, trunc) + _cut(dr, trunc)
-    for s in range(r + 1):
-        cross = _join_cross(state._diffs[s], state._diffs[r - s], trunc)
-        if not cross.is_zero:
-            acc = acc + cross * comb(r, s)
-    nxt = acc * _HALF
-    return CutJoinState(
-        USeries(trunc, state.phi.coeffs + (nxt,)),
-        state._diffs + (_diffs(nxt),),
-    )
+        return len(self.phi) - 1
 
 
 @lru_cache(maxsize=None)
 def evolve(trunc: Truncation) -> CutJoinState:
     """State holding Phi_0..Phi_R for the given truncation."""
-    state = initial_state(trunc)
-    for _ in range(trunc.R):
-        state = step(state)
-    return state
+    phi: list[Order] = [{(1,): Fraction(1)}]
+    derivs = [_derivatives(phi[0], 0)]
+    for r in range(trunc.R):
+        acc: Order = {}
+        _cut_and_handle_join(phi[r], r, trunc.G, acc)
+        # the s and r - s cross joins are equal; pair them up
+        for s in range(r // 2 + 1):
+            weight = Fraction(comb(r, s), 1 if 2 * s < r else 2)
+            _cross_join(derivs[s], derivs[r - s], weight, trunc, acc)
+        nxt = {parts: c for parts, c in acc.items() if c}
+        phi.append(nxt)
+        derivs.append(_derivatives(nxt, r + 1))
+    return CutJoinState(trunc, tuple(phi))
 
 
 def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
-    """Recover c_g(alpha) = [x^n z^g p_alpha] Phi_r * n! / |C_alpha|."""
+    """Recover c_g(alpha) = mu_g(alpha) * n! / |C_alpha| from Phi_r."""
     n, m = alpha.n, alpha.m
     if n < 1:
         raise ValueError("alpha must be a partition of n >= 1")
@@ -156,9 +148,7 @@ def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
             f"query (n={n}, g={g}, r={r}) outside truncation "
             f"(N={trunc.N}, G={trunc.G}, computed orders {state.order})"
         )
-    raw = state.phi[r].coeff(n, g, alpha) * factorial(n) / class_size(alpha)
-    assert raw.denominator == 1 and raw >= 0, f"non-integral count for {alpha}, g={g}: {raw}"
-    return int(raw)
+    return factorization_count(state.phi[r].get(alpha.parts, _ZERO), alpha, g)
 
 
 def run(trunc: Truncation) -> dict[tuple[Partition, int], int]:
@@ -179,7 +169,10 @@ def genus_slice(state: CutJoinState, g: int) -> PSeries:
     At g = 0 this is the genus-0 series whose p_alpha x^n coefficient is
     |C_alpha| c_0(alpha) / (n! (n+m-2)!), and likewise at higher genus.
     """
-    acc = PSeries.zero(state.trunc)
-    for r, f in enumerate(state.phi):
-        acc = acc + f.z_slice(g) * Fraction(1, factorial(r))
-    return acc
+    terms = {}
+    for r, phi in enumerate(state.phi):
+        for parts, c in phi.items():
+            if _genus(r, parts) == g:
+                alpha = Partition(parts)
+                terms[(alpha.n, 0, alpha.pexp())] = c / factorial(r)
+    return PSeries(state.trunc, terms)

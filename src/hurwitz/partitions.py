@@ -18,6 +18,10 @@ from typing import Iterable, Iterator
 from .series import PSeries, Truncation
 
 
+class IntegralityError(ArithmeticError):
+    """A computed factorization count is not a nonnegative integer."""
+
+
 class Partition:
     """Weakly decreasing tuple of positive parts; the empty partition is legal."""
 
@@ -120,6 +124,14 @@ def theta(alpha: Partition) -> int:
 def class_size(alpha: Partition) -> int:
     """|C_alpha| = n!/theta(alpha)."""
     return factorial(alpha.n) // theta(alpha)
+
+
+def factorization_count(mu: Fraction, alpha: Partition, g: int) -> int:
+    """c_g(alpha) = mu_g(alpha) * n!/|C_alpha|, checked to be a nonnegative integer."""
+    raw = mu * theta(alpha)
+    if raw.denominator != 1 or raw < 0:
+        raise IntegralityError(f"non-integral count for {alpha}, g={g}: {raw}")
+    return int(raw)
 
 
 def elem_sym(alpha: Partition, k: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 PExp = tuple[tuple[int, int], ...]
 Monomial = tuple[int, int, PExp]
@@ -438,29 +438,3 @@ def solve_fixed_point(
             "iteration did not stabilize: builder is not an x-adic contraction"
         )
     return s
-
-
-@dataclass(frozen=True)
-class USeries:
-    """Coefficient list of sum_r f_r u^r / r! ; entry r stores f_r itself.
-
-    The 1/r! normalization is implicit in the index, which keeps the
-    cut-and-join step an integer-weighted recurrence.
-    """
-
-    trunc: Truncation
-    coeffs: tuple[PSeries, ...]
-
-    def __post_init__(self) -> None:
-        for f in self.coeffs:
-            if f.trunc != self.trunc:
-                raise TruncationMismatch("USeries entries must share the truncation")
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, r: int) -> PSeries:
-        return self.coeffs[r]
-
-    def __iter__(self) -> Iterator[PSeries]:
-        return iter(self.coeffs)

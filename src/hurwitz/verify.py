@@ -736,44 +736,6 @@ def series_u_checks(order: int = 8) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# The symmetrization operator itself
-# ---------------------------------------------------------------------------
-
-
-def symmetrize(
-    poly: Mapping[tuple[int, ...], Fraction | int], arity: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Orbit-sum image of a homogeneous degree-``arity`` polynomial in the y's.
-
-    Input maps index tuples (y_{a_1}...y_{a_arity}) to coefficients; the
-    image maps exponent tuples over x_1..x_arity to coefficients.  Injective
-    on homogeneous input, which is what makes the vanishing checks above
-    conclusive.
-    """
-    if arity not in (1, 2, 3):
-        raise ValueError("symmetrization implemented for degrees 1..3")
-    agg: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in poly.items():
-        if len(mono) != arity:
-            raise ValueError(
-                f"monomial {mono} is not homogeneous of degree {arity}"
-            )
-        agg_key = tuple(sorted(mono))
-        agg[agg_key] = agg.get(agg_key, _ZERO) + Fraction(c)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in agg.items():
-        if not c:
-            continue
-        for perm in itertools.permutations(range(arity)):
-            exps = [0] * arity
-            for t, idx in enumerate(mono):
-                exps[perm[t]] = idx
-            key = tuple(exps)
-            out[key] = out.get(key, _ZERO) + c
-    return {k: v for k, v in out.items() if v}
-
-
-# ---------------------------------------------------------------------------
 # The PDE residual and the supporting series identities
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hurwitz import closedform
 from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_partition
 from hurwitz.partitions import Partition
 
@@ -95,6 +97,12 @@ class TestCount:
         # with a transitive group: every nonzero sequence works
         assert out.splitlines()[1] == '"(1,1)",2,6,1,1/2'
 
+    def test_non_integral_count_is_a_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(1, 7))
+        code, out, err = run_cli(capsys, "count", "--alpha", "3", "--genus", "0")
+        assert code == EXIT_FAIL
+        assert out == "" and err.startswith("error: non-integral count")
+
     def test_bad_partition_literal(self, capsys):
         code, _, err = run_cli(capsys, "count", "--alpha", "2;1", "--genus", "0")
         assert code == EXIT_USAGE
@@ -154,6 +162,14 @@ class TestCompare:
     def test_genus_max_flag(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--n", "5", "--genus-max", "1")
         assert code == EXIT_OK
+
+    def test_oracle_column_through_walk_limit(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--n", "6")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "alpha,g,oracle,cutjoin,closed,agree"
+        assert len(lines) == 1 + 2 * 11  # eleven partitions, two genera
+        assert all(line.endswith(",yes") for line in lines[1:])
 
     def test_oracle_skipped_above_five(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--n", "8")

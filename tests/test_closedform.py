@@ -1,12 +1,18 @@
 """Closed formulas, the substitution series, and the tree function."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import hurwitz
 from hurwitz import (
     HurwitzRecord,
+    IntegralityError,
     Partition,
     PSeries,
     Truncation,
@@ -26,6 +32,7 @@ from hurwitz import (
     s_series,
     tree,
 )
+from hurwitz import closedform
 from hurwitz.closedform import f0_pdiff2, psi_at_s, s_powers
 from hurwitz.partitions import a_coeff
 
@@ -86,6 +93,30 @@ class TestRecords:
     def test_c_value_genus_bound(self):
         with pytest.raises(ValueError):
             c_value(Partition((2,)), 2)
+
+    def test_non_integral_count_raises(self, monkeypatch):
+        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(1, 7))
+        with pytest.raises(IntegralityError):
+            c_value(Partition((3,)), 0)
+        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(-1))
+        with pytest.raises(IntegralityError):
+            c_value(Partition((3,)), 0)
+
+    def test_integrality_guard_survives_optimize_flag(self):
+        # python -O strips assert statements; the guard must still fire
+        code = (
+            "from fractions import Fraction\n"
+            "from hurwitz import IntegralityError, Partition, closedform\n"
+            "closedform.mu0 = lambda alpha: Fraction(1, 7)\n"
+            "try:\n"
+            "    closedform.c_value(Partition((3,)), 0)\n"
+            "except IntegralityError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(hurwitz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 class TestG1Series:

@@ -6,8 +6,9 @@ from math import factorial
 import pytest
 
 from hurwitz import (
+    CutJoinState,
+    IntegralityError,
     Partition,
-    PSeries,
     Truncation,
     class_size,
     count_naive,
@@ -19,11 +20,10 @@ from hurwitz import (
     mu0,
     mu1,
     partitions_of,
-    rhs,
     run,
 )
-from hurwitz.closedform import f0_pdiff2, psi_at_s
-from hurwitz.cutjoin import genus_slice, initial_state
+from hurwitz.closedform import psi_at_s
+from hurwitz.cutjoin import genus_slice
 
 TR5 = Truncation(N=5, K=5, G=1)
 
@@ -33,64 +33,41 @@ def state5():
     return evolve(TR5)
 
 
+def genus(r, parts):
+    return (r - sum(parts) - len(parts)) // 2 + 1
+
+
 class TestInitialCondition:
     def test_seed_is_x_p1(self):
-        state = initial_state(TR5)
-        assert state.phi[0] == PSeries.term(TR5, 1, x=1, p=((1, 1),))
+        state = evolve(Truncation(N=5, K=5, G=1, R=0))
+        assert state.phi == ({(1,): Fraction(1)},)
 
     def test_seed_matches_enumeration(self):
         # the unique length-0 factorization of the 1-cycle
         assert count_naive(Partition((1,)), 0) == 1
-        assert extract_c(initial_state(TR5), Partition((1,)), 0) == 1
+        seed = evolve(Truncation(N=5, K=5, G=1, R=0))
+        assert extract_c(seed, Partition((1,)), 0) == 1
 
 
 class TestStep:
     def test_first_order(self, state5):
         # r = 1 holds exactly the 2-cycle at genus 0
-        assert state5.phi[1] == PSeries.term(TR5, Fraction(1, 2), x=2, p=((2, 1),))
+        assert state5.phi[1] == {(2,): Fraction(1, 2)}
         assert extract_c(state5, Partition((2,)), 0) == 1
 
     def test_genus_one_appears_at_r3(self, state5):
-        assert state5.phi[2].z_slice(1).is_zero
+        assert all(genus(2, parts) == 0 for parts in state5.phi[2])
+        assert any(genus(3, parts) == 1 for parts in state5.phi[3])
         assert extract_c(state5, Partition((2,)), 1) == count_naive(Partition((2,)), 1)
 
     def test_parity_and_size_constraints(self, state5):
         for r, phi in enumerate(state5.phi):
-            for (xd, zd, pexp), _ in phi.terms.items():
-                m = sum(e for _, e in pexp)
-                weight = sum(i * e for i, e in pexp)
-                assert weight == xd  # x tracks the partition size
-                assert (xd + m - r) % 2 == 0
-                assert xd + m <= r + 2
-
-
-class TestRhs:
-    def test_zero_input(self):
-        zero = PSeries.zero(TR5)
-        assert rhs(zero, PSeries.one(TR5)).is_zero
-
-    def test_bilinear_in_partner(self):
-        f = PSeries.term(TR5, 1, x=1, p=((1, 1),))
-        g = PSeries.term(TR5, 1, x=2, p=((2, 1),))
-        two_g = g * 2
-        lhs = rhs(f, two_g) - rhs(f, g)
-        # only the quadratic family depends on the partner
-        quad_only = rhs(f, g) - rhs(f, PSeries.zero(TR5))
-        assert lhs == quad_only
-
-    def test_z_slice_is_genus_zero_join(self):
-        # applying the operator to genus-0 data, the z-coefficient is the
-        # join of the genus-0 second derivatives
-        f0 = f0_series(TR5)
-        got = rhs(f0, f0).z_slice(1)
-        want = PSeries.zero(TR5)
-        for k in range(2, TR5.K + 1):
-            for i in range(1, k):
-                j = k - i
-                want = want + f0_pdiff2(i, j, TR5).shift(
-                    Fraction(i * j, 2), p=((k, 1),)
-                )
-        assert got == want
+            for parts, c in phi.items():
+                n, m = sum(parts), len(parts)
+                assert c and parts == tuple(sorted(parts, reverse=True)) and parts[-1] >= 1
+                assert n <= TR5.N and 0 <= genus(r, parts) <= TR5.G
+                assert (n + m - r) % 2 == 0
+                assert n + m <= r + 2
 
 
 class TestExtract:
@@ -100,6 +77,16 @@ class TestExtract:
         assert extract_c(state5, Partition((2, 1)), 1) == count_transitive(
             Partition((2, 1)), 1
         )
+
+    def test_non_integral_coefficient_raises(self, state5):
+        alpha = Partition((2, 1))
+        r = alpha.n + alpha.m - 2
+        for bad in (state5.phi[r][alpha.parts] + Fraction(1, 3), Fraction(-1)):
+            phi = list(state5.phi)
+            phi[r] = {**phi[r], alpha.parts: bad}
+            with pytest.raises(IntegralityError):
+                extract_c(CutJoinState(TR5, tuple(phi)), alpha, 0)
+        assert extract_c(state5, alpha, 0) == 8
 
     def test_out_of_range_queries(self, state5):
         with pytest.raises(ValueError):
@@ -137,6 +124,22 @@ class TestRunTable:
         for (alpha, g), c in table.items():
             mu = Fraction(class_size(alpha) * c, factorial(alpha.n))
             assert mu == (mu0(alpha) if g == 0 else mu1(alpha)), (alpha, g)
+
+
+class TestGenusTwo:
+    def test_matches_oracle_through_n6(self):
+        state = evolve(Truncation(N=6, K=6, G=2, R=16))
+        genus_zero = evolve(Truncation(N=6, K=6, G=0, R=16))
+        checked = 0
+        for n in range(1, 7):
+            for alpha in partitions_of(n):
+                for g in range(3):
+                    want = count_transitive(alpha, g)
+                    assert extract_c(state, alpha, g) == want, (alpha, g)
+                    if g == 0:
+                        assert extract_c(genus_zero, alpha, 0) == want, alpha
+                    checked += 1
+        assert checked == 87
 
 
 class TestGenusSlices:

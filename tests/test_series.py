@@ -10,7 +10,6 @@ from hurwitz import (
     PSeries,
     Truncation,
     TruncationMismatch,
-    USeries,
     exp,
     inv_one_minus,
     log1,
@@ -235,13 +234,3 @@ class TestSerialization:
     def test_round_trip_random(self, f):
         assert PSeries.from_json_obj(TR6, f.to_json_obj()) == f
 
-
-class TestUSeries:
-    def test_shared_truncation_enforced(self):
-        with pytest.raises(TruncationMismatch):
-            USeries(TR8, (PSeries.one(TR6),))
-
-    def test_indexing(self):
-        u = USeries(TR8, (PSeries.one(TR8), PSeries.x(TR8)))
-        assert len(u) == 2
-        assert u[1] == PSeries.x(TR8)

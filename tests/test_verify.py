@@ -1,6 +1,5 @@
-"""The identity checker: PDE residual, polynomial vanishing, symmetrization."""
+"""The identity checker: PDE residual, polynomial vanishing, series identities."""
 
-import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from hurwitz import (
     g1_defn,
     residual_T,
     run_all_checks,
-    symmetrize,
 )
 from hurwitz.verify import (
     DEFAULT_KERNELS,
@@ -125,43 +123,6 @@ class TestFaultInjection:
         failed = [c for c in checks if not c.ok]
         assert failed and failed[0].name == "pde_residual"
         assert failed[0].witness
-
-
-class TestSymmetrize:
-    def test_single_variable(self):
-        assert symmetrize({(2,): 1}, 1) == {(2,): Fraction(1)}
-
-    def test_two_term_orbit(self):
-        got = symmetrize({(1, 2): 1}, 2)
-        assert got == {(1, 2): Fraction(1), (2, 1): Fraction(1)}
-
-    def test_repeated_index_multiplicity(self):
-        got = symmetrize({(2, 2): 1}, 2)
-        assert got == {(2, 2): Fraction(2)}
-
-    def test_non_homogeneous_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrize({(1, 2): 1, (3,): 1}, 2)
-
-    def test_unsupported_degree_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrize({(1, 1, 1, 1): 1}, 4)
-
-    def test_injectivity_smoke(self):
-        rng = random.Random(11)
-        for arity in (1, 2, 3):
-            for _ in range(20):
-                poly = {}
-                for _ in range(rng.randint(1, 4)):
-                    key = tuple(sorted(rng.randint(1, 5) for _ in range(arity)))
-                    poly[key] = poly.get(key, 0) + rng.choice([-2, -1, 1, 2, 3])
-                poly = {k: v for k, v in poly.items() if v}
-                image = symmetrize(poly, arity)
-                assert bool(image) == bool(poly)
-
-    def test_zero_maps_to_zero(self):
-        assert symmetrize({}, 2) == {}
-        assert symmetrize({(1, 1): 1, (1, 1): 0}, 2) == {}
 
 
 class TestIdentities:
