@@ -235,6 +235,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     assert n is not None
     if n < 1:
         raise UsageError("n must be at least 1")
+    if cfg.genus_max < 0:
+        raise UsageError("--genus-max must be nonnegative")
     methods = ["cutjoin", "closed"]
     if n <= oracle.WALK_MAX_N:
         methods.insert(0, "oracle")

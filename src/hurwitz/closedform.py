@@ -20,8 +20,10 @@ The genus-0 series enters the verification through its first p-derivatives
     dF_0/dp_k = (a_k/k^3) s^k - (a_k/k^2) sum_r a_r p_r s^(k+r)/(k+r),
 
 taken as given from the transitive-factorization literature (everything
-else in this package is derived from scratch; this input is validated
-indirectly, through the identity checks that consume it).
+else in this package is derived from scratch).  ``hurwitz verify``
+certifies this input with its check ``f0_pdiff_axiom``: for every retained
+k, f0_pdiff(k) must equal the p_k-derivative of the genus-0 series
+f0_series, which is assembled term by term from the explicit mu_0 formula.
 
 The tree function w = x e^w with [x^n] w = n^(n-1)/n! underlies the
 symmetrized polynomial checks; its first three Euler derivatives satisfy

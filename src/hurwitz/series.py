@@ -280,13 +280,6 @@ class PSeries:
             {m: c * m[0] for m, c in self.terms.items() if m[0]},
         )
 
-    def z_slice(self, g: int) -> "PSeries":
-        """Coefficient of z^g, returned with the z-exponent removed."""
-        return PSeries(
-            self.trunc,
-            {(xd, 0, pexp): c for (xd, zd, pexp), c in self.terms.items() if zd == g},
-        )
-
     def x_parts(self, strip: bool = False) -> dict[int, "PSeries"]:
         """Split into x-degree parts; strip removes the x factor."""
         buckets: dict[int, dict[Monomial, Fraction]] = {}

@@ -24,22 +24,33 @@ Three layers, each exact:
   coefficients n^(n-1)/n!.  These catch transcription slips in the exact
   route.
 
-The two U-routes (a compact rearranged form and a form assembled
-directly from the kernel definitions) are both checked; a discrepancy would
-fail one of them rather than being silently reconciled.
+Both routes compute in one sparse ring in three variables, ``WPoly``: with
+no order it is the exact polynomial ring in w1, w2, w3; with an order it is
+the series ring in x1, x2, x3 truncated per variable.  Each U-combination is
+written once, over a ``KernelForms``, and evaluated on the exact closed forms
+and on the weights-only expansions alike.  The exact route checks U_2 and
+U_3 twice more, in a compact rearranged form; a discrepancy would fail one
+of them rather than being silently reconciled.
+
+The genus-0 input dF_0/dp_k, taken as given in ``closedform``, is certified
+by ``f0_pdiff_axiom`` against the p-derivatives of the genus-0 series built
+from the explicit formula.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closedform import (
     f0_pdiff,
+    f0_series,
     g1_closed,
     g1_defn,
     psi_at_s,
@@ -50,6 +61,7 @@ from .partitions import a_coeff, elem_sym, partitions_of, theta
 from .series import (
     PSeries,
     Truncation,
+    TruncationMismatch,
     exp,
     inv_one_minus,
     monomial_str,
@@ -81,69 +93,107 @@ def _pseries_eq_check(name: str, a: PSeries, b: PSeries) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomials in w1, w2, w3 and fractions over the permitted atoms
+# One sparse exact ring in three variables, untruncated or truncated
 # ---------------------------------------------------------------------------
 
-WMono = tuple[int, int, int]
+Mono = tuple[int, int, int]
+
+# The cap of the untruncated ring, so that one multiply loop with inline
+# comparisons serves both rings.
+_NO_CAP = sys.maxsize
+
+
+def _mono(*powers: tuple[int, int]) -> Mono:
+    """The exponent triple of prod v^d over the (v, d) pairs given."""
+    exps = [0, 0, 0]
+    for v, d in powers:
+        exps[v - 1] += d
+    return tuple(exps)
 
 
 class WPoly:
-    """Sparse exact polynomial in w1, w2, w3."""
+    """Sparse exact polynomial in three variables, optionally truncated.
 
-    __slots__ = ("terms",)
+    With order None it is a polynomial in w1, w2, w3.  With an integer order
+    it is a series in x1, x2, x3 that drops every monomial of degree above
+    the order in some variable.  Combining two different orders raises
+    TruncationMismatch.
+    """
 
-    def __init__(self, terms: Mapping[WMono, Fraction | int] | None = None):
-        self.terms: dict[WMono, Fraction] = {}
+    __slots__ = ("order", "terms")
+
+    def __init__(
+        self,
+        terms: Mapping[Mono, Fraction | int] | None = None,
+        order: int | None = None,
+    ):
+        self.order = order
+        self.terms: dict[Mono, Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                if c:
+                if c and (order is None or max(mono) <= order):
                     self.terms[mono] = Fraction(c)
 
     @staticmethod
-    def const(c: Fraction | int) -> "WPoly":
-        return WPoly({(0, 0, 0): c})
+    def const(c: Fraction | int, order: int | None = None) -> "WPoly":
+        return WPoly({(0, 0, 0): c}, order)
 
     @staticmethod
     def var(v: int) -> "WPoly":
-        exps = [0, 0, 0]
-        exps[v - 1] = 1
-        return WPoly({tuple(exps): 1})
+        return WPoly({_mono((v, 1)): 1})
+
+    @staticmethod
+    def univariate(coeffs: Sequence[Fraction], v: int, order: int) -> "WPoly":
+        """sum_d coeffs[d] x_v^d, truncated at order."""
+        return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, order)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _order_with(self, other: "WPoly") -> int | None:
+        if self.order != other.order:
+            raise TruncationMismatch(f"order {self.order} vs {other.order}")
+        return self.order
+
     def __add__(self, other: "WPoly") -> "WPoly":
+        order = self._order_with(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) + c
-        return WPoly(out)
+        return WPoly(out, order)
 
     def __sub__(self, other: "WPoly") -> "WPoly":
+        order = self._order_with(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) - c
-        return WPoly(out)
+        return WPoly(out, order)
 
     def __neg__(self) -> "WPoly":
-        return WPoly({m: -c for m, c in self.terms.items()})
+        return WPoly({m: -c for m, c in self.terms.items()}, self.order)
 
     def __mul__(self, other: "WPoly | Fraction | int") -> "WPoly":
         if isinstance(other, (int, Fraction)):
-            return WPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[WMono, Fraction] = {}
+            return WPoly({m: c * other for m, c in self.terms.items()}, self.order)
+        order = self._order_with(other)
+        L = _NO_CAP if order is None else order
+        out: dict[Mono, Fraction] = {}
         for (a1, a2, a3), c1 in self.terms.items():
             for (b1, b2, b3), c2 in other.terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3)
+                e1, e2, e3 = a1 + b1, a2 + b2, a3 + b3
+                if e1 > L or e2 > L or e3 > L:
+                    continue
+                key = (e1, e2, e3)
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return WPoly(out)
+        return WPoly(out, order)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WPoly):
-            return self.terms == other.terms
+            return self.order == other.order and self.terms == other.terms
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -152,9 +202,20 @@ class WPoly:
         if not self.terms:
             return "0"
         mono = min(self.terms)
-        bits = [f"w{v}" + (f"^{e}" if e > 1 else "") for v, e in enumerate(mono, 1) if e]
+        name = "w" if self.order is None else "x"
+        bits = [f"{name}{v}" + (f"^{e}" if e > 1 else "") for v, e in enumerate(mono, 1) if e]
         return "*".join(bits) if bits else "1"
 
+
+def _wpoly_zero_check(name: str, f: WPoly) -> CheckResult:
+    if f.is_zero:
+        return CheckResult(name, True)
+    return CheckResult(name, False, f.lead_str())
+
+
+# ---------------------------------------------------------------------------
+# Fractions over the permitted atoms
+# ---------------------------------------------------------------------------
 
 # Denominator atoms, in fixed order: (1-w1), (1-w2), (1-w3), then the
 # pairwise differences (w1-w2), (w2-w3), (w1-w3).
@@ -194,10 +255,6 @@ class WExpr:
     def __init__(self, num: WPoly, den: tuple[int, ...] = (0, 0, 0, 0, 0, 0)):
         self.num = num
         self.den = den
-
-    @staticmethod
-    def poly(p: WPoly) -> "WExpr":
-        return WExpr(p)
 
     @property
     def is_zero(self) -> bool:
@@ -298,21 +355,31 @@ def sym_e_form(v1: int, v2: int) -> WExpr:
     return -(wd(v1, 2) * wd(v2, 1)) - wd(v1, 1) * wd(v2, 2) - cross.div_diff(v1, v2)
 
 
+# A symmetrized image: an exact closed form or a truncated expansion.
+Image = WExpr | WPoly
+
+
 @dataclass(frozen=True)
 class KernelForms:
-    """The five symmetrized quadratic-kernel closed forms, slot-parameterized."""
+    """The symmetrized images the U-combinations are built from, by slot.
 
-    a: Callable[[int], WExpr]
-    b: Callable[[int], WExpr]
-    c: Callable[[int, int], WExpr]
-    d: Callable[[int], WExpr]
-    e: Callable[[int, int], WExpr]
+    a, b, d take one slot, c and e two, and psi(m, v) is the image of psi_m.
+    DEFAULT_KERNELS holds the exact closed forms (WExpr); the series route
+    fills the same fields with truncated weights-only expansions (WPoly).
+    """
+
+    a: Callable[[int], Image]
+    b: Callable[[int], Image]
+    c: Callable[[int, int], Image]
+    d: Callable[[int], Image]
+    e: Callable[[int, int], Image]
+    psi: Callable[[int, int], Image] = sym_psi
 
 
 DEFAULT_KERNELS = KernelForms(sym_a_form, sym_b_form, sym_c_form, sym_d_form, sym_e_form)
 
 
-def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[WExpr, WExpr, WExpr, WExpr, WExpr]:
+def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[Image, ...]:
     """The five kernel images at the canonical slots (1) and (1, 2)."""
     return (
         kernels.a(1),
@@ -323,22 +390,20 @@ def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[WExpr, WExpr, W
     )
 
 
-# -- the degree-1..3 vanishing checks, exact route ---------------------------
+# -- the degree-1..3 vanishing combinations, for either route ---------------
 
 
-def _u1_expr(k: KernelForms) -> WExpr:
-    return sym_psi(2, 1) - sym_psi(0, 1) - k.a(1) * 12 - k.b(1) + k.d(1)
+def _u1_expr(k: KernelForms) -> Image:
+    return k.psi(2, 1) - k.psi(0, 1) - k.a(1) * 12 - k.b(1) + k.d(1)
 
 
-def _pair(f: Callable[[int], WExpr], g: Callable[[int], WExpr]) -> WExpr:
+def _pair(f: Callable[[int], Image], g: Callable[[int], Image]) -> Image:
     """Two-slot symmetrization of a product of two degree-1 series."""
     return f(1) * g(2) + f(2) * g(1)
 
 
-def _u2_assembled(k: KernelForms) -> WExpr:
-    psi0 = lambda v: sym_psi(0, v)
-    psi1 = lambda v: sym_psi(1, v)
-    psi2 = lambda v: sym_psi(2, v)
+def _u2_assembled(k: KernelForms) -> Image:
+    psi0, psi1, psi2 = (partial(k.psi, m) for m in range(3))
     return (
         _pair(psi0, psi1)
         + _pair(psi0, psi2)
@@ -349,6 +414,20 @@ def _u2_assembled(k: KernelForms) -> WExpr:
         - _pair(psi2, k.d)
         - k.e(1, 2)
     )
+
+
+def _u3_assembled(k: KernelForms) -> Image:
+    terms = [
+        k.psi(1, p1) * k.psi(1, p2) * k.a(p3) * -12
+        for p1, p2, p3 in itertools.permutations((1, 2, 3))
+    ]
+    for t, (va, vb) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+        terms.append(-(k.psi(1, t) * k.c(va, vb)))
+        terms.append((k.psi(1, t) + k.psi(2, t)) * k.e(va, vb))
+    return reduce(operator.add, terms)
+
+
+# -- the exact route ----------------------------------------------------------
 
 
 def _u2_rearranged() -> WExpr:
@@ -362,16 +441,6 @@ def _u2_rearranged() -> WExpr:
         - cross31.div_diff(1, 2)
         + cross21.div_diff(1, 2)
     )
-
-
-def _u3_assembled(k: KernelForms) -> WExpr:
-    total = WExpr(WPoly())
-    for p1, p2, p3 in itertools.permutations((1, 2, 3)):
-        total = total - sym_psi(1, p1) * sym_psi(1, p2) * k.a(p3) * 12
-    for t, (va, vb) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
-        total = total - sym_psi(1, t) * k.c(va, vb)
-        total = total + (sym_psi(1, t) + sym_psi(2, t)) * k.e(va, vb)
-    return total
 
 
 def _u3_rearranged() -> WExpr:
@@ -401,9 +470,7 @@ def _u3_rearranged() -> WExpr:
 def _wexpr_zero_check(name: str, expr: WExpr) -> CheckResult:
     if any(e > bound for e, bound in zip(expr.den, _DEN_BOUND)):
         return CheckResult(name, False, f"denominator bound exceeded: {expr.den}")
-    if expr.is_zero:
-        return CheckResult(name, True)
-    return CheckResult(name, False, expr.num.lead_str())
+    return _wpoly_zero_check(name, expr.num)
 
 
 def check_u1(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
@@ -434,97 +501,8 @@ def check_u3(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Truncated series in x1, x2, x3: the independent expansion route
+# The series route: truncated expansions in x1, x2, x3
 # ---------------------------------------------------------------------------
-
-XMono = tuple[int, int, int]
-
-
-class XSeries:
-    """Truncated series in x1, x2, x3 with a per-variable order cap."""
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: Mapping[XMono, Fraction | int] | None = None):
-        self.order = order
-        self.terms: dict[XMono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c and max(mono) <= order:
-                    self.terms[mono] = Fraction(c)
-
-    @staticmethod
-    def univariate(coeffs: Sequence[Fraction], var: int, order: int) -> "XSeries":
-        terms = {}
-        for d, c in enumerate(coeffs[: order + 1]):
-            if c:
-                exps = [0, 0, 0]
-                exps[var - 1] = d
-                terms[tuple(exps)] = c
-        return XSeries(order, terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "XSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return XSeries(self.order, out)
-
-    def __sub__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) - c
-        return XSeries(self.order, out)
-
-    def __neg__(self) -> "XSeries":
-        return XSeries(self.order, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "XSeries | Fraction | int") -> "XSeries":
-        if isinstance(other, (int, Fraction)):
-            return XSeries(self.order, {m: c * other for m, c in self.terms.items()})
-        self._check(other)
-        L = self.order
-        out: dict[XMono, Fraction] = {}
-        for (a1, a2, a3), c1 in self.terms.items():
-            for (b1, b2, b3), c2 in other.terms.items():
-                e1, e2, e3 = a1 + b1, a2 + b2, a3 + b3
-                if e1 > L or e2 > L or e3 > L:
-                    continue
-                key = (e1, e2, e3)
-                prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return XSeries(self.order, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, XSeries):
-            return self.order == other.order and self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def lead_str(self) -> str:
-        if not self.terms:
-            return "0"
-        mono = min(self.terms)
-        bits = [f"x{v}" + (f"^{e}" if e > 1 else "") for v, e in enumerate(mono, 1) if e]
-        return "*".join(bits) if bits else "1"
-
-
-def _xseries_zero_check(name: str, f: XSeries) -> CheckResult:
-    if f.is_zero:
-        return CheckResult(name, True)
-    return CheckResult(name, False, f.lead_str())
 
 
 @lru_cache(maxsize=None)
@@ -536,202 +514,143 @@ def _tree_coeffs(order: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _w_series(v: int, j: int, order: int) -> XSeries:
+def _w_series(v: int, j: int, order: int) -> WPoly:
     """j-th Euler derivative of the tree function at slot v, as a series."""
     base = _tree_coeffs(order)
     coeffs = [c * Fraction(n) ** j if n else _ZERO for n, c in enumerate(base)]
-    return XSeries.univariate(coeffs, v, order)
+    return WPoly.univariate(coeffs, v, order)
 
 
-@lru_cache(maxsize=None)
-def _wexpr_den_series(den: tuple[int, ...], order: int) -> XSeries:
-    out = XSeries(order, {(0, 0, 0): 1})
-    for idx, e in enumerate(den):
-        if not e:
-            continue
-        if idx < 3:
-            atom = XSeries(order, {(0, 0, 0): 1}) - _w_series(idx + 1, 0, order)
-        else:
-            a, b = [(1, 2), (2, 3), (1, 3)][idx - 3]
-            atom = _w_series(a, 0, order) - _w_series(b, 0, order)
-        for _ in range(e):
-            out = out * atom
-    return out
-
-
-def _wexpr_num_series(num: WPoly, order: int) -> XSeries:
-    total = XSeries(order)
-    for (e1, e2, e3), c in num.terms.items():
-        term = XSeries(order, {(0, 0, 0): c})
-        for v, e in ((1, e1), (2, e2), (3, e3)):
+def _at_tree(p: WPoly, order: int) -> WPoly:
+    """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v."""
+    total = WPoly(order=order)
+    for mono, c in p.terms.items():
+        term = WPoly.const(c, order)
+        for v, e in enumerate(mono, 1):
             for _ in range(e):
                 term = term * _w_series(v, 0, order)
         total = total + term
     return total
 
 
-def _wexpr_matches_series(name: str, expr: WExpr, direct: XSeries) -> CheckResult:
+@lru_cache(maxsize=None)
+def _wexpr_den_series(den: tuple[int, ...], order: int) -> WPoly:
+    out = WPoly.const(1, order)
+    for idx, e in enumerate(den):
+        if e:
+            out = out * _at_tree(_atom_power(idx, e), order)
+    return out
+
+
+def _wexpr_matches_series(name: str, expr: WExpr, direct: WPoly) -> CheckResult:
     """Closed form equals independent expansion: num = direct * den as series."""
     order = direct.order
-    lhs = _wexpr_num_series(expr.num, order)
+    lhs = _at_tree(expr.num, order)
     rhs = direct * _wexpr_den_series(expr.den, order)
-    return _xseries_zero_check(name, lhs - rhs)
+    return _wpoly_zero_check(name, lhs - rhs)
 
 
 # -- direct (weights-only) expansions of the symmetrized images -------------
 
 
-def _direct_psi(j: int, v: int, order: int) -> XSeries:
-    coeffs = [_ZERO] + [Fraction(r) ** (j - 1) * a_coeff(r) for r in range(1, order + 1)]
-    return XSeries.univariate(coeffs, v, order)
+def _direct_psi(m: int, v: int, order: int) -> WPoly:
+    coeffs = [_ZERO] + [Fraction(r) ** (m - 1) * a_coeff(r) for r in range(1, order + 1)]
+    return WPoly.univariate(coeffs, v, order)
 
 
-def _direct_a(v: int, order: int) -> XSeries:
-    coeffs = [_ZERO] * (order + 1)
-    for k in range(2, order + 1):
-        coeffs[k] = sum(a_coeff(i) * a_coeff(k - i) for i in range(1, k)) / k
-    return XSeries.univariate(coeffs, v, order)
+def _direct_linear(
+    v: int, order: int, weight: Callable[[int, int], Fraction]
+) -> WPoly:
+    """A one-slot kernel: sum over k of x_v^k sum_{i+j=k} a_i a_j weight(i, j)."""
+    coeffs = [_ZERO, _ZERO] + [
+        sum(a_coeff(i) * a_coeff(k - i) * weight(i, k - i) for i in range(1, k))
+        for k in range(2, order + 1)
+    ]
+    return WPoly.univariate(coeffs, v, order)
 
 
-def _direct_b(v: int, order: int) -> XSeries:
-    coeffs = [_ZERO] * (order + 1)
-    for k in range(2, order + 1):
-        coeffs[k] = sum(
-            a_coeff(i) * a_coeff(k - i) * Fraction(i, (k - i) ** 2)
-            for i in range(1, k)
-        )
-    return XSeries.univariate(coeffs, v, order)
+def _direct_a(v: int, order: int) -> WPoly:
+    return _direct_linear(v, order, lambda i, j: Fraction(1, i + j))
 
 
-def _direct_d(v: int, order: int) -> XSeries:
-    coeffs = [_ZERO] * (order + 1)
-    for k in range(2, order + 1):
-        coeffs[k] = sum(
-            a_coeff(i) * a_coeff(k - i) / (k - i) ** 2 for i in range(1, k)
-        )
-    return XSeries.univariate(coeffs, v, order)
+def _direct_b(v: int, order: int) -> WPoly:
+    return _direct_linear(v, order, lambda i, j: Fraction(i, j * j))
 
 
-def _xmono(v: int, d: int) -> XMono:
-    exps = [0, 0, 0]
-    exps[v - 1] = d
-    return tuple(exps)
+def _direct_d(v: int, order: int) -> WPoly:
+    return _direct_linear(v, order, lambda i, j: Fraction(1, j * j))
 
 
-def _add_term(terms: dict[XMono, Fraction], mono: XMono, c: Fraction) -> None:
-    terms[mono] = terms.get(mono, _ZERO) + c
+def _direct_cross(
+    v1: int,
+    v2: int,
+    order: int,
+    join: Callable[[int, int, int], Fraction],
+    split: Callable[[int, int], Fraction],
+) -> WPoly:
+    """A two-slot kernel, summed over both assignments (s, t) of its slots.
+
+    Each assignment contributes a_i a_j a_m join(i, j, m) x_s^(i+j) x_t^m
+    and -a_(i+j) split(i, j) x_s^i x_t^j.
+    """
+    terms: dict[Mono, Fraction] = {}
+    for s, t in ((v1, v2), (v2, v1)):
+        for k in range(2, order + 1):  # k = i + j on slot s
+            for i in range(1, k):
+                j = k - i
+                for m in range(1, order + 1):
+                    mono = _mono((s, k), (t, m))
+                    c = a_coeff(i) * a_coeff(j) * a_coeff(m) * join(i, j, m)
+                    terms[mono] = terms.get(mono, _ZERO) + c
+        for i in range(1, order + 1):
+            for j in range(1, order + 1):
+                mono = _mono((s, i), (t, j))
+                terms[mono] = terms.get(mono, _ZERO) - split(i, j) * a_coeff(i + j)
+    return WPoly(terms, order)
 
 
-def _direct_c_half(v1: int, v2: int, order: int) -> XSeries:
-    terms: dict[XMono, Fraction] = {}
-    for k in range(2, order + 1):  # k = i + j on the first slot
-        for i in range(1, k):
-            j = k - i
-            for m in range(1, order + 1):
-                c = a_coeff(i) * a_coeff(j) * a_coeff(m) * Fraction(i, j * (j + m))
-                mono = tuple(
-                    x + y for x, y in zip(_xmono(v1, k), _xmono(v2, m))
-                )
-                _add_term(terms, mono, c)
-    for i in range(1, order + 1):
-        for j in range(1, order + 1):
-            c = -Fraction(i + j, 2) * a_coeff(i + j)
-            mono = tuple(x + y for x, y in zip(_xmono(v1, i), _xmono(v2, j)))
-            _add_term(terms, mono, c)
-    return XSeries(order, terms)
+def _direct_c(v1: int, v2: int, order: int) -> WPoly:
+    join = lambda i, j, m: Fraction(i, j * (j + m))
+    return _direct_cross(v1, v2, order, join, lambda i, j: Fraction(i + j, 2))
 
 
-def _direct_c(v1: int, v2: int, order: int) -> XSeries:
-    return _direct_c_half(v1, v2, order) + _direct_c_half(v2, v1, order)
+def _direct_e(v1: int, v2: int, order: int) -> WPoly:
+    join = lambda i, j, m: Fraction(1, j * (j + m))
+    return _direct_cross(v1, v2, order, join, lambda i, j: Fraction(1, 2))
 
 
-def _direct_e_half(v1: int, v2: int, order: int) -> XSeries:
-    terms: dict[XMono, Fraction] = {}
-    for k in range(2, order + 1):
-        for i in range(1, k):
-            j = k - i
-            for m in range(1, order + 1):
-                c = a_coeff(i) * a_coeff(j) * a_coeff(m) / (j * (j + m))
-                mono = tuple(x + y for x, y in zip(_xmono(v1, k), _xmono(v2, m)))
-                _add_term(terms, mono, c)
-    for i in range(1, order + 1):
-        for j in range(1, order + 1):
-            c = -a_coeff(i + j) / 2
-            mono = tuple(x + y for x, y in zip(_xmono(v1, i), _xmono(v2, j)))
-            _add_term(terms, mono, c)
-    return XSeries(order, terms)
-
-
-def _direct_e(v1: int, v2: int, order: int) -> XSeries:
-    return _direct_e_half(v1, v2, order) + _direct_e_half(v2, v1, order)
+def _series_kernels(order: int) -> KernelForms:
+    """The weights-only expansions, truncated at order, as kernel forms."""
+    forms = (_direct_a, _direct_b, _direct_c, _direct_d, _direct_e, _direct_psi)
+    return KernelForms(*(partial(f, order=order) for f in forms))
 
 
 def closed_form_series_checks(
     kernels: KernelForms = DEFAULT_KERNELS, order: int = 10
 ) -> list[CheckResult]:
     """Each symmetrized closed form against its weights-only expansion."""
+    direct = _series_kernels(order)
     checks = [
-        _wexpr_matches_series("sym_closed_form_a", kernels.a(1), _direct_a(1, order)),
-        _wexpr_matches_series("sym_closed_form_b", kernels.b(1), _direct_b(1, order)),
-        _wexpr_matches_series("sym_closed_form_c", kernels.c(1, 2), _direct_c(1, 2, order)),
-        _wexpr_matches_series("sym_closed_form_d", kernels.d(1), _direct_d(1, order)),
-        _wexpr_matches_series("sym_closed_form_e", kernels.e(1, 2), _direct_e(1, 2, order)),
+        _wexpr_matches_series(f"sym_closed_form_{name}", expr, series)
+        for name, expr, series in zip("abcde", build_ABCDE(kernels), build_ABCDE(direct))
     ]
-    psi_ok = True
-    psi_witness = None
     for m in range(-1, 3):
-        res = _wexpr_matches_series(
-            "psi_image_series", sym_psi(m, 1), _direct_psi(m, 1, order)
-        )
+        res = _wexpr_matches_series("psi_image_series", kernels.psi(m, 1), direct.psi(m, 1))
         if not res.ok:
-            psi_ok, psi_witness = False, f"index {m}: {res.witness}"
+            psi = CheckResult("psi_image_series", False, f"index {m}: {res.witness}")
             break
-    checks.append(CheckResult("psi_image_series", psi_ok, psi_witness))
-    return checks
+    else:
+        psi = CheckResult("psi_image_series", True)
+    return checks + [psi]
 
 
 def series_u_checks(order: int = 8) -> list[CheckResult]:
-    """The three vanishing combinations re-expanded with weights only."""
-    psi0 = _direct_psi(0, 1, order)
-    psi1 = _direct_psi(1, 1, order)
-    psi2 = _direct_psi(2, 1, order)
-    u1 = (
-        psi2
-        - psi0
-        - _direct_a(1, order) * 12
-        - _direct_b(1, order)
-        + _direct_d(1, order)
-    )
-
-    def pair(f, g):
-        return f(1) * g(2) + f(2) * g(1)
-
-    dp = lambda m: (lambda v: _direct_psi(m, v, order))
-    da = lambda v: _direct_a(v, order)
-    db = lambda v: _direct_b(v, order)
-    dd = lambda v: _direct_d(v, order)
-    u2 = (
-        pair(dp(0), dp(1))
-        + pair(dp(0), dp(2))
-        + pair(dp(1), da) * 24
-        + pair(dp(1), db)
-        + _direct_c(1, 2, order)
-        - pair(dp(1), dd)
-        - pair(dp(2), dd)
-        - _direct_e(1, 2, order)
-    )
-
-    u3 = XSeries(order)
-    for p1, p2, p3 in itertools.permutations((1, 2, 3)):
-        u3 = u3 - dp(1)(p1) * dp(1)(p2) * da(p3) * 12
-    for t, (va, vb) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
-        u3 = u3 - dp(1)(t) * _direct_c(va, vb, order)
-        u3 = u3 + (dp(1)(t) + dp(2)(t)) * _direct_e(va, vb, order)
-
+    """The three vanishing combinations, evaluated on the weights-only expansions."""
+    direct = _series_kernels(order)
     return [
-        _xseries_zero_check("u1_series", u1),
-        _xseries_zero_check("u2_series", u2),
-        _xseries_zero_check("u3_series", u3),
+        _wpoly_zero_check("u1_series", _u1_expr(direct)),
+        _wpoly_zero_check("u2_series", _u2_assembled(direct)),
+        _wpoly_zero_check("u3_series", _u3_assembled(direct)),
     ]
 
 
@@ -943,6 +862,22 @@ def g1_pdiff_identity(
     return CheckResult("g1_pdiff_identity", True)
 
 
+def f0_pdiff_axiom(trunc: Truncation, f0: PSeries) -> CheckResult:
+    """The axiomatic input dF_0/dp_k equals the p-derivative of f0, for each k <= K.
+
+    f0 is the genus-0 series assembled from the explicit formula
+    (``closedform.f0_series``); ``closedform.f0_pdiff`` writes the same
+    derivatives through the substitution series instead.
+    """
+    for k in range(1, trunc.K + 1):
+        diff = f0_pdiff(k, trunc) - f0.pdiff(k)
+        if not diff.is_zero:
+            return CheckResult(
+                "f0_pdiff_axiom", False, f"k={k}: {monomial_str(diff.lead_monomial())}"
+            )
+    return CheckResult("f0_pdiff_axiom", True)
+
+
 def elem_sym_extraction(max_n: int = 8) -> CheckResult:
     """Coefficient-extraction rule for elementary symmetric functions.
 
@@ -979,11 +914,7 @@ def elem_sym_extraction(max_n: int = 8) -> CheckResult:
 
 
 def run_all_checks(
-    trunc: Truncation | None = None,
-    *,
-    inject_fault: bool = False,
-    kernels: KernelForms = DEFAULT_KERNELS,
-    series_order: int = 8,
+    trunc: Truncation | None = None, *, inject_fault: bool = False
 ) -> list[CheckResult]:
     """Every verification step, in a fixed order, as CheckResults.
 
@@ -998,9 +929,9 @@ def run_all_checks(
         _pseries_zero_check("pde_residual", residual_T(tr, g1)),
         _pseries_eq_check("g1_forms_agree", g1_closed(tr), g1_defn(tr)),
     ]
-    checks += closed_form_series_checks(kernels, order=max(series_order, 10))
-    checks += [check_u1(kernels), check_u2(kernels), check_u3(kernels)]
-    checks += series_u_checks(order=series_order)
+    checks += closed_form_series_checks(order=10)
+    checks += [check_u1(), check_u2(), check_u3()]
+    checks += series_u_checks(order=8)
     checks.append(kernel_recombination(tr))
     checks.append(elem_sym_extraction())
     checks += [
@@ -1009,6 +940,7 @@ def run_all_checks(
         psi_pdiff_identity(tr),
         g1_xdiff_identity(tr),
         g1_pdiff_identity(tr),
+        f0_pdiff_axiom(tr, f0_series(tr)),
     ]
     return checks
 

@@ -211,3 +211,9 @@ class TestUsage:
         lines = out.splitlines()
         # closed-formula column is empty beyond genus 1; others still agree
         assert "(3),2,243,243,,yes" in lines
+
+    def test_negative_genus_max_refused(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--n", "3", "--genus-max", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--genus-max" in err

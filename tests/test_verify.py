@@ -8,6 +8,7 @@ import pytest
 from hurwitz import (
     PSeries,
     Truncation,
+    TruncationMismatch,
     build_ABCDE,
     check_u1,
     check_u2,
@@ -16,7 +17,9 @@ from hurwitz import (
     g1_defn,
     residual_T,
     run_all_checks,
+    verify,
 )
+from hurwitz.closedform import f0_series
 from hurwitz.verify import (
     DEFAULT_KERNELS,
     WExpr,
@@ -24,6 +27,7 @@ from hurwitz.verify import (
     closed_form_series_checks,
     kernel_recombination,
     elem_sym_extraction,
+    f0_pdiff_axiom,
     g1_pdiff_identity,
     g1_xdiff_identity,
     psi_pdiff_identity,
@@ -75,6 +79,24 @@ class TestWAtoms:
             wd(1, 4)
 
 
+class TestRing:
+    def test_orders_do_not_mix(self):
+        series = WPoly.univariate([1, 1], 1, 8)
+        with pytest.raises(TruncationMismatch):
+            series + WPoly.var(1)
+        with pytest.raises(TruncationMismatch):
+            series * WPoly.univariate([1, 1], 2, 10)
+
+    def test_truncation_is_per_variable(self):
+        # (x1 + x1^2) x2 squared, with x1^3 and x1^4 beyond order 2
+        f = WPoly.univariate([0, 1, 1], 1, 2) * WPoly.univariate([0, 1], 2, 2)
+        assert f * f == WPoly({(2, 2, 0): 1}, 2)
+
+    def test_witness_names_the_variables(self):
+        assert (WPoly.var(1) * WPoly.var(2) * WPoly.var(2)).lead_str() == "w1*w2^2"
+        assert WPoly({(1, 2, 0): 1}, 3).lead_str() == "x1*x2^2"
+
+
 class TestVanishing:
     def test_u1(self):
         assert check_u1().ok
@@ -109,14 +131,32 @@ def _perturbed(name):
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "e"])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "e", "psi"])
     def test_single_kernel_fault_is_caught(self, name):
         kernels = _perturbed(name)
         checks = (
             closed_form_series_checks(kernels, order=8)
             + [check_u1(kernels), check_u2(kernels), check_u3(kernels)]
         )
-        assert any(not c.ok for c in checks), f"fault in {name} went unnoticed"
+        failed = [c for c in checks if not c.ok]
+        assert failed, f"fault in {name} went unnoticed"
+        assert all(c.witness for c in failed)
+
+    def test_weights_only_fault_is_caught(self, monkeypatch):
+        direct_b = verify._direct_b
+        monkeypatch.setattr(
+            verify, "_direct_b", lambda v, order: direct_b(v, order) * Fraction(13, 12)
+        )
+        failed = [c for c in series_u_checks(order=8) if not c.ok]
+        assert [c.name for c in failed] == ["u1_series", "u2_series"]
+        assert all(c.witness for c in failed)
+
+    def test_genus0_input_fault_is_caught(self):
+        assert f0_pdiff_axiom(TR8, f0_series(TR8)).ok
+        bad = f0_series(TR8) + PSeries.term(TR8, 1, x=3, p=((1, 1), (2, 1)))
+        result = f0_pdiff_axiom(TR8, bad)
+        assert not result.ok
+        assert result.witness.startswith("k=1: ")
 
     def test_residual_fault_reports_witness(self):
         checks = run_all_checks(inject_fault=True)
@@ -147,21 +187,30 @@ class TestReport:
     def test_all_pass(self):
         checks = run_all_checks()
         assert all(c.ok for c in checks)
-        names = [c.name for c in checks]
-        for expected in (
+        assert [c.name for c in checks] == [
             "pde_residual",
             "g1_forms_agree",
             "sym_closed_form_a",
+            "sym_closed_form_b",
+            "sym_closed_form_c",
+            "sym_closed_form_d",
             "sym_closed_form_e",
+            "psi_image_series",
             "u1_vanishes",
             "u2_vanishes",
             "u3_vanishes",
+            "u1_series",
+            "u2_series",
+            "u3_series",
             "kernel_recombination",
             "elem_sym_extraction",
             "s_xdiff_identity",
+            "s_pdiff_identity",
+            "psi_pdiff_identity",
+            "g1_xdiff_identity",
             "g1_pdiff_identity",
-        ):
-            assert expected in names
+            "f0_pdiff_axiom",
+        ]
 
     def test_report_schema(self):
         checks = run_all_checks(inject_fault=True)
