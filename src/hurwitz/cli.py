@@ -10,10 +10,10 @@ Four commands:
 Output is byte-deterministic for a fixed invocation: rows follow the
 reverse-lexicographic partition order and all numbers are exact rational
 strings (never decimals).  Exit status: 0 success / all pass, 1 a
-verification or comparison failure or a count that is not a nonnegative
-integer, 2 usage errors (including size refusals).  The environment
-variable HURWITZ_TRUNC_N overrides the default truncation degree when --N
-is not given.
+verification or comparison failure, a count that is not a nonnegative
+integer or a failed fixed-point certificate, 2 usage errors (including size
+refusals).  The environment variable HURWITZ_TRUNC_N overrides the default
+truncation degree when --N is not given.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 from . import closedform, cutjoin, oracle, verify
 from .oracle import SizeLimitExceeded
 from .partitions import IntegralityError, Partition, class_size, partitions_of
-from .series import Truncation
+from .series import FixedPointError, Truncation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -283,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, SizeLimitExceeded, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except IntegralityError as err:
+    except (IntegralityError, FixedPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
 

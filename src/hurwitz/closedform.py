@@ -15,6 +15,11 @@ unique solution of s = x exp(psi_0(s, p)):
 
     G_1 = -(1/24) log(1 - psi_1(s, p)) - (1/24) psi_0(s, p).
 
+s is computed by Lagrange inversion, [x^n] s = (1/n) [t^(n-1)] exp(n psi_0),
+the way Goulden and Jackson obtain the genus-0 counts, and every result is
+certified exactly: x exp(psi_0(s, p)) must give back s, otherwise
+FixedPointError is raised.
+
 The genus-0 series enters the verification through its first p-derivatives
 
     dF_0/dp_k = (a_k/k^3) s^k - (a_k/k^2) sum_r a_r p_r s^(k+r)/(k+r),
@@ -46,7 +51,15 @@ from .partitions import (
     partitions_of,
     psi,
 )
-from .series import PSeries, Truncation, exp, log1, solve_fixed_point, subst_x
+from .series import (
+    PSeries,
+    Truncation,
+    certify_fixed_point,
+    exp,
+    log1,
+    solve_fixed_point,
+    subst_x,
+)
 
 
 @dataclass(frozen=True)
@@ -144,10 +157,33 @@ def record(alpha: Partition, g: int) -> HurwitzRecord:
 
 @lru_cache(maxsize=None)
 def s_series(trunc: Truncation) -> PSeries:
-    """Unique solution of s = x exp(psi_0(s, p)) with zero constant term."""
+    """Unique solution of s = x exp(psi_0(s, p)) with zero constant term.
+
+    The coefficients come from Lagrange inversion,
+
+        [x^n] s = (1/n) [t^(n-1)] exp(n psi_0(t))
+                = sum_{k<n} n^(k-1)/k! [t^(n-1)] psi_0(t)^k,
+
+    which needs the powers psi_0^1 .. psi_0^(N-1).  The result is then
+    certified exactly as the fixed point of the defining equation
+    (``certify_fixed_point``, FixedPointError otherwise).
+    """
+    N = trunc.N
     psi0 = psi(0, trunc)
+    terms = {(1, 0, ()): Fraction(1)}  # k = 0 contributes to n = 1 only
+    power = PSeries.one(trunc)
+    for k in range(1, N):
+        power = power * psi0
+        kf = factorial(k)
+        for (xd, zd, pexp), c in power.terms.items():
+            n = xd + 1
+            if n <= N:
+                mono = (n, zd, pexp)
+                terms[mono] = terms.get(mono, 0) + c * Fraction(n ** (k - 1), kf)
     xs = PSeries.x(trunc)
-    return solve_fixed_point(lambda t: xs * exp(subst_x(psi0, t)), trunc)
+    return certify_fixed_point(
+        lambda t: xs * exp(subst_x(psi0, t)), PSeries(trunc, terms)
+    )
 
 
 @lru_cache(maxsize=None)

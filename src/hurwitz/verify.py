@@ -63,6 +63,7 @@ from .series import (
     Truncation,
     TruncationMismatch,
     exp,
+    int_terms,
     inv_one_minus,
     monomial_str,
 )
@@ -178,16 +179,18 @@ class WPoly:
             return WPoly({m: c * other for m, c in self.terms.items()}, self.order)
         order = self._order_with(other)
         L = _NO_CAP if order is None else order
-        out: dict[Mono, Fraction] = {}
-        for (a1, a2, a3), c1 in self.terms.items():
-            for (b1, b2, b3), c2 in other.terms.items():
+        La, A = int_terms(self.terms)
+        Lb, B = int_terms(other.terms)
+        acc: dict[Mono, int] = {}
+        for (a1, a2, a3), a in A:
+            for (b1, b2, b3), b in B:
                 e1, e2, e3 = a1 + b1, a2 + b2, a3 + b3
                 if e1 > L or e2 > L or e3 > L:
                     continue
                 key = (e1, e2, e3)
-                prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return WPoly(out, order)
+                acc[key] = acc.get(key, 0) + a * b
+        den = La * Lb
+        return WPoly({m: Fraction(v, den) for m, v in acc.items()}, order)
 
     __rmul__ = __mul__
 

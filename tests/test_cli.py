@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hurwitz import closedform
 from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_partition
 from hurwitz.partitions import Partition
+from hurwitz.series import PSeries
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,42 @@ class TestVerify:
         report = json.loads(out)
         failed = [c for c in report["checks"] if c["status"] == "fail"]
         assert failed and "witness" in failed[0]
+
+    def test_failed_fixed_point_certificate_is_a_failure(self, capsys, monkeypatch):
+        # perturb the exp of the builder x exp(psi_0(s)), so that the series
+        # from the inversion formula no longer passes as its fixed point
+        real_exp = closedform.exp
+        monkeypatch.setattr(
+            closedform, "exp", lambda f: real_exp(f) + PSeries.term(f.trunc, 1, x=2)
+        )
+        closedform.s_series.cache_clear()
+        code, out, err = run_cli(capsys, "verify", "--N", "5")
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # SHA-256 of the report bytes, recorded at commit 06c69f1: the product
+    # kernel and the inversion formula must not change a byte
+    @pytest.mark.parametrize(
+        "argv, want_code, digest",
+        [
+            (
+                ("--N", "8"),
+                EXIT_OK,
+                "ca254cff9921b4938ffb6d5d5fd65f7a5fca42a7e78c2fe203d9c9b965b120ee",
+            ),
+            (
+                ("--N", "8", "--inject-fault"),
+                EXIT_FAIL,
+                "3cedd400dee6969d973a56db4e1da0d7161b2a666a62f8684c16df180c35b800",
+            ),
+        ],
+        ids=["N8", "N8-inject-fault"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argv, want_code, digest):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCompare:

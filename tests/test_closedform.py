@@ -34,7 +34,13 @@ from hurwitz import (
 )
 from hurwitz import closedform
 from hurwitz.closedform import f0_pdiff2, psi_at_s, s_powers
-from hurwitz.partitions import a_coeff
+from hurwitz.partitions import a_coeff, psi
+from hurwitz.series import (
+    FixedPointError,
+    certify_fixed_point,
+    solve_fixed_point,
+    subst_x,
+)
 
 TR8 = Truncation()
 TR10 = Truncation(N=10, K=10, G=1)
@@ -180,6 +186,27 @@ class TestSubstitutionSeries:
                 mono: c for mono, c in s.terms.items() if mono[0] == n
             }
             assert got == expected
+
+    @pytest.mark.parametrize(
+        "trunc",
+        [Truncation(N=n, K=n) for n in range(1, 11)]
+        + [Truncation(N=6, K=9), Truncation(N=7, K=7, G=0)],
+        ids=lambda t: f"N{t.N}K{t.K}G{t.G}",
+    )
+    def test_lagrange_equals_iteration(self, trunc):
+        # the inversion formula against N iterations of the defining equation
+        psi0, xs = psi(0, trunc), PSeries.x(trunc)
+        iterated = solve_fixed_point(lambda t: xs * exp(subst_x(psi0, t)), trunc)
+        assert s_series(trunc) == iterated
+
+    def test_certificate_rejects_perturbed_candidate(self):
+        psi0, xs = psi(0, TR8), PSeries.x(TR8)
+        builder = lambda t: xs * exp(subst_x(psi0, t))
+        s = s_series(TR8)
+        assert certify_fixed_point(builder, s) is s
+        bad = s + PSeries.term(TR8, Fraction(1, 3), x=4, p=((1, 1), (2, 1)))
+        with pytest.raises(FixedPointError):
+            certify_fixed_point(builder, bad)
 
     def test_euler_identity(self):
         # x ds/dx (1 - psi_1) = s

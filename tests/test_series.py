@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -19,9 +20,35 @@ from hurwitz import (
 
 from conftest import TR6, TR8, series_st
 
+# few monomials, so random products often overflow the truncation
+TR_SMALL = Truncation(N=2, K=2, G=1)
+
+
+def cancelling_pair_st(trunc: Truncation):
+    """(a + b, a - b): the cross terms a*b of their product cancel in pairs."""
+    return st.tuples(series_st(trunc, 4), series_st(trunc, 4)).map(
+        lambda ab: (ab[0] + ab[1], ab[0] - ab[1])
+    )
+
 
 def xp1(trunc):
     return PSeries.term(trunc, 1, x=1, p=((1, 1),))
+
+
+def fraction_loop_product(f, g):
+    """The product by a termwise Fraction double loop, zero sums dropped."""
+    N, G = f.trunc.N, f.trunc.G
+    out = {}
+    for (x1, z1, p1), c1 in f.terms.items():
+        for (x2, z2, p2), c2 in g.terms.items():
+            if x1 + x2 > N or z1 + z2 > G:
+                continue
+            pexp = dict(p1)
+            for i, e in p2:
+                pexp[i] = pexp.get(i, 0) + e
+            key = (x1 + x2, z1 + z2, tuple(sorted(pexp.items())))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 class TestTruncation:
@@ -88,6 +115,42 @@ class TestRingOps:
     def test_additive_inverse(self, f):
         assert (f - f).is_zero
         assert f + (-f) == PSeries.zero(TR6)
+
+
+class TestIntegerKernel:
+    @given(
+        st.one_of(
+            cancelling_pair_st(TR_SMALL),
+            cancelling_pair_st(TR6),
+            st.tuples(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8)),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_product_equals_fraction_loop(self, pair):
+        f, g = pair
+        got = f * g
+        assert got.terms == fraction_loop_product(f, g)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_cancelling_and_overflowing_terms_are_not_stored(self):
+        t = Truncation(N=3, K=3, G=0)
+        f = PSeries(t, {(0, 0, ()): Fraction(1, 2), (1, 0, ((1, 1),)): Fraction(2, 3)})
+        g = PSeries(t, {(0, 0, ()): Fraction(4, 3), (1, 0, ((1, 1),)): Fraction(-16, 9)})
+        # y = x p1; the y coefficients cancel: (1/2)(-16/9) + (2/3)(4/3) = 0
+        prod = f * g
+        assert prod.terms == {(0, 0, ()): Fraction(2, 3), (2, 0, ((1, 2),)): Fraction(-32, 27)}
+        assert (PSeries.x(t, 2) * PSeries.x(t, 2)).terms == {}
+
+    @given(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8))
+    @settings(max_examples=40, deadline=None)
+    def test_sums_store_no_zero(self, f, g):
+        for res in (f + g, f - g, (f + g) - g, -f, f * Fraction(-3, 2)):
+            assert all(type(c) is Fraction and c for c in res.terms.values())
+        assert ((f + g) - g).terms == f.terms
+
+    def test_shift_still_truncates(self):
+        assert PSeries.x(TR6).shift(x=TR6.N).is_zero
+        assert PSeries.one(TR6).shift(z=TR6.G + 1).is_zero
 
 
 class TestDerivations:

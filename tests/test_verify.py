@@ -3,7 +3,9 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hurwitz import (
     PSeries,
@@ -19,7 +21,7 @@ from hurwitz import (
     run_all_checks,
     verify,
 )
-from hurwitz.closedform import f0_series
+from hurwitz.closedform import f0_series, s_series
 from hurwitz.verify import (
     DEFAULT_KERNELS,
     WExpr,
@@ -40,6 +42,35 @@ from hurwitz.verify import (
 )
 
 TR8 = Truncation()
+
+
+def wpoly_st(order):
+    """Random WPoly with exponents 0..2, so products often overflow order 2."""
+    mono = st.tuples(*[st.integers(0, 2)] * 3)
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return st.dictionaries(mono, coeff, max_size=6).map(lambda t: WPoly(t, order))
+
+
+def wpoly_pair_st(order):
+    """A random pair, or (a + b, a - b), whose product cancels the cross terms."""
+    return st.one_of(
+        st.tuples(wpoly_st(order), wpoly_st(order)),
+        st.tuples(wpoly_st(order), wpoly_st(order)).map(
+            lambda ab: (ab[0] + ab[1], ab[0] - ab[1])
+        ),
+    )
+
+
+def fraction_loop_product(f, g):
+    """The product by a termwise Fraction double loop, zero sums dropped."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            if f.order is not None and max(mono) > f.order:
+                continue
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
 
 
 class TestResidual:
@@ -91,6 +122,23 @@ class TestRing:
         # (x1 + x1^2) x2 squared, with x1^3 and x1^4 beyond order 2
         f = WPoly.univariate([0, 1, 1], 1, 2) * WPoly.univariate([0, 1], 2, 2)
         assert f * f == WPoly({(2, 2, 0): 1}, 2)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_product_equals_fraction_loop(self, order, data):
+        f, g = data.draw(wpoly_pair_st(order))
+        got = f * g
+        assert got.order == order
+        assert got.terms == fraction_loop_product(f, g)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_cancelling_and_overflowing_terms_are_not_stored(self):
+        # (1 + w1)(1 - w1) = 1 - w1^2; at order 1 the w1^2 term is dropped too
+        for order, want in ((None, {(0, 0, 0): 1, (2, 0, 0): -1}), (1, {(0, 0, 0): 1})):
+            f = WPoly({(0, 0, 0): 1, (1, 0, 0): 1}, order)
+            g = WPoly({(0, 0, 0): 1, (1, 0, 0): -1}, order)
+            assert (f * g).terms == want
 
     def test_witness_names_the_variables(self):
         assert (WPoly.var(1) * WPoly.var(2) * WPoly.var(2)).lead_str() == "w1*w2^2"
@@ -157,6 +205,34 @@ class TestFaultInjection:
         result = f0_pdiff_axiom(TR8, bad)
         assert not result.ok
         assert result.witness.startswith("k=1: ")
+
+    def test_u3_weights_only_fault_is_caught(self, monkeypatch):
+        direct_c = verify._direct_c
+        monkeypatch.setattr(
+            verify, "_direct_c", lambda v1, v2, order: direct_c(v1, v2, order) * Fraction(13, 12)
+        )
+        failed = [c for c in series_u_checks(order=8) if not c.ok]
+        assert [c.name for c in failed] == ["u2_series", "u3_series"]
+        assert all(c.witness for c in failed)
+
+    def test_substitution_series_fault_is_caught(self, monkeypatch):
+        bad = s_series(TR8) + PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 1), (2, 1)))
+        monkeypatch.setattr(verify, "s_series", lambda trunc: bad)
+        xdiff, pdiff = s_xdiff_identity(TR8), s_pdiff_identity(TR8)
+        assert not xdiff.ok and xdiff.witness
+        assert not pdiff.ok and pdiff.witness.startswith("k=1: ")
+
+    def test_psi_image_fault_is_caught(self, monkeypatch):
+        psi_at_s = verify.psi_at_s
+        bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
+        monkeypatch.setattr(
+            verify,
+            "psi_at_s",
+            lambda i, trunc: psi_at_s(i, trunc) + bump if i == 0 else psi_at_s(i, trunc),
+        )
+        result = psi_pdiff_identity(TR8)
+        assert not result.ok
+        assert result.witness.startswith("j=0, k=1: ")
 
     def test_residual_fault_reports_witness(self):
         checks = run_all_checks(inject_fault=True)
