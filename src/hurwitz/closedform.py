@@ -170,15 +170,15 @@ def s_series(trunc: Truncation) -> PSeries:
     """
     N = trunc.N
     psi0 = psi(0, trunc)
-    terms = {(1, 0, ()): Fraction(1)}  # k = 0 contributes to n = 1 only
+    terms = {(1, ()): Fraction(1)}  # k = 0 contributes to n = 1 only
     power = PSeries.one(trunc)
     for k in range(1, N):
         power = power * psi0
         kf = factorial(k)
-        for (xd, zd, pexp), c in power.terms.items():
+        for (xd, pexp), c in power.terms.items():
             n = xd + 1
             if n <= N:
-                mono = (n, zd, pexp)
+                mono = (n, pexp)
                 terms[mono] = terms.get(mono, 0) + c * Fraction(n ** (k - 1), kf)
     xs = PSeries.x(trunc)
     return certify_fixed_point(
@@ -201,23 +201,30 @@ def psi_at_s(i: int, trunc: Truncation) -> PSeries:
     return subst_x(psi(i, trunc), s_series(trunc))
 
 
+def _formula_series(trunc: Truncation, g: int) -> PSeries:
+    """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = n + m + 2g - 2.
+
+    r is the number of transpositions, so multiplying a coefficient by
+    n! r!/|C_alpha| recovers c_g(alpha).
+    """
+    mu = mu0 if g == 0 else mu1
+    return PSeries(
+        trunc,
+        {
+            (n, alpha.pexp()): mu(alpha) / factorial(n + alpha.m + 2 * g - 2)
+            for n in range(1, trunc.N + 1)
+            for alpha in partitions_of(n)
+        },
+    )
+
+
 @lru_cache(maxsize=None)
 def g1_defn(trunc: Truncation) -> PSeries:
-    """Genus-1 series assembled partition by partition.
+    """Genus-1 series assembled partition by partition from the mu_1 formula.
 
-    The x^n p_alpha coefficient is |C_alpha| * prod a_{alpha_i} * bracket
-    / (24 n!); multiplying by n! (n+m)! / |C_alpha| recovers c_1(alpha).
+    The x^n p_alpha coefficient is mu_1(alpha)/(n+m)!.
     """
-    terms = {}
-    for n in range(1, trunc.N + 1):
-        nf = factorial(n)
-        for alpha in partitions_of(n):
-            coeff = (
-                Fraction(class_size(alpha), 24 * nf) * _prod_a(alpha) * _bracket(alpha)
-            )
-            if coeff:
-                terms[(n, 0, alpha.pexp())] = coeff
-    return PSeries(trunc, terms)
+    return _formula_series(trunc, 1)
 
 
 @lru_cache(maxsize=None)
@@ -230,22 +237,12 @@ def g1_closed(trunc: Truncation) -> PSeries:
 
 @lru_cache(maxsize=None)
 def f0_series(trunc: Truncation) -> PSeries:
-    """Genus-0 generating series assembled from the explicit formula.
+    """Genus-0 generating series assembled from the mu_0 formula.
 
-    The x^n p_alpha coefficient is n^(m-3) prod a_{alpha_i} / theta(alpha),
-    which is |C_alpha| c_0(alpha) / (n! (n+m-2)!).
+    The x^n p_alpha coefficient is mu_0(alpha)/(n+m-2)!, which is
+    n^(m-3) prod a_{alpha_i} / theta(alpha).
     """
-    terms = {}
-    for n in range(1, trunc.N + 1):
-        nf = factorial(n)
-        for alpha in partitions_of(n):
-            coeff = (
-                Fraction(class_size(alpha), nf)
-                * Fraction(n) ** (alpha.m - 3)
-                * _prod_a(alpha)
-            )
-            terms[(n, 0, alpha.pexp())] = coeff
-    return PSeries(trunc, terms)
+    return _formula_series(trunc, 0)
 
 
 @lru_cache(maxsize=None)

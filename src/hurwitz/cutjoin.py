@@ -174,5 +174,5 @@ def genus_slice(state: CutJoinState, g: int) -> PSeries:
         for parts, c in phi.items():
             if _genus(r, parts) == g:
                 alpha = Partition(parts)
-                terms[(alpha.n, 0, alpha.pexp())] = c / factorial(r)
+                terms[(alpha.n, alpha.pexp())] = c / factorial(r)
     return PSeries(state.trunc, terms)

@@ -152,6 +152,8 @@ def elem_sym(alpha: Partition, k: int) -> int:
     return e[k]
 
 
+# `verify --N 12` asks for 23k weights, of 20 distinct r.
+@lru_cache(maxsize=256)
 def a_coeff(r: int) -> Fraction:
     """The weight a_r = r^r/(r-1)! attached to a part of size r."""
     if r < 1:
@@ -166,5 +168,5 @@ def psi(i: int, trunc: Truncation) -> PSeries:
     """
     terms = {}
     for r in range(1, trunc.N + 1):
-        terms[(r, 0, ((r, 1),))] = Fraction(r) ** (i - 1) * a_coeff(r)
+        terms[(r, ((r, 1),))] = Fraction(r) ** (i - 1) * a_coeff(r)
     return PSeries(trunc, terms)

@@ -1,11 +1,13 @@
 """Sparse truncated formal power series with exact rational coefficients.
 
-The carrier ring is Q[z, p_1, ..., p_K][[x]] cut off at x^N and z^G.  A
-series is a sparse map from monomials ``(x_deg, z_deg, p_exponents)`` to
-nonzero Fraction coefficients.  Monomials beyond the truncation bounds are
-dropped when a series is built (dropped, never rounded); no operation here
-lowers x- or z-degree, so the coefficients that survive are exactly those
-of the untruncated ring.
+The carrier ring is Q[p_1, ..., p_K][[x]] cut off at x^N.  A series is a
+sparse map from monomials ``(x_deg, p_exponents)`` to nonzero Fraction
+coefficients.  Monomials beyond the truncation bounds are dropped when a
+series is built (dropped, never rounded); no operation here lowers the
+x-degree, so the coefficients that survive are exactly those of the
+untruncated ring.  The paper's genus marker z is no coordinate here: only
+the cut-and-join carries genus, keyed by partition, and
+``cutjoin.genus_slice`` hands one genus of it over as a series.
 
 ``exp``, ``log1`` and ``subst_x`` additionally require every input monomial
 to carry positive x-degree.  That restriction keeps their expansions finite
@@ -37,7 +39,7 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 PExp = tuple[tuple[int, int], ...]
-Monomial = tuple[int, int, PExp]
+Monomial = tuple[int, PExp]
 
 _ZERO = Fraction(0)
 
@@ -54,14 +56,16 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class Truncation:
-    """Bounds of the truncated ring.
+    """Bounds of the truncated ring and of the cut-and-join evolution.
 
-    N -- maximum x-degree kept.
+    N -- maximum x-degree kept (the size n of a partition in cut-and-join).
     K -- maximum p-index kept (a monomial containing p_k, k > K, is dropped).
-    G -- maximum z-degree kept.
+    G -- maximum genus the cut-and-join evolution keeps.
     R -- number of u-steps retained by the cut-and-join evolution; defaults
          to 2N, the largest step index reached at genus <= 1 and x-degree
          <= N (a partition of n has at most n parts, so n + m <= 2N).
+
+    PSeries reads only N and K; G and R bound only the cut-and-join.
 
     K >= N is required: a single part of size up to N contributes p_k with
     k up to N, so exactness of the coefficients below x^N needs those
@@ -129,12 +133,10 @@ def _x_degree(term: tuple[Monomial, int]) -> int:
 
 def monomial_str(mono: Monomial) -> str:
     """Readable form of a monomial key, for witnesses and debugging."""
-    xd, zd, pexp = mono
+    xd, pexp = mono
     out = []
     if xd:
         out.append("x" if xd == 1 else f"x^{xd}")
-    if zd:
-        out.append("z" if zd == 1 else f"z^{zd}")
     for i, e in pexp:
         out.append(f"p{i}" if e == 1 else f"p{i}^{e}")
     return "*".join(out) if out else "1"
@@ -156,14 +158,14 @@ class PSeries:
     ):
         clean: dict[Monomial, Fraction] = {}
         if terms:
-            N, K, G = trunc.N, trunc.K, trunc.G
+            N, K = trunc.N, trunc.K
             for mono, c in terms.items():
                 if isinstance(c, float):
                     raise TypeError("floating-point coefficients are not allowed")
                 if not c:
                     continue
-                xd, zd, pexp = mono
-                if xd > N or zd > G or (pexp and pexp[-1][0] > K):
+                xd, pexp = mono
+                if xd > N or (pexp and pexp[-1][0] > K):
                     continue
                 clean[mono] = Fraction(c)
         self.trunc = trunc
@@ -185,26 +187,25 @@ class PSeries:
 
     @staticmethod
     def one(trunc: Truncation) -> "PSeries":
-        return PSeries(trunc, {(0, 0, ()): Fraction(1)})
+        return PSeries(trunc, {(0, ()): Fraction(1)})
 
     @staticmethod
     def x(trunc: Truncation, power: int = 1) -> "PSeries":
         if power < 0:
             raise ValueError(f"negative x-power {power}")
-        return PSeries(trunc, {(power, 0, ()): Fraction(1)})
+        return PSeries(trunc, {(power, ()): Fraction(1)})
 
     @staticmethod
     def term(
         trunc: Truncation,
         coeff: Fraction | int,
         x: int = 0,
-        z: int = 0,
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
-        """Single monomial coeff * x^x z^z * p-monomial."""
-        if x < 0 or z < 0:
-            raise ValueError(f"negative exponent in monomial x^{x} z^{z}")
-        return PSeries(trunc, {(x, z, _canon_pexp(p)): coeff})
+        """Single monomial coeff * x^x * p-monomial."""
+        if x < 0:
+            raise ValueError(f"negative exponent in monomial x^{x}")
+        return PSeries(trunc, {(x, _canon_pexp(p)): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -222,18 +223,7 @@ class PSeries:
 
     def __repr__(self) -> str:
         t = self.trunc
-        return f"<PSeries N={t.N} K={t.K} G={t.G}: {len(self.terms)} terms>"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items())[:12]:
-            ms = monomial_str(mono)
-            bits.append(f"{c}" if ms == "1" else f"{c}*{ms}")
-        if len(self.terms) > 12:
-            bits.append("...")
-        return " + ".join(bits)
+        return f"<PSeries N={t.N} K={t.K}: {len(self.terms)} terms>"
 
     def _check(self, other: "PSeries") -> None:
         if self.trunc != other.trunc:
@@ -282,20 +272,17 @@ class PSeries:
                 return PSeries.zero(self.trunc)
             return PSeries._of(self.trunc, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        N, G = self.trunc.N, self.trunc.G
+        N = self.trunc.N
         La, A = int_terms(self.terms)
         Lb, B = int_terms(other.terms)
         B.sort(key=_x_degree)  # so the x-cut ends the inner loop
         acc: dict[Monomial, int] = {}
-        for (x1, z1, p1), a in A:
-            for (x2, z2, p2), b in B:
+        for (x1, p1), a in A:
+            for (x2, p2), b in B:
                 xd = x1 + x2
                 if xd > N:
                     break
-                zd = z1 + z2
-                if zd > G:
-                    continue
-                key = (xd, zd, _merge_pexp(p1, p2))
+                key = (xd, _merge_pexp(p1, p2))
                 acc[key] = acc.get(key, 0) + a * b
         den = La * Lb
         return PSeries._of(
@@ -308,14 +295,13 @@ class PSeries:
         self,
         coeff: Fraction | int = 1,
         x: int = 0,
-        z: int = 0,
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Multiply by a single monomial (cheaper than building a PSeries)."""
         padd = _canon_pexp(p)
         out = {
-            (xd + x, zd + z, _merge_pexp(pexp, padd)): c * coeff
-            for (xd, zd, pexp), c in self.terms.items()
+            (xd + x, _merge_pexp(pexp, padd)): c * coeff
+            for (xd, pexp), c in self.terms.items()
         }
         return PSeries(self.trunc, out)
 
@@ -326,14 +312,14 @@ class PSeries:
         if not 1 <= k <= self.trunc.K:
             raise ValueError(f"p-index {k} outside 1..{self.trunc.K}")
         out: dict[Monomial, Fraction] = {}
-        for (xd, zd, pexp), c in self.terms.items():
+        for (xd, pexp), c in self.terms.items():
             for pos, (i, e) in enumerate(pexp):
                 if i == k:
                     if e == 1:
                         reduced = pexp[:pos] + pexp[pos + 1 :]
                     else:
                         reduced = pexp[:pos] + ((i, e - 1),) + pexp[pos + 1 :]
-                    out[(xd, zd, reduced)] = c * e
+                    out[(xd, reduced)] = c * e
                     break
         return PSeries._of(self.trunc, out)
 
@@ -347,49 +333,27 @@ class PSeries:
     def x_parts(self, strip: bool = False) -> dict[int, "PSeries"]:
         """Split into x-degree parts; strip removes the x factor."""
         buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for (xd, zd, pexp), c in self.terms.items():
-            key = (0, zd, pexp) if strip else (xd, zd, pexp)
-            buckets.setdefault(xd, {})[key] = c
+        for (xd, pexp), c in self.terms.items():
+            buckets.setdefault(xd, {})[(0, pexp) if strip else (xd, pexp)] = c
         return {d: PSeries._of(self.trunc, t) for d, t in buckets.items()}
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(
-        self, x_deg: int, z_deg: int = 0, parts: Iterable[int] = ()
-    ) -> Fraction:
-        """Exact coefficient of x^x_deg z^z_deg p_alpha, alpha given by parts."""
+    def coeff(self, x_deg: int, parts: Iterable[int] = ()) -> Fraction:
+        """Exact coefficient of x^x_deg p_alpha, alpha given by parts."""
         t = self.trunc
         if not 0 <= x_deg <= t.N:
             raise ValueError(f"x-degree {x_deg} outside truncation N={t.N}")
-        if not 0 <= z_deg <= t.G:
-            raise ValueError(f"z-degree {z_deg} outside truncation G={t.G}")
         mult: dict[int, int] = {}
         for a in parts:
             if not 1 <= a <= t.K:
                 raise ValueError(f"part {a} outside truncation K={t.K}")
             mult[a] = mult.get(a, 0) + 1
-        return self.terms.get((x_deg, z_deg, tuple(sorted(mult.items()))), _ZERO)
+        return self.terms.get((x_deg, tuple(sorted(mult.items()))), _ZERO)
 
     def lead_monomial(self) -> Monomial | None:
         """Lexicographically first stored monomial (None for the zero series)."""
         return min(self.terms) if self.terms else None
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        """JSON-ready list of terms, sorted lexicographically by monomial."""
-        return [
-            {"x": xd, "z": zd, "p": [[i, e] for i, e in pexp], "c": str(c)}
-            for (xd, zd, pexp), c in sorted(self.terms.items())
-        ]
-
-    @staticmethod
-    def from_json_obj(trunc: Truncation, obj: Iterable[dict]) -> "PSeries":
-        terms: dict[Monomial, Fraction] = {}
-        for rec in obj:
-            pexp = _canon_pexp([(i, e) for i, e in rec.get("p", [])])
-            terms[(rec["x"], rec.get("z", 0), pexp)] = Fraction(rec["c"])
-        return PSeries(trunc, terms)
 
 
 def _require_positive_xdeg(f: PSeries, op: str) -> None:
@@ -458,7 +422,7 @@ def inv_one_minus(f: PSeries) -> PSeries:
 def subst_x(f: PSeries, s: PSeries) -> PSeries:
     """Substitute x -> s in f, reading f as the rule x-degree -> coefficient.
 
-    The p/z-content of each x-graded piece of f is kept as the coefficient;
+    The p-content of each x-graded piece of f is kept as the coefficient;
     s must be x-adically small so that the composition is exact.
     """
     f._check(s)

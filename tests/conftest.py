@@ -25,11 +25,7 @@ def pexp_st(trunc: Truncation):
 
 def series_st(trunc: Truncation, max_terms: int = 5, min_xdeg: int = 0):
     """Random sparse series; min_xdeg=1 gives x-adically small ones."""
-    mono = st.tuples(
-        st.integers(min_xdeg, trunc.N),
-        st.integers(0, trunc.G),
-        pexp_st(trunc),
-    )
+    mono = st.tuples(st.integers(min_xdeg, trunc.N), pexp_st(trunc))
     term = st.tuples(mono, fractions_st())
     return st.lists(term, max_size=max_terms).map(
         lambda pairs: PSeries(trunc, dict(pairs))

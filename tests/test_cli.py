@@ -216,6 +216,29 @@ class TestCompare:
         assert out.splitlines()[0] == "alpha,g,cutjoin,closed,agree"
 
 
+class TestPinnedOutput:
+    # SHA-256 of the output bytes, recorded at commit 685059a: together with
+    # the pinned verify reports this covers all three engines
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("compare", "--n", "6", "--genus-max", "2"),
+                "83e8db0becd9590a656b132c8c4d879709dac786ef215e1e999d498caa525383",
+            ),
+            (
+                ("table", "--n", "12", "--method", "closed"),
+                "bc5717438f4dab5783a4243826cb0460ace20e7b71993d0a598be987b562f7d6",
+            ),
+        ],
+        ids=["compare-n6-g2", "table-n12-closed"],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEnvOverride:
     def test_trunc_n_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HURWITZ_TRUNC_N", "6")

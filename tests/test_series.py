@@ -37,16 +37,16 @@ def xp1(trunc):
 
 def fraction_loop_product(f, g):
     """The product by a termwise Fraction double loop, zero sums dropped."""
-    N, G = f.trunc.N, f.trunc.G
+    N = f.trunc.N
     out = {}
-    for (x1, z1, p1), c1 in f.terms.items():
-        for (x2, z2, p2), c2 in g.terms.items():
-            if x1 + x2 > N or z1 + z2 > G:
+    for (x1, p1), c1 in f.terms.items():
+        for (x2, p2), c2 in g.terms.items():
+            if x1 + x2 > N:
                 continue
             pexp = dict(p1)
             for i, e in p2:
                 pexp[i] = pexp.get(i, 0) + e
-            key = (x1 + x2, z1 + z2, tuple(sorted(pexp.items())))
+            key = (x1 + x2, tuple(sorted(pexp.items())))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {key: c for key, c in out.items() if c}
 
@@ -134,11 +134,11 @@ class TestIntegerKernel:
 
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
         t = Truncation(N=3, K=3, G=0)
-        f = PSeries(t, {(0, 0, ()): Fraction(1, 2), (1, 0, ((1, 1),)): Fraction(2, 3)})
-        g = PSeries(t, {(0, 0, ()): Fraction(4, 3), (1, 0, ((1, 1),)): Fraction(-16, 9)})
+        f = PSeries(t, {(0, ()): Fraction(1, 2), (1, ((1, 1),)): Fraction(2, 3)})
+        g = PSeries(t, {(0, ()): Fraction(4, 3), (1, ((1, 1),)): Fraction(-16, 9)})
         # y = x p1; the y coefficients cancel: (1/2)(-16/9) + (2/3)(4/3) = 0
         prod = f * g
-        assert prod.terms == {(0, 0, ()): Fraction(2, 3), (2, 0, ((1, 2),)): Fraction(-32, 27)}
+        assert prod.terms == {(0, ()): Fraction(2, 3), (2, ((1, 2),)): Fraction(-32, 27)}
         assert (PSeries.x(t, 2) * PSeries.x(t, 2)).terms == {}
 
     @given(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8))
@@ -150,7 +150,7 @@ class TestIntegerKernel:
 
     def test_shift_still_truncates(self):
         assert PSeries.x(TR6).shift(x=TR6.N).is_zero
-        assert PSeries.one(TR6).shift(z=TR6.G + 1).is_zero
+        assert PSeries.one(TR6).shift(p=((TR6.K + 1, 1),)).is_zero
 
 
 class TestDerivations:
@@ -253,21 +253,19 @@ class TestFixedPoint:
 
 class TestCoeff:
     def test_single_monomial(self):
-        assert xp1(TR8).coeff(1, 0, (1,)) == 1
+        assert xp1(TR8).coeff(1, (1,)) == 1
 
     def test_zero_series(self):
-        assert PSeries.zero(TR8).coeff(3, 1, (2, 1)) == 0
+        assert PSeries.zero(TR8).coeff(3, (2, 1)) == 0
 
     def test_taylor_coefficient(self):
-        assert exp(xp1(TR8)).coeff(3, 0, (1, 1, 1)) == Fraction(1, 6)
+        assert exp(xp1(TR8)).coeff(3, (1, 1, 1)) == Fraction(1, 6)
 
     def test_out_of_truncation_rejected(self):
         with pytest.raises(ValueError):
-            PSeries.one(TR8).coeff(9, 0, ())
+            PSeries.one(TR8).coeff(9, ())
         with pytest.raises(ValueError):
-            PSeries.one(TR8).coeff(0, 2, ())
-        with pytest.raises(ValueError):
-            PSeries.one(TR8).coeff(0, 0, (9,))
+            PSeries.one(TR8).coeff(0, (9,))
 
 
 class TestSerialization:
@@ -276,24 +274,4 @@ class TestSerialization:
         assert str(Fraction(2, 4)) == "1/2"
         assert str(Fraction(-7, 1)) == "-7"
         assert Fraction("3/4") == Fraction(3, 4)
-
-    def test_round_trip(self):
-        f = (
-            xp1(TR8)
-            + PSeries.term(TR8, Fraction(-5, 3), x=4, z=1, p=((2, 2),))
-            + PSeries.one(TR8)
-        )
-        obj = f.to_json_obj()
-        assert PSeries.from_json_obj(TR8, obj) == f
-
-    def test_sorted_output(self):
-        f = PSeries.x(TR8, 3) + PSeries.x(TR8, 1)
-        obj = f.to_json_obj()
-        assert [rec["x"] for rec in obj] == [1, 3]
-        assert obj[0]["c"] == "1"
-
-    @given(series_st(TR6))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_random(self, f):
-        assert PSeries.from_json_obj(TR6, f.to_json_obj()) == f
 

@@ -190,6 +190,13 @@ class TestFaultInjection:
         assert failed, f"fault in {name} went unnoticed"
         assert all(c.witness for c in failed)
 
+    def test_u2_u3_witness_names_the_form(self, monkeypatch):
+        kernels = _perturbed("c")
+        assert check_u2(kernels).witness == "assembled form: w1*w2^2"
+        assert check_u3(kernels).witness == "assembled form: w1*w2^2*w3^3"
+        monkeypatch.setattr(verify, "_u2_rearranged", lambda: WExpr(WPoly.var(1)))
+        assert check_u2().witness == "rearranged form: w1"
+
     def test_weights_only_fault_is_caught(self, monkeypatch):
         direct_b = verify._direct_b
         monkeypatch.setattr(
@@ -234,6 +241,39 @@ class TestFaultInjection:
         assert not result.ok
         assert result.witness.startswith("j=0, k=1: ")
 
+    def test_genus1_forms_fault_is_caught(self, monkeypatch):
+        bad = g1_defn(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
+        monkeypatch.setattr(verify, "g1_defn", lambda trunc: bad)
+        failed = [c for c in run_all_checks(TR8) if not c.ok]
+        assert [(c.name, c.witness) for c in failed] == [("g1_forms_agree", "x^2*p2")]
+
+    def test_kernel_recombination_fault_is_caught(self, monkeypatch):
+        psi_at_s = verify.psi_at_s
+        bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
+        monkeypatch.setattr(
+            verify,
+            "psi_at_s",
+            lambda i, trunc: psi_at_s(i, trunc) + bump if i == 2 else psi_at_s(i, trunc),
+        )
+        result = kernel_recombination(TR8)
+        assert not result.ok
+        assert result.witness == "degree 1: x^4*p1^2*p2"
+
+    def test_elem_sym_fault_is_caught(self, monkeypatch):
+        elem_sym = verify.elem_sym
+        monkeypatch.setattr(
+            verify, "elem_sym", lambda lam, k: elem_sym(lam, k) + (k == 2)
+        )
+        result = elem_sym_extraction(max_n=8)
+        assert not result.ok
+        assert result.witness == "lambda=(1,1), k=2: got 1, want 2"
+
+    def test_g1_pdiff_fault_is_caught(self):
+        bad = g1_closed(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
+        result = g1_pdiff_identity(TR8, bad)
+        assert not result.ok
+        assert result.witness == "k=2: x^2"
+
     def test_residual_fault_reports_witness(self):
         checks = run_all_checks(inject_fault=True)
         failed = [c for c in checks if not c.ok]
@@ -253,7 +293,9 @@ class TestIdentities:
 
     def test_g1_derivative_check_catches_fault(self):
         bad = g1_closed(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
-        assert not g1_xdiff_identity(TR8, bad).ok
+        result = g1_xdiff_identity(TR8, bad)
+        assert not result.ok
+        assert result.witness == "x^2*p2"
 
     def test_elem_sym_extraction(self):
         assert elem_sym_extraction(max_n=8).ok
