@@ -16,7 +16,6 @@ All arithmetic is exact rational; there is no floating point anywhere.
 
 from .closedform import (
     HurwitzRecord,
-    TreeSeries,
     c_value,
     f0_pdiff,
     f0_series,
@@ -26,7 +25,6 @@ from .closedform import (
     mu1,
     record,
     s_series,
-    tree,
 )
 from .cutjoin import CutJoinState, evolve, extract_c, run
 from .oracle import (
@@ -51,12 +49,10 @@ from .partitions import (
 from .series import (
     FixedPointError,
     PSeries,
-    Truncation,
     TruncationMismatch,
     exp,
     inv_one_minus,
     log1,
-    solve_fixed_point,
     subst_x,
 )
 from .verify import CheckResult, build_ABCDE, check_u1, check_u2, check_u3, residual_T, run_all_checks

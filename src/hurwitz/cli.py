@@ -31,7 +31,7 @@ from typing import Sequence
 from . import closedform, cutjoin, oracle, verify
 from .oracle import SizeLimitExceeded
 from .partitions import IntegralityError, Partition, class_size, partitions_of
-from .series import FixedPointError, Truncation
+from .series import FixedPointError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,7 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_trunc(p: argparse.ArgumentParser) -> None:
         p.add_argument("--N", type=int, default=None, help="x-degree truncation (default 8)")
-        p.add_argument("--K", type=int, default=None, help="p-index truncation (default N)")
+        p.add_argument(
+            "--K",
+            type=int,
+            default=None,
+            help="p-index bound (default N); only checked (K >= N) and echoed in "
+            "the verify report: no result depends on it",
+        )
         p.add_argument("--G", type=int, default=None, help="genus truncation (default 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -124,6 +130,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
     G = args.G if args.G is not None else 1
     if K < N:
         raise UsageError(f"--K {K} is below --N {N}; exact coefficients need K >= N")
+    if G < 0:
+        raise UsageError(f"--G {G} is negative")
     alpha = None
     if getattr(args, "alpha", None) is not None:
         alpha, reordered = parse_partition(args.alpha)
@@ -148,11 +156,8 @@ def _count_by(method: str, alpha: Partition, g: int, cfg: RunConfig) -> int:
     if method == "oracle":
         return oracle.count_transitive(alpha, g)
     if method == "cutjoin":
-        n = alpha.n
-        N = max(cfg.N, n)
-        r = n + alpha.m + 2 * (g - 1)
-        trunc = Truncation(N=N, K=max(cfg.K, N), G=max(cfg.G, g), R=max(2 * N, r))
-        return cutjoin.extract_c(cutjoin.evolve(trunc), alpha, g)
+        state = cutjoin.evolve(max(cfg.N, alpha.n), max(cfg.G, g))
+        return cutjoin.extract_c(state, alpha, g)
     if method == "closed":
         if g > 1:
             raise UsageError(f"closed formulas cover genus <= 1, got {g}")
@@ -221,8 +226,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    trunc = Truncation(N=cfg.N, K=cfg.K, G=cfg.G)
-    checks = verify.run_all_checks(trunc, inject_fault=cfg.inject_fault)
+    checks = verify.run_all_checks(cfg.N, inject_fault=cfg.inject_fault)
     report = verify.report_obj(
         checks, config={"N": cfg.N, "K": cfg.K, "G": cfg.G}
     )

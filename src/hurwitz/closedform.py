@@ -30,9 +30,10 @@ certifies this input with its check ``f0_pdiff_axiom``: for every retained
 k, f0_pdiff(k) must equal the p_k-derivative of the genus-0 series
 f0_series, which is assembled term by term from the explicit mu_0 formula.
 
-The tree function w = x e^w with [x^n] w = n^(n-1)/n! underlies the
-symmetrized polynomial checks; its first three Euler derivatives satisfy
-w' = w/(1-w), w'' = w/(1-w)^3, w''' = (w + 2 w^2)/(1-w)^5.
+Every series here is cut at x^N and takes N alone: the x-degree is the one
+bound exactness needs, since no operation lowers it.  The tree function
+w = x e^w that underlies the symmetrized polynomial checks is not built
+here; ``verify`` expands it from its explicit coefficients n^(n-1)/n!.
 """
 
 from __future__ import annotations
@@ -51,15 +52,7 @@ from .partitions import (
     partitions_of,
     psi,
 )
-from .series import (
-    PSeries,
-    Truncation,
-    certify_fixed_point,
-    exp,
-    log1,
-    solve_fixed_point,
-    subst_x,
-)
+from .series import PSeries, certify_fixed_point, exp, log1, subst_x
 
 
 @dataclass(frozen=True)
@@ -76,16 +69,6 @@ class HurwitzRecord:
         n = self.alpha.n
         if self.mu * factorial(n) != class_size(self.alpha) * self.c:
             raise ValueError(f"inconsistent record {self}")
-
-
-@dataclass(frozen=True)
-class TreeSeries:
-    """The tree function w = x e^w and its first three Euler derivatives."""
-
-    w: PSeries
-    d1: PSeries
-    d2: PSeries
-    d3: PSeries
 
 
 def _prod_a(alpha: Partition) -> Fraction:
@@ -155,8 +138,9 @@ def record(alpha: Partition, g: int) -> HurwitzRecord:
 # -- the substitution series s and everything written in it -----------------
 
 
-@lru_cache(maxsize=None)
-def s_series(trunc: Truncation) -> PSeries:
+# One entry per N; a CLI run uses one (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
+def s_series(N: int) -> PSeries:
     """Unique solution of s = x exp(psi_0(s, p)) with zero constant term.
 
     The coefficients come from Lagrange inversion,
@@ -168,109 +152,98 @@ def s_series(trunc: Truncation) -> PSeries:
     certified exactly as the fixed point of the defining equation
     (``certify_fixed_point``, FixedPointError otherwise).
     """
-    N = trunc.N
-    psi0 = psi(0, trunc)
-    terms = {(1, ()): Fraction(1)}  # k = 0 contributes to n = 1 only
-    power = PSeries.one(trunc)
+    psi0 = psi(0, N)
+    xs = PSeries.x(N)
+    s = xs  # k = 0 contributes to n = 1 only
+    power = PSeries.one(N)
     for k in range(1, N):
         power = power * psi0
         kf = factorial(k)
-        for (xd, pexp), c in power.terms.items():
-            n = xd + 1
-            if n <= N:
-                mono = (n, pexp)
-                terms[mono] = terms.get(mono, 0) + c * Fraction(n ** (k - 1), kf)
-    xs = PSeries.x(trunc)
-    return certify_fixed_point(
-        lambda t: xs * exp(subst_x(psi0, t)), PSeries(trunc, terms)
-    )
+        for d, part in power.x_parts().items():
+            s = s + part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
+    return certify_fixed_point(lambda t: xs * exp(subst_x(psi0, t)), s)
 
 
-@lru_cache(maxsize=None)
-def s_powers(trunc: Truncation) -> tuple[PSeries, ...]:
-    """s^0 .. s^N for the given truncation."""
-    out = [PSeries.one(trunc)]
-    for _ in range(trunc.N):
-        out.append(out[-1] * s_series(trunc))
+# One entry per N (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
+def s_powers(N: int) -> tuple[PSeries, ...]:
+    """s^0 .. s^N, cut at x^N."""
+    out = [PSeries.one(N)]
+    for _ in range(N):
+        out.append(out[-1] * s_series(N))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def psi_at_s(i: int, trunc: Truncation) -> PSeries:
+# psi_0..psi_3 per N (`verify --N 16`: 4).
+@lru_cache(maxsize=64)
+def psi_at_s(i: int, N: int) -> PSeries:
     """psi_i evaluated at x -> s, still a series in x and p."""
-    return subst_x(psi(i, trunc), s_series(trunc))
+    return subst_x(psi(i, N), s_series(N))
 
 
-def _formula_series(trunc: Truncation, g: int) -> PSeries:
+def _formula_series(N: int, g: int) -> PSeries:
     """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = n + m + 2g - 2.
 
     r is the number of transpositions, so multiplying a coefficient by
     n! r!/|C_alpha| recovers c_g(alpha).
     """
     mu = mu0 if g == 0 else mu1
-    return PSeries(
-        trunc,
+    return PSeries.from_parts(
+        N,
         {
-            (n, alpha.pexp()): mu(alpha) / factorial(n + alpha.m + 2 * g - 2)
-            for n in range(1, trunc.N + 1)
+            alpha: mu(alpha) / factorial(n + alpha.m + 2 * g - 2)
+            for n in range(1, N + 1)
             for alpha in partitions_of(n)
         },
     )
 
 
-@lru_cache(maxsize=None)
-def g1_defn(trunc: Truncation) -> PSeries:
+# One entry per N (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
+def g1_defn(N: int) -> PSeries:
     """Genus-1 series assembled partition by partition from the mu_1 formula.
 
     The x^n p_alpha coefficient is mu_1(alpha)/(n+m)!.
     """
-    return _formula_series(trunc, 1)
+    return _formula_series(N, 1)
 
 
-@lru_cache(maxsize=None)
-def g1_closed(trunc: Truncation) -> PSeries:
+# One entry per N (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
+def g1_closed(N: int) -> PSeries:
     """Genus-1 series in closed form through the substitution series."""
-    psi1 = psi_at_s(1, trunc)
-    psi0 = psi_at_s(0, trunc)
+    psi1 = psi_at_s(1, N)
+    psi0 = psi_at_s(0, N)
     return log1(-psi1) * Fraction(-1, 24) - psi0 * Fraction(1, 24)
 
 
-@lru_cache(maxsize=None)
-def f0_series(trunc: Truncation) -> PSeries:
+# One entry per N (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
+def f0_series(N: int) -> PSeries:
     """Genus-0 generating series assembled from the mu_0 formula.
 
     The x^n p_alpha coefficient is mu_0(alpha)/(n+m-2)!, which is
     n^(m-3) prod a_{alpha_i} / theta(alpha).
     """
-    return _formula_series(trunc, 0)
+    return _formula_series(N, 0)
 
 
-@lru_cache(maxsize=None)
-def f0_pdiff(k: int, trunc: Truncation) -> PSeries:
+# k = 1..N per N (`verify --N 16`: 16).
+@lru_cache(maxsize=256)
+def f0_pdiff(k: int, N: int) -> PSeries:
     """dF_0/dp_k in terms of s (axiomatic input, see module docstring)."""
-    if not 1 <= k <= trunc.K:
-        raise ValueError(f"p-index {k} outside 1..{trunc.K}")
+    if k < 1:
+        raise ValueError(f"p-index {k} is below 1")
     ak = a_coeff(k)
-    pw = s_powers(trunc)
-    out = pw[k] * (ak / k**3) if k <= trunc.N else PSeries.zero(trunc)
-    for r in range(1, trunc.N - k + 1):
+    pw = s_powers(N)
+    out = pw[k] * (ak / k**3) if k <= N else PSeries.zero(N)
+    for r in range(1, N - k + 1):
         out = out - pw[k + r].shift(ak * a_coeff(r) / (k**2 * (k + r)), p=((r, 1),))
     return out
 
 
-def f0_pdiff2(i: int, j: int, trunc: Truncation) -> PSeries:
+def f0_pdiff2(i: int, j: int, N: int) -> PSeries:
     """Mixed second derivative of F_0: a_i a_j s^(i+j) / (i j (i+j))."""
-    if i + j > trunc.N:
-        return PSeries.zero(trunc)
-    return s_powers(trunc)[i + j] * (a_coeff(i) * a_coeff(j) / (i * j * (i + j)))
-
-
-@lru_cache(maxsize=None)
-def tree(trunc: Truncation) -> TreeSeries:
-    """The tree function by fixed point, plus its Euler derivatives."""
-    xs = PSeries.x(trunc)
-    w = solve_fixed_point(lambda t: xs * exp(t), trunc)
-    d1 = w.xdiff()
-    d2 = d1.xdiff()
-    d3 = d2.xdiff()
-    return TreeSeries(w=w, d1=d1, d2=d2, d3=d3)
+    if i + j > N:
+        return PSeries.zero(N)
+    return s_powers(N)[i + j] * (a_coeff(i) * a_coeff(j) / (i * j * (i + j)))

@@ -27,9 +27,10 @@ the three families of the recurrence act as follows:
   merge into their sum; n and g are the sums of those of the two terms.
 
 Terms with n > N or g > G are dropped.  No family lowers n or g, so every
-kept coefficient equals its value in the untruncated recurrence.  The
-p-index bound K plays no part: a partition of n <= N <= K has no part
-above K.
+kept coefficient equals its value in the untruncated recurrence.  The number
+of steps is not a bound of its own: a type with n <= N and g <= G has at
+most n parts, so it lives at order r = n + m + 2g - 2 <= 2N + 2G - 2, and
+``evolve`` runs exactly that many steps.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .partitions import Partition, factorization_count, partitions_of
-from .series import PSeries, Truncation
+from .series import PSeries
 
 Parts = tuple[int, ...]
 Order = dict[Parts, Fraction]
@@ -93,12 +94,12 @@ def _cut_and_handle_join(phi: Order, r: int, G: int, acc: Order) -> None:
 
 
 def _cross_join(
-    da: Derivatives, db: Derivatives, weight: Fraction, trunc: Truncation, acc: Order
+    da: Derivatives, db: Derivatives, weight: Fraction, N: int, G: int, acc: Order
 ) -> None:
-    """Add weight * sum_{i,j} i j p_{i+j} (d a/dp_i)(d b/dp_j) within the truncation."""
+    """Add weight * sum_{i,j} i j p_{i+j} (d a/dp_i)(d b/dp_j) for n <= N, g <= G."""
     for (na, ga), entries_a in da.items():
         for (nb, gb), entries_b in db.items():
-            if na + nb > trunc.N or ga + gb > trunc.G:
+            if na + nb > N or ga + gb > G:
                 continue
             for i, rest_a, ca in entries_a:
                 wa = weight * i * ca
@@ -110,7 +111,8 @@ def _cross_join(
 class CutJoinState:
     """Orders Phi_0..Phi_r of the evolution, each a map parts -> mu_g(alpha)."""
 
-    trunc: Truncation
+    N: int
+    G: int
     phi: tuple[Order, ...]
 
     @property
@@ -118,22 +120,25 @@ class CutJoinState:
         return len(self.phi) - 1
 
 
-@lru_cache(maxsize=None)
-def evolve(trunc: Truncation) -> CutJoinState:
-    """State holding Phi_0..Phi_R for the given truncation."""
+# One entry per (N, G); `compare --n 7 --genus-max 3` uses 3.
+@lru_cache(maxsize=16)
+def evolve(N: int, G: int = 1) -> CutJoinState:
+    """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""
+    if N < 1 or G < 0:
+        raise ValueError(f"invalid cut-and-join bounds N={N}, G={G}")
     phi: list[Order] = [{(1,): Fraction(1)}]
     derivs = [_derivatives(phi[0], 0)]
-    for r in range(trunc.R):
+    for r in range(2 * N + 2 * G - 2):
         acc: Order = {}
-        _cut_and_handle_join(phi[r], r, trunc.G, acc)
+        _cut_and_handle_join(phi[r], r, G, acc)
         # the s and r - s cross joins are equal; pair them up
         for s in range(r // 2 + 1):
             weight = Fraction(comb(r, s), 1 if 2 * s < r else 2)
-            _cross_join(derivs[s], derivs[r - s], weight, trunc, acc)
+            _cross_join(derivs[s], derivs[r - s], weight, N, G, acc)
         nxt = {parts: c for parts, c in acc.items() if c}
         phi.append(nxt)
         derivs.append(_derivatives(nxt, r + 1))
-    return CutJoinState(trunc, tuple(phi))
+    return CutJoinState(N, G, tuple(phi))
 
 
 def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
@@ -142,25 +147,23 @@ def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
     if n < 1:
         raise ValueError("alpha must be a partition of n >= 1")
     r = n + m + 2 * (g - 1)
-    trunc = state.trunc
-    if n > trunc.N or g > trunc.G or r > state.order:
+    if n > state.N or g > state.G or r > state.order:
         raise ValueError(
             f"query (n={n}, g={g}, r={r}) outside truncation "
-            f"(N={trunc.N}, G={trunc.G}, computed orders {state.order})"
+            f"(N={state.N}, G={state.G}, computed orders {state.order})"
         )
     return factorization_count(state.phi[r].get(alpha.parts, _ZERO), alpha, g)
 
 
-def run(trunc: Truncation) -> dict[tuple[Partition, int], int]:
-    """Table of c_g(alpha) for all alpha of n <= N and g <= G within reach of R."""
-    state = evolve(trunc)
-    table: dict[tuple[Partition, int], int] = {}
-    for n in range(1, trunc.N + 1):
-        for alpha in partitions_of(n):
-            for g in range(trunc.G + 1):
-                if n + alpha.m + 2 * (g - 1) <= state.order:
-                    table[(alpha, g)] = extract_c(state, alpha, g)
-    return table
+def run(N: int, G: int = 1) -> dict[tuple[Partition, int], int]:
+    """Table of c_g(alpha) for every alpha with n <= N and every g <= G."""
+    state = evolve(N, G)
+    return {
+        (alpha, g): extract_c(state, alpha, g)
+        for n in range(1, N + 1)
+        for alpha in partitions_of(n)
+        for g in range(G + 1)
+    }
 
 
 def genus_slice(state: CutJoinState, g: int) -> PSeries:
@@ -169,10 +172,12 @@ def genus_slice(state: CutJoinState, g: int) -> PSeries:
     At g = 0 this is the genus-0 series whose p_alpha x^n coefficient is
     |C_alpha| c_0(alpha) / (n! (n+m-2)!), and likewise at higher genus.
     """
-    terms = {}
-    for r, phi in enumerate(state.phi):
-        for parts, c in phi.items():
-            if _genus(r, parts) == g:
-                alpha = Partition(parts)
-                terms[(alpha.n, alpha.pexp())] = c / factorial(r)
-    return PSeries(state.trunc, terms)
+    return PSeries.from_parts(
+        state.N,
+        {
+            parts: c / factorial(r)
+            for r, phi in enumerate(state.phi)
+            for parts, c in phi.items()
+            if _genus(r, parts) == g
+        },
+    )

@@ -153,7 +153,8 @@ def _ncycles(p: Sequence[int]) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+# One entry per n <= WALK_MAX_N (`table --n 7 --method oracle`: 6).
+@lru_cache(maxsize=16)
 def _sn_tables(n: int):
     """Permutations of range(n), their index map, and one index row per
     transposition giving right multiplication rho -> rho*(a b)."""
@@ -190,14 +191,16 @@ def _walks_to(pi: tuple[int, ...], r: int) -> int:
     return v[index[pi]]
 
 
-@lru_cache(maxsize=None)
+# `table --n 7 --method oracle`: 277 entries; `compare --n 7 --genus-max 3`: 393.
+@lru_cache(maxsize=4096)
 def _walks_type(tp: tuple[int, ...], r: int) -> int:
     if not tp:
         return 1 if r == 0 else 0
     return _walks_to(_canonical_images0(tp), r)
 
 
-@lru_cache(maxsize=None)
+# `table --n 7 --method oracle`: 179 entries; `compare --n 7 --genus-max 3`: 267.
+@lru_cache(maxsize=4096)
 def _transitive_count(tp: tuple[int, ...], r: int) -> int:
     """Sieve: subtract factorizations whose generated group splits the cycles.
 

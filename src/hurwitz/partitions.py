@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
-from .series import PSeries, Truncation
+from .series import PSeries
 
 
 class IntegralityError(ArithmeticError):
@@ -84,7 +84,8 @@ class Partition:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
-@lru_cache(maxsize=None)
+# One entry per size n (`verify --N 16`: 17).
+@lru_cache(maxsize=64)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
     if n == 0:
         return (Partition(),)
@@ -161,12 +162,11 @@ def a_coeff(r: int) -> Fraction:
     return Fraction(r**r, factorial(r - 1))
 
 
-def psi(i: int, trunc: Truncation) -> PSeries:
+def psi(i: int, N: int) -> PSeries:
     """The one-part series psi_i = sum_r r^(i-1) a_r p_r x^r, truncated at x^N.
 
     Negative i is allowed; the exponent just yields exact rational weights.
     """
-    terms = {}
-    for r in range(1, trunc.N + 1):
-        terms[(r, ((r, 1),))] = Fraction(r) ** (i - 1) * a_coeff(r)
-    return PSeries(trunc, terms)
+    return PSeries.from_parts(
+        N, {(r,): Fraction(r) ** (i - 1) * a_coeff(r) for r in range(1, N + 1)}
+    )

@@ -1,13 +1,17 @@
 """Sparse truncated formal power series with exact rational coefficients.
 
-The carrier ring is Q[p_1, ..., p_K][[x]] cut off at x^N.  A series is a
-sparse map from monomials ``(x_deg, p_exponents)`` to nonzero Fraction
-coefficients.  Monomials beyond the truncation bounds are dropped when a
-series is built (dropped, never rounded); no operation here lowers the
-x-degree, so the coefficients that survive are exactly those of the
-untruncated ring.  The paper's genus marker z is no coordinate here: only
-the cut-and-join carries genus, keyed by partition, and
-``cutjoin.genus_slice`` hands one genus of it over as a series.
+The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, and N is its only
+bound.  A series is a sparse map from monomials to nonzero Fraction
+coefficients; the monomial key format is private to this module, and other
+modules build series from partitions (``PSeries.from_parts``) or single
+monomials (``PSeries.term``).  Monomials above x^N are dropped when a series
+is built (dropped, never rounded); no operation here lowers the x-degree, so
+the coefficients that survive are exactly those of the untruncated ring.
+The p-indices need no bound of their own: every series in this package has
+p-weight at most its x-degree, so no p_k with k > N survives the cut.  The
+paper's genus marker z is no coordinate here: only the cut-and-join carries
+genus, keyed by partition, and ``cutjoin.genus_slice`` hands one genus of it
+over as a series.
 
 ``exp``, ``log1`` and ``subst_x`` additionally require every input monomial
 to carry positive x-degree.  That restriction keeps their expansions finite
@@ -32,7 +36,6 @@ which skips that pass because their dicts are already clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -47,46 +50,11 @@ Key = TypeVar("Key", bound=Hashable)
 
 
 class TruncationMismatch(ValueError):
-    """Two series with different truncations were combined."""
+    """Two series cut at different x-degrees were combined."""
 
 
 class FixedPointError(RuntimeError):
-    """A fixed-point iteration failed to stabilize within the truncation."""
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Bounds of the truncated ring and of the cut-and-join evolution.
-
-    N -- maximum x-degree kept (the size n of a partition in cut-and-join).
-    K -- maximum p-index kept (a monomial containing p_k, k > K, is dropped).
-    G -- maximum genus the cut-and-join evolution keeps.
-    R -- number of u-steps retained by the cut-and-join evolution; defaults
-         to 2N, the largest step index reached at genus <= 1 and x-degree
-         <= N (a partition of n has at most n parts, so n + m <= 2N).
-
-    PSeries reads only N and K; G and R bound only the cut-and-join.
-
-    K >= N is required: a single part of size up to N contributes p_k with
-    k up to N, so exactness of the coefficients below x^N needs those
-    indices retained.
-    """
-
-    N: int = 8
-    K: int = 8
-    G: int = 1
-    R: int = -1
-
-    def __post_init__(self) -> None:
-        if self.R < 0:
-            object.__setattr__(self, "R", 2 * self.N)
-        if self.N < 1 or self.K < 1 or self.G < 0:
-            raise ValueError(f"invalid truncation bounds {self}")
-        if self.K < self.N:
-            raise ValueError(
-                f"K={self.K} < N={self.N}: coefficients up to x^{self.N} "
-                f"need p-indices up to {self.N}"
-            )
+    """A candidate series is not the fixed point of its builder."""
 
 
 def _canon_pexp(p: Mapping[int, int] | Iterable[tuple[int, int]]) -> PExp:
@@ -142,62 +110,69 @@ def monomial_str(mono: Monomial) -> str:
     return "*".join(out) if out else "1"
 
 
-class PSeries:
-    """Immutable sparse truncated series.
+def _parts_key(parts: Iterable[int]) -> tuple[int, PExp]:
+    """Size and canonical p-exponent vector of the partition with these parts."""
+    mult: dict[int, int] = {}
+    for a in parts:
+        if a < 1:
+            raise ValueError(f"part {a} is not positive")
+        mult[a] = mult.get(a, 0) + 1
+    return sum(i * e for i, e in mult.items()), tuple(sorted(mult.items()))
 
-    All binary operations demand identical truncations; mixing truncations
-    raises TruncationMismatch rather than silently coercing.
+
+class PSeries:
+    """Immutable sparse series, cut at x^N.
+
+    All binary operations demand the same N; mixing them raises
+    TruncationMismatch rather than silently coercing.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("N", "terms")
 
     def __init__(
         self,
-        trunc: Truncation,
+        N: int,
         terms: Mapping[Monomial, Fraction | int] | None = None,
     ):
+        if N < 1:
+            raise ValueError(f"truncation degree N={N} is below 1")
         clean: dict[Monomial, Fraction] = {}
         if terms:
-            N, K = trunc.N, trunc.K
             for mono, c in terms.items():
                 if isinstance(c, float):
                     raise TypeError("floating-point coefficients are not allowed")
-                if not c:
-                    continue
-                xd, pexp = mono
-                if xd > N or (pexp and pexp[-1][0] > K):
-                    continue
-                clean[mono] = Fraction(c)
-        self.trunc = trunc
+                if c and mono[0] <= N:
+                    clean[mono] = Fraction(c)
+        self.N = N
         self.terms = clean
 
     @classmethod
-    def _of(cls, trunc: Truncation, terms: dict[Monomial, Fraction]) -> "PSeries":
+    def _of(cls, N: int, terms: dict[Monomial, Fraction]) -> "PSeries":
         """Wrap a dict of nonzero Fractions inside the truncation, unchecked."""
         out = object.__new__(cls)
-        out.trunc = trunc
+        out.N = N
         out.terms = terms
         return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(trunc: Truncation) -> "PSeries":
-        return PSeries(trunc)
+    def zero(N: int) -> "PSeries":
+        return PSeries(N)
 
     @staticmethod
-    def one(trunc: Truncation) -> "PSeries":
-        return PSeries(trunc, {(0, ()): Fraction(1)})
+    def one(N: int) -> "PSeries":
+        return PSeries(N, {(0, ()): Fraction(1)})
 
     @staticmethod
-    def x(trunc: Truncation, power: int = 1) -> "PSeries":
+    def x(N: int, power: int = 1) -> "PSeries":
         if power < 0:
             raise ValueError(f"negative x-power {power}")
-        return PSeries(trunc, {(power, ()): Fraction(1)})
+        return PSeries(N, {(power, ()): Fraction(1)})
 
     @staticmethod
     def term(
-        trunc: Truncation,
+        N: int,
         coeff: Fraction | int,
         x: int = 0,
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
@@ -205,7 +180,21 @@ class PSeries:
         """Single monomial coeff * x^x * p-monomial."""
         if x < 0:
             raise ValueError(f"negative exponent in monomial x^{x}")
-        return PSeries(trunc, {(x, _canon_pexp(p)): coeff})
+        return PSeries(N, {(x, _canon_pexp(p)): coeff})
+
+    @staticmethod
+    def from_parts(
+        N: int, coeffs: Mapping[Iterable[int], Fraction | int]
+    ) -> "PSeries":
+        """sum of coeff * x^n p_alpha over alpha given by its parts, n = |alpha|.
+
+        Keys that name the same partition in another order add up.
+        """
+        terms: dict[Monomial, Fraction | int] = {}
+        for parts, c in coeffs.items():
+            mono = _parts_key(parts)
+            terms[mono] = terms.get(mono, 0) + c
+        return PSeries(N, terms)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -222,12 +211,11 @@ class PSeries:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        t = self.trunc
-        return f"<PSeries N={t.N} K={t.K}: {len(self.terms)} terms>"
+        return f"<PSeries N={self.N}: {len(self.terms)} terms>"
 
     def _check(self, other: "PSeries") -> None:
-        if self.trunc != other.trunc:
-            raise TruncationMismatch(f"{self.trunc} vs {other.trunc}")
+        if self.N != other.N:
+            raise TruncationMismatch(f"N={self.N} vs N={other.N}")
 
     # -- ring operations ---------------------------------------------------
 
@@ -244,7 +232,7 @@ class PSeries:
                     out[mono] = total
                 else:
                     del out[mono]
-        return PSeries._of(self.trunc, out)
+        return PSeries._of(self.N, out)
 
     def __sub__(self, other: "PSeries") -> "PSeries":
         self._check(other)
@@ -259,20 +247,20 @@ class PSeries:
                     out[mono] = total
                 else:
                     del out[mono]
-        return PSeries._of(self.trunc, out)
+        return PSeries._of(self.N, out)
 
     def __neg__(self) -> "PSeries":
-        return PSeries._of(self.trunc, {m: -c for m, c in self.terms.items()})
+        return PSeries._of(self.N, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
         if isinstance(other, float):
             raise TypeError("floating-point coefficients are not allowed")
         if isinstance(other, (int, Fraction)):
             if not other:
-                return PSeries.zero(self.trunc)
-            return PSeries._of(self.trunc, {m: c * other for m, c in self.terms.items()})
+                return PSeries.zero(self.N)
+            return PSeries._of(self.N, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        N = self.trunc.N
+        N = self.N
         La, A = int_terms(self.terms)
         Lb, B = int_terms(other.terms)
         B.sort(key=_x_degree)  # so the x-cut ends the inner loop
@@ -286,7 +274,7 @@ class PSeries:
                 acc[key] = acc.get(key, 0) + a * b
         den = La * Lb
         return PSeries._of(
-            self.trunc, {m: Fraction(v, den) for m, v in acc.items() if v}
+            self.N, {m: Fraction(v, den) for m, v in acc.items() if v}
         )
 
     __rmul__ = __mul__
@@ -303,14 +291,14 @@ class PSeries:
             (xd + x, _merge_pexp(pexp, padd)): c * coeff
             for (xd, pexp), c in self.terms.items()
         }
-        return PSeries(self.trunc, out)
+        return PSeries(self.N, out)
 
     # -- derivations and slices --------------------------------------------
 
     def pdiff(self, k: int) -> "PSeries":
         """Formal partial derivative with respect to p_k."""
-        if not 1 <= k <= self.trunc.K:
-            raise ValueError(f"p-index {k} outside 1..{self.trunc.K}")
+        if k < 1:
+            raise ValueError(f"p-index {k} is below 1")
         out: dict[Monomial, Fraction] = {}
         for (xd, pexp), c in self.terms.items():
             for pos, (i, e) in enumerate(pexp):
@@ -321,12 +309,12 @@ class PSeries:
                         reduced = pexp[:pos] + ((i, e - 1),) + pexp[pos + 1 :]
                     out[(xd, reduced)] = c * e
                     break
-        return PSeries._of(self.trunc, out)
+        return PSeries._of(self.N, out)
 
     def xdiff(self) -> "PSeries":
         """The Euler operator x * d/dx: scales each term by its x-degree."""
         return PSeries._of(
-            self.trunc,
+            self.N,
             {m: c * m[0] for m, c in self.terms.items() if m[0]},
         )
 
@@ -335,21 +323,15 @@ class PSeries:
         buckets: dict[int, dict[Monomial, Fraction]] = {}
         for (xd, pexp), c in self.terms.items():
             buckets.setdefault(xd, {})[(0, pexp) if strip else (xd, pexp)] = c
-        return {d: PSeries._of(self.trunc, t) for d, t in buckets.items()}
+        return {d: PSeries._of(self.N, t) for d, t in buckets.items()}
 
     # -- queries -----------------------------------------------------------
 
     def coeff(self, x_deg: int, parts: Iterable[int] = ()) -> Fraction:
         """Exact coefficient of x^x_deg p_alpha, alpha given by parts."""
-        t = self.trunc
-        if not 0 <= x_deg <= t.N:
-            raise ValueError(f"x-degree {x_deg} outside truncation N={t.N}")
-        mult: dict[int, int] = {}
-        for a in parts:
-            if not 1 <= a <= t.K:
-                raise ValueError(f"part {a} outside truncation K={t.K}")
-            mult[a] = mult.get(a, 0) + 1
-        return self.terms.get((x_deg, tuple(sorted(mult.items()))), _ZERO)
+        if not 0 <= x_deg <= self.N:
+            raise ValueError(f"x-degree {x_deg} outside truncation N={self.N}")
+        return self.terms.get((x_deg, _parts_key(parts)[1]), _ZERO)
 
     def lead_monomial(self) -> Monomial | None:
         """Lexicographically first stored monomial (None for the zero series)."""
@@ -372,11 +354,11 @@ def exp(f: PSeries) -> PSeries:
     per pair of graded pieces), which keeps everything exact.
     """
     _require_positive_xdeg(f, "exp")
-    tr = f.trunc
+    N = f.N
     fparts = f.x_parts()
-    gparts: list[PSeries] = [PSeries.one(tr)]
-    for d in range(1, tr.N + 1):
-        acc = PSeries.zero(tr)
+    gparts: list[PSeries] = [PSeries.one(N)]
+    for d in range(1, N + 1):
+        acc = PSeries.zero(N)
         for e, fe in fparts.items():
             if e <= d:
                 acc = acc + (fe * gparts[d - e]) * e
@@ -390,12 +372,12 @@ def exp(f: PSeries) -> PSeries:
 def log1(f: PSeries) -> PSeries:
     """log(1 + f) for an x-adically small series, exact to the truncation."""
     _require_positive_xdeg(f, "log1")
-    tr = f.trunc
+    N = f.N
     fparts = f.x_parts()
-    gparts: list[PSeries] = [PSeries.zero(tr)]
-    for d in range(1, tr.N + 1):
-        acc = fparts.get(d, PSeries.zero(tr))
-        corr = PSeries.zero(tr)
+    gparts: list[PSeries] = [PSeries.zero(N)]
+    for d in range(1, N + 1):
+        acc = fparts.get(d, PSeries.zero(N))
+        corr = PSeries.zero(N)
         for e, fe in fparts.items():
             if e < d:
                 corr = corr + (fe * gparts[d - e]) * (d - e)
@@ -409,9 +391,9 @@ def log1(f: PSeries) -> PSeries:
 def inv_one_minus(f: PSeries) -> PSeries:
     """1/(1 - f) as the geometric series, f x-adically small."""
     _require_positive_xdeg(f, "inv_one_minus")
-    acc = PSeries.one(f.trunc)
-    power = PSeries.one(f.trunc)
-    for _ in range(f.trunc.N):
+    acc = PSeries.one(f.N)
+    power = PSeries.one(f.N)
+    for _ in range(f.N):
         power = power * f
         if power.is_zero:
             break
@@ -427,11 +409,11 @@ def subst_x(f: PSeries, s: PSeries) -> PSeries:
     """
     f._check(s)
     _require_positive_xdeg(s, "subst_x (inner series)")
-    tr = f.trunc
+    N = f.N
     rule = f.x_parts(strip=True)
-    out = rule.get(0, PSeries.zero(tr))
-    power = PSeries.one(tr)
-    for d in range(1, tr.N + 1):
+    out = rule.get(0, PSeries.zero(N))
+    power = PSeries.one(N)
+    for d in range(1, N + 1):
         power = power * s
         if power.is_zero:
             break
@@ -456,18 +438,3 @@ def certify_fixed_point(
         )
     return s
 
-
-def solve_fixed_point(
-    builder: Callable[[PSeries], PSeries], trunc: Truncation
-) -> PSeries:
-    """Unique solution of s = builder(s) for an x-adic contraction.
-
-    The x-degree-d part of builder(s) must depend only on parts of s of
-    x-degree < d; then N iterations from zero settle all retained degrees.
-    A final extra application (``certify_fixed_point``) certifies
-    idempotence, otherwise FixedPointError is raised.
-    """
-    s = PSeries.zero(trunc)
-    for _ in range(trunc.N):
-        s = builder(s)
-    return certify_fixed_point(builder, s)

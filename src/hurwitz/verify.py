@@ -60,7 +60,6 @@ from .closedform import (
 from .partitions import a_coeff, elem_sym, partitions_of, theta
 from .series import (
     PSeries,
-    Truncation,
     TruncationMismatch,
     exp,
     int_terms,
@@ -249,7 +248,8 @@ _DIFF_SLOT = {(1, 2): 3, (2, 3): 4, (1, 3): 5}
 _DEN_BOUND = (5, 5, 5, 1, 1, 1)
 
 
-@lru_cache(maxsize=None)
+# `verify --N 16`: 23 entries.
+@lru_cache(maxsize=128)
 def _atom_power(idx: int, e: int) -> WPoly:
     if e == 0:
         return WPoly.const(1)
@@ -516,7 +516,8 @@ def check_u3(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# One entry per order (`verify --N 16`: 1).
+@lru_cache(maxsize=16)
 def _tree_coeffs(order: int) -> tuple[Fraction, ...]:
     """[x^n] of the tree function, from the explicit formula n^(n-1)/n!."""
     return (_ZERO,) + tuple(
@@ -524,7 +525,8 @@ def _tree_coeffs(order: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+# `verify --N 16`: 2 entries.
+@lru_cache(maxsize=64)
 def _w_series(v: int, j: int, order: int) -> WPoly:
     """j-th Euler derivative of the tree function at slot v, as a series."""
     base = _tree_coeffs(order)
@@ -544,7 +546,8 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
     return total
 
 
-@lru_cache(maxsize=None)
+# `verify --N 16`: 6 entries.
+@lru_cache(maxsize=64)
 def _wexpr_den_series(den: tuple[int, ...], order: int) -> WPoly:
     out = WPoly.const(1, order)
     for idx, e in enumerate(den):
@@ -670,7 +673,7 @@ def series_u_checks(order: int = 8) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def residual_T(trunc: Truncation, g1: PSeries | None = None) -> PSeries:
+def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
     """Residual of the genus-1 PDE applied to g1 (closed form by default).
 
     The operator is the Euler part x d/dx + sum p_i d/dp_i minus the join
@@ -679,35 +682,32 @@ def residual_T(trunc: Truncation, g1: PSeries | None = None) -> PSeries:
     Identically zero when g1 is the genus-1 series.
     """
     if g1 is None:
-        g1 = g1_closed(trunc)
-    K = trunc.K
-    dg = {j: g1.pdiff(j) for j in range(1, K + 1)}
+        g1 = g1_closed(N)
+    dg = {j: g1.pdiff(j) for j in range(1, N + 1)}
     acc = g1.xdiff()
-    for i in range(1, K + 1):
+    for i in range(1, N + 1):
         if not dg[i].is_zero:
             acc = acc + dg[i].shift(1, p=((i, 1),))
-    df0 = {i: f0_pdiff(i, trunc) for i in range(1, K + 1)}
-    for k in range(2, K + 1):
+    df0 = {i: f0_pdiff(i, N) for i in range(1, N + 1)}
+    for k in range(2, N + 1):
         for i in range(1, k):
             j = k - i
             if df0[i].is_zero or dg[j].is_zero:
                 continue
             acc = acc - (df0[i] * dg[j]).shift(i * j, p=((k, 1),))
-    for k in range(2, K + 1):
+    for k in range(2, N + 1):
         if dg[k].is_zero:
             continue
         for i in range(1, k):
-            j = k - i
-            pk = ((i, 2),) if i == j else ((i, 1), (j, 1))
-            acc = acc - dg[k].shift(Fraction(k, 2), p=pk)
-    pw = s_powers(trunc)
-    for k in range(2, min(K, trunc.N) + 1):
+            acc = acc - dg[k].shift(Fraction(k, 2), p=((i, 1), (k - i, 1)))
+    pw = s_powers(N)
+    for k in range(2, N + 1):
         coef = sum((a_coeff(i) * a_coeff(k - i) for i in range(1, k)), _ZERO)
         acc = acc - pw[k].shift(coef / (2 * k), p=((k, 1),))
     return acc
 
 
-def kernel_recombination(trunc: Truncation) -> CheckResult:
+def kernel_recombination(N: int) -> CheckResult:
     """The three kernel combinations vanish when rebuilt in the main ring.
 
     Each quadratic kernel is re-expanded with y_k = p_k s^k as an honest
@@ -716,9 +716,8 @@ def kernel_recombination(trunc: Truncation) -> CheckResult:
     route through the kernel definitions, independent of both the exact
     polynomial route and the symmetrized expansions.
     """
-    pw = s_powers(trunc)
-    N = trunc.N
-    zero = PSeries.zero(trunc)
+    pw = s_powers(N)
+    zero = PSeries.zero(N)
 
     def linear_kernel(weight: Callable[[int], Fraction]) -> PSeries:
         acc = zero
@@ -747,12 +746,10 @@ def kernel_recombination(trunc: Truncation) -> CheckResult:
         acc = zero
         for k in range(2, N + 1):
             for m in range(1, N - k + 1):
-                pexp = ((k, 2),) if k == m else ((min(k, m), 1), (max(k, m), 1))
-                acc = acc + pw[k + m].shift(joined(k, m), p=pexp)
+                acc = acc + pw[k + m].shift(joined(k, m), p=((k, 1), (m, 1)))
         for i in range(1, N):
             for j in range(1, N - i + 1):
-                pexp = ((i, 2),) if i == j else ((min(i, j), 1), (max(i, j), 1))
-                acc = acc - pw[i + j].shift(split(i, j) / 2, p=pexp)
+                acc = acc - pw[i + j].shift(split(i, j) / 2, p=((i, 1), (j, 1)))
         return acc
 
     c_ser = quadratic_kernel(
@@ -772,9 +769,9 @@ def kernel_recombination(trunc: Truncation) -> CheckResult:
         lambda i, j: a_coeff(i + j),
     )
 
-    psi0 = psi_at_s(0, trunc)
-    psi1 = psi_at_s(1, trunc)
-    psi2 = psi_at_s(2, trunc)
+    psi0 = psi_at_s(0, N)
+    psi1 = psi_at_s(1, N)
+    psi2 = psi_at_s(2, N)
     u1 = psi2 - psi0 - a_ser * 12 - b_ser + d_ser
     u2 = (
         psi0 * (psi1 + psi2)
@@ -790,43 +787,43 @@ def kernel_recombination(trunc: Truncation) -> CheckResult:
     )
 
 
-def _one_minus_psi1(trunc: Truncation) -> PSeries:
-    return PSeries.one(trunc) - psi_at_s(1, trunc)
+def _one_minus_psi1(N: int) -> PSeries:
+    return PSeries.one(N) - psi_at_s(1, N)
 
 
-def s_xdiff_identity(trunc: Truncation) -> CheckResult:
+def s_xdiff_identity(N: int) -> CheckResult:
     """x ds/dx * (1 - psi_1) = s."""
-    s = s_series(trunc)
+    s = s_series(N)
     return _pseries_eq_check(
-        "s_xdiff_identity", s.xdiff() * _one_minus_psi1(trunc), s
+        "s_xdiff_identity", s.xdiff() * _one_minus_psi1(N), s
     )
 
 
-def s_pdiff_identity(trunc: Truncation) -> CheckResult:
-    """k ds/dp_k * (1 - psi_1) = a_k s^(k+1) for every retained k."""
-    s = s_series(trunc)
-    pw = s_powers(trunc)
-    omp = _one_minus_psi1(trunc)
+def s_pdiff_identity(N: int) -> CheckResult:
+    """k ds/dp_k * (1 - psi_1) = a_k s^(k+1) for every k <= N."""
+    s = s_series(N)
+    pw = s_powers(N)
+    omp = _one_minus_psi1(N)
 
     def differences():
-        for k in range(1, trunc.K + 1):
+        for k in range(1, N + 1):
             lhs = s.pdiff(k) * omp * k
-            rhs = pw[k + 1] * a_coeff(k) if k + 1 <= trunc.N else PSeries.zero(trunc)
+            rhs = pw[k + 1] * a_coeff(k) if k + 1 <= N else PSeries.zero(N)
             yield f"k={k}", lhs - rhs
 
     return _first_nonzero("s_pdiff_identity", differences())
 
 
-def psi_pdiff_identity(trunc: Truncation, max_k: int = 4) -> CheckResult:
+def psi_pdiff_identity(N: int, max_k: int = 4) -> CheckResult:
     """k dpsi_j/dp_k (1-psi_1) = k^j a_k s^k (1-psi_1) + a_k psi_{j+1} s^k."""
-    pw = s_powers(trunc)
-    omp = _one_minus_psi1(trunc)
+    pw = s_powers(N)
+    omp = _one_minus_psi1(N)
 
     def differences():
         for j in range(0, 3):
-            pj = psi_at_s(j, trunc)
-            pj1 = psi_at_s(j + 1, trunc)
-            for k in range(1, min(max_k, trunc.N) + 1):
+            pj = psi_at_s(j, N)
+            pj1 = psi_at_s(j + 1, N)
+            for k in range(1, min(max_k, N) + 1):
                 ak = a_coeff(k)
                 lhs = pj.pdiff(k) * omp * k
                 rhs = pw[k] * omp * (Fraction(k) ** j * ak) + pj1 * pw[k] * ak
@@ -835,27 +832,27 @@ def psi_pdiff_identity(trunc: Truncation, max_k: int = 4) -> CheckResult:
     return _first_nonzero("psi_pdiff_identity", differences())
 
 
-def g1_xdiff_identity(trunc: Truncation, g1: PSeries | None = None) -> CheckResult:
+def g1_xdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     """24 x dG1/dx = psi_2/(1-psi_1)^2 - psi_1/(1-psi_1)."""
     if g1 is None:
-        g1 = g1_closed(trunc)
-    inv = inv_one_minus(psi_at_s(1, trunc))
-    rhs = psi_at_s(2, trunc) * inv * inv - psi_at_s(1, trunc) * inv
+        g1 = g1_closed(N)
+    inv = inv_one_minus(psi_at_s(1, N))
+    rhs = psi_at_s(2, N) * inv * inv - psi_at_s(1, N) * inv
     return _pseries_eq_check("g1_xdiff_identity", g1.xdiff() * 24, rhs)
 
 
 def g1_pdiff_identity(
-    trunc: Truncation, g1: PSeries | None = None, max_k: int = 4
+    N: int, g1: PSeries | None = None, max_k: int = 4
 ) -> CheckResult:
     """24 dG1/dp_k = a_k s^k/(1-psi_1) + (a_k/k) s^k (psi_2/(1-psi_1)^2 - 1/(1-psi_1))."""
     if g1 is None:
-        g1 = g1_closed(trunc)
-    pw = s_powers(trunc)
-    inv = inv_one_minus(psi_at_s(1, trunc))
-    bracket = psi_at_s(2, trunc) * inv * inv - inv
+        g1 = g1_closed(N)
+    pw = s_powers(N)
+    inv = inv_one_minus(psi_at_s(1, N))
+    bracket = psi_at_s(2, N) * inv * inv - inv
 
     def differences():
-        for k in range(1, min(max_k, trunc.N) + 1):
+        for k in range(1, min(max_k, N) + 1):
             ak = a_coeff(k)
             rhs = pw[k] * inv * ak + pw[k] * bracket * (ak / k)
             yield f"k={k}", g1.pdiff(k) * 24 - rhs
@@ -863,8 +860,8 @@ def g1_pdiff_identity(
     return _first_nonzero("g1_pdiff_identity", differences())
 
 
-def f0_pdiff_axiom(trunc: Truncation, f0: PSeries) -> CheckResult:
-    """The axiomatic input dF_0/dp_k equals the p-derivative of f0, for each k <= K.
+def f0_pdiff_axiom(N: int, f0: PSeries) -> CheckResult:
+    """The axiomatic input dF_0/dp_k equals the p-derivative of f0, for each k <= N.
 
     f0 is the genus-0 series assembled from the explicit formula
     (``closedform.f0_series``); ``closedform.f0_pdiff`` writes the same
@@ -872,7 +869,7 @@ def f0_pdiff_axiom(trunc: Truncation, f0: PSeries) -> CheckResult:
     """
     return _first_nonzero(
         "f0_pdiff_axiom",
-        ((f"k={k}", f0_pdiff(k, trunc) - f0.pdiff(k)) for k in range(1, trunc.K + 1)),
+        ((f"k={k}", f0_pdiff(k, N) - f0.pdiff(k)) for k in range(1, N + 1)),
     )
 
 
@@ -883,10 +880,9 @@ def elem_sym_extraction(max_n: int = 8) -> CheckResult:
     evaluated in the series ring with each p_i carrying x^i so the truncation
     bound applies; checked for every lambda of size <= max_n and 0 <= k <= m.
     """
-    tr = Truncation(N=max_n, K=max_n, G=0)
-    lin = PSeries(tr, {(i, ((i, 1),)): Fraction(1) for i in range(1, max_n + 1)})
-    ex = exp(PSeries(tr, {(i, ((i, 1),)): Fraction(1, i) for i in range(1, max_n + 1)}))
-    power = PSeries.one(tr)
+    lin = PSeries.from_parts(max_n, {(i,): 1 for i in range(1, max_n + 1)})
+    ex = exp(PSeries.from_parts(max_n, {(i,): Fraction(1, i) for i in range(1, max_n + 1)}))
+    power = PSeries.one(max_n)
     for k in range(0, max_n + 1):
         mixed = power * ex
         for n in range(0, max_n + 1):
@@ -909,34 +905,31 @@ def elem_sym_extraction(max_n: int = 8) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_all_checks(
-    trunc: Truncation | None = None, *, inject_fault: bool = False
-) -> list[CheckResult]:
+def run_all_checks(N: int = 8, *, inject_fault: bool = False) -> list[CheckResult]:
     """Every verification step, in a fixed order, as CheckResults.
 
     inject_fault perturbs the genus-1 series fed to the PDE residual by
     +x^2 p_2, demonstrating that the checker can fail and report a witness.
     """
-    tr = trunc if trunc is not None else Truncation()
-    g1 = g1_closed(tr)
+    g1 = g1_closed(N)
     if inject_fault:
-        g1 = g1 + PSeries.term(tr, 1, x=2, p=((2, 1),))
+        g1 = g1 + PSeries.term(N, 1, x=2, p=((2, 1),))
     checks = [
-        _pseries_zero_check("pde_residual", residual_T(tr, g1)),
-        _pseries_eq_check("g1_forms_agree", g1_closed(tr), g1_defn(tr)),
+        _pseries_zero_check("pde_residual", residual_T(N, g1)),
+        _pseries_eq_check("g1_forms_agree", g1_closed(N), g1_defn(N)),
     ]
     checks += closed_form_series_checks(order=10)
     checks += [check_u1(), check_u2(), check_u3()]
     checks += series_u_checks(order=8)
-    checks.append(kernel_recombination(tr))
+    checks.append(kernel_recombination(N))
     checks.append(elem_sym_extraction())
     checks += [
-        s_xdiff_identity(tr),
-        s_pdiff_identity(tr),
-        psi_pdiff_identity(tr),
-        g1_xdiff_identity(tr),
-        g1_pdiff_identity(tr),
-        f0_pdiff_axiom(tr, f0_series(tr)),
+        s_xdiff_identity(N),
+        s_pdiff_identity(N),
+        psi_pdiff_identity(N),
+        g1_xdiff_identity(N),
+        g1_pdiff_identity(N),
+        f0_pdiff_axiom(N, f0_series(N)),
     ]
     return checks
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from hurwitz import PSeries, Truncation
+from hurwitz import PSeries
 
-TR8 = Truncation()  # N = K = 8, G = 1, R = 16
-TR6 = Truncation(N=6, K=6, G=1)
+TR8 = 8  # series cut at x^8
+TR6 = 6
 
 
 def fractions_st(max_num: int = 6, max_den: int = 4):
@@ -16,17 +16,17 @@ def fractions_st(max_num: int = 6, max_den: int = 4):
     )
 
 
-def pexp_st(trunc: Truncation):
-    pair = st.tuples(st.integers(1, trunc.K), st.integers(1, 2))
+def pexp_st(N: int):
+    pair = st.tuples(st.integers(1, N), st.integers(1, 2))
     return st.lists(pair, max_size=2).map(
         lambda pairs: tuple(sorted({i: e for i, e in pairs}.items()))
     )
 
 
-def series_st(trunc: Truncation, max_terms: int = 5, min_xdeg: int = 0):
+def series_st(N: int, max_terms: int = 5, min_xdeg: int = 0):
     """Random sparse series; min_xdeg=1 gives x-adically small ones."""
-    mono = st.tuples(st.integers(min_xdeg, trunc.N), pexp_st(trunc))
+    mono = st.tuples(st.integers(min_xdeg, N), pexp_st(N))
     term = st.tuples(mono, fractions_st())
     return st.lists(term, max_size=max_terms).map(
-        lambda pairs: PSeries(trunc, dict(pairs))
+        lambda pairs: PSeries(N, dict(pairs))
     )

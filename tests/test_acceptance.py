@@ -10,12 +10,12 @@ from math import factorial
 
 from hurwitz import (
     PSeries,
-    Truncation,
     check_u1,
     check_u2,
     check_u3,
     class_size,
     count_transitive,
+    exp,
     f0_series,
     g1_closed,
     g1_defn,
@@ -25,7 +25,6 @@ from hurwitz import (
     residual_T,
     run,
     s_series,
-    tree,
 )
 from hurwitz.closedform import psi_at_s
 from hurwitz.partitions import a_coeff
@@ -37,10 +36,11 @@ from hurwitz.verify import (
     psi_pdiff_identity,
     s_pdiff_identity,
     s_xdiff_identity,
+    _tree_coeffs,
 )
 
-TR8 = Truncation()
-TR10 = Truncation(N=10, K=10, G=1)
+TR8 = 8
+TR10 = 10
 
 
 def _report(number, title, ok):
@@ -111,19 +111,27 @@ def test_criterion_5_series_identities():
         if got != expected:
             ok = False
 
-    # tree-function coefficients
-    t10 = tree(TR10)
+    # tree-function coefficients, as verify expands w = x e^w
+    w10 = PSeries.zero(TR10)
+    for n, c in enumerate(_tree_coeffs(TR10)):
+        w10 = w10 + PSeries.term(TR10, c, x=n)
     for n in range(1, 11):
-        if t10.w.coeff(n, ()) != Fraction(n ** (n - 1), factorial(n)):
+        if w10.coeff(n, ()) != Fraction(n ** (n - 1), factorial(n)):
             ok = False
 
-    # derivative identities of the tree function
-    t8 = tree(TR8)
+    # functional equation and derivative identities of the tree function
+    w = PSeries.zero(TR8)
+    for n, c in enumerate(_tree_coeffs(TR8)):
+        w = w + PSeries.term(TR8, c, x=n)
+    d1 = w.xdiff()
+    d2 = d1.xdiff()
+    d3 = d2.xdiff()
     one = PSeries.one(TR8)
-    omw = one - t8.w
-    ok = ok and t8.d1 * omw == t8.w
-    ok = ok and t8.d2 * omw * omw * omw == t8.w
-    ok = ok and t8.d3 * omw * omw * omw * omw * omw == t8.w + t8.w * t8.w * 2
+    omw = one - w
+    ok = ok and w == PSeries.x(TR8) * exp(w)
+    ok = ok and d1 * omw == w
+    ok = ok and d2 * omw * omw * omw == w
+    ok = ok and d3 * omw * omw * omw * omw * omw == w + w * w * 2
 
     # substitution-series and genus-1 derivative identities at order 8
     ok = ok and s_xdiff_identity(TR8).ok

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import closedform
+from hurwitz import closedform, cutjoin
 from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_partition
 from hurwitz.partitions import Partition
 from hurwitz.series import PSeries
@@ -144,6 +144,16 @@ class TestVerify:
         assert report["config"] == {"N": 6, "K": 6, "G": 1}
         assert all(c["status"] == "pass" for c in report["checks"])
 
+    def test_k_changes_only_the_echoed_config(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--N", "6", "--K", "9")
+        assert code == EXIT_OK
+        wide = json.loads(out)
+        _, out, _ = run_cli(capsys, "verify", "--N", "6")
+        narrow = json.loads(out)
+        assert wide["config"] == {"N": 6, "K": 9, "G": 1}
+        wide["config"]["K"] = 6
+        assert wide == narrow
+
     def test_injected_fault_fails_with_witness(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "6", "--inject-fault")
         assert code == EXIT_FAIL
@@ -156,7 +166,7 @@ class TestVerify:
         # from the inversion formula no longer passes as its fixed point
         real_exp = closedform.exp
         monkeypatch.setattr(
-            closedform, "exp", lambda f: real_exp(f) + PSeries.term(f.trunc, 1, x=2)
+            closedform, "exp", lambda f: real_exp(f) + PSeries.term(f.N, 1, x=2)
         )
         closedform.s_series.cache_clear()
         code, out, err = run_cli(capsys, "verify", "--N", "5")
@@ -201,6 +211,13 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--n", "5", "--genus-max", "1")
         assert code == EXIT_OK
 
+    def test_one_evolution_per_genus_bound(self, capsys):
+        cutjoin.evolve.cache_clear()
+        code, _, _ = run_cli(capsys, "compare", "--n", "8", "--genus-max", "3")
+        assert code == EXIT_OK
+        # evolve(8, G) for G = 1 (genus 0 and 1), 2 and 3
+        assert cutjoin.evolve.cache_info().misses == 3
+
     def test_oracle_column_through_walk_limit(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--n", "6")
         assert code == EXIT_OK and err == ""
@@ -230,8 +247,18 @@ class TestPinnedOutput:
                 ("table", "--n", "12", "--method", "closed"),
                 "bc5717438f4dab5783a4243826cb0460ace20e7b71993d0a598be987b562f7d6",
             ),
+            # recorded at commit 5484334, when these paths still set the
+            # cut-and-join step count per query
+            (
+                ("compare", "--n", "8", "--genus-max", "3"),
+                "61a282f7faae2c8e41fe0263d1bf3b9029862f2c85615f2d1ea459e7b527ac86",
+            ),
+            (
+                ("count", "--alpha", "3,3,2", "--genus", "3", "--method", "cutjoin"),
+                "6749f0e8e7953e320cbe1fe843514c6a81c4ea30fd08da30efbb5852ea5ffca2",
+            ),
         ],
-        ids=["compare-n6-g2", "table-n12-closed"],
+        ids=["compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin"],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
@@ -265,6 +292,11 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
         assert "K" in err
+
+    def test_negative_g_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--N", "4", "--G", "-1")
+        assert code == EXIT_USAGE
+        assert out == "" and "--G" in err
 
     def test_compare_genus_two(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--n", "3", "--genus-max", "2")

@@ -15,7 +15,6 @@ from hurwitz import (
     IntegralityError,
     Partition,
     PSeries,
-    Truncation,
     c_value,
     class_size,
     count_naive,
@@ -30,20 +29,23 @@ from hurwitz import (
     partitions_of,
     record,
     s_series,
-    tree,
 )
 from hurwitz import closedform
 from hurwitz.closedform import f0_pdiff2, psi_at_s, s_powers
 from hurwitz.partitions import a_coeff, psi
-from hurwitz.series import (
-    FixedPointError,
-    certify_fixed_point,
-    solve_fixed_point,
-    subst_x,
-)
+from hurwitz.series import FixedPointError, certify_fixed_point, subst_x
+from hurwitz.verify import _tree_coeffs
 
-TR8 = Truncation()
-TR10 = Truncation(N=10, K=10, G=1)
+TR8 = 8
+TR10 = 10
+
+
+def tree_series(N):
+    """The tree function w = x e^w from the coefficients verify expands it with."""
+    w = PSeries.zero(N)
+    for n, c in enumerate(_tree_coeffs(N)):
+        w = w + PSeries.term(N, c, x=n)
+    return w
 
 
 class TestMu0:
@@ -154,7 +156,7 @@ class TestGoldenSerialization:
         import json
         from pathlib import Path
 
-        tr = Truncation(N=4, K=4, G=0)
+        tr = 4
         golden = json.loads(
             (Path(__file__).parent / "data" / "g1_n4.json").read_text()
         )
@@ -192,17 +194,16 @@ class TestSubstitutionSeries:
             }
             assert got == expected
 
-    @pytest.mark.parametrize(
-        "trunc",
-        [Truncation(N=n, K=n) for n in range(1, 11)]
-        + [Truncation(N=6, K=9), Truncation(N=7, K=7, G=0)],
-        ids=lambda t: f"N{t.N}K{t.K}G{t.G}",
-    )
-    def test_lagrange_equals_iteration(self, trunc):
-        # the inversion formula against N iterations of the defining equation
-        psi0, xs = psi(0, trunc), PSeries.x(trunc)
-        iterated = solve_fixed_point(lambda t: xs * exp(subst_x(psi0, t)), trunc)
-        assert s_series(trunc) == iterated
+    # the ids keep the N<N>K<N>G1 form these cases have been reported under
+    @pytest.mark.parametrize("N", range(1, 11), ids=lambda n: f"N{n}K{n}G1")
+    def test_lagrange_equals_iteration(self, N):
+        # the inversion formula against N iterations of the defining equation,
+        # each of which settles one more x-degree
+        psi0, xs = psi(0, N), PSeries.x(N)
+        iterated = PSeries.zero(N)
+        for _ in range(N):
+            iterated = xs * exp(subst_x(psi0, iterated))
+        assert s_series(N) == iterated
 
     def test_certificate_rejects_perturbed_candidate(self):
         psi0, xs = psi(0, TR8), PSeries.x(TR8)
@@ -252,23 +253,25 @@ class TestF0:
 
 class TestTreeFunction:
     def test_known_coefficients(self):
-        t = tree(TR8)
-        assert t.w.coeff(3, ()) == Fraction(3, 2)
-        assert t.w.coeff(4, ()) == Fraction(8, 3)
+        w = tree_series(TR8)
+        assert w.coeff(3, ()) == Fraction(3, 2)
+        assert w.coeff(4, ()) == Fraction(8, 3)
 
     def test_coefficients_to_order_ten(self):
-        t = tree(TR10)
+        w = tree_series(TR10)
         for n in range(1, 11):
-            assert t.w.coeff(n, ()) == Fraction(n ** (n - 1), factorial(n))
+            assert w.coeff(n, ()) == Fraction(n ** (n - 1), factorial(n))
 
     def test_functional_equation(self):
-        t = tree(TR8)
-        assert t.w == PSeries.x(TR8) * exp(t.w)
+        w = tree_series(TR8)
+        assert w == PSeries.x(TR8) * exp(w)
 
     def test_derivative_identities(self):
-        t = tree(TR8)
-        one = PSeries.one(TR8)
-        omw = one - t.w
-        assert t.d1 * omw == t.w
-        assert t.d2 * omw * omw * omw == t.w
-        assert t.d3 * omw * omw * omw * omw * omw == t.w + t.w * t.w * 2
+        w = tree_series(TR8)
+        d1 = w.xdiff()
+        d2 = d1.xdiff()
+        d3 = d2.xdiff()
+        omw = PSeries.one(TR8) - w
+        assert d1 * omw == w
+        assert d2 * omw * omw * omw == w
+        assert d3 * omw * omw * omw * omw * omw == w + w * w * 2

@@ -9,7 +9,6 @@ from hurwitz import (
     CutJoinState,
     IntegralityError,
     Partition,
-    Truncation,
     class_size,
     count_naive,
     count_transitive,
@@ -25,12 +24,9 @@ from hurwitz import (
 from hurwitz.closedform import psi_at_s
 from hurwitz.cutjoin import genus_slice
 
-TR5 = Truncation(N=5, K=5, G=1)
-
-
 @pytest.fixture(scope="module")
 def state5():
-    return evolve(TR5)
+    return evolve(5, 1)
 
 
 def genus(r, parts):
@@ -39,14 +35,29 @@ def genus(r, parts):
 
 class TestInitialCondition:
     def test_seed_is_x_p1(self):
-        state = evolve(Truncation(N=5, K=5, G=1, R=0))
+        # N = 1, G = 0 needs no step: the one type (1) lives at r = 0
+        state = evolve(1, 0)
         assert state.phi == ({(1,): Fraction(1)},)
 
     def test_seed_matches_enumeration(self):
         # the unique length-0 factorization of the 1-cycle
         assert count_naive(Partition((1,)), 0) == 1
-        seed = evolve(Truncation(N=5, K=5, G=1, R=0))
+        seed = evolve(1, 0)
         assert extract_c(seed, Partition((1,)), 0) == 1
+
+
+class TestBounds:
+    def test_bad_bounds_rejected(self):
+        for N, G in ((0, 1), (3, -1)):
+            with pytest.raises(ValueError):
+                evolve(N, G)
+
+    @pytest.mark.parametrize("N, G", [(1, 0), (5, 1), (6, 2), (4, 3)])
+    def test_step_count_reaches_every_type(self, N, G):
+        # the largest r = n + m + 2g - 2 is (1^N) at genus G
+        state = evolve(N, G)
+        assert state.order == 2 * N + 2 * G - 2
+        assert state.phi[-1] == {(1,) * N: state.phi[-1][(1,) * N]}
 
 
 class TestStep:
@@ -65,7 +76,7 @@ class TestStep:
             for parts, c in phi.items():
                 n, m = sum(parts), len(parts)
                 assert c and parts == tuple(sorted(parts, reverse=True)) and parts[-1] >= 1
-                assert n <= TR5.N and 0 <= genus(r, parts) <= TR5.G
+                assert n <= state5.N and 0 <= genus(r, parts) <= state5.G
                 assert (n + m - r) % 2 == 0
                 assert n + m <= r + 2
 
@@ -85,7 +96,7 @@ class TestExtract:
             phi = list(state5.phi)
             phi[r] = {**phi[r], alpha.parts: bad}
             with pytest.raises(IntegralityError):
-                extract_c(CutJoinState(TR5, tuple(phi)), alpha, 0)
+                extract_c(CutJoinState(5, 1, tuple(phi)), alpha, 0)
         assert extract_c(state5, alpha, 0) == 8
 
     def test_out_of_range_queries(self, state5):
@@ -103,24 +114,24 @@ class TestRunTable:
                     assert extract_c(state5, alpha, g) == count_transitive(alpha, g)
 
     def test_genus_slices_match_closed_formulas(self):
-        table = run(TR5)
+        table = run(5)
         for (alpha, g), c in table.items():
             mu = Fraction(class_size(alpha) * c, factorial(alpha.n))
             assert mu == (mu0(alpha) if g == 0 else mu1(alpha))
 
     def test_larger_truncation_is_consistent(self):
-        small = run(Truncation(N=4, K=4, G=1))
-        large = run(Truncation(N=6, K=6, G=1))
+        small = run(4)
+        large = run(6)
         for key, value in small.items():
             assert large[key] == value
 
     def test_counts_are_nonnegative_integers(self):
-        for value in run(TR5).values():
+        for value in run(5).values():
             assert isinstance(value, int) and value >= 0
 
     @pytest.mark.slow
     def test_triangle_at_order_twelve(self):
-        table = run(Truncation(N=12, K=12, G=1))
+        table = run(12)
         for (alpha, g), c in table.items():
             mu = Fraction(class_size(alpha) * c, factorial(alpha.n))
             assert mu == (mu0(alpha) if g == 0 else mu1(alpha)), (alpha, g)
@@ -128,27 +139,30 @@ class TestRunTable:
 
 class TestGenusTwo:
     def test_matches_oracle_through_n6(self):
-        state = evolve(Truncation(N=6, K=6, G=2, R=16))
-        genus_zero = evolve(Truncation(N=6, K=6, G=0, R=16))
-        checked = 0
-        for n in range(1, 7):
-            for alpha in partitions_of(n):
-                for g in range(3):
-                    want = count_transitive(alpha, g)
-                    assert extract_c(state, alpha, g) == want, (alpha, g)
-                    if g == 0:
-                        assert extract_c(genus_zero, alpha, 0) == want, alpha
-                    checked += 1
-        assert checked == 87
+        # run works out its own step count: every (alpha, g) with n <= 6 and
+        # g <= 2 is in the table, (1^6) at genus 2 (r = 14) included
+        table = run(6, 2)
+        genus_zero = evolve(6, 0)
+        want = {
+            (alpha, g): count_transitive(alpha, g)
+            for n in range(1, 7)
+            for alpha in partitions_of(n)
+            for g in range(3)
+        }
+        assert len(want) == 87
+        assert table == want
+        for (alpha, g), c in want.items():
+            if g == 0:
+                assert extract_c(genus_zero, alpha, 0) == c, alpha
 
 
 class TestGenusSlices:
     def test_genus_zero_slice_equals_assembled_series(self, state5):
-        assert genus_slice(state5, 0) == f0_series(TR5)
+        assert genus_slice(state5, 0) == f0_series(5)
 
     def test_genus_one_slice_equals_assembled_series(self, state5):
-        assert genus_slice(state5, 1) == g1_defn(TR5)
+        assert genus_slice(state5, 1) == g1_defn(5)
 
     def test_euler_square_of_f0_is_psi0(self, state5):
         f0 = genus_slice(state5, 0)
-        assert f0.xdiff().xdiff() == psi_at_s(0, TR5)
+        assert f0.xdiff().xdiff() == psi_at_s(0, 5)

@@ -7,7 +7,6 @@ import pytest
 
 from hurwitz import (
     Partition,
-    Truncation,
     a_coeff,
     class_size,
     elem_sym,
@@ -147,16 +146,16 @@ class TestACoeff:
 
 class TestPsi:
     def test_weights(self):
-        t = Truncation(N=4, K=4, G=0)
+        t = 4
         assert psi(1, t).coeff(1, (1,)) == 1
         assert psi(0, t).coeff(2, (2,)) == 2
         assert psi(2, t).coeff(3, (3,)) == Fraction(81, 2)
 
     def test_negative_index(self):
-        t = Truncation(N=4, K=4, G=0)
+        t = 4
         # r^(i-1) a_r at i = -1 is a_r / r^2 = r^(r-2)/(r-1)!
         assert psi(-1, t).coeff(3, (3,)) == Fraction(3, 2)
 
     def test_term_count(self):
-        t = Truncation(N=6, K=6, G=0)
+        t = 6
         assert len(psi(1, t).terms) == 6

@@ -1,6 +1,7 @@
 """The truncated series ring: exactness, ring axioms, analytic inverses."""
 
 from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -9,35 +10,34 @@ from hypothesis import given, settings
 from hurwitz import (
     FixedPointError,
     PSeries,
-    Truncation,
     TruncationMismatch,
     exp,
     inv_one_minus,
     log1,
-    solve_fixed_point,
     subst_x,
 )
+from hurwitz.series import certify_fixed_point
 
 from conftest import TR6, TR8, series_st
 
 # few monomials, so random products often overflow the truncation
-TR_SMALL = Truncation(N=2, K=2, G=1)
+TR_SMALL = 2
 
 
-def cancelling_pair_st(trunc: Truncation):
+def cancelling_pair_st(N):
     """(a + b, a - b): the cross terms a*b of their product cancel in pairs."""
-    return st.tuples(series_st(trunc, 4), series_st(trunc, 4)).map(
+    return st.tuples(series_st(N, 4), series_st(N, 4)).map(
         lambda ab: (ab[0] + ab[1], ab[0] - ab[1])
     )
 
 
-def xp1(trunc):
-    return PSeries.term(trunc, 1, x=1, p=((1, 1),))
+def xp1(N):
+    return PSeries.term(N, 1, x=1, p=((1, 1),))
 
 
 def fraction_loop_product(f, g):
     """The product by a termwise Fraction double loop, zero sums dropped."""
-    N = f.trunc.N
+    N = f.N
     out = {}
     for (x1, p1), c1 in f.terms.items():
         for (x2, p2), c2 in g.terms.items():
@@ -52,22 +52,39 @@ def fraction_loop_product(f, g):
 
 
 class TestTruncation:
-    def test_defaults(self):
-        t = Truncation()
-        assert (t.N, t.K, t.G, t.R) == (8, 8, 1, 16)
-
-    def test_r_defaults_to_twice_n(self):
-        assert Truncation(N=5, K=5).R == 10
-
-    def test_k_below_n_rejected(self):
-        with pytest.raises(ValueError):
-            Truncation(N=8, K=4)
-
     def test_bad_bounds_rejected(self):
+        for make in (PSeries, PSeries.zero, PSeries.one, PSeries.x):
+            with pytest.raises(ValueError):
+                make(0)
+
+    def test_only_the_x_degree_is_cut(self):
+        # p-indices have no bound: p_9 survives at N = 2, x^3 does not
+        f = PSeries(TR_SMALL, {(1, ((9, 1),)): 1, (3, ()): 1})
+        assert f == PSeries.term(TR_SMALL, 1, x=1, p=((9, 1),))
+        assert f.pdiff(9) == PSeries.x(TR_SMALL)
+        assert f.coeff(1, (9,)) == 1
+
+
+class TestFromParts:
+    def test_x_degree_is_the_size(self):
+        f = PSeries.from_parts(TR8, {(3, 1): Fraction(1, 2), (1,): 2})
+        assert f == PSeries.term(TR8, Fraction(1, 2), x=4, p=((1, 1), (3, 1))) + (
+            PSeries.term(TR8, 2, x=1, p=((1, 1),))
+        )
+        assert f.coeff(4, (1, 3)) == Fraction(1, 2)
+
+    def test_keys_naming_one_partition_add_up(self):
+        f = PSeries.from_parts(TR8, {(2, 1): 1, (1, 2): 2, (2, 2): 3, (4,): 0})
+        assert f == PSeries.from_parts(TR8, {(2, 1): 3, (2, 2): 3})
+
+    def test_sizes_above_n_dropped(self):
+        assert PSeries.from_parts(TR_SMALL, {(2, 1): 1}).is_zero
+
+    def test_non_positive_parts_rejected(self):
         with pytest.raises(ValueError):
-            Truncation(N=0, K=1)
+            PSeries.from_parts(TR8, {(2, 0): 1})
         with pytest.raises(ValueError):
-            Truncation(N=2, K=2, G=-1)
+            PSeries.one(TR8).coeff(0, (0,))
 
 
 class TestRingOps:
@@ -80,8 +97,7 @@ class TestRingOps:
         assert (f * PSeries.zero(TR8)).is_zero
 
     def test_truncation_drops_top_degree(self):
-        t = Truncation(N=1, K=1, G=0)
-        one, x = PSeries.one(t), PSeries.x(t)
+        one, x = PSeries.one(1), PSeries.x(1)
         assert (one + x) * (one - x) == one
 
     def test_mixed_truncations_rejected(self):
@@ -133,7 +149,7 @@ class TestIntegerKernel:
         assert all(type(c) is Fraction and c for c in got.terms.values())
 
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
-        t = Truncation(N=3, K=3, G=0)
+        t = 3
         f = PSeries(t, {(0, ()): Fraction(1, 2), (1, ((1, 1),)): Fraction(2, 3)})
         g = PSeries(t, {(0, ()): Fraction(4, 3), (1, ((1, 1),)): Fraction(-16, 9)})
         # y = x p1; the y coefficients cancel: (1/2)(-16/9) + (2/3)(4/3) = 0
@@ -149,8 +165,7 @@ class TestIntegerKernel:
         assert ((f + g) - g).terms == f.terms
 
     def test_shift_still_truncates(self):
-        assert PSeries.x(TR6).shift(x=TR6.N).is_zero
-        assert PSeries.one(TR6).shift(p=((TR6.K + 1, 1),)).is_zero
+        assert PSeries.x(TR6).shift(x=TR6).is_zero
 
 
 class TestDerivations:
@@ -163,8 +178,9 @@ class TestDerivations:
         assert f.xdiff() == f * 3
 
     def test_pdiff_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            PSeries.one(TR8).pdiff(9)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                PSeries.one(TR8).pdiff(k)
 
     @given(series_st(TR6))
     @settings(max_examples=25, deadline=None)
@@ -183,7 +199,7 @@ class TestExpLog:
         assert exp(PSeries.zero(TR8)) == PSeries.one(TR8)
 
     def test_exp_taylor(self):
-        t = Truncation(N=2, K=2, G=0)
+        t = 2
         got = exp(xp1(t))
         want = (
             PSeries.one(t)
@@ -220,7 +236,7 @@ class TestSubstitution:
         assert subst_x(PSeries.x(TR8), s) == s
 
     def test_binomial_expansion(self):
-        t = Truncation(N=3, K=3, G=0)
+        t = 3
         inner = PSeries.x(t) + PSeries.x(t, 2)
         got = subst_x(PSeries.x(t, 2), inner)
         assert got == PSeries.x(t, 2) + PSeries.x(t, 3) * 2
@@ -237,18 +253,25 @@ class TestSubstitution:
 
 
 class TestFixedPoint:
+    # the tree function w = x e^w, [x^n] w = n^(n-1)/n!
+    W8 = sum(
+        (PSeries.term(TR8, Fraction(n ** (n - 1), factorial(n)), x=n) for n in range(1, 9)),
+        PSeries.zero(TR8),
+    )
+
     def test_no_p_dependence(self):
-        sol = solve_fixed_point(lambda t: PSeries.x(TR8), TR8)
-        assert sol == PSeries.x(TR8)
+        x = PSeries.x(TR8)
+        assert certify_fixed_point(lambda t: PSeries.x(TR8), x) is x
 
     def test_idempotence(self):
         builder = lambda t: PSeries.x(TR8) * exp(t)
-        sol = solve_fixed_point(builder, TR8)
-        assert builder(sol) == sol
+        assert certify_fixed_point(builder, self.W8) is self.W8
+        with pytest.raises(FixedPointError):
+            certify_fixed_point(builder, self.W8 + PSeries.x(TR8, 8))
 
     def test_non_contraction_detected(self):
         with pytest.raises(FixedPointError):
-            solve_fixed_point(lambda t: t + PSeries.one(TR8), TR8)
+            certify_fixed_point(lambda t: t + PSeries.one(TR8), self.W8)
 
 
 class TestCoeff:
@@ -265,7 +288,7 @@ class TestCoeff:
         with pytest.raises(ValueError):
             PSeries.one(TR8).coeff(9, ())
         with pytest.raises(ValueError):
-            PSeries.one(TR8).coeff(0, (9,))
+            PSeries.one(TR8).coeff(-1, ())
 
 
 class TestSerialization:

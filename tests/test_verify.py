@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from hurwitz import (
     PSeries,
-    Truncation,
     TruncationMismatch,
     build_ABCDE,
     check_u1,
@@ -41,7 +40,7 @@ from hurwitz.verify import (
     wd,
 )
 
-TR8 = Truncation()
+TR8 = 8
 
 
 def wpoly_st(order):
@@ -86,7 +85,7 @@ class TestResidual:
 
     @pytest.mark.slow
     def test_zero_at_order_ten(self):
-        tr = Truncation(N=10, K=10, G=1)
+        tr = 10
         assert residual_T(tr).is_zero
         assert residual_T(tr, g1_defn(tr)).is_zero
 
@@ -224,7 +223,7 @@ class TestFaultInjection:
 
     def test_substitution_series_fault_is_caught(self, monkeypatch):
         bad = s_series(TR8) + PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 1), (2, 1)))
-        monkeypatch.setattr(verify, "s_series", lambda trunc: bad)
+        monkeypatch.setattr(verify, "s_series", lambda N: bad)
         xdiff, pdiff = s_xdiff_identity(TR8), s_pdiff_identity(TR8)
         assert not xdiff.ok and xdiff.witness
         assert not pdiff.ok and pdiff.witness.startswith("k=1: ")
@@ -235,7 +234,7 @@ class TestFaultInjection:
         monkeypatch.setattr(
             verify,
             "psi_at_s",
-            lambda i, trunc: psi_at_s(i, trunc) + bump if i == 0 else psi_at_s(i, trunc),
+            lambda i, N: psi_at_s(i, N) + bump if i == 0 else psi_at_s(i, N),
         )
         result = psi_pdiff_identity(TR8)
         assert not result.ok
@@ -243,7 +242,7 @@ class TestFaultInjection:
 
     def test_genus1_forms_fault_is_caught(self, monkeypatch):
         bad = g1_defn(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
-        monkeypatch.setattr(verify, "g1_defn", lambda trunc: bad)
+        monkeypatch.setattr(verify, "g1_defn", lambda N: bad)
         failed = [c for c in run_all_checks(TR8) if not c.ok]
         assert [(c.name, c.witness) for c in failed] == [("g1_forms_agree", "x^2*p2")]
 
@@ -253,7 +252,7 @@ class TestFaultInjection:
         monkeypatch.setattr(
             verify,
             "psi_at_s",
-            lambda i, trunc: psi_at_s(i, trunc) + bump if i == 2 else psi_at_s(i, trunc),
+            lambda i, N: psi_at_s(i, N) + bump if i == 2 else psi_at_s(i, N),
         )
         result = kernel_recombination(TR8)
         assert not result.ok
