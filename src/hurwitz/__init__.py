@@ -8,9 +8,10 @@ r = n + m + 2(g - 1) transpositions, counted by c_g(alpha) with
 mu = |C_alpha| c_g(alpha) / n!.
 
 The package computes the genus-0 and genus-1 numbers three independent ways
-(direct enumeration in the symmetric group, the cut-and-join evolution of
-the generating series, and explicit closed formulas) and machine-verifies
-the exact series and polynomial identities that tie the methods together.
+(counting in the symmetric group, by enumeration and by the Frobenius
+character formula; the cut-and-join evolution of the generating series; and
+explicit closed formulas) and machine-verifies the exact series and
+polynomial identities that tie the methods together.
 All arithmetic is exact rational; there is no floating point anywhere.
 """
 
@@ -29,9 +30,7 @@ from .closedform import (
 from .cutjoin import CutJoinState, evolve, extract_c, run
 from .oracle import (
     FactorizationProblem,
-    Permutation,
     SizeLimitExceeded,
-    canonical_rep,
     count_naive,
     count_transitive,
     count_walks,

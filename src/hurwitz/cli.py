@@ -242,10 +242,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     if cfg.genus_max < 0:
         raise UsageError("--genus-max must be nonnegative")
     methods = ["cutjoin", "closed"]
-    if n <= oracle.WALK_MAX_N:
+    if n <= oracle.ORACLE_MAX_N:
         methods.insert(0, "oracle")
     else:
-        print(f"note: oracle skipped for n={n} > WALK_MAX_N={oracle.WALK_MAX_N}", file=sys.stderr)
+        print(f"note: oracle skipped for n={n} > ORACLE_MAX_N={oracle.ORACLE_MAX_N}", file=sys.stderr)
     rows = []
     disagreements = 0
     for alpha in partitions_of(n):

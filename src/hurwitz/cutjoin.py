@@ -122,7 +122,7 @@ class CutJoinState:
 
 # One entry per (N, G); `compare --n 7 --genus-max 3` uses 3.
 @lru_cache(maxsize=16)
-def evolve(N: int, G: int = 1) -> CutJoinState:
+def evolve(N: int, G: int) -> CutJoinState:
     """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""
     if N < 1 or G < 0:
         raise ValueError(f"invalid cut-and-join bounds N={N}, G={G}")

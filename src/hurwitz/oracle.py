@@ -7,108 +7,44 @@ generating a transitive subgroup, where r = n + m + 2(g - 1).  Two engines:
 * count_naive -- depth-first enumeration of the tuples with a Cayley-distance
   prune and a union-find transitivity test at the leaves (tiny n only);
 * count_transitive -- counts all (not necessarily transitive) factorizations
-  by a walk DP over the full group, then removes disconnected ones by an
+  by the Frobenius character formula, then removes disconnected ones by an
   inclusion-exclusion sieve over blocks of the target's cycles.
+
+The class sum of the transpositions is central in the group algebra, so it
+acts on the irreducible representation lambda as the scalar cont(lambda),
+the sum of the contents j - i of the cells (i, j) of lambda.  Reading off
+the coefficient of a fixed permutation of type alpha in its r-th power gives
+(e.g. Lando-Zvonkin, Graphs on Surfaces and Their Applications, ch. 5)
+
+    W(alpha, r) = 1/n! * sum_{lambda |- n} dim(lambda) chi^lambda(alpha) cont(lambda)^r,
+
+with chi^lambda(alpha) from the Murnaghan-Nakayama rule on beta-sets and
+dim(lambda) from the hook length formula.  The sum is taken in integers and
+divided by n! exactly; a remainder raises IntegralityError.
 
 Counts are plain Python integers, hence arbitrary precision.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, factorial
+from typing import Sequence
 
-from .partitions import Partition
+from .partitions import IntegralityError, Partition
 
 NAIVE_MAX_N = 5
 NAIVE_MAX_R = 10
-WALK_MAX_N = 7
+# `compare --n 12 --genus-max 3` takes 2.3 s, 2.2 s of it in the oracle
+# (2-core machine, Python 3.11.7); each further n about doubles it: 4.6 s at
+# n = 13, 8.5 s at n = 14.
+ORACLE_MAX_N = 12
+
+Parts = tuple[int, ...]
 
 
 class SizeLimitExceeded(ValueError):
     """The requested count is outside the enumeration budget."""
-
-
-class Permutation:
-    """Element of S_n; images[i-1] is the image of symbol i (symbols 1..n)."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(v) for v in images)
-        n = len(imgs)
-        if sorted(imgs) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {imgs}")
-        self.images = imgs
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        imgs = list(range(1, n + 1))
-        for cyc in cycles:
-            for pos, a in enumerate(cyc):
-                imgs[a - 1] = cyc[(pos + 1) % len(cyc)]
-        return cls(imgs)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Left-to-right product: (self * other)(i) = other(self(i))."""
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return Permutation(other.images[v - 1] for v in self.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            a = start
-            while not seen[a - 1]:
-                seen[a - 1] = True
-                cyc.append(a)
-                a = self.images[a - 1]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self) -> Partition:
-        return Partition.of(len(c) for c in self.cycles())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Permutation):
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation{self.images}"
-
-
-def canonical_rep(alpha: Partition) -> Permutation:
-    """Fixed representative of C_alpha: cycles on consecutive symbols, largest part first."""
-    cycles = []
-    start = 1
-    for part in alpha.parts:
-        cycles.append(tuple(range(start, start + part)))
-        start += part
-    return Permutation.from_cycles(alpha.n, cycles)
 
 
 class FactorizationProblem:
@@ -126,82 +62,87 @@ class FactorizationProblem:
         self.r = alpha.n + alpha.m + 2 * (g - 1)
 
 
-# -- internal 0-based permutation helpers -----------------------------------
+def _check_budget(n: int) -> None:
+    if n > ORACLE_MAX_N:
+        raise SizeLimitExceeded(f"oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {n}")
 
 
-def _canonical_images0(tp: tuple[int, ...]) -> tuple[int, ...]:
+# -- the character formula ---------------------------------------------------
+
+
+def _shape(beads: int) -> Parts:
+    """The partition whose beta-set is the bitmask beads."""
+    positions = [b for b in range(beads.bit_length()) if beads >> b & 1]
+    # the j-th lowest bead sits at lambda_{n-j} + j
+    return tuple(p - j for j, p in reversed(list(enumerate(positions))) if p > j)
+
+
+def _characters(tp: Parts) -> dict[Parts, int]:
+    """chi^lambda(tp) for every lambda |- n at which it is nonzero.
+
+    Murnaghan-Nakayama: p_alpha = sum_lambda chi^lambda(alpha) s_lambda, and
+    p_k s_mu adds every border strip of size k to mu, with sign -1 to its
+    height.  On the n-bead beta-set of mu (positions mu_i + n - i, kept as a
+    bitmask) a strip moves one bead from b to an empty b + k, and its height
+    is the number of beads jumped over.
+    """
     n = sum(tp)
-    imgs = list(range(n))
-    start = 0
-    for part in tp:
-        for off in range(part):
-            imgs[start + off] = start + (off + 1) % part
-        start += part
-    return tuple(imgs)
+    column = {(1 << n) - 1: 1}  # the empty partition
+    for k in tp:
+        nxt: dict[int, int] = {}
+        for beads, chi in column.items():
+            for b in range(beads.bit_length()):
+                if beads >> b & 1 and not beads >> (b + k) & 1:
+                    moved = beads ^ (1 << b) ^ (1 << (b + k))
+                    jumped = (beads >> (b + 1) & ((1 << (k - 1)) - 1)).bit_count()
+                    nxt[moved] = nxt.get(moved, 0) + (-chi if jumped & 1 else chi)
+        column = {beads: chi for beads, chi in nxt.items() if chi}
+    return {_shape(beads): chi for beads, chi in column.items()}
 
 
-def _ncycles(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            count += 1
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                a = p[a]
-    return count
+def _dim(lam: Parts) -> int:
+    """dim(lambda) = n! / prod of the hook lengths."""
+    conj = [sum(1 for a in lam if a > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, a in enumerate(lam):
+        for j in range(a):
+            hooks *= a - j + conj[j] - i - 1
+    return factorial(sum(lam)) // hooks
 
 
-# One entry per n <= WALK_MAX_N (`table --n 7 --method oracle`: 6).
-@lru_cache(maxsize=16)
-def _sn_tables(n: int):
-    """Permutations of range(n), their index map, and one index row per
-    transposition giving right multiplication rho -> rho*(a b)."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            row = [0] * len(perms)
-            for i, p in enumerate(perms):
-                q = [b if v == a else a if v == b else v for v in p]
-                row[i] = index[tuple(q)]
-            rows.append(row)
-    return perms, index, rows
+def _content(lam: Parts) -> int:
+    """cont(lambda) = sum of j - i over the cells (i, j) of lambda."""
+    return sum(a * (a - 1) // 2 - i * a for i, a in enumerate(lam))
 
 
-def _walks_to(pi: tuple[int, ...], r: int) -> int:
-    """Number of length-r transposition sequences multiplying to pi (0-based)."""
-    n = len(pi)
-    if n == 1:
-        return 1 if r == 0 else 0
-    if (n - _ncycles(pi) - r) % 2:
-        return 0
-    perms, index, rows = _sn_tables(n)
-    v = [0] * len(perms)
-    v[index[tuple(range(n))]] = 1
-    for _ in range(r):
-        nv = [0] * len(perms)
-        for i, c in enumerate(v):
-            if c:
-                for row in rows:
-                    nv[row[i]] += c
-        v = nv
-    return v[index[pi]]
+# One entry per type reached by the sieve (`table --n 7 --method oracle`: 44;
+# `compare --n 12 --genus-max 3`: 271).
+@lru_cache(maxsize=1024)
+def _frobenius_terms(tp: Parts) -> tuple[tuple[int, int], ...]:
+    """(cont, sum of dim(lambda) chi^lambda(tp) over the lambda with that content)."""
+    weights: dict[int, int] = {}
+    for lam, chi in _characters(tp).items():
+        c = _content(lam)
+        weights[c] = weights.get(c, 0) + _dim(lam) * chi
+    return tuple((c, w) for c, w in weights.items() if w)
 
 
-# `table --n 7 --method oracle`: 277 entries; `compare --n 7 --genus-max 3`: 393.
+# `table --n 7 --method oracle`: 277 entries; `compare --n 12 --genus-max 3`: 3231.
+@lru_cache(maxsize=8192)
+def _walks_type(tp: Parts, r: int) -> int:
+    """W(tp, r): the character sum, divided by n! exactly."""
+    total = sum(w * c**r for c, w in _frobenius_terms(tp))
+    walks, rem = divmod(total, factorial(sum(tp)))
+    if rem or walks < 0:
+        raise IntegralityError(
+            f"character sum for {tp}, r={r}: {total}/{sum(tp)}! is not a nonnegative integer"
+        )
+    return walks
+
+
+# `table --n 7 --method oracle`: 179 entries; `compare --n 12 --genus-max 3`: 2286.
 @lru_cache(maxsize=4096)
-def _walks_type(tp: tuple[int, ...], r: int) -> int:
-    if not tp:
-        return 1 if r == 0 else 0
-    return _walks_to(_canonical_images0(tp), r)
-
-
-# `table --n 7 --method oracle`: 179 entries; `compare --n 7 --genus-max 3`: 267.
-@lru_cache(maxsize=4096)
-def _transitive_count(tp: tuple[int, ...], r: int) -> int:
+def _transitive_count(tp: Parts, r: int) -> int:
     """Sieve: subtract factorizations whose generated group splits the cycles.
 
     Every factorization assigns each cycle of the target to an orbit block;
@@ -226,32 +167,51 @@ def _transitive_count(tp: tuple[int, ...], r: int) -> int:
     return total
 
 
+# -- internal 0-based permutation helpers for the enumeration ----------------
+
+
+def _canonical_images0(tp: Parts) -> Parts:
+    n = sum(tp)
+    imgs = list(range(n))
+    start = 0
+    for part in tp:
+        for off in range(part):
+            imgs[start + off] = start + (off + 1) % part
+        start += part
+    return tuple(imgs)
+
+
+def _ncycles(p: Sequence[int]) -> int:
+    seen = [False] * len(p)
+    count = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            count += 1
+            a = start
+            while not seen[a]:
+                seen[a] = True
+                a = p[a]
+    return count
+
+
 # -- public counting API -----------------------------------------------------
 
 
-def count_walks(alpha: Partition, r: int, rep: Permutation | None = None) -> int:
+def count_walks(alpha: Partition, r: int) -> int:
     """All (not necessarily transitive) length-r factorizations of a fixed
-    permutation of cycle type alpha.  rep overrides the canonical choice;
-    the count does not depend on it."""
-    n = alpha.n
-    if n < 1:
+    permutation of cycle type alpha, by the character formula."""
+    if alpha.n < 1:
         raise ValueError("alpha must be a partition of n >= 1")
-    if n > WALK_MAX_N:
-        raise SizeLimitExceeded(f"walk counting keeps a vector over S_{n}; n <= {WALK_MAX_N}")
+    _check_budget(alpha.n)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if rep is None:
-        return _walks_type(alpha.parts, r)
-    if rep.cycle_type() != alpha:
-        raise ValueError(f"representative has cycle type {rep.cycle_type()}, not {alpha}")
-    return _walks_to(tuple(v - 1 for v in rep.images), r)
+    return _walks_type(alpha.parts, r)
 
 
 def count_transitive(alpha: Partition, g: int) -> int:
-    """c_g(alpha) via the walk DP plus the disconnection sieve."""
+    """c_g(alpha) via the character formula plus the disconnection sieve."""
     prob = FactorizationProblem(alpha, g)
-    if alpha.n > WALK_MAX_N:
-        raise SizeLimitExceeded(f"walk counting keeps a vector over S_{alpha.n}; n <= {WALK_MAX_N}")
+    _check_budget(alpha.n)
     return _transitive_count(alpha.parts, prob.r)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hurwitz import closedform, cutjoin
 from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_partition
+from hurwitz.oracle import ORACLE_MAX_N
 from hurwitz.partitions import Partition
 from hurwitz.series import PSeries
 
@@ -78,11 +79,12 @@ class TestCount:
         assert "reordered" in err
 
     def test_oracle_size_refusal(self, capsys):
-        code, _, err = run_cli(
-            capsys, "count", "--alpha", "8", "--genus", "0", "--method", "oracle"
+        code, out, err = run_cli(
+            capsys, "count", "--alpha", str(ORACLE_MAX_N + 1), "--genus", "0", "--method", "oracle"
         )
         assert code == EXIT_USAGE
-        assert "error" in err
+        assert out == "" and err.startswith("error: ")
+        assert f"ORACLE_MAX_N = {ORACLE_MAX_N}" in err
 
     def test_closed_genus_two_refused(self, capsys):
         code, _, err = run_cli(capsys, "count", "--alpha", "2", "--genus", "2")
@@ -226,10 +228,11 @@ class TestCompare:
         assert len(lines) == 1 + 2 * 11  # eleven partitions, two genera
         assert all(line.endswith(",yes") for line in lines[1:])
 
-    def test_oracle_skipped_above_five(self, capsys):
-        code, out, err = run_cli(capsys, "compare", "--n", "8")
+    def test_oracle_skipped_above_budget(self, capsys):
+        n = ORACLE_MAX_N + 1
+        code, out, err = run_cli(capsys, "compare", "--n", str(n))
         assert code == EXIT_OK
-        assert "oracle skipped" in err
+        assert err == f"note: oracle skipped for n={n} > ORACLE_MAX_N={ORACLE_MAX_N}\n"
         assert out.splitlines()[0] == "alpha,g,cutjoin,closed,agree"
 
 
@@ -247,12 +250,14 @@ class TestPinnedOutput:
                 ("table", "--n", "12", "--method", "closed"),
                 "bc5717438f4dab5783a4243826cb0460ace20e7b71993d0a598be987b562f7d6",
             ),
-            # recorded at commit 5484334, when these paths still set the
-            # cut-and-join step count per query
+            # recorded when the oracle column reached n = 8; without that
+            # column the bytes equal those recorded at commit 5484334, when
+            # this path still set the cut-and-join step count per query
             (
                 ("compare", "--n", "8", "--genus-max", "3"),
-                "61a282f7faae2c8e41fe0263d1bf3b9029862f2c85615f2d1ea459e7b527ac86",
+                "de1cf8de1f71d198fbed039e7d3bae861097aef9f2f7d6a753e8d1648e29d3ff",
             ),
+            # recorded at commit 5484334
             (
                 ("count", "--alpha", "3,3,2", "--genus", "3", "--method", "cutjoin"),
                 "6749f0e8e7953e320cbe1fe843514c6a81c4ea30fd08da30efbb5852ea5ffca2",

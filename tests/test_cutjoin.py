@@ -52,6 +52,15 @@ class TestBounds:
             with pytest.raises(ValueError):
                 evolve(N, G)
 
+    def test_run_shares_the_evolve_cache(self):
+        # both bounds are positional and required, so run(4) and evolve(4, 1)
+        # hit one cache entry
+        evolve.cache_clear()
+        run(4)
+        evolve(4, 1)
+        info = evolve.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("N, G", [(1, 0), (5, 1), (6, 2), (4, 3)])
     def test_step_count_reaches_every_type(self, N, G):
         # the largest r = n + m + 2g - 2 is (1^N) at genus G
@@ -154,6 +163,13 @@ class TestGenusTwo:
         for (alpha, g), c in want.items():
             if g == 0:
                 assert extract_c(genus_zero, alpha, 0) == c, alpha
+
+    def test_matches_oracle_through_n9(self):
+        table = run(9, 2)
+        keys = [(alpha, g) for n in range(1, 10) for alpha in partitions_of(n) for g in range(3)]
+        assert len(keys) == len(table) == 288
+        for alpha, g in keys:
+            assert table[alpha, g] == count_transitive(alpha, g), (alpha, g)
 
 
 class TestGenusSlices:

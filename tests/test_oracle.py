@@ -1,23 +1,28 @@
-"""Factorization counting: enumeration vs walk DP vs character sums."""
+"""Factorization counting: enumeration vs the character formula vs S_3's table."""
 
-import random
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import hurwitz
 from hurwitz import (
     FactorizationProblem,
     Partition,
-    Permutation,
     SizeLimitExceeded,
-    canonical_rep,
     class_size,
     count_naive,
     count_transitive,
     count_walks,
     mu0,
+    partitions_of,
+    theta,
 )
+from hurwitz.oracle import ORACLE_MAX_N, _characters, _dim
 
 # Character table of S_3: rows (trivial, sign, standard) on the classes
 # (1,1,1), (2,1), (3); used as an independent oracle for walk counts.
@@ -40,30 +45,6 @@ def s3_walks_by_characters(alpha: Partition, r: int) -> int:
     value = Fraction(3**r, 6) * total
     assert value.denominator == 1
     return int(value)
-
-
-class TestPermutation:
-    def test_bijection_required(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 3))
-
-    def test_product_left_to_right(self):
-        a = Permutation((2, 1, 3))  # (1 2)
-        b = Permutation((1, 3, 2))  # (2 3)
-        assert (a * b).images == (3, 1, 2)  # 1->2->3, 2->1, 3->3->2
-
-    def test_inverse(self):
-        g = Permutation((3, 1, 2))
-        assert (g * g.inverse()).images == (1, 2, 3)
-
-    def test_cycle_type(self):
-        g = Permutation((2, 3, 1, 5, 4))
-        assert g.cycle_type() == Partition((3, 2))
-
-    def test_canonical_rep(self):
-        g = canonical_rep(Partition((3, 2)))
-        assert g.images == (2, 3, 1, 5, 4)
-        assert g.cycle_type() == Partition((3, 2))
 
 
 class TestFactorizationProblem:
@@ -111,25 +92,47 @@ class TestCountWalks:
                     want = 0  # the character sum also vanishes; be explicit
                 assert count_walks(alpha, r) == want
 
-    def test_conjugation_invariance(self):
-        rng = random.Random(7)
-        for alpha in (Partition((3, 1)), Partition((2, 2)), Partition((4, 1))):
-            n = alpha.n
-            r = n + alpha.m
-            base = count_walks(alpha, r)
-            images = list(range(1, n + 1))
-            rng.shuffle(images)
-            h = Permutation(images)
-            conj = h.inverse() * canonical_rep(alpha) * h
-            assert count_walks(alpha, r, rep=conj) == base
+    def test_class_sums_count_every_sequence(self):
+        # each of the C(n, 2)^r transposition sequences multiplies to exactly
+        # one permutation, and the count is constant on each class
+        for n in range(1, 10):
+            for r in range(2 * n + 1):
+                total = sum(class_size(alpha) * count_walks(alpha, r) for alpha in partitions_of(n))
+                assert total == comb(n, 2) ** r, (n, r)
 
-    def test_rep_type_checked(self):
-        with pytest.raises(ValueError):
-            count_walks(Partition((3,)), 2, rep=Permutation((1, 2, 3)))
+    def test_parity_zeros(self):
+        # a product of r transpositions has sign (-1)^r, a type-alpha
+        # permutation (-1)^(n - m)
+        for n in range(1, 10):
+            for alpha in partitions_of(n):
+                for r in range(n - alpha.m + 1, 2 * n + 1, 2):
+                    assert count_walks(alpha, r) == 0, (alpha, r)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_non_integral_character_sum_raises(self, flags):
+        # raising the trivial character at (2,1) adds 3^3 = 27 to a sum that
+        # must be a multiple of 3! = 6; python -O must not strip the guard
+        code = (
+            "from hurwitz import IntegralityError, Partition, count_walks, oracle\n"
+            "real = oracle._characters\n"
+            "def perturbed(tp):\n"
+            "    chars = dict(real(tp))\n"
+            "    chars[(sum(tp),)] += 1\n"
+            "    return chars\n"
+            "oracle._characters = perturbed\n"
+            "try:\n"
+            "    count_walks(Partition((2, 1)), 3)\n"
+            "except IntegralityError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(hurwitz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        assert subprocess.run([sys.executable, *flags, "-c", code], env=env).returncode == 0
 
     def test_size_refusal(self):
-        with pytest.raises(SizeLimitExceeded):
-            count_walks(Partition((8,)), 7)
+        with pytest.raises(SizeLimitExceeded, match="ORACLE_MAX_N"):
+            count_walks(Partition((ORACLE_MAX_N + 1,)), ORACLE_MAX_N)
 
 
 class TestCountTransitive:
@@ -149,15 +152,11 @@ class TestCountTransitive:
 
     def test_matches_naive_enumeration(self):
         for n in range(1, 5):
-            from hurwitz import partitions_of
-
             for alpha in partitions_of(n):
                 for g in (0, 1):
                     assert count_transitive(alpha, g) == count_naive(alpha, g)
 
     def test_genus_zero_matches_closed_formula(self):
-        from hurwitz import partitions_of
-
         for n in range(1, 6):
             for alpha in partitions_of(n):
                 c = count_transitive(alpha, 0)
@@ -180,5 +179,20 @@ class TestCountTransitive:
             assert count_naive(Partition((n,)), 0) == n ** (n - 2)
 
     def test_size_refusal(self):
-        with pytest.raises(SizeLimitExceeded):
-            count_transitive(Partition((8,)), 0)
+        with pytest.raises(SizeLimitExceeded, match="ORACLE_MAX_N"):
+            count_transitive(Partition((ORACLE_MAX_N + 1,)), 0)
+
+
+class TestCharacters:
+    def test_column_orthogonality(self):
+        # sum_lambda chi^lambda(alpha)^2 is the centralizer order theta(alpha)
+        for n in range(1, 10):
+            for alpha in partitions_of(n):
+                chars = _characters(alpha.parts)
+                assert sum(chi * chi for chi in chars.values()) == theta(alpha), alpha
+
+    def test_identity_column_is_the_hook_length_dimension(self):
+        for n in range(1, 10):
+            chars = _characters((1,) * n)
+            assert sorted(chars) == sorted(lam.parts for lam in partitions_of(n))
+            assert all(chars[lam] == _dim(lam) for lam in chars)
