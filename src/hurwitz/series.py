@@ -1,7 +1,7 @@
 """Sparse truncated formal power series with exact rational coefficients.
 
 The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, and N is its only
-bound.  A series is a sparse map from monomials to nonzero Fraction
+bound.  A series is a sparse map from monomials to nonzero rational
 coefficients; the monomial key format is private to this module, and other
 modules build series from partitions (``PSeries.from_parts``) or single
 monomials (``PSeries.term``).  Monomials above x^N are dropped when a series
@@ -18,27 +18,26 @@ to carry positive x-degree.  That restriction keeps their expansions finite
 inside the truncation; all the series this package feeds them are of that
 kind (x-adically small).
 
-Coefficients are Fractions throughout; floating point is never used.
-
-Products go through one integer kernel, ``int_terms``: each factor is
-brought to the lcm L of its denominators, so every coefficient becomes an
-integer numerator over L.  The double loop then multiplies and adds plain
-ints, and each surviving monomial gets one ``Fraction(num, La * Lb)``.  This
-is exact: sum_ij (u_i/La)(v_j/Lb) = (sum_ij u_i v_j)/(La Lb) in Q, and
-Fraction reduces the quotient to lowest terms, so the stored coefficients
-are the same Fractions the termwise products would give.  A sum that
-cancels to zero is dropped, never stored.
+A series is stored fraction-free, as integer numerators over one positive
+denominator ``den``, in canonical form: no zero numerator is stored,
+gcd(den, *numerators) == 1, and the zero series has den == 1, so equal series
+have equal (den, terms).  Sums align to lcm(den_a, den_b), scalars and
+derivations scale numerators, and products run their double loop on ints
+over den_a * den_b; each result is reduced once by ``gcd(den, *numerators)``.
+Only coefficient reads (``coeff``, ``fraction_view``) build Fractions, and
+floating point is never used.  ``verify.WPoly`` shares this storage and the
+helpers below.
 
 The public constructor validates (no floats, no zeros, nothing beyond the
 truncation); ring operations build their results through ``PSeries._of``,
-which skips that pass because their dicts are already clean.
+which skips that pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 PExp = tuple[tuple[int, int], ...]
@@ -84,19 +83,58 @@ def _merge_pexp(a: PExp, b: PExp) -> PExp:
     return tuple(sorted(agg.items()))
 
 
-def int_terms(terms: Mapping[Key, Fraction]) -> tuple[int, list[tuple[Key, int]]]:
-    """Common denominator L of the coefficients, and the terms as integers.
+def _integer_form(
+    terms: Mapping[Key, Fraction | int], keep: Callable[[Key], bool]
+) -> tuple[int, dict[Key, int]]:
+    """The nonzero kept coefficients over their lcm denominator (canonical as is)."""
+    clean: dict[Key, Fraction] = {}
+    for mono, c in terms.items():
+        if isinstance(c, float):
+            raise TypeError("floating-point coefficients are not allowed")
+        if c and keep(mono):
+            clean[mono] = Fraction(c)
+    den = lcm(*(c.denominator for c in clean.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
 
-    Each pair is (monomial, c * L), an exact integer; products of two such
-    lists need integer arithmetic only, with one division by La * Lb per
-    surviving monomial.
-    """
-    L = lcm(*(c.denominator for c in terms.values()))
-    return L, [(m, c.numerator * (L // c.denominator)) for m, c in terms.items()]
+
+def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
+    """Canonical form of terms/den (den > 0, no zero numerator in terms)."""
+    if not terms:
+        return 1, terms
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return den, terms
+    return den // g, {m: v // g for m, v in terms.items()}
 
 
-def _x_degree(term: tuple[Monomial, int]) -> int:
-    return term[0][0]
+def _add_scaled(
+    da: int, ta: Mapping[Key, int], db: int, tb: Mapping[Key, int], sign: int = 1
+) -> tuple[int, dict[Key, int]]:
+    """Canonical form of ta/da + sign * tb/db, over lcm(da, db)."""
+    den = da if da == db else lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    out = dict(ta) if fa == 1 else {m: v * fa for m, v in ta.items()}
+    for m, v in tb.items():
+        total = out.get(m, 0) + v * fb
+        if total:
+            out[m] = total
+        else:
+            del out[m]
+    return _reduce(den, out)
+
+
+def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, dict[Key, int]]:
+    """Canonical form of c * terms/den for an exact scalar c."""
+    if isinstance(c, float):
+        raise TypeError("floating-point coefficients are not allowed")
+    if not c:
+        return 1, {}
+    return _reduce(den * c.denominator, {m: v * c.numerator for m, v in terms.items()})
+
+
+def fraction_view(f: "PSeries") -> dict:
+    """The coefficients of a PSeries or WPoly as Fractions, by monomial."""
+    return {m: Fraction(v, f.den) for m, v in f.terms.items()}
 
 
 def monomial_str(mono: Monomial) -> str:
@@ -121,13 +159,13 @@ def _parts_key(parts: Iterable[int]) -> tuple[int, PExp]:
 
 
 class PSeries:
-    """Immutable sparse series, cut at x^N.
+    """Immutable sparse series, cut at x^N, stored as terms/den.
 
     All binary operations demand the same N; mixing them raises
     TruncationMismatch rather than silently coercing.
     """
 
-    __slots__ = ("N", "terms")
+    __slots__ = ("N", "den", "terms")
 
     def __init__(
         self,
@@ -136,22 +174,14 @@ class PSeries:
     ):
         if N < 1:
             raise ValueError(f"truncation degree N={N} is below 1")
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if isinstance(c, float):
-                    raise TypeError("floating-point coefficients are not allowed")
-                if c and mono[0] <= N:
-                    clean[mono] = Fraction(c)
         self.N = N
-        self.terms = clean
+        self.den, self.terms = _integer_form(terms or {}, lambda mono: mono[0] <= N)
 
     @classmethod
-    def _of(cls, N: int, terms: dict[Monomial, Fraction]) -> "PSeries":
-        """Wrap a dict of nonzero Fractions inside the truncation, unchecked."""
+    def _of(cls, N: int, den: int, terms: dict[Monomial, int]) -> "PSeries":
+        """Wrap canonical numerators over den inside the truncation, unchecked."""
         out = object.__new__(cls)
-        out.N = N
-        out.terms = terms
+        out.N, out.den, out.terms = N, den, terms
         return out
 
     # -- constructors ------------------------------------------------------
@@ -162,13 +192,13 @@ class PSeries:
 
     @staticmethod
     def one(N: int) -> "PSeries":
-        return PSeries(N, {(0, ()): Fraction(1)})
+        return PSeries(N, {(0, ()): 1})
 
     @staticmethod
     def x(N: int, power: int = 1) -> "PSeries":
         if power < 0:
             raise ValueError(f"negative x-power {power}")
-        return PSeries(N, {(power, ()): Fraction(1)})
+        return PSeries(N, {(power, ()): 1})
 
     @staticmethod
     def term(
@@ -206,7 +236,7 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check(other)
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -221,61 +251,31 @@ class PSeries:
 
     def __add__(self, other: "PSeries") -> "PSeries":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = c
-            else:
-                total = prev + c
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
-        return PSeries._of(self.N, out)
+        return PSeries._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms))
 
     def __sub__(self, other: "PSeries") -> "PSeries":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = -c
-            else:
-                total = prev - c
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
-        return PSeries._of(self.N, out)
+        return PSeries._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
 
     def __neg__(self) -> "PSeries":
-        return PSeries._of(self.N, {m: -c for m, c in self.terms.items()})
+        return PSeries._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
 
     def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
-        if isinstance(other, float):
-            raise TypeError("floating-point coefficients are not allowed")
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return PSeries.zero(self.N)
-            return PSeries._of(self.N, {m: c * other for m, c in self.terms.items()})
+        if isinstance(other, (int, float, Fraction)):
+            return PSeries._of(self.N, *_scale(self.den, self.terms, other))
         self._check(other)
         N = self.N
-        La, A = int_terms(self.terms)
-        Lb, B = int_terms(other.terms)
-        B.sort(key=_x_degree)  # so the x-cut ends the inner loop
+        # sorted by x-degree, so the x-cut ends the inner loop
+        B = sorted(other.terms.items(), key=lambda term: term[0][0])
         acc: dict[Monomial, int] = {}
-        for (x1, p1), a in A:
+        for (x1, p1), a in self.terms.items():
             for (x2, p2), b in B:
                 xd = x1 + x2
                 if xd > N:
                     break
                 key = (xd, _merge_pexp(p1, p2))
                 acc[key] = acc.get(key, 0) + a * b
-        den = La * Lb
-        return PSeries._of(
-            self.N, {m: Fraction(v, den) for m, v in acc.items() if v}
-        )
+        return PSeries._of(N, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
 
     __rmul__ = __mul__
 
@@ -286,12 +286,13 @@ class PSeries:
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Multiply by a single monomial (cheaper than building a PSeries)."""
-        padd = _canon_pexp(p)
+        padd, N = _canon_pexp(p), self.N
         out = {
-            (xd + x, _merge_pexp(pexp, padd)): c * coeff
-            for (xd, pexp), c in self.terms.items()
+            (xd + x, _merge_pexp(pexp, padd)): v
+            for (xd, pexp), v in self.terms.items()
+            if xd + x <= N
         }
-        return PSeries(self.N, out)
+        return PSeries._of(N, *_scale(self.den, out, coeff))
 
     # -- derivations and slices --------------------------------------------
 
@@ -299,31 +300,29 @@ class PSeries:
         """Formal partial derivative with respect to p_k."""
         if k < 1:
             raise ValueError(f"p-index {k} is below 1")
-        out: dict[Monomial, Fraction] = {}
-        for (xd, pexp), c in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for (xd, pexp), v in self.terms.items():
             for pos, (i, e) in enumerate(pexp):
                 if i == k:
                     if e == 1:
                         reduced = pexp[:pos] + pexp[pos + 1 :]
                     else:
                         reduced = pexp[:pos] + ((i, e - 1),) + pexp[pos + 1 :]
-                    out[(xd, reduced)] = c * e
+                    out[(xd, reduced)] = v * e
                     break
-        return PSeries._of(self.N, out)
+        return PSeries._of(self.N, *_reduce(self.den, out))
 
     def xdiff(self) -> "PSeries":
         """The Euler operator x * d/dx: scales each term by its x-degree."""
-        return PSeries._of(
-            self.N,
-            {m: c * m[0] for m, c in self.terms.items() if m[0]},
-        )
+        out = {m: v * m[0] for m, v in self.terms.items() if m[0]}
+        return PSeries._of(self.N, *_reduce(self.den, out))
 
     def x_parts(self, strip: bool = False) -> dict[int, "PSeries"]:
         """Split into x-degree parts; strip removes the x factor."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for (xd, pexp), c in self.terms.items():
-            buckets.setdefault(xd, {})[(0, pexp) if strip else (xd, pexp)] = c
-        return {d: PSeries._of(self.N, t) for d, t in buckets.items()}
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for (xd, pexp), v in self.terms.items():
+            buckets.setdefault(xd, {})[(0, pexp) if strip else (xd, pexp)] = v
+        return {d: PSeries._of(self.N, *_reduce(self.den, t)) for d, t in buckets.items()}
 
     # -- queries -----------------------------------------------------------
 
@@ -331,7 +330,8 @@ class PSeries:
         """Exact coefficient of x^x_deg p_alpha, alpha given by parts."""
         if not 0 <= x_deg <= self.N:
             raise ValueError(f"x-degree {x_deg} outside truncation N={self.N}")
-        return self.terms.get((x_deg, _parts_key(parts)[1]), _ZERO)
+        v = self.terms.get((x_deg, _parts_key(parts)[1]))
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def lead_monomial(self) -> Monomial | None:
         """Lexicographically first stored monomial (None for the zero series)."""
@@ -363,10 +363,7 @@ def exp(f: PSeries) -> PSeries:
             if e <= d:
                 acc = acc + (fe * gparts[d - e]) * e
         gparts.append(acc * Fraction(1, d))
-    total = gparts[0]
-    for part in gparts[1:]:
-        total = total + part
-    return total
+    return sum(gparts[1:], gparts[0])
 
 
 def log1(f: PSeries) -> PSeries:
@@ -382,10 +379,7 @@ def log1(f: PSeries) -> PSeries:
             if e < d:
                 corr = corr + (fe * gparts[d - e]) * (d - e)
         gparts.append(acc - corr * Fraction(1, d))
-    total = gparts[0]
-    for part in gparts[1:]:
-        total = total + part
-    return total
+    return sum(gparts[1:], gparts[0])
 
 
 def inv_one_minus(f: PSeries) -> PSeries:

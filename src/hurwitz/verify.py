@@ -61,8 +61,11 @@ from .partitions import a_coeff, elem_sym, partitions_of, theta
 from .series import (
     PSeries,
     TruncationMismatch,
+    _add_scaled,
+    _integer_form,
+    _reduce,
+    _scale,
     exp,
-    int_terms,
     inv_one_minus,
     monomial_str,
 )
@@ -128,10 +131,11 @@ class WPoly:
     With order None it is a polynomial in w1, w2, w3.  With an integer order
     it is a series in x1, x2, x3 that drops every monomial of degree above
     the order in some variable.  Combining two different orders raises
-    TruncationMismatch.
+    TruncationMismatch.  Like ``PSeries`` it stores integer numerators over
+    one denominator, in the same canonical form and through the same helpers.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "den", "terms")
 
     def __init__(
         self,
@@ -139,11 +143,15 @@ class WPoly:
         order: int | None = None,
     ):
         self.order = order
-        self.terms: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c and (order is None or max(mono) <= order):
-                    self.terms[mono] = Fraction(c)
+        cap = _NO_CAP if order is None else order
+        self.den, self.terms = _integer_form(terms or {}, lambda mono: max(mono) <= cap)
+
+    @classmethod
+    def _of(cls, order: int | None, den: int, terms: dict[Mono, int]) -> "WPoly":
+        """Wrap canonical numerators over den inside the order, unchecked."""
+        out = object.__new__(cls)
+        out.order, out.den, out.terms = order, den, terms
+        return out
 
     @staticmethod
     def const(c: Fraction | int, order: int | None = None) -> "WPoly":
@@ -169,44 +177,36 @@ class WPoly:
 
     def __add__(self, other: "WPoly") -> "WPoly":
         order = self._order_with(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return WPoly(out, order)
+        return WPoly._of(order, *_add_scaled(self.den, self.terms, other.den, other.terms))
 
     def __sub__(self, other: "WPoly") -> "WPoly":
         order = self._order_with(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) - c
-        return WPoly(out, order)
+        return WPoly._of(order, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
 
     def __neg__(self) -> "WPoly":
-        return WPoly({m: -c for m, c in self.terms.items()}, self.order)
+        return WPoly._of(self.order, self.den, {m: -v for m, v in self.terms.items()})
 
     def __mul__(self, other: "WPoly | Fraction | int") -> "WPoly":
-        if isinstance(other, (int, Fraction)):
-            return WPoly({m: c * other for m, c in self.terms.items()}, self.order)
+        if isinstance(other, (int, float, Fraction)):
+            return WPoly._of(self.order, *_scale(self.den, self.terms, other))
         order = self._order_with(other)
         L = _NO_CAP if order is None else order
-        La, A = int_terms(self.terms)
-        Lb, B = int_terms(other.terms)
+        B = other.terms.items()
         acc: dict[Mono, int] = {}
-        for (a1, a2, a3), a in A:
+        for (a1, a2, a3), a in self.terms.items():
             for (b1, b2, b3), b in B:
                 e1, e2, e3 = a1 + b1, a2 + b2, a3 + b3
                 if e1 > L or e2 > L or e3 > L:
                     continue
                 key = (e1, e2, e3)
                 acc[key] = acc.get(key, 0) + a * b
-        den = La * Lb
-        return WPoly({m: Fraction(v, den) for m, v in acc.items()}, order)
+        return WPoly._of(order, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WPoly):
-            return self.order == other.order and self.terms == other.terms
+            return (self.order, self.den, self.terms) == (other.order, other.den, other.terms)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -543,7 +543,8 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
             for _ in range(e):
                 term = term * _w_series(v, 0, order)
         total = total + term
-    return total
+    # the loop summed p's numerators; divide by its denominator once
+    return WPoly._of(order, *_reduce(total.den * p.den, total.terms))
 
 
 # `verify --N 16`: 6 entries.
@@ -636,7 +637,10 @@ def _direct_e(v1: int, v2: int, order: int) -> WPoly:
 def _series_kernels(order: int) -> KernelForms:
     """The weights-only expansions, truncated at order, as kernel forms."""
     forms = (_direct_a, _direct_b, _direct_c, _direct_d, _direct_e, _direct_psi)
-    return KernelForms(*(partial(f, order=order) for f in forms))
+    # Each form is cached by its slots for the life of the kernel forms: the
+    # checks of one `verify` run ask 73 times for 30 distinct expansions, 10
+    # times for 8 distinct two-slot ones, and at most 8 of one form per order.
+    return KernelForms(*(lru_cache(maxsize=16)(partial(f, order=order)) for f in forms))
 
 
 def closed_form_series_checks(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 
@@ -6,6 +7,18 @@ from hurwitz import PSeries
 
 TR8 = 8  # series cut at x^8
 TR6 = 6
+
+
+def is_canonical(f) -> bool:
+    """The stored form of a PSeries or WPoly: nonzero int numerators over a
+    positive int den, gcd(den, *numerators) == 1, den == 1 for zero."""
+    nums = list(f.terms.values())
+    return (
+        type(f.den) is int
+        and f.den > 0
+        and all(type(v) is int and v for v in nums)
+        and gcd(f.den, *nums) == 1
+    )
 
 
 def fractions_st(max_num: int = 6, max_den: int = 4):

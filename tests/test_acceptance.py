@@ -28,6 +28,7 @@ from hurwitz import (
 )
 from hurwitz.closedform import psi_at_s
 from hurwitz.partitions import a_coeff
+from hurwitz.series import fraction_view
 from hurwitz.verify import (
     closed_form_series_checks,
     elem_sym_extraction,
@@ -107,7 +108,7 @@ def test_criterion_5_series_identities():
             for r, mr in lam.mults().items():
                 coeff *= (n * a_coeff(r) / r) ** mr / factorial(mr)
             expected[(n, lam.pexp())] = coeff
-        got = {mono: c for mono, c in s.terms.items() if mono[0] == n}
+        got = {mono: c for mono, c in fraction_view(s).items() if mono[0] == n}
         if got != expected:
             ok = False
 

@@ -191,8 +191,15 @@ class TestVerify:
                 EXIT_FAIL,
                 "3cedd400dee6969d973a56db4e1da0d7161b2a666a62f8684c16df180c35b800",
             ),
+            # the benchmarked report, recorded at commit f75081f, before the
+            # rings stored integer numerators over one denominator
+            (
+                ("--N", "12"),
+                EXIT_OK,
+                "9fee32ba67b6156aa74de82c63dd1e1bf5e2ae9dbca9f94d1a1f09087f2905db",
+            ),
         ],
-        ids=["N8", "N8-inject-fault"],
+        ids=["N8", "N8-inject-fault", "N12"],
     )
     def test_report_bytes_are_pinned(self, capsys, argv, want_code, digest):
         code, out, _ = run_cli(capsys, "verify", *argv)

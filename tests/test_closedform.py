@@ -33,7 +33,7 @@ from hurwitz import (
 from hurwitz import closedform
 from hurwitz.closedform import f0_pdiff2, psi_at_s, s_powers
 from hurwitz.partitions import a_coeff, psi
-from hurwitz.series import FixedPointError, certify_fixed_point, subst_x
+from hurwitz.series import FixedPointError, certify_fixed_point, fraction_view, subst_x
 from hurwitz.verify import _tree_coeffs
 
 TR8 = 8
@@ -164,7 +164,7 @@ class TestGoldenSerialization:
         assert all(rec["z"] == 0 for rec in golden)
         got = [
             (x, [[i, e] for i, e in pexp], str(c))
-            for (x, pexp), c in sorted(g1_defn(tr).terms.items())
+            for (x, pexp), c in sorted(fraction_view(g1_defn(tr)).items())
         ]
         assert got == [(rec["x"], rec["p"], rec["c"]) for rec in golden]
 
@@ -190,7 +190,7 @@ class TestSubstitutionSeries:
                 if coeff:
                     expected[(n, lam.pexp())] = coeff
             got = {
-                mono: c for mono, c in s.terms.items() if mono[0] == n
+                mono: c for mono, c in fraction_view(s).items() if mono[0] == n
             }
             assert got == expected
 

@@ -16,9 +16,9 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz.series import certify_fixed_point
+from hurwitz.series import certify_fixed_point, fraction_view
 
-from conftest import TR6, TR8, series_st
+from conftest import TR6, TR8, fractions_st, is_canonical, pexp_st, series_st
 
 # few monomials, so random products often overflow the truncation
 TR_SMALL = 2
@@ -35,18 +35,22 @@ def xp1(N):
     return PSeries.term(N, 1, x=1, p=((1, 1),))
 
 
+def merged(p1, p2):
+    pexp = dict(p1)
+    for i, e in p2:
+        pexp[i] = pexp.get(i, 0) + e
+    return tuple(sorted(pexp.items()))
+
+
 def fraction_loop_product(f, g):
     """The product by a termwise Fraction double loop, zero sums dropped."""
     N = f.N
     out = {}
-    for (x1, p1), c1 in f.terms.items():
-        for (x2, p2), c2 in g.terms.items():
+    for (x1, p1), c1 in fraction_view(f).items():
+        for (x2, p2), c2 in fraction_view(g).items():
             if x1 + x2 > N:
                 continue
-            pexp = dict(p1)
-            for i, e in p2:
-                pexp[i] = pexp.get(i, 0) + e
-            key = (x1 + x2, tuple(sorted(pexp.items())))
+            key = (x1 + x2, merged(p1, p2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {key: c for key, c in out.items() if c}
 
@@ -145,8 +149,8 @@ class TestIntegerKernel:
     def test_product_equals_fraction_loop(self, pair):
         f, g = pair
         got = f * g
-        assert got.terms == fraction_loop_product(f, g)
-        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert fraction_view(got) == fraction_loop_product(f, g)
+        assert is_canonical(got)
 
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
         t = 3
@@ -154,18 +158,80 @@ class TestIntegerKernel:
         g = PSeries(t, {(0, ()): Fraction(4, 3), (1, ((1, 1),)): Fraction(-16, 9)})
         # y = x p1; the y coefficients cancel: (1/2)(-16/9) + (2/3)(4/3) = 0
         prod = f * g
-        assert prod.terms == {(0, ()): Fraction(2, 3), (2, ((1, 2),)): Fraction(-32, 27)}
+        assert fraction_view(prod) == {(0, ()): Fraction(2, 3), (2, ((1, 2),)): Fraction(-32, 27)}
         assert (PSeries.x(t, 2) * PSeries.x(t, 2)).terms == {}
 
     @given(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8))
     @settings(max_examples=40, deadline=None)
     def test_sums_store_no_zero(self, f, g):
         for res in (f + g, f - g, (f + g) - g, -f, f * Fraction(-3, 2)):
-            assert all(type(c) is Fraction and c for c in res.terms.values())
-        assert ((f + g) - g).terms == f.terms
+            assert is_canonical(res)
+        assert fraction_view((f + g) - g) == fraction_view(f)
 
     def test_shift_still_truncates(self):
         assert PSeries.x(TR6).shift(x=TR6).is_zero
+
+
+class TestCanonicalForm:
+    """Every operation stores its result canonically, with the coefficients
+    a termwise Fraction computation on the coefficient views gives."""
+
+    @given(
+        series_st(TR_SMALL, max_terms=8),
+        series_st(TR_SMALL, max_terms=8),
+        st.one_of(st.integers(-3, 3), fractions_st()),
+        st.integers(0, 2),
+        pexp_st(3),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_operation(self, f, g, c, x, p, k, strip):
+        F, G = fraction_view(f), fraction_view(g)
+
+        def nonzero(pairs):
+            return {m: v for m, v in pairs if v}
+
+        def summed(sign):
+            return nonzero((m, F.get(m, 0) + sign * G.get(m, 0)) for m in F.keys() | G.keys())
+
+        def pdiff_term(pexp):
+            exps = dict(pexp)
+            exps[k] -= 1
+            return tuple((i, e) for i, e in sorted(exps.items()) if e)
+
+        cases = [
+            (f + g, summed(1)),
+            (f - g, summed(-1)),
+            (-f, {m: -v for m, v in F.items()}),
+            (f * c, nonzero((m, v * c) for m, v in F.items())),
+            (f * g, fraction_loop_product(f, g)),
+            (
+                f.shift(c, x=x, p=p),
+                nonzero(
+                    ((xd + x, merged(pexp, p)), v * c)
+                    for (xd, pexp), v in F.items()
+                    if xd + x <= TR_SMALL
+                ),
+            ),
+            (
+                f.pdiff(k),
+                {
+                    (xd, pdiff_term(pexp)): v * dict(pexp)[k]
+                    for (xd, pexp), v in F.items()
+                    if k in dict(pexp)
+                },
+            ),
+            (f.xdiff(), nonzero((m, v * m[0]) for m, v in F.items())),
+        ]
+        parts = f.x_parts(strip)
+        assert sorted(parts) == sorted({xd for xd, _ in F})
+        for d, part in parts.items():
+            want = {(0 if strip else xd, pexp): v for (xd, pexp), v in F.items() if xd == d}
+            cases.append((part, want))
+        for got, want in cases:
+            assert is_canonical(got)
+            assert fraction_view(got) == want
 
 
 class TestDerivations:

@@ -21,6 +21,7 @@ from hurwitz import (
     verify,
 )
 from hurwitz.closedform import f0_series, s_series
+from hurwitz.series import fraction_view
 from hurwitz.verify import (
     DEFAULT_KERNELS,
     WExpr,
@@ -40,14 +41,19 @@ from hurwitz.verify import (
     wd,
 )
 
+from conftest import is_canonical
+
 TR8 = 8
+
+
+def coeff_st():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
 
 def wpoly_st(order):
     """Random WPoly with exponents 0..2, so products often overflow order 2."""
     mono = st.tuples(*[st.integers(0, 2)] * 3)
-    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-    return st.dictionaries(mono, coeff, max_size=6).map(lambda t: WPoly(t, order))
+    return st.dictionaries(mono, coeff_st(), max_size=6).map(lambda t: WPoly(t, order))
 
 
 def wpoly_pair_st(order):
@@ -63,8 +69,8 @@ def wpoly_pair_st(order):
 def fraction_loop_product(f, g):
     """The product by a termwise Fraction double loop, zero sums dropped."""
     out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    for m1, c1 in fraction_view(f).items():
+        for m2, c2 in fraction_view(g).items():
             mono = tuple(a + b for a, b in zip(m1, m2))
             if f.order is not None and max(mono) > f.order:
                 continue
@@ -129,8 +135,32 @@ class TestRing:
         f, g = data.draw(wpoly_pair_st(order))
         got = f * g
         assert got.order == order
-        assert got.terms == fraction_loop_product(f, g)
-        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert fraction_view(got) == fraction_loop_product(f, g)
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_is_canonical(self, order, data):
+        f, g = data.draw(wpoly_pair_st(order))
+        c = data.draw(st.one_of(st.integers(-3, 3), coeff_st()))
+        F, G = fraction_view(f), fraction_view(g)
+
+        def summed(sign):
+            pairs = ((m, F.get(m, 0) + sign * G.get(m, 0)) for m in F.keys() | G.keys())
+            return {m: v for m, v in pairs if v}
+
+        cases = [
+            (f + g, summed(1)),
+            (f - g, summed(-1)),
+            (-f, {m: -v for m, v in F.items()}),
+            (f * c, {m: v * c for m, v in F.items() if c}),
+            (f * g, fraction_loop_product(f, g)),
+        ]
+        for got, want in cases:
+            assert got.order == order
+            assert is_canonical(got)
+            assert fraction_view(got) == want
 
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
         # (1 + w1)(1 - w1) = 1 - w1^2; at order 1 the w1^2 term is dropped too
