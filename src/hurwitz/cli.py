@@ -12,8 +12,11 @@ reverse-lexicographic partition order and all numbers are exact rational
 strings (never decimals).  Exit status: 0 success / all pass, 1 a
 verification or comparison failure, a count that is not a nonnegative
 integer or a failed fixed-point certificate, 2 usage errors (including size
-refusals).  The environment variable HURWITZ_TRUNC_N overrides the default
-truncation degree when --N is not given.
+refusals and unknown options).
+
+The only bound a user sets is verify's series cut --N.  The cut-and-join
+bounds come from the query: count evolves at (n, g), table at (n, 1) and
+compare at (n, genus-max), once per command.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +40,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_N = 8
+METHODS = ("oracle", "cutjoin", "closed")
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ class RunConfig:
     g: int
     n: int | None
     N: int
-    K: int
-    G: int
     method: str
     fmt: str
     genus_max: int = 1
@@ -62,23 +63,13 @@ class UsageError(ValueError):
 def parse_partition(text: str) -> tuple[Partition, bool]:
     """Parse a comma-separated partition literal; True if parts were reordered."""
     try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        parts = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse partition literal {text!r}")
     if not parts or any(a < 1 for a in parts):
         raise UsageError(f"partition parts must be positive integers, got {text!r}")
     ordered = sorted(parts, reverse=True)
     return Partition(ordered), ordered != parts
-
-
-def _default_n() -> int:
-    env = os.environ.get("HURWITZ_TRUNC_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"HURWITZ_TRUNC_N must be an integer, got {env!r}")
-    return DEFAULT_N
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,49 +80,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_trunc(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--N", type=int, default=None, help="x-degree truncation (default 8)")
-        p.add_argument(
-            "--K",
-            type=int,
-            default=None,
-            help="p-index bound (default N); only checked (K >= N) and echoed in "
-            "the verify report: no result depends on it",
-        )
-        p.add_argument("--G", type=int, default=None, help="genus truncation (default 1)")
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     pc = sub.add_parser("count", help="one Hurwitz number")
     pc.add_argument("--alpha", required=True, help="partition, e.g. 3,2,2")
     pc.add_argument("--genus", type=int, default=0)
-    pc.add_argument("--method", choices=("oracle", "cutjoin", "closed"), default="closed")
-    add_trunc(pc)
+    pc.add_argument("--method", choices=METHODS, default="closed")
+    add_format(pc)
 
     pt = sub.add_parser("table", help="all ramification types of size n")
     pt.add_argument("--n", type=int, required=True)
-    pt.add_argument("--method", choices=("oracle", "cutjoin", "closed"), default="closed")
-    add_trunc(pt)
+    pt.add_argument("--method", choices=METHODS, default="closed")
+    add_format(pt)
 
     pv = sub.add_parser("verify", help="run the identity checks")
+    pv.add_argument("--N", type=int, default=DEFAULT_N, help="x-degree truncation (default 8)")
     pv.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    add_trunc(pv)
 
     pp = sub.add_parser("compare", help="diff all applicable engines")
     pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--genus-max", type=int, default=1)
-    add_trunc(pp)
+    add_format(pp)
 
     return parser
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    N = args.N if args.N is not None else _default_n()
-    K = args.K if args.K is not None else N
-    G = args.G if args.G is not None else 1
-    if K < N:
-        raise UsageError(f"--K {K} is below --N {N}; exact coefficients need K >= N")
-    if G < 0:
-        raise UsageError(f"--G {G} is negative")
     alpha = None
     if getattr(args, "alpha", None) is not None:
         alpha, reordered = parse_partition(args.alpha)
@@ -142,21 +117,20 @@ def _config(args: argparse.Namespace) -> RunConfig:
         alpha=alpha,
         g=getattr(args, "genus", 0),
         n=getattr(args, "n", None),
-        N=N,
-        K=K,
-        G=G,
+        N=getattr(args, "N", DEFAULT_N),
         method=getattr(args, "method", "closed"),
-        fmt=args.format,
+        fmt=getattr(args, "format", "json"),
         genus_max=getattr(args, "genus_max", 1),
         inject_fault=getattr(args, "inject_fault", False),
     )
 
 
-def _count_by(method: str, alpha: Partition, g: int, cfg: RunConfig) -> int:
+def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
+    """c_g(alpha); cut-and-join evolves to (alpha.n, genus_bound), g <= genus_bound."""
     if method == "oracle":
         return oracle.count_transitive(alpha, g)
     if method == "cutjoin":
-        state = cutjoin.evolve(max(cfg.N, alpha.n), max(cfg.G, g))
+        state = cutjoin.evolve(alpha.n, genus_bound)
         return cutjoin.extract_c(state, alpha, g)
     if method == "closed":
         if g > 1:
@@ -191,7 +165,7 @@ def cmd_count(cfg: RunConfig) -> int:
     assert alpha is not None
     if g < 0:
         raise UsageError("genus must be nonnegative")
-    c = _count_by(cfg.method, alpha, g, cfg)
+    c = _count_by(cfg.method, alpha, g, g)
     row = {
         "alpha": alpha,
         "g": g,
@@ -210,8 +184,8 @@ def cmd_table(cfg: RunConfig) -> int:
         raise UsageError("n must be at least 1")
     rows = []
     for alpha in partitions_of(n):
-        c0 = _count_by(cfg.method, alpha, 0, cfg)
-        c1 = _count_by(cfg.method, alpha, 1, cfg)
+        c0 = _count_by(cfg.method, alpha, 0, 1)
+        c1 = _count_by(cfg.method, alpha, 1, 1)
         rows.append(
             {
                 "alpha": alpha,
@@ -227,9 +201,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     checks = verify.run_all_checks(cfg.N, inject_fault=cfg.inject_fault)
-    report = verify.report_obj(
-        checks, config={"N": cfg.N, "K": cfg.K, "G": cfg.G}
-    )
+    report = verify.report_obj(checks, config={"N": cfg.N})
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FAIL
 
@@ -254,7 +226,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             for method in methods:
                 if method == "closed" and g > 1:
                     continue
-                values[method] = _count_by(method, alpha, g, cfg)
+                values[method] = _count_by(method, alpha, g, cfg.genus_max)
             agree = len(set(values.values())) == 1
             if not agree:
                 disagreements += 1

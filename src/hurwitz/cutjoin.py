@@ -120,7 +120,7 @@ class CutJoinState:
         return len(self.phi) - 1
 
 
-# One entry per (N, G); `compare --n 7 --genus-max 3` uses 3.
+# One entry per (N, G); each CLI command uses one.
 @lru_cache(maxsize=16)
 def evolve(N: int, G: int) -> CutJoinState:
     """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""

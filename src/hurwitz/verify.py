@@ -634,13 +634,23 @@ def _direct_e(v1: int, v2: int, order: int) -> WPoly:
     return _direct_cross(v1, v2, order, join, lambda i, j: Fraction(1, 2))
 
 
+def _renamed(p: WPoly, *slots: int) -> WPoly:
+    """p in the variables 1, 2, ... only, with variable k renamed to slots[k-1]."""
+    return WPoly._of(p.order, p.den, {_mono(*zip(slots, mono)): c for mono, c in p.terms.items()})
+
+
 def _series_kernels(order: int) -> KernelForms:
-    """The weights-only expansions, truncated at order, as kernel forms."""
-    forms = (_direct_a, _direct_b, _direct_c, _direct_d, _direct_e, _direct_psi)
-    # Each form is cached by its slots for the life of the kernel forms: the
-    # checks of one `verify` run ask 73 times for 30 distinct expansions, 10
-    # times for 8 distinct two-slot ones, and at most 8 of one form per order.
-    return KernelForms(*(lru_cache(maxsize=16)(partial(f, order=order)) for f in forms))
+    """The weights-only expansions, truncated at order, as kernel forms.
+
+    Each form is expanded once, at slot 1 or at slots (1, 2); every other
+    slot renames the variables of that expansion.
+    """
+    a, b, d = (f(1, order) for f in (_direct_a, _direct_b, _direct_d))
+    c, e = (f(1, 2, order) for f in (_direct_c, _direct_e))
+    psi = {m: _direct_psi(m, 1, order) for m in range(-1, 3)}
+    return KernelForms(
+        *(partial(_renamed, p) for p in (a, b, c, d, e)), lambda m, v: _renamed(psi[m], v)
+    )
 
 
 def closed_form_series_checks(

@@ -1,13 +1,18 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hurwitz import closedform, cutjoin
-from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_partition
+from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_partition
 from hurwitz.oracle import ORACLE_MAX_N
 from hurwitz.partitions import Partition
 from hurwitz.series import PSeries
@@ -29,7 +34,7 @@ class TestPartitionParsing:
         assert alpha == Partition((3, 1)) and reordered
 
     def test_garbage_rejected(self):
-        for bad in ("", "a,b", "0", "-1,2"):
+        for bad in ("", "a,b", "0", "-1,2", "3,,2", "3,2,"):
             with pytest.raises(ValueError):
                 parse_partition(bad)
 
@@ -93,8 +98,7 @@ class TestCount:
     def test_cutjoin_genus_two_allowed(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "count", "--alpha", "1,1", "--genus", "2", "--method", "cutjoin",
-            "--N", "4",
+            "count", "--alpha", "1,1", "--genus", "2", "--method", "cutjoin"
         )
         assert code == EXIT_OK
         # c_2((1,1)) counts length-6 walks in S_2 landing at the identity
@@ -137,24 +141,24 @@ class TestTable:
         _, second, _ = run_cli(capsys, "table", "--n", "5")
         assert first == second
 
+    def test_cutjoin_evolves_at_the_query_bounds(self, capsys, monkeypatch):
+        bounds = []
+        evolve = cutjoin.evolve
+        monkeypatch.setattr(
+            cutjoin, "evolve", lambda N, G: bounds.append((N, G)) or evolve(N, G)
+        )
+        code, _, _ = run_cli(capsys, "table", "--n", "5", "--method", "cutjoin")
+        assert code == EXIT_OK
+        assert set(bounds) == {(5, 1)}
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "6")
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["config"] == {"N": 6, "K": 6, "G": 1}
+        assert report["config"] == {"N": 6}
         assert all(c["status"] == "pass" for c in report["checks"])
-
-    def test_k_changes_only_the_echoed_config(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--N", "6", "--K", "9")
-        assert code == EXIT_OK
-        wide = json.loads(out)
-        _, out, _ = run_cli(capsys, "verify", "--N", "6")
-        narrow = json.loads(out)
-        assert wide["config"] == {"N": 6, "K": 9, "G": 1}
-        wide["config"]["K"] = 6
-        assert wide == narrow
 
     def test_injected_fault_fails_with_witness(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "6", "--inject-fault")
@@ -176,27 +180,28 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    # SHA-256 of the report bytes, recorded at commit 06c69f1: the product
-    # kernel and the inversion formula must not change a byte
+    # SHA-256 of the report bytes, recorded when the echoed config lost the
+    # bounds "K" and "G" that no result depends on.  The checks entries are
+    # those recorded at commit 06c69f1 (N=8) and f75081f (N=12): the product
+    # kernel, the inversion formula and the integer rings changed no byte
     @pytest.mark.parametrize(
         "argv, want_code, digest",
         [
             (
                 ("--N", "8"),
                 EXIT_OK,
-                "ca254cff9921b4938ffb6d5d5fd65f7a5fca42a7e78c2fe203d9c9b965b120ee",
+                "d68ead7cf1786ca348d0a4abc03d2a5ce5e5db6b2bd4e5217d98da719bfd403f",
             ),
             (
                 ("--N", "8", "--inject-fault"),
                 EXIT_FAIL,
-                "3cedd400dee6969d973a56db4e1da0d7161b2a666a62f8684c16df180c35b800",
+                "4d33618b78ef679846f492662409b4a521ce60379dbfb35dd2713b856cf4893a",
             ),
-            # the benchmarked report, recorded at commit f75081f, before the
-            # rings stored integer numerators over one denominator
+            # the benchmarked report
             (
                 ("--N", "12"),
                 EXIT_OK,
-                "9fee32ba67b6156aa74de82c63dd1e1bf5e2ae9dbca9f94d1a1f09087f2905db",
+                "57aea707a9140e1d682151b214566a17243749082cd69a1df2c03b7945a881ab",
             ),
         ],
         ids=["N8", "N8-inject-fault", "N12"],
@@ -224,8 +229,8 @@ class TestCompare:
         cutjoin.evolve.cache_clear()
         code, _, _ = run_cli(capsys, "compare", "--n", "8", "--genus-max", "3")
         assert code == EXIT_OK
-        # evolve(8, G) for G = 1 (genus 0 and 1), 2 and 3
-        assert cutjoin.evolve.cache_info().misses == 3
+        # one evolve(8, 3) serves every genus
+        assert cutjoin.evolve.cache_info().misses == 1
 
     def test_oracle_column_through_walk_limit(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--n", "6")
@@ -278,19 +283,6 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-class TestEnvOverride:
-    def test_trunc_n_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HURWITZ_TRUNC_N", "6")
-        code, out, _ = run_cli(capsys, "verify")
-        report = json.loads(out)
-        assert report["config"]["N"] == 6
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("HURWITZ_TRUNC_N", "six")
-        code, _, err = run_cli(capsys, "verify")
-        assert code == EXIT_USAGE
-
-
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
@@ -298,17 +290,38 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "count", "--frobnicate")[0] == EXIT_USAGE
 
-    def test_k_below_n_refused(self, capsys):
-        code, _, err = run_cli(
-            capsys, "count", "--alpha", "2", "--genus", "0", "--N", "4", "--K", "2"
-        )
-        assert code == EXIT_USAGE
-        assert "K" in err
+    def test_option_strings_of_each_command(self):
+        (commands,) = [
+            a.choices for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            name: sorted(opt for a in p._actions for opt in a.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, p in commands.items()
+        }
+        assert options == {
+            "count": ["--alpha", "--format", "--genus", "--method"],
+            "table": ["--format", "--method", "--n"],
+            "verify": ["--N", "--inject-fault"],
+            "compare": ["--format", "--genus-max", "--n"],
+        }
 
-    def test_negative_g_refused(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--N", "4", "--G", "-1")
-        assert code == EXIT_USAGE
-        assert out == "" and "--G" in err
+    # bounds that no result depends on, and verify's format, are not options
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--K", "9"),
+            ("verify", "--G", "1"),
+            ("verify", "--format", "csv"),
+            ("table", "--n", "3", "--N", "4"),
+            ("count", "--alpha", "2", "--K", "2"),
+            ("compare", "--n", "3", "--G", "2"),
+        ],
+    )
+    def test_removed_option_refused(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
 
     def test_compare_genus_two(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--n", "3", "--genus-max", "2")
@@ -322,3 +335,19 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--genus-max" in err
+
+
+class TestOptimizedInterpreter:
+    # no check may live in an assert: `python -O` must give the same report
+    @pytest.mark.parametrize("extra", [(), ("--inject-fault",)], ids=["sound", "fault"])
+    def test_report_survives_dash_o(self, extra):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["-m", "hurwitz", "verify", "--N", "6", *extra]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], capture_output=True, env=env)
+            for flags in ((), ("-O",))
+        )
+        assert plain.returncode == (EXIT_FAIL if extra else EXIT_OK)
+        assert json.loads(plain.stdout)["config"] == {"N": 6}
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

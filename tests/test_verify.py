@@ -199,6 +199,19 @@ class TestVanishing:
         for result in closed_form_series_checks(order=10):
             assert result.ok, result
 
+    @pytest.mark.parametrize("order", [8, 10])
+    def test_renamed_kernels_equal_direct_builds(self, order):
+        k = verify._series_kernels(order)
+        for v1, v2 in ((2, 3), (1, 3), (2, 1)):
+            assert k.c(v1, v2) == verify._direct_c(v1, v2, order)
+            assert k.e(v1, v2) == verify._direct_e(v1, v2, order)
+        for v in (2, 3):
+            assert k.a(v) == verify._direct_a(v, order)
+            assert k.b(v) == verify._direct_b(v, order)
+            assert k.d(v) == verify._direct_d(v, order)
+            for m in range(-1, 3):
+                assert k.psi(m, v) == verify._direct_psi(m, v, order)
+
 
 def _perturbed(name):
     """One kernel scaled slightly off; everything else untouched."""
