@@ -16,7 +16,6 @@ All arithmetic is exact rational; there is no floating point anywhere.
 """
 
 from .closedform import (
-    HurwitzRecord,
     c_value,
     f0_pdiff,
     f0_series,
@@ -24,7 +23,6 @@ from .closedform import (
     g1_defn,
     mu0,
     mu1,
-    record,
     s_series,
 )
 from .cutjoin import CutJoinState, evolve, extract_c, run

@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -41,19 +40,6 @@ EXIT_USAGE = 2
 
 DEFAULT_N = 8
 METHODS = ("oracle", "cutjoin", "closed")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    alpha: Partition | None
-    g: int
-    n: int | None
-    N: int
-    method: str
-    fmt: str
-    genus_max: int = 1
-    inject_fault: bool = False
 
 
 class UsageError(ValueError):
@@ -106,25 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    alpha = None
-    if getattr(args, "alpha", None) is not None:
-        alpha, reordered = parse_partition(args.alpha)
-        if reordered:
-            print(f"note: parts reordered to {alpha}", file=sys.stderr)
-    return RunConfig(
-        command=args.command,
-        alpha=alpha,
-        g=getattr(args, "genus", 0),
-        n=getattr(args, "n", None),
-        N=getattr(args, "N", DEFAULT_N),
-        method=getattr(args, "method", "closed"),
-        fmt=getattr(args, "format", "json"),
-        genus_max=getattr(args, "genus_max", 1),
-        inject_fault=getattr(args, "inject_fault", False),
-    )
-
-
 def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
     """c_g(alpha); cut-and-join evolves to (alpha.n, genus_bound), g <= genus_bound."""
     if method == "oracle":
@@ -160,12 +127,14 @@ def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
         writer.writerow([str(row[h]) if isinstance(row[h], Partition) else row[h] for h in header])
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    alpha, g = cfg.alpha, cfg.g
-    assert alpha is not None
+def cmd_count(args: argparse.Namespace) -> int:
+    alpha, reordered = parse_partition(args.alpha)
+    if reordered:
+        print(f"note: parts reordered to {alpha}", file=sys.stderr)
+    g = args.genus
     if g < 0:
         raise UsageError("genus must be nonnegative")
-    c = _count_by(cfg.method, alpha, g, g)
+    c = _count_by(args.method, alpha, g, g)
     row = {
         "alpha": alpha,
         "g": g,
@@ -173,19 +142,18 @@ def cmd_count(cfg: RunConfig) -> int:
         "c": c,
         "mu": str(_mu(alpha, c)),
     }
-    _emit([row], ["alpha", "g", "r", "c", "mu"], cfg.fmt)
+    _emit([row], ["alpha", "g", "r", "c", "mu"], args.format)
     return EXIT_OK
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    n = cfg.n
-    assert n is not None
+def cmd_table(args: argparse.Namespace) -> int:
+    n = args.n
     if n < 1:
         raise UsageError("n must be at least 1")
     rows = []
     for alpha in partitions_of(n):
-        c0 = _count_by(cfg.method, alpha, 0, 1)
-        c1 = _count_by(cfg.method, alpha, 1, 1)
+        c0 = _count_by(args.method, alpha, 0, 1)
+        c1 = _count_by(args.method, alpha, 1, 1)
         rows.append(
             {
                 "alpha": alpha,
@@ -195,23 +163,22 @@ def cmd_table(cfg: RunConfig) -> int:
                 "mu1": str(_mu(alpha, c1)),
             }
         )
-    _emit(rows, ["alpha", "c0", "mu0", "c1", "mu1"], cfg.fmt)
+    _emit(rows, ["alpha", "c0", "mu0", "c1", "mu1"], args.format)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = verify.run_all_checks(cfg.N, inject_fault=cfg.inject_fault)
-    report = verify.report_obj(checks, config={"N": cfg.N})
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = verify.run_all_checks(args.N, inject_fault=args.inject_fault)
+    report = verify.report_obj(checks, config={"N": args.N})
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FAIL
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    n = cfg.n
-    assert n is not None
+def cmd_compare(args: argparse.Namespace) -> int:
+    n, genus_max = args.n, args.genus_max
     if n < 1:
         raise UsageError("n must be at least 1")
-    if cfg.genus_max < 0:
+    if genus_max < 0:
         raise UsageError("--genus-max must be nonnegative")
     methods = ["cutjoin", "closed"]
     if n <= oracle.ORACLE_MAX_N:
@@ -221,12 +188,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows = []
     disagreements = 0
     for alpha in partitions_of(n):
-        for g in range(cfg.genus_max + 1):
+        for g in range(genus_max + 1):
             values = {}
             for method in methods:
                 if method == "closed" and g > 1:
                     continue
-                values[method] = _count_by(method, alpha, g, cfg.genus_max)
+                values[method] = _count_by(method, alpha, g, genus_max)
             agree = len(set(values.values())) == 1
             if not agree:
                 disagreements += 1
@@ -235,8 +202,11 @@ def cmd_compare(cfg: RunConfig) -> int:
                 row[method] = values.get(method, "")
             row["agree"] = "yes" if agree else "NO"
             rows.append(row)
-    _emit(rows, ["alpha", "g"] + methods + ["agree"], cfg.fmt)
+    _emit(rows, ["alpha", "g"] + methods + ["agree"], args.format)
     return EXIT_OK if disagreements == 0 else EXIT_FAIL
+
+
+COMMANDS = {"count": cmd_count, "table": cmd_table, "verify": cmd_verify, "compare": cmd_compare}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -246,16 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config(args)
-        if cfg.command == "count":
-            return cmd_count(cfg)
-        if cfg.command == "table":
-            return cmd_table(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "compare":
-            return cmd_compare(cfg)
-        raise UsageError(f"unknown command {cfg.command!r}")
+        return COMMANDS[args.command](args)
     except (UsageError, SizeLimitExceeded, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

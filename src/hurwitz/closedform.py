@@ -38,7 +38,6 @@ here; ``verify`` expands it from its explicit coefficients n^(n-1)/n!.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -53,22 +52,6 @@ from .partitions import (
     psi,
 )
 from .series import PSeries, certify_fixed_point, exp, log1, subst_x
-
-
-@dataclass(frozen=True)
-class HurwitzRecord:
-    """One computed Hurwitz number: mu * n! = |C_alpha| * c exactly."""
-
-    alpha: Partition
-    g: int
-    r: int
-    mu: Fraction
-    c: int
-
-    def __post_init__(self) -> None:
-        n = self.alpha.n
-        if self.mu * factorial(n) != class_size(self.alpha) * self.c:
-            raise ValueError(f"inconsistent record {self}")
 
 
 def _prod_a(alpha: Partition) -> Fraction:
@@ -122,17 +105,6 @@ def c_value(alpha: Partition, g: int) -> int:
     else:
         raise ValueError(f"no closed formula for genus {g}")
     return factorization_count(mu, alpha, g)
-
-
-def record(alpha: Partition, g: int) -> HurwitzRecord:
-    mu = mu0(alpha) if g == 0 else mu1(alpha)
-    return HurwitzRecord(
-        alpha=alpha,
-        g=g,
-        r=alpha.n + alpha.m + 2 * (g - 1),
-        mu=mu,
-        c=c_value(alpha, g),
-    )
 
 
 # -- the substitution series s and everything written in it -----------------

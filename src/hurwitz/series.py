@@ -25,12 +25,16 @@ have equal (den, terms).  Sums align to lcm(den_a, den_b), scalars and
 derivations scale numerators, and products run their double loop on ints
 over den_a * den_b; each result is reduced once by ``gcd(den, *numerators)``.
 Only coefficient reads (``coeff``, ``fraction_view``) build Fractions, and
-floating point is never used.  ``verify.WPoly`` shares this storage and the
-helpers below.
+floating point is never used.
 
-The public constructor validates (no floats, no zeros, nothing beyond the
-truncation); ring operations build their results through ``PSeries._of``,
-which skips that pass.
+That storage and every operation that does not read a monomial live in one
+ring class, ``ExactRing``, with two monomial formats: ``PSeries`` here and
+``verify.WPoly`` (three variables, exact or cut per variable).  Each format
+adds its constructor, its product loop and its monomial text, and
+``PSeries`` the series operations (shift, derivations, x-slices) too.  The
+public constructors validate (no floats, no zeros, nothing beyond the cut);
+ring operations build their results through ``ExactRing._of``, which skips
+that pass.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, 
     return _reduce(den * c.denominator, {m: v * c.numerator for m, v in terms.items()})
 
 
-def fraction_view(f: "PSeries") -> dict:
+def fraction_view(f: "ExactRing") -> dict:
     """The coefficients of a PSeries or WPoly as Fractions, by monomial."""
     return {m: Fraction(v, f.den) for m, v in f.terms.items()}
 
@@ -158,14 +162,77 @@ def _parts_key(parts: Iterable[int]) -> tuple[int, PExp]:
     return sum(i * e for i, e in mult.items()), tuple(sorted(mult.items()))
 
 
-class PSeries:
-    """Immutable sparse series, cut at x^N, stored as terms/den.
+class ExactRing:
+    """Immutable sparse exact polynomial stored as terms/den, cut at N.
+
+    The body both exact rings of the package share; they differ only in the
+    format of a monomial key.  ``PSeries`` keys (x-degree, p-exponents) and
+    cuts the x-degree at N.  ``verify.WPoly`` keys exponent triples and cuts
+    each variable at N, or nothing when N is None.  A subclass supplies its
+    constructor, ``_products`` (the summed numerator products by monomial,
+    inside the cut) and ``_mono_str`` (the text of one monomial).
 
     All binary operations demand the same N; mixing them raises
     TruncationMismatch rather than silently coercing.
     """
 
     __slots__ = ("N", "den", "terms")
+
+    @classmethod
+    def _of(cls, N: int | None, den: int, terms: dict) -> "ExactRing":
+        """Wrap canonical numerators over den inside the cut, unchecked."""
+        out = object.__new__(cls)
+        out.N, out.den, out.terms = N, den, terms
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "ExactRing") -> None:
+        if self.N != other.N:
+            raise TruncationMismatch(f"N={self.N} vs N={other.N}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self.den == other.den and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} N={self.N}: {len(self.terms)} terms>"
+
+    def __add__(self, other: "ExactRing") -> "ExactRing":
+        self._check(other)
+        return self._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms))
+
+    def __sub__(self, other: "ExactRing") -> "ExactRing":
+        self._check(other)
+        return self._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
+
+    def __neg__(self) -> "ExactRing":
+        return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
+
+    def __mul__(self, other: "ExactRing | Fraction | int") -> "ExactRing":
+        if isinstance(other, (int, float, Fraction)):
+            return self._of(self.N, *_scale(self.den, self.terms, other))
+        self._check(other)
+        acc = self._products(other)
+        return self._of(self.N, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
+
+    __rmul__ = __mul__
+
+    def lead_str(self) -> str:
+        """The lexicographically first monomial as text ("0" for zero): a witness."""
+        return self._mono_str(min(self.terms)) if self.terms else "0"
+
+
+class PSeries(ExactRing):
+    """Series in Q[p_1, p_2, ...][[x]] cut at x^N: ``ExactRing`` keyed by x-degree."""
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -177,12 +244,19 @@ class PSeries:
         self.N = N
         self.den, self.terms = _integer_form(terms or {}, lambda mono: mono[0] <= N)
 
-    @classmethod
-    def _of(cls, N: int, den: int, terms: dict[Monomial, int]) -> "PSeries":
-        """Wrap canonical numerators over den inside the truncation, unchecked."""
-        out = object.__new__(cls)
-        out.N, out.den, out.terms = N, den, terms
-        return out
+    # The benchmark probes series.PSeries.{mul,add} wrap a method found in
+    # this class's own __dict__ and are cross-checked by cProfile, which
+    # counts calls per code object; a body shared with WPoly would merge the
+    # two rings' counts.  So each probed operation gets a code object here.
+    def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
+        return ExactRing.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "PSeries") -> "PSeries":
+        return ExactRing.__add__(self, other)
+
+    _mono_str = staticmethod(monomial_str)
 
     # -- constructors ------------------------------------------------------
 
@@ -226,44 +300,9 @@ class PSeries:
             terms[mono] = terms.get(mono, 0) + c
         return PSeries(N, terms)
 
-    # -- basic protocol ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        self._check(other)
-        return self.den == other.den and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"<PSeries N={self.N}: {len(self.terms)} terms>"
-
-    def _check(self, other: "PSeries") -> None:
-        if self.N != other.N:
-            raise TruncationMismatch(f"N={self.N} vs N={other.N}")
-
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "PSeries") -> "PSeries":
-        self._check(other)
-        return PSeries._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms))
-
-    def __sub__(self, other: "PSeries") -> "PSeries":
-        self._check(other)
-        return PSeries._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
-
-    def __neg__(self) -> "PSeries":
-        return PSeries._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
-        if isinstance(other, (int, float, Fraction)):
-            return PSeries._of(self.N, *_scale(self.den, self.terms, other))
-        self._check(other)
+    def _products(self, other: "PSeries") -> dict[Monomial, int]:
         N = self.N
         # sorted by x-degree, so the x-cut ends the inner loop
         B = sorted(other.terms.items(), key=lambda term: term[0][0])
@@ -275,9 +314,7 @@ class PSeries:
                     break
                 key = (xd, _merge_pexp(p1, p2))
                 acc[key] = acc.get(key, 0) + a * b
-        return PSeries._of(N, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
-
-    __rmul__ = __mul__
+        return acc
 
     def shift(
         self,
@@ -332,10 +369,6 @@ class PSeries:
             raise ValueError(f"x-degree {x_deg} outside truncation N={self.N}")
         v = self.terms.get((x_deg, _parts_key(parts)[1]))
         return _ZERO if v is None else Fraction(v, self.den)
-
-    def lead_monomial(self) -> Monomial | None:
-        """Lexicographically first stored monomial (None for the zero series)."""
-        return min(self.terms) if self.terms else None
 
 
 def _require_positive_xdeg(f: PSeries, op: str) -> None:

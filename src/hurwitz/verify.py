@@ -24,9 +24,12 @@ Three layers, each exact:
   coefficients n^(n-1)/n!.  These catch transcription slips in the exact
   route.
 
-Both routes compute in one sparse ring in three variables, ``WPoly``: with
-no order it is the exact polynomial ring in w1, w2, w3; with an order it is
-the series ring in x1, x2, x3 truncated per variable.  Each U-combination is
+Both routes compute in ``WPoly``, the three-variable monomial format of the
+package's one exact ring class, ``series.ExactRing`` (``PSeries`` is the
+other format): with no cut (N None) it is the exact polynomial ring in
+w1, w2, w3; with a cut N it is the series ring in x1, x2, x3 truncated per
+variable.  Every check of either ring reports its lead monomial as the
+witness through ``ExactRing.lead_str``.  Each U-combination is
 written once, over a ``KernelForms``, and evaluated on the exact closed forms
 and on the weights-only expansions alike.  The exact route checks U_2 and
 U_3 twice more, in a compact rearranged form; a discrepancy would fail one
@@ -58,17 +61,7 @@ from .closedform import (
     s_series,
 )
 from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import (
-    PSeries,
-    TruncationMismatch,
-    _add_scaled,
-    _integer_form,
-    _reduce,
-    _scale,
-    exp,
-    inv_one_minus,
-    monomial_str,
-)
+from .series import ExactRing, PSeries, _integer_form, _reduce, exp, inv_one_minus
 
 _ZERO = Fraction(0)
 
@@ -85,35 +78,30 @@ class CheckResult:
         return self.ok
 
 
-def _pseries_zero_check(name: str, f: PSeries) -> CheckResult:
-    if f.is_zero:
-        return CheckResult(name, True)
-    return CheckResult(name, False, monomial_str(f.lead_monomial()))
+def _zero_check(name: str, f: ExactRing) -> CheckResult:
+    """Pass if f is zero, else fail with its lead monomial as the witness."""
+    return CheckResult(name, True) if f.is_zero else CheckResult(name, False, f.lead_str())
 
 
-def _pseries_eq_check(name: str, a: PSeries, b: PSeries) -> CheckResult:
-    return _pseries_zero_check(name, a - b)
-
-
-def _first_nonzero(name: str, labelled: Iterable[tuple[str, PSeries]]) -> CheckResult:
+def _first_nonzero(name: str, labelled: Iterable[tuple[str, ExactRing]]) -> CheckResult:
     """Fail at the first nonzero series, witness "<label>: <lead monomial>".
 
     labelled is consumed lazily, so nothing after a failure is computed.
     """
     for label, f in labelled:
         if not f.is_zero:
-            return CheckResult(name, False, f"{label}: {monomial_str(f.lead_monomial())}")
+            return CheckResult(name, False, f"{label}: {f.lead_str()}")
     return CheckResult(name, True)
 
 
 # ---------------------------------------------------------------------------
-# One sparse exact ring in three variables, untruncated or truncated
+# The exact ring in three variables, untruncated or truncated
 # ---------------------------------------------------------------------------
 
 Mono = tuple[int, int, int]
 
 # The cap of the untruncated ring, so that one multiply loop with inline
-# comparisons serves both rings.
+# comparisons serves both the exact and the truncated WPoly.
 _NO_CAP = sys.maxsize
 
 
@@ -125,72 +113,47 @@ def _mono(*powers: tuple[int, int]) -> Mono:
     return tuple(exps)
 
 
-class WPoly:
-    """Sparse exact polynomial in three variables, optionally truncated.
+class WPoly(ExactRing):
+    """Sparse exact polynomial in three variables: ``ExactRing`` keyed by exponent triple.
 
-    With order None it is a polynomial in w1, w2, w3.  With an integer order
-    it is a series in x1, x2, x3 that drops every monomial of degree above
-    the order in some variable.  Combining two different orders raises
-    TruncationMismatch.  Like ``PSeries`` it stores integer numerators over
-    one denominator, in the same canonical form and through the same helpers.
+    With N None it is a polynomial in w1, w2, w3.  With an integer N it is a
+    series in x1, x2, x3 that drops every monomial of degree above N in some
+    variable.
     """
 
-    __slots__ = ("order", "den", "terms")
+    __slots__ = ()
 
     def __init__(
         self,
         terms: Mapping[Mono, Fraction | int] | None = None,
-        order: int | None = None,
+        N: int | None = None,
     ):
-        self.order = order
-        cap = _NO_CAP if order is None else order
+        self.N = N
+        cap = _NO_CAP if N is None else N
         self.den, self.terms = _integer_form(terms or {}, lambda mono: max(mono) <= cap)
 
-    @classmethod
-    def _of(cls, order: int | None, den: int, terms: dict[Mono, int]) -> "WPoly":
-        """Wrap canonical numerators over den inside the order, unchecked."""
-        out = object.__new__(cls)
-        out.order, out.den, out.terms = order, den, terms
-        return out
+    # A code object of its own for the benchmark probe verify.WPoly.mul, as
+    # for the probed operations of PSeries.
+    def __mul__(self, other: "WPoly | Fraction | int") -> "WPoly":
+        return ExactRing.__mul__(self, other)
+
+    __rmul__ = __mul__
 
     @staticmethod
-    def const(c: Fraction | int, order: int | None = None) -> "WPoly":
-        return WPoly({(0, 0, 0): c}, order)
+    def const(c: Fraction | int, N: int | None = None) -> "WPoly":
+        return WPoly({(0, 0, 0): c}, N)
 
     @staticmethod
     def var(v: int) -> "WPoly":
         return WPoly({_mono((v, 1)): 1})
 
     @staticmethod
-    def univariate(coeffs: Sequence[Fraction], v: int, order: int) -> "WPoly":
-        """sum_d coeffs[d] x_v^d, truncated at order."""
-        return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, order)
+    def univariate(coeffs: Sequence[Fraction], v: int, N: int) -> "WPoly":
+        """sum_d coeffs[d] x_v^d, cut at N."""
+        return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, N)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _order_with(self, other: "WPoly") -> int | None:
-        if self.order != other.order:
-            raise TruncationMismatch(f"order {self.order} vs {other.order}")
-        return self.order
-
-    def __add__(self, other: "WPoly") -> "WPoly":
-        order = self._order_with(other)
-        return WPoly._of(order, *_add_scaled(self.den, self.terms, other.den, other.terms))
-
-    def __sub__(self, other: "WPoly") -> "WPoly":
-        order = self._order_with(other)
-        return WPoly._of(order, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
-
-    def __neg__(self) -> "WPoly":
-        return WPoly._of(self.order, self.den, {m: -v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "WPoly | Fraction | int") -> "WPoly":
-        if isinstance(other, (int, float, Fraction)):
-            return WPoly._of(self.order, *_scale(self.den, self.terms, other))
-        order = self._order_with(other)
-        L = _NO_CAP if order is None else order
+    def _products(self, other: "WPoly") -> dict[Mono, int]:
+        L = _NO_CAP if self.N is None else self.N
         B = other.terms.items()
         acc: dict[Mono, int] = {}
         for (a1, a2, a3), a in self.terms.items():
@@ -200,30 +163,12 @@ class WPoly:
                     continue
                 key = (e1, e2, e3)
                 acc[key] = acc.get(key, 0) + a * b
-        return WPoly._of(order, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
+        return acc
 
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WPoly):
-            return (self.order, self.den, self.terms) == (other.order, other.den, other.terms)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def lead_str(self) -> str:
-        if not self.terms:
-            return "0"
-        mono = min(self.terms)
-        name = "w" if self.order is None else "x"
+    def _mono_str(self, mono: Mono) -> str:
+        name = "w" if self.N is None else "x"
         bits = [f"{name}{v}" + (f"^{e}" if e > 1 else "") for v, e in enumerate(mono, 1) if e]
         return "*".join(bits) if bits else "1"
-
-
-def _wpoly_zero_check(name: str, f: WPoly) -> CheckResult:
-    if f.is_zero:
-        return CheckResult(name, True)
-    return CheckResult(name, False, f.lead_str())
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +239,7 @@ class WExpr:
         return WExpr(-self.num, self.den)
 
     def __mul__(self, other: "WExpr | Fraction | int") -> "WExpr":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             return WExpr(self.num * other, self.den)
         return WExpr(
             self.num * other.num,
@@ -484,7 +429,7 @@ def _u3_rearranged() -> WExpr:
 def _wexpr_zero_check(name: str, expr: WExpr) -> CheckResult:
     if any(e > bound for e, bound in zip(expr.den, _DEN_BOUND)):
         return CheckResult(name, False, f"denominator bound exceeded: {expr.den}")
-    return _wpoly_zero_check(name, expr.num)
+    return _zero_check(name, expr.num)
 
 
 def check_u1(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
@@ -536,7 +481,7 @@ def _w_series(v: int, j: int, order: int) -> WPoly:
 
 def _at_tree(p: WPoly, order: int) -> WPoly:
     """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v."""
-    total = WPoly(order=order)
+    total = WPoly(N=order)
     for mono, c in p.terms.items():
         term = WPoly.const(c, order)
         for v, e in enumerate(mono, 1):
@@ -559,10 +504,10 @@ def _wexpr_den_series(den: tuple[int, ...], order: int) -> WPoly:
 
 def _wexpr_matches_series(name: str, expr: WExpr, direct: WPoly) -> CheckResult:
     """Closed form equals independent expansion: num = direct * den as series."""
-    order = direct.order
+    order = direct.N
     lhs = _at_tree(expr.num, order)
     rhs = direct * _wexpr_den_series(expr.den, order)
-    return _wpoly_zero_check(name, lhs - rhs)
+    return _zero_check(name, lhs - rhs)
 
 
 # -- direct (weights-only) expansions of the symmetrized images -------------
@@ -636,7 +581,7 @@ def _direct_e(v1: int, v2: int, order: int) -> WPoly:
 
 def _renamed(p: WPoly, *slots: int) -> WPoly:
     """p in the variables 1, 2, ... only, with variable k renamed to slots[k-1]."""
-    return WPoly._of(p.order, p.den, {_mono(*zip(slots, mono)): c for mono, c in p.terms.items()})
+    return WPoly._of(p.N, p.den, {_mono(*zip(slots, mono)): c for mono, c in p.terms.items()})
 
 
 def _series_kernels(order: int) -> KernelForms:
@@ -676,9 +621,9 @@ def series_u_checks(order: int = 8) -> list[CheckResult]:
     """The three vanishing combinations, evaluated on the weights-only expansions."""
     direct = _series_kernels(order)
     return [
-        _wpoly_zero_check("u1_series", _u1_expr(direct)),
-        _wpoly_zero_check("u2_series", _u2_assembled(direct)),
-        _wpoly_zero_check("u3_series", _u3_assembled(direct)),
+        _zero_check("u1_series", _u1_expr(direct)),
+        _zero_check("u2_series", _u2_assembled(direct)),
+        _zero_check("u3_series", _u3_assembled(direct)),
     ]
 
 
@@ -808,9 +753,7 @@ def _one_minus_psi1(N: int) -> PSeries:
 def s_xdiff_identity(N: int) -> CheckResult:
     """x ds/dx * (1 - psi_1) = s."""
     s = s_series(N)
-    return _pseries_eq_check(
-        "s_xdiff_identity", s.xdiff() * _one_minus_psi1(N), s
-    )
+    return _zero_check("s_xdiff_identity", s.xdiff() * _one_minus_psi1(N) - s)
 
 
 def s_pdiff_identity(N: int) -> CheckResult:
@@ -852,7 +795,7 @@ def g1_xdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
         g1 = g1_closed(N)
     inv = inv_one_minus(psi_at_s(1, N))
     rhs = psi_at_s(2, N) * inv * inv - psi_at_s(1, N) * inv
-    return _pseries_eq_check("g1_xdiff_identity", g1.xdiff() * 24, rhs)
+    return _zero_check("g1_xdiff_identity", g1.xdiff() * 24 - rhs)
 
 
 def g1_pdiff_identity(
@@ -929,8 +872,8 @@ def run_all_checks(N: int = 8, *, inject_fault: bool = False) -> list[CheckResul
     if inject_fault:
         g1 = g1 + PSeries.term(N, 1, x=2, p=((2, 1),))
     checks = [
-        _pseries_zero_check("pde_residual", residual_T(N, g1)),
-        _pseries_eq_check("g1_forms_agree", g1_closed(N), g1_defn(N)),
+        _zero_check("pde_residual", residual_T(N, g1)),
+        _zero_check("g1_forms_agree", g1_closed(N) - g1_defn(N)),
     ]
     checks += closed_form_series_checks(order=10)
     checks += [check_u1(), check_u2(), check_u3()]

@@ -11,7 +11,6 @@ import pytest
 
 import hurwitz
 from hurwitz import (
-    HurwitzRecord,
     IntegralityError,
     Partition,
     PSeries,
@@ -27,7 +26,6 @@ from hurwitz import (
     mu0,
     mu1,
     partitions_of,
-    record,
     s_series,
 )
 from hurwitz import closedform
@@ -89,15 +87,6 @@ class TestMu1:
 
 
 class TestRecords:
-    def test_record_consistency(self):
-        rec = record(Partition((3, 1)), 1)
-        assert rec.r == 4 + 2  # n + m at genus 1
-        assert rec.mu * factorial(4) == class_size(Partition((3, 1))) * rec.c
-
-    def test_bad_record_rejected(self):
-        with pytest.raises(ValueError):
-            HurwitzRecord(Partition((2,)), 0, 1, Fraction(1), 3)
-
     def test_c_value_genus_bound(self):
         with pytest.raises(ValueError):
             c_value(Partition((2,)), 2)

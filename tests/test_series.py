@@ -16,7 +16,7 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz.series import certify_fixed_point, fraction_view
+from hurwitz.series import certify_fixed_point, fraction_view, monomial_str
 
 from conftest import TR6, TR8, fractions_st, is_canonical, pexp_st, series_st
 
@@ -355,6 +355,11 @@ class TestCoeff:
             PSeries.one(TR8).coeff(9, ())
         with pytest.raises(ValueError):
             PSeries.one(TR8).coeff(-1, ())
+
+    def test_lead_str_names_the_first_monomial(self):
+        f = PSeries.term(TR8, 3, x=3, p=((1, 3),)) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
+        assert f.lead_str() == monomial_str((2, ((2, 1),))) == "x^2*p2"
+        assert PSeries.zero(TR8).lead_str() == "0"
 
 
 class TestSerialization:
