@@ -48,7 +48,6 @@ from .series import (
     PSeries,
     TruncationMismatch,
     exp,
-    inv_one_minus,
     log1,
     subst_x,
 )

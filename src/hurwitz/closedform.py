@@ -212,10 +212,3 @@ def f0_pdiff(k: int, N: int) -> PSeries:
     for r in range(1, N - k + 1):
         out = out - pw[k + r].shift(ak * a_coeff(r) / (k**2 * (k + r)), p=((r, 1),))
     return out
-
-
-def f0_pdiff2(i: int, j: int, N: int) -> PSeries:
-    """Mixed second derivative of F_0: a_i a_j s^(i+j) / (i j (i+j))."""
-    if i + j > N:
-        return PSeries.zero(N)
-    return s_powers(N)[i + j] * (a_coeff(i) * a_coeff(j) / (i * j * (i + j)))

@@ -39,11 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
 from .partitions import Partition, factorization_count, partitions_of
-from .series import PSeries
 
 Parts = tuple[int, ...]
 Order = dict[Parts, Fraction]
@@ -164,20 +163,3 @@ def run(N: int, G: int = 1) -> dict[tuple[Partition, int], int]:
         for alpha in partitions_of(n)
         for g in range(G + 1)
     }
-
-
-def genus_slice(state: CutJoinState, g: int) -> PSeries:
-    """The x/p generating series at genus g: sum_r [z^g] Phi_r / r!.
-
-    At g = 0 this is the genus-0 series whose p_alpha x^n coefficient is
-    |C_alpha| c_0(alpha) / (n! (n+m-2)!), and likewise at higher genus.
-    """
-    return PSeries.from_parts(
-        state.N,
-        {
-            parts: c / factorial(r)
-            for r, phi in enumerate(state.phi)
-            for parts, c in phi.items()
-            if _genus(r, parts) == g
-        },
-    )

@@ -10,8 +10,7 @@ the coefficients that survive are exactly those of the untruncated ring.
 The p-indices need no bound of their own: every series in this package has
 p-weight at most its x-degree, so no p_k with k > N survives the cut.  The
 paper's genus marker z is no coordinate here: only the cut-and-join carries
-genus, keyed by partition, and ``cutjoin.genus_slice`` hands one genus of it
-over as a series.
+genus, keyed by partition.
 
 ``exp``, ``log1`` and ``subst_x`` additionally require every input monomial
 to carry positive x-degree.  That restriction keeps their expansions finite
@@ -413,19 +412,6 @@ def log1(f: PSeries) -> PSeries:
                 corr = corr + (fe * gparts[d - e]) * (d - e)
         gparts.append(acc - corr * Fraction(1, d))
     return sum(gparts[1:], gparts[0])
-
-
-def inv_one_minus(f: PSeries) -> PSeries:
-    """1/(1 - f) as the geometric series, f x-adically small."""
-    _require_positive_xdeg(f, "inv_one_minus")
-    acc = PSeries.one(f.N)
-    power = PSeries.one(f.N)
-    for _ in range(f.N):
-        power = power * f
-        if power.is_zero:
-            break
-        acc = acc + power
-    return acc
 
 
 def subst_x(f: PSeries, s: PSeries) -> PSeries:

@@ -183,7 +183,8 @@ class TestVerify:
     # SHA-256 of the report bytes, recorded when the echoed config lost the
     # bounds "K" and "G" that no result depends on.  The checks entries are
     # those recorded at commit 06c69f1 (N=8) and f75081f (N=12): the product
-    # kernel, the inversion formula and the integer rings changed no byte
+    # kernel, the inversion formula and the integer rings changed no byte.
+    # N=16 was recorded at f0c3948, before the kernel weights were tabulated.
     @pytest.mark.parametrize(
         "argv, want_code, digest",
         [
@@ -203,8 +204,14 @@ class TestVerify:
                 EXIT_OK,
                 "57aea707a9140e1d682151b214566a17243749082cd69a1df2c03b7945a881ab",
             ),
+            pytest.param(
+                ("--N", "16"),
+                EXIT_OK,
+                "7a3d545af039a754d455958d669782665444a48c5f3b8d4c7855c58275eb5961",
+                marks=pytest.mark.slow,
+            ),
         ],
-        ids=["N8", "N8-inject-fault", "N12"],
+        ids=["N8", "N8-inject-fault", "N12", "N16"],
     )
     def test_report_bytes_are_pinned(self, capsys, argv, want_code, digest):
         code, out, _ = run_cli(capsys, "verify", *argv)

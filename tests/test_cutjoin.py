@@ -14,15 +14,12 @@ from hurwitz import (
     count_transitive,
     evolve,
     extract_c,
-    f0_series,
-    g1_defn,
     mu0,
     mu1,
     partitions_of,
     run,
 )
-from hurwitz.closedform import psi_at_s
-from hurwitz.cutjoin import genus_slice
+
 
 @pytest.fixture(scope="module")
 def state5():
@@ -170,15 +167,3 @@ class TestGenusTwo:
         assert len(keys) == len(table) == 288
         for alpha, g in keys:
             assert table[alpha, g] == count_transitive(alpha, g), (alpha, g)
-
-
-class TestGenusSlices:
-    def test_genus_zero_slice_equals_assembled_series(self, state5):
-        assert genus_slice(state5, 0) == f0_series(5)
-
-    def test_genus_one_slice_equals_assembled_series(self, state5):
-        assert genus_slice(state5, 1) == g1_defn(5)
-
-    def test_euler_square_of_f0_is_psi0(self, state5):
-        f0 = genus_slice(state5, 0)
-        assert f0.xdiff().xdiff() == psi_at_s(0, 5)

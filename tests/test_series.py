@@ -12,7 +12,6 @@ from hurwitz import (
     PSeries,
     TruncationMismatch,
     exp,
-    inv_one_minus,
     log1,
     subst_x,
 )
@@ -289,11 +288,6 @@ class TestExpLog:
     @settings(max_examples=15, deadline=None)
     def test_exp_is_multiplicative(self, f, g):
         assert exp(f) * exp(g) == exp(f + g)
-
-    def test_inv_one_minus_is_geometric(self):
-        x = PSeries.x(TR8)
-        inv = inv_one_minus(x)
-        assert inv * (PSeries.one(TR8) - x) == PSeries.one(TR8)
 
 
 class TestSubstitution:

@@ -211,12 +211,12 @@ class TestVanishing:
     def test_renamed_kernels_equal_direct_builds(self, order):
         k = verify._series_kernels(order)
         for v1, v2 in ((2, 3), (1, 3), (2, 1)):
-            assert k.c(v1, v2) == verify._direct_c(v1, v2, order)
-            assert k.e(v1, v2) == verify._direct_e(v1, v2, order)
+            assert k.c(v1, v2) == verify._direct_cross("c", v1, v2, order)
+            assert k.e(v1, v2) == verify._direct_cross("e", v1, v2, order)
         for v in (2, 3):
-            assert k.a(v) == verify._direct_a(v, order)
-            assert k.b(v) == verify._direct_b(v, order)
-            assert k.d(v) == verify._direct_d(v, order)
+            assert k.a(v) == verify._direct_linear("a", v, order)
+            assert k.b(v) == verify._direct_linear("b", v, order)
+            assert k.d(v) == verify._direct_linear("d", v, order)
             for m in range(-1, 3):
                 assert k.psi(m, v) == verify._direct_psi(m, v, order)
 
@@ -247,14 +247,40 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "_u2_rearranged", lambda: WExpr(WPoly.var(1)))
         assert check_u2().witness == "rearranged form: w1"
 
-    def test_weights_only_fault_is_caught(self, monkeypatch):
-        direct_b = verify._direct_b
-        monkeypatch.setattr(
-            verify, "_direct_b", lambda v, order: direct_b(v, order) * Fraction(13, 12)
-        )
-        failed = [c for c in series_u_checks(order=8) if not c.ok]
-        assert [c.name for c in failed] == ["u1_series", "u2_series"]
+    @pytest.mark.parametrize(
+        "name, part, failing_u",
+        [
+            ("a", None, ["u1_series", "u2_series", "u3_series"]),
+            ("b", None, ["u1_series", "u2_series"]),
+            ("d", None, ["u1_series", "u2_series"]),
+            ("c", 0, ["u2_series", "u3_series"]),
+            ("c", 1, ["u2_series", "u3_series"]),
+            ("e", 0, ["u2_series", "u3_series"]),
+            ("e", 1, ["u2_series", "u3_series"]),
+        ],
+        ids=["a", "b", "d", "c-join", "c-split", "e-join", "e-split"],
+    )
+    def test_kernel_weight_fault_is_caught(self, monkeypatch, name, part, failing_u):
+        # one weight of the table scaled by 13/12: every route that reads the
+        # table fails against the closed forms, the PDE residual does not move
+        def scaled(w):
+            return lambda *args: w(*args) * Fraction(13, 12)
+
+        if part is None:
+            monkeypatch.setitem(verify._LINEAR, name, scaled(verify._LINEAR[name]))
+        else:
+            weights = list(verify._CROSS[name])
+            weights[part] = scaled(weights[part])
+            monkeypatch.setitem(verify._CROSS, name, tuple(weights))
+        checks = run_all_checks(TR8)
+        failed = [c for c in checks if not c.ok]
+        assert [c.name for c in failed] == [
+            f"sym_closed_form_{name}",
+            *failing_u,
+            "kernel_recombination",
+        ]
         assert all(c.witness for c in failed)
+        assert (checks[0].name, checks[0].ok) == ("pde_residual", True)
 
     def test_genus0_input_fault_is_caught(self):
         assert f0_pdiff_axiom(TR8, f0_series(TR8)).ok
@@ -262,15 +288,6 @@ class TestFaultInjection:
         result = f0_pdiff_axiom(TR8, bad)
         assert not result.ok
         assert result.witness.startswith("k=1: ")
-
-    def test_u3_weights_only_fault_is_caught(self, monkeypatch):
-        direct_c = verify._direct_c
-        monkeypatch.setattr(
-            verify, "_direct_c", lambda v1, v2, order: direct_c(v1, v2, order) * Fraction(13, 12)
-        )
-        failed = [c for c in series_u_checks(order=8) if not c.ok]
-        assert [c.name for c in failed] == ["u2_series", "u3_series"]
-        assert all(c.witness for c in failed)
 
     def test_substitution_series_fault_is_caught(self, monkeypatch):
         bad = s_series(TR8) + PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 1), (2, 1)))
