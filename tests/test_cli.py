@@ -281,8 +281,23 @@ class TestPinnedOutput:
                 ("count", "--alpha", "3,3,2", "--genus", "3", "--method", "cutjoin"),
                 "6749f0e8e7953e320cbe1fe843514c6a81c4ea30fd08da30efbb5852ea5ffca2",
             ),
+            # the benchmarked table, whose digest perfbench/run.py also
+            # checks; n = 16 was recorded at commit 522264f, the last one
+            # whose cut-and-join stored rationals
+            (
+                ("table", "--n", "13", "--method", "cutjoin"),
+                "9d209f7085723ffd95c8ecab6706cf723084c13fed249ec6f94254f1670c4aa1",
+            ),
+            pytest.param(
+                ("table", "--n", "16", "--method", "cutjoin"),
+                "85855bc854800e9dc941f862b48408a0573b0d0b02fcb39384ec0edb0c346eb5",
+                marks=pytest.mark.slow,
+            ),
         ],
-        ids=["compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin"],
+        ids=[
+            "compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin",
+            "table-n13-cutjoin", "table-n16-cutjoin",
+        ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)

@@ -1,7 +1,11 @@
 """The cut-and-join evolution against the oracle and the closed formulas."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from hurwitz import (
     class_size,
     count_naive,
     count_transitive,
+    cutjoin,
     evolve,
     extract_c,
     mu0,
@@ -34,7 +39,8 @@ class TestInitialCondition:
     def test_seed_is_x_p1(self):
         # N = 1, G = 0 needs no step: the one type (1) lives at r = 0
         state = evolve(1, 0)
-        assert state.phi == ({(1,): Fraction(1)},)
+        assert state.phi == ({(1,): 1},)
+        assert type(state.phi[0][(1,)]) is int
 
     def test_seed_matches_enumeration(self):
         # the unique length-0 factorization of the 1-cycle
@@ -68,8 +74,8 @@ class TestBounds:
 
 class TestStep:
     def test_first_order(self, state5):
-        # r = 1 holds exactly the 2-cycle at genus 0
-        assert state5.phi[1] == {(2,): Fraction(1, 2)}
+        # r = 1 holds exactly the 2-cycle at genus 0: L = 2! mu_0((2)) = 1
+        assert state5.phi[1] == {(2,): 1}
         assert extract_c(state5, Partition((2,)), 0) == 1
 
     def test_genus_one_appears_at_r3(self, state5):
@@ -87,6 +93,68 @@ class TestStep:
                 assert n + m <= r + 2
 
 
+class TestStoredCounts:
+    def test_orders_hold_class_size_times_count(self):
+        # each order stores L_r(alpha) = |C_alpha| c_g(alpha), an int, for
+        # exactly the types with a nonzero count
+        state = evolve(8, 2)
+        want = {}
+        for n in range(1, 9):
+            for alpha in partitions_of(n):
+                for g in range(3):
+                    L = class_size(alpha) * count_transitive(alpha, g)
+                    if L:
+                        want[alpha.n + alpha.m + 2 * g - 2, alpha.parts] = L
+        stored = {(r, parts): L for r, phi in enumerate(state.phi) for parts, L in phi.items()}
+        assert stored == want
+        assert all(type(L) is int for L in stored.values())
+
+
+# Both guards of the integer recurrence: an odd cross-join weight at r = 0,
+# and a negative count read by extract_c.
+_GUARD_SCRIPT = """
+from math import comb
+from hurwitz import IntegralityError, Partition, cutjoin
+cutjoin.comb = lambda n, k: 1
+try:
+    cutjoin.evolve(2, 0)
+except IntegralityError as exc:
+    print(exc)
+cutjoin.comb = comb
+state = cutjoin.evolve(2, 0)
+bad = cutjoin.CutJoinState(2, 0, (state.phi[0], {(2,): -1}))
+try:
+    cutjoin.extract_c(bad, Partition((2,)), 0)
+except IntegralityError as exc:
+    print(exc)
+"""
+
+
+class TestIntegralityGuards:
+    def test_odd_cross_join_weight_raises(self, monkeypatch):
+        # the halved weight C(r, r/2) C(n_a + n_b, n_a) / 2 is checked, not assumed
+        monkeypatch.setattr(cutjoin, "comb", lambda n, k: 1)
+        evolve.cache_clear()
+        with pytest.raises(IntegralityError, match="odd cross-join weight 1 at r=0"):
+            evolve(3, 0)
+
+    def test_guards_survive_dash_o(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-c", _GUARD_SCRIPT], capture_output=True, env=env
+            )
+            for flags in ((), ("-O",))
+        )
+        assert plain.returncode == 0
+        assert plain.stdout.decode().splitlines() == [
+            "odd cross-join weight 1 at r=0, sizes 1 and 1",
+            "non-integral count for (2), g=0: -1/1",
+        ]
+        assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
+
+
 class TestExtract:
     def test_known_values(self, state5):
         assert extract_c(state5, Partition((1,)), 0) == 1
@@ -98,7 +166,8 @@ class TestExtract:
     def test_non_integral_coefficient_raises(self, state5):
         alpha = Partition((2, 1))
         r = alpha.n + alpha.m - 2
-        for bad in (state5.phi[r][alpha.parts] + Fraction(1, 3), Fraction(-1)):
+        # |C_(2,1)| = 3: L + 1 is not divisible by it, and -3 is negative
+        for bad in (state5.phi[r][alpha.parts] + 1, -class_size(alpha)):
             phi = list(state5.phi)
             phi[r] = {**phi[r], alpha.parts: bad}
             with pytest.raises(IntegralityError):
