@@ -150,7 +150,9 @@ def s_powers(N: int) -> tuple[PSeries, ...]:
 @lru_cache(maxsize=64)
 def psi_at_s(i: int, N: int) -> PSeries:
     """psi_i evaluated at x -> s, still a series in x and p."""
-    return subst_x(psi(i, N), s_series(N))
+    pw = s_powers(N)
+    parts = psi(i, N).x_parts(strip=True).items()
+    return sum((cd * pw[d] for d, cd in parts), PSeries.zero(N))
 
 
 def _formula_series(N: int, g: int) -> PSeries:

@@ -1,50 +1,42 @@
 """Sparse truncated formal power series with exact rational coefficients.
 
-The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, and N is its only
-bound.  A series is a sparse map from monomials to nonzero rational
-coefficients; the monomial key format is private to this module, and other
-modules build series from partitions (``PSeries.from_parts``) or single
-monomials (``PSeries.term``).  Monomials above x^N are dropped when a series
-is built (dropped, never rounded); no operation here lowers the x-degree, so
-the coefficients that survive are exactly those of the untruncated ring.
-The p-indices need no bound of their own: every series in this package has
-p-weight at most its x-degree, so no p_k with k > N survives the cut.  The
-paper's genus marker z is no coordinate here: only the cut-and-join carries
-genus, keyed by partition.
+The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, its only bound.
+A series maps monomials to nonzero rational coefficients.  The monomial
+x^d prod p_i^e_i is stored as one integer code, 2^d prod q_i^e_i with q_i
+the i-th odd prime (q_1 = 3): unique factorization makes it injective, a
+product of monomials is the product of their codes, and d is the number of
+trailing zero bits.  The code is private: other modules build series from
+``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``) or single
+monomials (``PSeries.term``) and read them back in that form
+(``fraction_view``).  Monomials above x^N are dropped (never rounded); no
+operation lowers the x-degree, so every kept coefficient is that of the
+untruncated ring.  The p-indices need no bound: the prime table grows on
+demand.  Genus is no coordinate: only the cut-and-join carries it.
 
-``exp``, ``log1`` and ``subst_x`` additionally require every input monomial
-to carry positive x-degree.  That restriction keeps their expansions finite
-inside the truncation; all the series this package feeds them are of that
-kind (x-adically small).
+``exp``, ``log1`` and ``subst_x`` require every input monomial to carry
+positive x-degree, which keeps their expansions finite inside the cut.
 
 A series is stored fraction-free, as integer numerators over one positive
-denominator ``den``, in canonical form: no zero numerator is stored,
-gcd(den, *numerators) == 1, and the zero series has den == 1, so equal series
-have equal (den, terms).  Sums align to lcm(den_a, den_b), scalars and
-derivations scale numerators, and products run their double loop on ints
-over den_a * den_b; each result is reduced once by ``gcd(den, *numerators)``.
-Only coefficient reads (``coeff``, ``fraction_view``) build Fractions, and
-floating point is never used.
+denominator ``den``, in canonical form: no zero numerator, gcd(den,
+*numerators) == 1, den == 1 for zero, so equal series have equal (den,
+terms).  Sums align to lcm(den_a, den_b), scalars and derivations scale
+numerators, products run their double loop on ints over den_a * den_b, and
+each result is reduced by one gcd.  Only coefficient reads (``coeff``,
+``fraction_view``) build Fractions; floating point is never used.
 
-That storage and every operation that does not read a monomial live in one
-ring class, ``ExactRing``, with two monomial formats: ``PSeries`` here and
-``verify.WPoly`` (three variables, exact or cut per variable).  Each format
-adds its constructor, its product loop and its monomial text, and
-``PSeries`` the series operations (shift, derivations, x-slices) too.  The
-public constructors validate (no floats, no zeros, nothing beyond the cut);
-ring operations build their results through ``ExactRing._of``, which skips
-that pass.
+``ExactRing`` holds that storage and every operation that reads no
+monomial; ``PSeries`` here and ``verify.WPoly`` are its two monomial
+formats.  Public constructors validate (no floats, no zeros, nothing beyond
+the cut); ring operations skip that pass (``ExactRing._of``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-PExp = tuple[tuple[int, int], ...]
-Monomial = tuple[int, PExp]
+Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO = Fraction(0)
 
@@ -59,31 +51,50 @@ class FixedPointError(RuntimeError):
     """A candidate series is not the fixed point of its builder."""
 
 
-def _canon_pexp(p: Mapping[int, int] | Iterable[tuple[int, int]]) -> PExp:
-    """Canonical sorted p-exponent vector; zero exponents removed."""
-    items = p.items() if isinstance(p, Mapping) else tuple(p)
-    agg: dict[int, int] = {}
-    for i, e in items:
-        i, e = int(i), int(e)
+# q_1, q_2, ...: the odd primes that code p_1, p_2, ...; grown on demand.
+_PRIMES = [3]
+
+
+def _prime(i: int) -> int:
+    """q_i, the i-th odd prime, which codes p_i."""
+    while len(_PRIMES) < i:
+        q = _PRIMES[-1] + 2
+        while any(q % r == 0 for r in _PRIMES if r * r <= q):
+            q += 2
+        _PRIMES.append(q)
+    return _PRIMES[i - 1]
+
+
+def _encode(xd: int, p: Mapping[int, int] | Iterable[tuple[int, int]]) -> int:
+    """The code 2^xd prod q_i^e of x^xd prod p_i^e (repeated indices add up)."""
+    if xd < 0:
+        raise ValueError(f"negative exponent in monomial x^{xd}")
+    code = 1
+    for i, e in p.items() if isinstance(p, Mapping) else p:
         if i < 1 or e < 0:
             raise ValueError(f"invalid p-monomial entry p{i}^{e}")
+        code *= _prime(i) ** e
+    return code << xd
+
+
+def _xdeg(code: int) -> int:
+    """The x-degree of a coded monomial: its trailing zero bits."""
+    return (code & -code).bit_length() - 1
+
+
+def _decode(code: int) -> Monomial:
+    """The (x-degree, sorted p-exponents) form of a coded monomial."""
+    xd = _xdeg(code)
+    rest, pexp, i = code >> xd, [], 0
+    while rest > 1:
+        i += 1
+        q, e = _prime(i), 0
+        while rest % q == 0:
+            rest //= q
+            e += 1
         if e:
-            agg[i] = agg.get(i, 0) + e
-    return tuple(sorted(agg.items()))
-
-
-# Few distinct pairs recur across products: `verify --N 12` merges 141k
-# pairs, of which 3.1k are distinct.
-@lru_cache(maxsize=1 << 16)
-def _merge_pexp(a: PExp, b: PExp) -> PExp:
-    if not a:
-        return b
-    if not b:
-        return a
-    agg = dict(a)
-    for i, e in b:
-        agg[i] = agg.get(i, 0) + e
-    return tuple(sorted(agg.items()))
+            pexp.append((i, e))
+    return xd, tuple(pexp)
 
 
 def _integer_form(
@@ -137,7 +148,7 @@ def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, 
 
 def fraction_view(f: "ExactRing") -> dict:
     """The coefficients of a PSeries or WPoly as Fractions, by monomial."""
-    return {m: Fraction(v, f.den) for m, v in f.terms.items()}
+    return {f._decode(m): Fraction(v, f.den) for m, v in f.terms.items()}
 
 
 def monomial_str(mono: Monomial) -> str:
@@ -151,25 +162,16 @@ def monomial_str(mono: Monomial) -> str:
     return "*".join(out) if out else "1"
 
 
-def _parts_key(parts: Iterable[int]) -> tuple[int, PExp]:
-    """Size and canonical p-exponent vector of the partition with these parts."""
-    mult: dict[int, int] = {}
-    for a in parts:
-        if a < 1:
-            raise ValueError(f"part {a} is not positive")
-        mult[a] = mult.get(a, 0) + 1
-    return sum(i * e for i, e in mult.items()), tuple(sorted(mult.items()))
-
-
 class ExactRing:
     """Immutable sparse exact polynomial stored as terms/den, cut at N.
 
     The body both exact rings of the package share; they differ only in the
-    format of a monomial key.  ``PSeries`` keys (x-degree, p-exponents) and
-    cuts the x-degree at N.  ``verify.WPoly`` keys exponent triples and cuts
+    format of a monomial key.  ``PSeries`` keys monomial codes and cuts the
+    x-degree at N.  ``verify.WPoly`` keys exponent triples and cuts
     each variable at N, or nothing when N is None.  A subclass supplies its
     constructor, ``_products`` (the summed numerator products by monomial,
-    inside the cut) and ``_mono_str`` (the text of one monomial).
+    inside the cut), ``_mono_str`` (the text of one monomial) and, when it
+    stores a monomial in private form, ``_decode`` (its public form).
 
     All binary operations demand the same N; mixing them raises
     TruncationMismatch rather than silently coercing.
@@ -200,6 +202,10 @@ class ExactRing:
 
     __hash__ = None  # type: ignore[assignment]
 
+    @staticmethod
+    def _decode(mono: Hashable) -> Hashable:
+        return mono
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} N={self.N}: {len(self.terms)} terms>"
 
@@ -225,11 +231,11 @@ class ExactRing:
 
     def lead_str(self) -> str:
         """The lexicographically first monomial as text ("0" for zero): a witness."""
-        return self._mono_str(min(self.terms)) if self.terms else "0"
+        return self._mono_str(min(map(self._decode, self.terms))) if self.terms else "0"
 
 
 class PSeries(ExactRing):
-    """Series in Q[p_1, p_2, ...][[x]] cut at x^N: ``ExactRing`` keyed by x-degree."""
+    """Series in Q[p_1, p_2, ...][[x]] cut at x^N: ``ExactRing`` keyed by monomial code."""
 
     __slots__ = ()
 
@@ -240,13 +246,16 @@ class PSeries(ExactRing):
     ):
         if N < 1:
             raise ValueError(f"truncation degree N={N} is below 1")
+        coded: dict[int, Fraction | int] = {}
+        for (xd, pexp), c in (terms or {}).items():
+            code = _encode(xd, pexp)
+            coded[code] = coded.get(code, 0) + c
         self.N = N
-        self.den, self.terms = _integer_form(terms or {}, lambda mono: mono[0] <= N)
+        self.den, self.terms = _integer_form(coded, lambda code: _xdeg(code) <= N)
 
-    # The benchmark probes series.PSeries.{mul,add} wrap a method found in
-    # this class's own __dict__ and are cross-checked by cProfile, which
-    # counts calls per code object; a body shared with WPoly would merge the
-    # two rings' counts.  So each probed operation gets a code object here.
+    # Code objects of their own for the benchmark probes series.PSeries.{mul,
+    # add}: cProfile counts calls per code object, and a body shared with
+    # WPoly would merge the two rings' counts.
     def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
         return ExactRing.__mul__(self, other)
 
@@ -256,6 +265,7 @@ class PSeries(ExactRing):
         return ExactRing.__add__(self, other)
 
     _mono_str = staticmethod(monomial_str)
+    _decode = staticmethod(_decode)
 
     # -- constructors ------------------------------------------------------
 
@@ -269,8 +279,6 @@ class PSeries(ExactRing):
 
     @staticmethod
     def x(N: int, power: int = 1) -> "PSeries":
-        if power < 0:
-            raise ValueError(f"negative x-power {power}")
         return PSeries(N, {(power, ()): 1})
 
     @staticmethod
@@ -281,9 +289,7 @@ class PSeries(ExactRing):
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Single monomial coeff * x^x * p-monomial."""
-        if x < 0:
-            raise ValueError(f"negative exponent in monomial x^{x}")
-        return PSeries(N, {(x, _canon_pexp(p)): coeff})
+        return PSeries.one(N).shift(coeff, x, p)
 
     @staticmethod
     def from_parts(
@@ -295,23 +301,26 @@ class PSeries(ExactRing):
         """
         terms: dict[Monomial, Fraction | int] = {}
         for parts, c in coeffs.items():
-            mono = _parts_key(parts)
+            mono = (sum(parts), tuple((a, 1) for a in sorted(parts)))
             terms[mono] = terms.get(mono, 0) + c
         return PSeries(N, terms)
 
     # -- ring operations ---------------------------------------------------
 
-    def _products(self, other: "PSeries") -> dict[Monomial, int]:
+    def _products(self, other: "PSeries") -> dict[int, int]:
         N = self.N
-        # sorted by x-degree, so the x-cut ends the inner loop
-        B = sorted(other.terms.items(), key=lambda term: term[0][0])
-        acc: dict[Monomial, int] = {}
-        for (x1, p1), a in self.terms.items():
-            for (x2, p2), b in B:
-                xd = x1 + x2
-                if xd > N:
-                    break
-                key = (xd, _merge_pexp(p1, p2))
+        # other's terms by x-degree: the first ends[d] have x-degree <= d
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
+        for c, v in other.terms.items():
+            buckets[_xdeg(c)].append((c, v))
+        B, ends = [], []
+        for bucket in buckets:
+            B += bucket
+            ends.append(len(B))
+        acc: dict[int, int] = {}
+        for c1, a in self.terms.items():
+            for c2, b in B[: ends[N - _xdeg(c1)]]:
+                key = c1 * c2
                 acc[key] = acc.get(key, 0) + a * b
         return acc
 
@@ -322,13 +331,9 @@ class PSeries(ExactRing):
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Multiply by a single monomial (cheaper than building a PSeries)."""
-        padd, N = _canon_pexp(p), self.N
-        out = {
-            (xd + x, _merge_pexp(pexp, padd)): v
-            for (xd, pexp), v in self.terms.items()
-            if xd + x <= N
-        }
-        return PSeries._of(N, *_scale(self.den, out, coeff))
+        m, top = _encode(x, p), self.N - x
+        out = {c * m: v for c, v in self.terms.items() if not x or _xdeg(c) <= top}
+        return PSeries._of(self.N, *_scale(self.den, out, coeff))
 
     # -- derivations and slices --------------------------------------------
 
@@ -336,28 +341,28 @@ class PSeries(ExactRing):
         """Formal partial derivative with respect to p_k."""
         if k < 1:
             raise ValueError(f"p-index {k} is below 1")
-        out: dict[Monomial, int] = {}
-        for (xd, pexp), v in self.terms.items():
-            for pos, (i, e) in enumerate(pexp):
-                if i == k:
-                    if e == 1:
-                        reduced = pexp[:pos] + pexp[pos + 1 :]
-                    else:
-                        reduced = pexp[:pos] + ((i, e - 1),) + pexp[pos + 1 :]
-                    out[(xd, reduced)] = v * e
-                    break
+        q = _prime(k)
+        out: dict[int, int] = {}
+        for c, v in self.terms.items():
+            rest, e = c, 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            if e:
+                out[c // q] = v * e
         return PSeries._of(self.N, *_reduce(self.den, out))
 
     def xdiff(self) -> "PSeries":
         """The Euler operator x * d/dx: scales each term by its x-degree."""
-        out = {m: v * m[0] for m, v in self.terms.items() if m[0]}
+        out = {c: v * d for c, v in self.terms.items() if (d := _xdeg(c))}
         return PSeries._of(self.N, *_reduce(self.den, out))
 
     def x_parts(self, strip: bool = False) -> dict[int, "PSeries"]:
         """Split into x-degree parts; strip removes the x factor."""
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for (xd, pexp), v in self.terms.items():
-            buckets.setdefault(xd, {})[(0, pexp) if strip else (xd, pexp)] = v
+        buckets: dict[int, dict[int, int]] = {}
+        for c, v in self.terms.items():
+            xd = _xdeg(c)
+            buckets.setdefault(xd, {})[c >> xd if strip else c] = v
         return {d: PSeries._of(self.N, *_reduce(self.den, t)) for d, t in buckets.items()}
 
     # -- queries -----------------------------------------------------------
@@ -366,16 +371,16 @@ class PSeries(ExactRing):
         """Exact coefficient of x^x_deg p_alpha, alpha given by parts."""
         if not 0 <= x_deg <= self.N:
             raise ValueError(f"x-degree {x_deg} outside truncation N={self.N}")
-        v = self.terms.get((x_deg, _parts_key(parts)[1]))
+        v = self.terms.get(_encode(x_deg, ((a, 1) for a in parts)))
         return _ZERO if v is None else Fraction(v, self.den)
 
 
 def _require_positive_xdeg(f: PSeries, op: str) -> None:
-    for mono in f.terms:
-        if mono[0] == 0:
+    for code in f.terms:
+        if code & 1:
             raise ValueError(
                 f"{op} needs every monomial to have positive x-degree; "
-                f"found {monomial_str(mono)}"
+                f"found {monomial_str(_decode(code))}"
             )
 
 

@@ -15,7 +15,7 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz.series import certify_fixed_point, fraction_view, monomial_str
+from hurwitz.series import _decode, _encode, _prime, certify_fixed_point, fraction_view, monomial_str
 
 from conftest import TR6, TR8, fractions_st, is_canonical, pexp_st, series_st
 
@@ -237,6 +237,10 @@ class TestDerivations:
     def test_pdiff_power_rule(self):
         f = PSeries.term(TR8, 1, x=4, p=((2, 2),))
         assert f.pdiff(2) == PSeries.term(TR8, 2, x=4, p=((2, 1),))
+        f = PSeries.term(TR8, 5, x=6, p=((1, 3), (2, 2)))
+        assert f.pdiff(1) == PSeries.term(TR8, 15, x=6, p=((1, 2), (2, 2)))
+        assert f.pdiff(2) == PSeries.term(TR8, 10, x=6, p=((1, 3), (2, 1)))
+        assert f.pdiff(3).is_zero
 
     def test_xdiff_scales_by_degree(self):
         f = PSeries.term(TR8, 1, x=3, p=((3, 1),))
@@ -354,6 +358,44 @@ class TestCoeff:
         f = PSeries.term(TR8, 3, x=3, p=((1, 3),)) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
         assert f.lead_str() == monomial_str((2, ((2, 1),))) == "x^2*p2"
         assert PSeries.zero(TR8).lead_str() == "0"
+        # the first key, not the smallest code: x^2 p2 codes as 4 * 5 < 4 * 9
+        g = PSeries.term(TR8, 1, x=2, p=((1, 2),)) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
+        assert g.lead_str() == "x^2*p1^2"
+
+
+class TestMonomialCode:
+    """A monomial is stored as the integer 2^d prod q_i^e_i (q_i the i-th odd prime)."""
+
+    def test_round_trip(self):
+        # p_40 needs the prime table grown far past the p-indices of verify
+        for mono in [(0, ()), (5, ()), (0, ((1, 1),)), (3, ((1, 2), (4, 1))), (2, ((7, 1), (40, 3)))]:
+            assert _decode(_encode(*mono)) == mono
+        assert _prime(1) == 3 and _prime(40) == 179
+        assert _encode(2, ((1, 2), (3, 1))) == 2**2 * 3**2 * 7
+
+    def test_repeated_indices_add_up(self):
+        assert _encode(1, ((2, 1), (1, 1), (2, 1))) == _encode(1, {1: 1, 2: 2})
+        f = PSeries(TR8, {(1, ((1, 1), (2, 1))): 1, (1, ((2, 1), (1, 1))): 2})
+        assert fraction_view(f) == {(1, ((1, 1), (2, 1))): 3}
+
+    def test_far_index_survives_the_ring(self):
+        f = PSeries.term(TR8, 2, x=1, p=((40, 1),))
+        assert fraction_view(f * f) == {(2, ((40, 2),)): 4}
+        assert (f * f).pdiff(40) == f * PSeries.x(TR8) * 4
+        assert f.coeff(1, (40,)) == 2
+
+    def test_strip_removes_x_from_every_key(self):
+        f = PSeries.from_parts(TR8, {(1,): 1, (2, 1): 2, (3,): 3, (2, 2, 1): 4})
+        parts = f.x_parts(strip=True)
+        assert sorted(parts) == [1, 3, 5]
+        for part in parts.values():
+            assert all(xd == 0 for xd, _ in fraction_view(part))
+        assert fraction_view(parts[3]) == {(0, ((1, 1), (2, 1))): 2, (0, ((3, 1),)): 3}
+
+    def test_fraction_view_keys(self):
+        f = PSeries.term(TR8, Fraction(1, 3), x=4, p=((3, 1), (1, 1)))
+        assert fraction_view(f) == {(4, ((1, 1), (3, 1))): Fraction(1, 3)}
+        assert monomial_str(next(iter(fraction_view(f)))) == "x^4*p1*p3"
 
 
 class TestSerialization:
