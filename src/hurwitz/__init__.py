@@ -23,6 +23,7 @@ from .closedform import (
     g1_defn,
     mu0,
     mu1,
+    psi,
     s_series,
 )
 from .cutjoin import CutJoinState, evolve, extract_c, run
@@ -40,7 +41,6 @@ from .partitions import (
     class_size,
     elem_sym,
     partitions_of,
-    psi,
     theta,
 )
 from .series import (

@@ -16,9 +16,13 @@ unique solution of s = x exp(psi_0(s, p)):
     G_1 = -(1/24) log(1 - psi_1(s, p)) - (1/24) psi_0(s, p).
 
 s is computed by Lagrange inversion, [x^n] s = (1/n) [t^(n-1)] exp(n psi_0),
-the way Goulden and Jackson obtain the genus-0 counts, and every result is
-certified exactly: x exp(psi_0(s, p)) must give back s, otherwise
-FixedPointError is raised.
+the way Goulden and Jackson obtain the genus-0 counts.  ``s_powers`` is the
+one place that builds s: it builds the power table s^0 .. s^N once and
+certifies s exactly against it (x exp(psi_0(s, p)) must give back s,
+otherwise FixedPointError is raised).  Every series written in s (psi_i at
+s, dF_0/dp_k) is a rule in x read at x -> s through that table
+(``series.subst_x``).  The one-part series psi_i, whose weights
+a_r = r^r/(r-1)! drive the closed formulas, are built here too.
 
 The genus-0 series enters the verification through its first p-derivatives
 
@@ -49,9 +53,8 @@ from .partitions import (
     elem_sym,
     factorization_count,
     partitions_of,
-    psi,
 )
-from .series import PSeries, certify_fixed_point, exp, log1, subst_x
+from .series import FixedPointError, PSeries, exp, log1, powers, subst_x
 
 
 def _prod_a(alpha: Partition) -> Fraction:
@@ -110,19 +113,31 @@ def c_value(alpha: Partition, g: int) -> int:
 # -- the substitution series s and everything written in it -----------------
 
 
+def psi(i: int, N: int) -> PSeries:
+    """The one-part series psi_i = sum_r r^(i-1) a_r p_r x^r, truncated at x^N.
+
+    Negative i is allowed; the exponent just yields exact rational weights.
+    """
+    return PSeries.from_parts(
+        N, {(r,): Fraction(r) ** (i - 1) * a_coeff(r) for r in range(1, N + 1)}
+    )
+
+
 # One entry per N; a CLI run uses one (`verify --N 16`: 1).
 @lru_cache(maxsize=16)
-def s_series(N: int) -> PSeries:
-    """Unique solution of s = x exp(psi_0(s, p)) with zero constant term.
+def s_powers(N: int) -> tuple[PSeries, ...]:
+    """s^0 .. s^N for the unique solution of s = x exp(psi_0(s, p)), cut at x^N.
 
-    The coefficients come from Lagrange inversion,
+    s has zero constant term; its coefficients come from Lagrange inversion,
 
         [x^n] s = (1/n) [t^(n-1)] exp(n psi_0(t))
                 = sum_{k<n} n^(k-1)/k! [t^(n-1)] psi_0(t)^k,
 
-    which needs the powers psi_0^1 .. psi_0^(N-1).  The result is then
-    certified exactly as the fixed point of the defining equation
-    (``certify_fixed_point``, FixedPointError otherwise).
+    which needs the powers psi_0^1 .. psi_0^(N-1).  The powers of s are
+    built once, and with them s is certified exactly as the fixed point of
+    the defining equation (FixedPointError otherwise).  An x-adic
+    contraction has exactly one fixed point, so a candidate that passes is
+    that fixed point, however it was computed.
     """
     psi0 = psi(0, N)
     xs = PSeries.x(N)
@@ -133,26 +148,25 @@ def s_series(N: int) -> PSeries:
         kf = factorial(k)
         for d, part in power.x_parts().items():
             s = s + part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
-    return certify_fixed_point(lambda t: xs * exp(subst_x(psi0, t)), s)
+    pw = powers(s)
+    if xs * exp(subst_x(psi0, pw)) != pw[1]:
+        raise FixedPointError(
+            f"x exp(psi_0(s)) != s at N={N}: the series from the inversion "
+            "formula is not the fixed point"
+        )
+    return pw
 
 
-# One entry per N (`verify --N 16`: 1).
-@lru_cache(maxsize=16)
-def s_powers(N: int) -> tuple[PSeries, ...]:
-    """s^0 .. s^N, cut at x^N."""
-    out = [PSeries.one(N)]
-    for _ in range(N):
-        out.append(out[-1] * s_series(N))
-    return tuple(out)
+def s_series(N: int) -> PSeries:
+    """The substitution series s itself: ``s_powers(N)[1]``."""
+    return s_powers(N)[1]
 
 
 # psi_0..psi_3 per N (`verify --N 16`: 4).
 @lru_cache(maxsize=64)
 def psi_at_s(i: int, N: int) -> PSeries:
     """psi_i evaluated at x -> s, still a series in x and p."""
-    pw = s_powers(N)
-    parts = psi(i, N).x_parts(strip=True).items()
-    return sum((cd * pw[d] for d, cd in parts), PSeries.zero(N))
+    return subst_x(psi(i, N), s_powers(N))
 
 
 def _formula_series(N: int, g: int) -> PSeries:
@@ -209,8 +223,7 @@ def f0_pdiff(k: int, N: int) -> PSeries:
     if k < 1:
         raise ValueError(f"p-index {k} is below 1")
     ak = a_coeff(k)
-    pw = s_powers(N)
-    out = pw[k] * (ak / k**3) if k <= N else PSeries.zero(N)
-    for r in range(1, N - k + 1):
-        out = out - pw[k + r].shift(ak * a_coeff(r) / (k**2 * (k + r)), p=((r, 1),))
-    return out
+    # the rule x^k (a_k/k^3 - sum_r a_k a_r/(k^2 (k+r)) p_r x^r), read at x -> s
+    weights = {(r,): -ak * a_coeff(r) / (k**2 * (k + r)) for r in range(1, N - k + 1)}
+    rule = PSeries.from_parts(N, {(): ak / k**3, **weights}).shift(x=k)
+    return subst_x(rule, s_powers(N))

@@ -4,8 +4,10 @@ A partition alpha = (alpha_1 >= ... >= alpha_m >= 1) of n indexes a
 conjugacy class C_alpha of the symmetric group S_n.  This module provides
 enumeration in reverse-lexicographic order, the class size |C_alpha|, the
 statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
-symmetric functions of the parts, and the weighted one-part series psi_i
-whose coefficients a_r = r^r/(r-1)! drive the closed Hurwitz formulas.
+symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
+closed Hurwitz formulas and the integrality check of a factorization
+count.  It imports no series code, so the counting engines that build on
+it (``cutjoin``, ``oracle``) stay independent of the series ring.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
-
-from .series import PSeries
 
 
 class IntegralityError(ArithmeticError):
@@ -84,27 +84,19 @@ class Partition:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
+def _rev_lex(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts <= cap, largest first part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap), 0, -1):
+        for rest in _rev_lex(n - first, first):
+            yield (first, *rest)
+
+
 # One entry per size n (`verify --N 16`: 17).
 @lru_cache(maxsize=64)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return (Partition(),)
-    out: list[Partition] = []
-    cur = [n]
-    while True:
-        out.append(Partition(cur))
-        j = len(cur) - 1
-        while j >= 0 and cur[j] == 1:
-            j -= 1
-        if j < 0:
-            return tuple(out)
-        rest = len(cur) - j - 1 + cur[j]
-        v = cur[j] - 1
-        cur = cur[:j]
-        while rest > 0:
-            nxt = min(v, rest)
-            cur.append(nxt)
-            rest -= nxt
+    return tuple(map(Partition, _rev_lex(n, n)))
 
 
 def partitions_of(n: int) -> list[Partition]:
@@ -160,13 +152,3 @@ def a_coeff(r: int) -> Fraction:
     if r < 1:
         raise ValueError("r must be at least 1")
     return Fraction(r**r, factorial(r - 1))
-
-
-def psi(i: int, N: int) -> PSeries:
-    """The one-part series psi_i = sum_r r^(i-1) a_r p_r x^r, truncated at x^N.
-
-    Negative i is allowed; the exponent just yields exact rational weights.
-    """
-    return PSeries.from_parts(
-        N, {(r,): Fraction(r) ** (i - 1) * a_coeff(r) for r in range(1, N + 1)}
-    )

@@ -13,8 +13,10 @@ operation lowers the x-degree, so every kept coefficient is that of the
 untruncated ring.  The p-indices need no bound: the prime table grows on
 demand.  Genus is no coordinate: only the cut-and-join carries it.
 
-``exp``, ``log1`` and ``subst_x`` require every input monomial to carry
+``exp``, ``log1`` and ``powers`` require every input monomial to carry
 positive x-degree, which keeps their expansions finite inside the cut.
+``subst_x`` reads a table built by ``powers`` rather than the inner series,
+so a caller builds each power table once.
 
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -48,7 +50,7 @@ class TruncationMismatch(ValueError):
 
 
 class FixedPointError(RuntimeError):
-    """A candidate series is not the fixed point of its builder."""
+    """A candidate series is not the fixed point of its defining equation."""
 
 
 # q_1, q_2, ...: the odd primes that code p_1, p_2, ...; grown on demand.
@@ -419,40 +421,21 @@ def log1(f: PSeries) -> PSeries:
     return sum(gparts[1:], gparts[0])
 
 
-def subst_x(f: PSeries, s: PSeries) -> PSeries:
-    """Substitute x -> s in f, reading f as the rule x-degree -> coefficient.
+def powers(s: PSeries) -> tuple[PSeries, ...]:
+    """The power table s^0 .. s^N of an x-adically small s, cut at x^N."""
+    _require_positive_xdeg(s, "powers")
+    out = [PSeries.one(s.N)]
+    for _ in range(s.N):
+        out.append(out[-1] * s)
+    return tuple(out)
 
-    The p-content of each x-graded piece of f is kept as the coefficient;
-    s must be x-adically small so that the composition is exact.
+
+def subst_x(f: PSeries, pw: Sequence[PSeries]) -> PSeries:
+    """Substitute x -> s in f, given the power table pw = powers(s).
+
+    f is read as the rule x-degree d -> coefficient: the p-content of its
+    x-graded piece of degree d multiplies s^d.
     """
-    f._check(s)
-    _require_positive_xdeg(s, "subst_x (inner series)")
-    N = f.N
-    rule = f.x_parts(strip=True)
-    out = rule.get(0, PSeries.zero(N))
-    power = PSeries.one(N)
-    for d in range(1, N + 1):
-        power = power * s
-        if power.is_zero:
-            break
-        cd = rule.get(d)
-        if cd is not None:
-            out = out + cd * power
-    return out
-
-
-def certify_fixed_point(
-    builder: Callable[[PSeries], PSeries], s: PSeries
-) -> PSeries:
-    """Return s if builder(s) == s, else raise FixedPointError.
-
-    An x-adic contraction has exactly one fixed point, so a candidate that
-    passes is that fixed point, however it was computed.
-    """
-    if builder(s) != s:
-        raise FixedPointError(
-            "builder(s) != s: the candidate is not a fixed point, or the "
-            "builder is not an x-adic contraction"
-        )
-    return s
-
+    f._check(pw[0])
+    parts = f.x_parts(strip=True).items()
+    return sum((cd * pw[d] for d, cd in parts), PSeries.zero(f.N))

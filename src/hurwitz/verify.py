@@ -707,6 +707,13 @@ def kernel_recombination(N: int) -> CheckResult:
     )
 
 
+# psi_pdiff_identity and g1_pdiff_identity stop at k = 4 (or N).  Both are
+# derived for every k at once, and k = 1..4 already moves each k-dependent
+# factor (k^j, a_k, 1/k, s^k); every further k costs eight more full
+# products (six and two).  s_pdiff_identity, one product per k, runs to N.
+PDIFF_MAX_K = 4
+
+
 def _one_minus_psi1(N: int) -> PSeries:
     return PSeries.one(N) - psi_at_s(1, N)
 
@@ -732,7 +739,7 @@ def s_pdiff_identity(N: int) -> CheckResult:
     return _first_nonzero("s_pdiff_identity", differences())
 
 
-def psi_pdiff_identity(N: int, max_k: int = 4) -> CheckResult:
+def psi_pdiff_identity(N: int) -> CheckResult:
     """k dpsi_j/dp_k (1-psi_1) = k^j a_k s^k (1-psi_1) + a_k psi_{j+1} s^k."""
     pw = s_powers(N)
     omp = _one_minus_psi1(N)
@@ -741,7 +748,7 @@ def psi_pdiff_identity(N: int, max_k: int = 4) -> CheckResult:
         for j in range(0, 3):
             pj = psi_at_s(j, N)
             pj1 = psi_at_s(j + 1, N)
-            for k in range(1, min(max_k, N) + 1):
+            for k in range(1, min(PDIFF_MAX_K, N) + 1):
                 ak = a_coeff(k)
                 lhs = pj.pdiff(k) * omp * k
                 rhs = pw[k] * (omp * (Fraction(k) ** j * ak) + pj1 * ak)
@@ -759,9 +766,7 @@ def g1_xdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     return _first_nonzero("g1_xdiff_identity", [(None, g1.xdiff() * omp * omp * 24 - rhs)])
 
 
-def g1_pdiff_identity(
-    N: int, g1: PSeries | None = None, max_k: int = 4
-) -> CheckResult:
+def g1_pdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     """24 dG1/dp_k (1-psi_1)^2 = a_k s^k (1-psi_1) + (a_k/k) s^k (psi_2 - (1-psi_1))."""
     if g1 is None:
         g1 = g1_closed(N)
@@ -771,7 +776,7 @@ def g1_pdiff_identity(
     bracket = psi_at_s(2, N) - omp
 
     def differences():
-        for k in range(1, min(max_k, N) + 1):
+        for k in range(1, min(PDIFF_MAX_K, N) + 1):
             ak = a_coeff(k)
             rhs = pw[k] * (omp * ak + bracket * (ak / k))
             yield f"k={k}", g1.pdiff(k) * omp2 * 24 - rhs

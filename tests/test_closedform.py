@@ -29,9 +29,9 @@ from hurwitz import (
     s_series,
 )
 from hurwitz import closedform
-from hurwitz.closedform import psi_at_s, s_powers
-from hurwitz.partitions import a_coeff, psi
-from hurwitz.series import FixedPointError, certify_fixed_point, fraction_view, subst_x
+from hurwitz.closedform import psi, psi_at_s, s_powers
+from hurwitz.partitions import a_coeff
+from hurwitz.series import FixedPointError, fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
 
 TR8 = 8
@@ -191,17 +191,18 @@ class TestSubstitutionSeries:
         psi0, xs = psi(0, N), PSeries.x(N)
         iterated = PSeries.zero(N)
         for _ in range(N):
-            iterated = xs * exp(subst_x(psi0, iterated))
+            iterated = xs * exp(subst_x(psi0, powers(iterated)))
         assert s_series(N) == iterated
 
-    def test_certificate_rejects_perturbed_candidate(self):
-        psi0, xs = psi(0, TR8), PSeries.x(TR8)
-        builder = lambda t: xs * exp(subst_x(psi0, t))
-        s = s_series(TR8)
-        assert certify_fixed_point(builder, s) is s
-        bad = s + PSeries.term(TR8, Fraction(1, 3), x=4, p=((1, 1), (2, 1)))
+    def test_perturbed_candidate_is_refused_and_not_cached(self, monkeypatch):
+        # the power table is built from a candidate that is off at x^4, so
+        # x exp(psi_0(s)) read through it no longer gives back its s
+        nudge = PSeries.term(TR8, Fraction(1, 3), x=4, p=((1, 1), (2, 1)))
+        monkeypatch.setattr(closedform, "powers", lambda s: powers(s + nudge))
+        s_powers.cache_clear()
         with pytest.raises(FixedPointError):
-            certify_fixed_point(builder, bad)
+            s_powers(TR8)
+        assert s_powers.cache_info().currsize == 0
 
     def test_euler_identity(self):
         # x ds/dx (1 - psi_1) = s

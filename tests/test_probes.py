@@ -1,9 +1,10 @@
-"""The per-layer probes of the benchmark still find the ring methods they wrap.
+"""The per-layer probes of the benchmark still find what they wrap.
 
 ``perfbench/tracer.py`` looks a probed method up in its class's own
 ``__dict__`` and reports a probe it cannot find as absent, so a refactor
-that moves a method into a base class would silently blank its metrics.
-The tracer is loaded read-only; nothing is wrapped.
+that moves a method into a base class, or renames a function, would
+silently blank its metrics.  The tracer is loaded read-only; nothing is
+wrapped.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 # resolve finds a probe's module in sys.modules
+import hurwitz.closedform
 import hurwitz.series
 import hurwitz.verify
 
@@ -25,6 +27,14 @@ RING_PROBES = [
     "series.PSeries.shift",
     "series.PSeries.pdiff",
     "verify.WPoly.mul",
+]
+
+# the functions that build the substitution series s and read rules at s
+SUBSTITUTION_PROBES = [
+    "series.subst_x",
+    "closedform.s_series",
+    "closedform.psi_at_s",
+    "closedform.f0_pdiff",
 ]
 
 
@@ -44,6 +54,12 @@ def tracer():
 
 @pytest.mark.parametrize("name", RING_PROBES)
 def test_ring_probe_resolves(tracer, name):
+    probe = next(p for p in tracer.PROBES if p.name == name)
+    assert tracer.resolve(probe) is not None, f"{name} would read absent"
+
+
+@pytest.mark.parametrize("name", SUBSTITUTION_PROBES)
+def test_substitution_probe_resolves(tracer, name):
     probe = next(p for p in tracer.PROBES if p.name == name)
     assert tracer.resolve(probe) is not None, f"{name} would read absent"
 
