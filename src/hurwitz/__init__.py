@@ -16,6 +16,7 @@ All arithmetic is exact rational; there is no floating point anywhere.
 """
 
 from .closedform import (
+    FixedPointError,
     c_value,
     f0_pdiff,
     f0_series,
@@ -26,9 +27,8 @@ from .closedform import (
     psi,
     s_series,
 )
-from .cutjoin import CutJoinState, evolve, extract_c, run
+from .cutjoin import CutJoinState, evolve, extract_c
 from .oracle import (
-    FactorizationProblem,
     SizeLimitExceeded,
     count_naive,
     count_transitive,
@@ -40,11 +40,11 @@ from .partitions import (
     a_coeff,
     class_size,
     elem_sym,
+    factorization_length,
     partitions_of,
     theta,
 )
 from .series import (
-    FixedPointError,
     PSeries,
     TruncationMismatch,
     exp,

@@ -30,9 +30,9 @@ from math import factorial
 from typing import Sequence
 
 from . import closedform, cutjoin, oracle, verify
+from .closedform import FixedPointError
 from .oracle import SizeLimitExceeded
-from .partitions import IntegralityError, Partition, class_size, partitions_of
-from .series import FixedPointError
+from .partitions import IntegralityError, Partition, class_size, factorization_length, partitions_of
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,7 +136,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     row = {
         "alpha": alpha,
         "g": g,
-        "r": alpha.n + alpha.m + 2 * (g - 1),
+        "r": factorization_length(alpha, g),
         "c": c,
         "mu": str(_mu(alpha, c)),
     }

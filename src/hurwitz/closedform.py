@@ -52,9 +52,14 @@ from .partitions import (
     class_size,
     elem_sym,
     factorization_count,
+    factorization_length,
     partitions_of,
 )
-from .series import FixedPointError, PSeries, exp, log1, powers, subst_x
+from .series import PSeries, exp, log1, powers, subst_x
+
+
+class FixedPointError(RuntimeError):
+    """A candidate series is not the fixed point of its defining equation."""
 
 
 def _prod_a(alpha: Partition) -> Fraction:
@@ -75,12 +80,10 @@ def _bracket(alpha: Partition) -> int:
 
 def mu0(alpha: Partition) -> Fraction:
     """Genus-0 Hurwitz number; n^(m-3) is an exact rational for m < 3."""
-    n, m = alpha.n, alpha.m
-    if n < 1:
-        raise ValueError("alpha must be a partition of n >= 1")
+    n, m, r = alpha.n, alpha.m, factorization_length(alpha, 0)
     return (
         Fraction(class_size(alpha), factorial(n))
-        * factorial(n + m - 2)
+        * factorial(r)
         * Fraction(n) ** (m - 3)
         * _prod_a(alpha)
     )
@@ -88,12 +91,10 @@ def mu0(alpha: Partition) -> Fraction:
 
 def mu1(alpha: Partition) -> Fraction:
     """Genus-1 Hurwitz number from the explicit bracket formula."""
-    n, m = alpha.n, alpha.m
-    if n < 1:
-        raise ValueError("alpha must be a partition of n >= 1")
+    n, r = alpha.n, factorization_length(alpha, 1)
     return (
         Fraction(class_size(alpha), 24 * factorial(n))
-        * factorial(n + m)
+        * factorial(r)
         * _prod_a(alpha)
         * _bracket(alpha)
     )
@@ -101,6 +102,7 @@ def mu1(alpha: Partition) -> Fraction:
 
 def c_value(alpha: Partition, g: int) -> int:
     """Factorization count c_g(alpha) = mu_g(alpha) * n! / |C_alpha| (g <= 1)."""
+    factorization_length(alpha, g)  # the request check every engine shares
     if g == 0:
         mu = mu0(alpha)
     elif g == 1:
@@ -133,18 +135,16 @@ def s_powers(N: int) -> tuple[PSeries, ...]:
         [x^n] s = (1/n) [t^(n-1)] exp(n psi_0(t))
                 = sum_{k<n} n^(k-1)/k! [t^(n-1)] psi_0(t)^k,
 
-    which needs the powers psi_0^1 .. psi_0^(N-1).  The powers of s are
-    built once, and with them s is certified exactly as the fixed point of
-    the defining equation (FixedPointError otherwise).  An x-adic
+    which reads psi_0^1 .. psi_0^(N-1) from ``powers(psi_0)``.  The powers
+    of s are built once, and with them s is certified exactly as the fixed
+    point of the defining equation (FixedPointError otherwise).  An x-adic
     contraction has exactly one fixed point, so a candidate that passes is
     that fixed point, however it was computed.
     """
     psi0 = psi(0, N)
     xs = PSeries.x(N)
     s = xs  # k = 0 contributes to n = 1 only
-    power = PSeries.one(N)
-    for k in range(1, N):
-        power = power * psi0
+    for k, power in enumerate(powers(psi0)[1:N], start=1):
         kf = factorial(k)
         for d, part in power.x_parts().items():
             s = s + part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
@@ -170,7 +170,7 @@ def psi_at_s(i: int, N: int) -> PSeries:
 
 
 def _formula_series(N: int, g: int) -> PSeries:
-    """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = n + m + 2g - 2.
+    """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = factorization_length(alpha, g).
 
     r is the number of transpositions, so multiplying a coefficient by
     n! r!/|C_alpha| recovers c_g(alpha).
@@ -179,7 +179,7 @@ def _formula_series(N: int, g: int) -> PSeries:
     return PSeries.from_parts(
         N,
         {
-            alpha: mu(alpha) / factorial(n + alpha.m + 2 * g - 2)
+            alpha: mu(alpha) / factorial(factorization_length(alpha, g))
             for n in range(1, N + 1)
             for alpha in partitions_of(n)
         },

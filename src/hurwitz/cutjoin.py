@@ -3,9 +3,11 @@
 The generating series Phi(u, x, z, p) collects L_r(alpha) = n! mu_g(alpha) =
 |C_alpha| c_g(alpha), the number of transitive pairs (sigma of type alpha,
 r-tuple of transpositions with product sigma), with weight
-u^r/r! x^n/n! z^g p_alpha, r = n + m + 2(g - 1).  One more transposition
-joins two cycles (p_{i+j} from p_i p_j; z marks the genus-raising join) or
-cuts one, so Phi satisfies a PDE in u.  Read as a recurrence in u,
+u^r/r! x^n/n! z^g p_alpha, r = n + m + 2(g - 1).  ``extract_c`` takes r
+from ``partitions.factorization_length``, its one definition; ``_genus``
+inverts it per term.  One more transposition joins two cycles (p_{i+j}
+from p_i p_j; z marks the genus-raising join) or cuts one, so Phi
+satisfies a PDE in u.  Read as a recurrence in u,
 
     Phi_{r+1} = 1/2 * [ sum_{i,j} i j p_{i+j} z d2(Phi_r)/dp_i dp_j
                         + sum_{i,j} (i+j) p_i p_j d(Phi_r)/dp_{i+j}
@@ -40,7 +42,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .partitions import IntegralityError, Partition, class_size, partitions_of
+from .partitions import IntegralityError, Partition, class_size, factorization_length
 
 Parts = tuple[int, ...]
 Order = dict[Parts, int]
@@ -149,10 +151,8 @@ def evolve(N: int, G: int) -> CutJoinState:
 def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
     """Recover c_g(alpha) = L_r(alpha) / |C_alpha| from Phi_r, checked to be a
     nonnegative integer."""
-    n, m = alpha.n, alpha.m
-    if n < 1:
-        raise ValueError("alpha must be a partition of n >= 1")
-    r = n + m + 2 * (g - 1)
+    r = factorization_length(alpha, g)
+    n = alpha.n
     if n > state.N or g > state.G or r > state.order:
         raise ValueError(
             f"query (n={n}, g={g}, r={r}) outside truncation "
@@ -162,14 +162,3 @@ def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
     if L < 0 or L % size:
         raise IntegralityError(f"non-integral count for {alpha}, g={g}: {L}/{size}")
     return L // size
-
-
-def run(N: int, G: int = 1) -> dict[tuple[Partition, int], int]:
-    """Table of c_g(alpha) for every alpha with n <= N and every g <= G."""
-    state = evolve(N, G)
-    return {
-        (alpha, g): extract_c(state, alpha, g)
-        for n in range(1, N + 1)
-        for alpha in partitions_of(n)
-        for g in range(G + 1)
-    }

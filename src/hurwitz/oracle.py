@@ -2,7 +2,9 @@
 
 c_g(alpha) is the number of ordered tuples (t_1, ..., t_r) of transpositions
 in S_n with t_1 ... t_r equal to a fixed permutation of cycle type alpha,
-generating a transitive subgroup, where r = n + m + 2(g - 1).  Two engines:
+generating a transitive subgroup, where r = n + m + 2(g - 1) is
+``partitions.factorization_length``, the one definition of r and the one
+check of an (alpha, g) request.  Two engines:
 
 * count_naive -- depth-first enumeration of the tuples with a Cayley-distance
   prune and a union-find transitivity test at the leaves (tiny n only);
@@ -31,7 +33,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .partitions import IntegralityError, Partition
+from .partitions import IntegralityError, Partition, factorization_length
 
 NAIVE_MAX_N = 5
 NAIVE_MAX_R = 10
@@ -45,21 +47,6 @@ Parts = tuple[int, ...]
 
 class SizeLimitExceeded(ValueError):
     """The requested count is outside the enumeration budget."""
-
-
-class FactorizationProblem:
-    """A target class alpha with genus g; fixes the factorization length r."""
-
-    __slots__ = ("alpha", "g", "r")
-
-    def __init__(self, alpha: Partition, g: int):
-        if alpha.n < 1:
-            raise ValueError("alpha must be a partition of n >= 1")
-        if g < 0:
-            raise ValueError("genus must be nonnegative")
-        self.alpha = alpha
-        self.g = g
-        self.r = alpha.n + alpha.m + 2 * (g - 1)
 
 
 def _check_budget(n: int) -> None:
@@ -210,9 +197,9 @@ def count_walks(alpha: Partition, r: int) -> int:
 
 def count_transitive(alpha: Partition, g: int) -> int:
     """c_g(alpha) via the character formula plus the disconnection sieve."""
-    prob = FactorizationProblem(alpha, g)
+    r = factorization_length(alpha, g)
     _check_budget(alpha.n)
-    return _transitive_count(alpha.parts, prob.r)
+    return _transitive_count(alpha.parts, r)
 
 
 def count_naive(alpha: Partition, g: int) -> int:
@@ -226,8 +213,7 @@ def count_naive(alpha: Partition, g: int) -> int:
     over the transposition supports, so fixed points of the target must be
     connected by the factors themselves.
     """
-    prob = FactorizationProblem(alpha, g)
-    n, r = alpha.n, prob.r
+    n, r = alpha.n, factorization_length(alpha, g)
     if n > NAIVE_MAX_N or r > NAIVE_MAX_R:
         raise SizeLimitExceeded(
             f"enumeration budget is n <= {NAIVE_MAX_N} and r <= {NAIVE_MAX_R}; "

@@ -6,7 +6,10 @@ enumeration in reverse-lexicographic order, the class size |C_alpha|, the
 statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
 closed Hurwitz formulas and the integrality check of a factorization
-count.  It imports no series code, so the counting engines that build on
+count.  ``factorization_length`` is the one definition of the number
+r = n + m + 2g - 2 of transpositions (simple branch points) of a genus-g
+request, and the one check of that request; every engine keys its answer
+by it.  It imports no series code, so the counting engines that build on
 it (``cutjoin``, ``oracle``) stay independent of the series ring.
 """
 
@@ -35,11 +38,6 @@ class Partition:
             if pos and pt[pos - 1] < a:
                 raise ValueError(f"parts must be weakly decreasing, got {pt}")
         self.parts = pt
-
-    @classmethod
-    def of(cls, parts: Iterable[int]) -> "Partition":
-        """Build from parts in any order."""
-        return cls(sorted(parts, reverse=True))
 
     @property
     def n(self) -> int:
@@ -117,6 +115,18 @@ def theta(alpha: Partition) -> int:
 def class_size(alpha: Partition) -> int:
     """|C_alpha| = n!/theta(alpha)."""
     return factorial(alpha.n) // theta(alpha)
+
+
+def factorization_length(alpha: Partition, g: int) -> int:
+    """r = n + m + 2g - 2, the Riemann-Hurwitz number of transpositions.
+
+    Refuses the empty partition and a negative genus with ValueError.
+    """
+    if alpha.n < 1:
+        raise ValueError("alpha must be a partition of n >= 1")
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    return alpha.n + alpha.m + 2 * g - 2
 
 
 def factorization_count(mu: Fraction, alpha: Partition, g: int) -> int:

@@ -49,10 +49,6 @@ class TruncationMismatch(ValueError):
     """Two series cut at different x-degrees were combined."""
 
 
-class FixedPointError(RuntimeError):
-    """A candidate series is not the fixed point of its defining equation."""
-
-
 # q_1, q_2, ...: the odd primes that code p_1, p_2, ...; grown on demand.
 _PRIMES = [3]
 

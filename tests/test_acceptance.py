@@ -15,7 +15,9 @@ from hurwitz import (
     check_u3,
     class_size,
     count_transitive,
+    evolve,
     exp,
+    extract_c,
     f0_series,
     g1_closed,
     g1_defn,
@@ -23,7 +25,6 @@ from hurwitz import (
     mu1,
     partitions_of,
     residual_T,
-    run,
     s_series,
 )
 from hurwitz.closedform import psi_at_s
@@ -74,13 +75,13 @@ def test_criterion_2_oracle_vs_genus0_formula():
 
 
 def test_criterion_3_method_triangle():
-    table = run(TR8)
+    state = evolve(TR8, 1)
     ok = True
     for n in range(1, 9):
         for alpha in partitions_of(n):
             for g in (0, 1):
                 closed = (mu0 if g == 0 else mu1)(alpha)
-                cut = table[(alpha, g)]
+                cut = extract_c(state, alpha, g)
                 if Fraction(cut * class_size(alpha), factorial(n)) != closed:
                     ok = False
                 if n <= 5 and cut != count_transitive(alpha, g):

@@ -29,9 +29,9 @@ from hurwitz import (
     s_series,
 )
 from hurwitz import closedform
-from hurwitz.closedform import psi, psi_at_s, s_powers
+from hurwitz.closedform import FixedPointError, psi, psi_at_s, s_powers
 from hurwitz.partitions import a_coeff
-from hurwitz.series import FixedPointError, fraction_view, powers, subst_x
+from hurwitz.series import fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
 
 TR8 = 8

@@ -22,7 +22,6 @@ from hurwitz import (
     mu0,
     mu1,
     partitions_of,
-    run,
 )
 
 
@@ -33,6 +32,16 @@ def state5():
 
 def genus(r, parts):
     return (r - sum(parts) - len(parts)) // 2 + 1
+
+
+def counts(state):
+    """c_g(alpha) for every alpha with n <= N and g <= G, read by extract_c."""
+    return {
+        (alpha, g): extract_c(state, alpha, g)
+        for n in range(1, state.N + 1)
+        for alpha in partitions_of(n)
+        for g in range(state.G + 1)
+    }
 
 
 class TestInitialCondition:
@@ -54,15 +63,6 @@ class TestBounds:
         for N, G in ((0, 1), (3, -1)):
             with pytest.raises(ValueError):
                 evolve(N, G)
-
-    def test_run_shares_the_evolve_cache(self):
-        # both bounds are positional and required, so run(4) and evolve(4, 1)
-        # hit one cache entry
-        evolve.cache_clear()
-        run(4)
-        evolve(4, 1)
-        info = evolve.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("N, G", [(1, 0), (5, 1), (6, 2), (4, 3)])
     def test_step_count_reaches_every_type(self, N, G):
@@ -110,8 +110,9 @@ class TestStoredCounts:
         assert all(type(L) is int for L in stored.values())
 
 
-# Both guards of the integer recurrence: an odd cross-join weight at r = 0,
-# and a negative count read by extract_c.
+# The two guards of the integer recurrence (an odd cross-join weight at
+# r = 0, a negative count read by extract_c) and extract_c's refusal of a
+# negative genus, whose r would index the orders from their end.
 _GUARD_SCRIPT = """
 from math import comb
 from hurwitz import IntegralityError, Partition, cutjoin
@@ -126,6 +127,10 @@ bad = cutjoin.CutJoinState(2, 0, (state.phi[0], {(2,): -1}))
 try:
     cutjoin.extract_c(bad, Partition((2,)), 0)
 except IntegralityError as exc:
+    print(exc)
+try:
+    cutjoin.extract_c(cutjoin.evolve(3, 1), Partition((2,)), -1)
+except ValueError as exc:
     print(exc)
 """
 
@@ -151,6 +156,7 @@ class TestIntegralityGuards:
         assert plain.stdout.decode().splitlines() == [
             "odd cross-join weight 1 at r=0, sizes 1 and 1",
             "non-integral count for (2), g=0: -1/1",
+            "genus must be nonnegative",
         ]
         assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
 
@@ -188,25 +194,25 @@ class TestRunTable:
                 for g in (0, 1):
                     assert extract_c(state5, alpha, g) == count_transitive(alpha, g)
 
-    def test_genus_slices_match_closed_formulas(self):
-        table = run(5)
+    def test_genus_slices_match_closed_formulas(self, state5):
+        table = counts(state5)
         for (alpha, g), c in table.items():
             mu = Fraction(class_size(alpha) * c, factorial(alpha.n))
             assert mu == (mu0(alpha) if g == 0 else mu1(alpha))
 
     def test_larger_truncation_is_consistent(self):
-        small = run(4)
-        large = run(6)
+        small = counts(evolve(4, 1))
+        large = counts(evolve(6, 1))
         for key, value in small.items():
             assert large[key] == value
 
-    def test_counts_are_nonnegative_integers(self):
-        for value in run(5).values():
+    def test_counts_are_nonnegative_integers(self, state5):
+        for value in counts(state5).values():
             assert isinstance(value, int) and value >= 0
 
     @pytest.mark.slow
     def test_triangle_at_order_twelve(self):
-        table = run(12)
+        table = counts(evolve(12, 1))
         for (alpha, g), c in table.items():
             mu = Fraction(class_size(alpha) * c, factorial(alpha.n))
             assert mu == (mu0(alpha) if g == 0 else mu1(alpha)), (alpha, g)
@@ -214,9 +220,9 @@ class TestRunTable:
 
 class TestGenusTwo:
     def test_matches_oracle_through_n6(self):
-        # run works out its own step count: every (alpha, g) with n <= 6 and
-        # g <= 2 is in the table, (1^6) at genus 2 (r = 14) included
-        table = run(6, 2)
+        # evolve works out its own step count: every (alpha, g) with n <= 6
+        # and g <= 2 is in the table, (1^6) at genus 2 (r = 14) included
+        table = counts(evolve(6, 2))
         genus_zero = evolve(6, 0)
         want = {
             (alpha, g): count_transitive(alpha, g)
@@ -231,7 +237,7 @@ class TestGenusTwo:
                 assert extract_c(genus_zero, alpha, 0) == c, alpha
 
     def test_matches_oracle_through_n9(self):
-        table = run(9, 2)
+        table = counts(evolve(9, 2))
         keys = [(alpha, g) for n in range(1, 10) for alpha in partitions_of(n) for g in range(3)]
         assert len(keys) == len(table) == 288
         for alpha, g in keys:

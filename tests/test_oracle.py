@@ -11,7 +11,6 @@ import pytest
 
 import hurwitz
 from hurwitz import (
-    FactorizationProblem,
     Partition,
     SizeLimitExceeded,
     class_size,
@@ -45,18 +44,6 @@ def s3_walks_by_characters(alpha: Partition, r: int) -> int:
     value = Fraction(3**r, 6) * total
     assert value.denominator == 1
     return int(value)
-
-
-class TestFactorizationProblem:
-    def test_length(self):
-        assert FactorizationProblem(Partition((2, 1)), 0).r == 3
-        assert FactorizationProblem(Partition((2,)), 1).r == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FactorizationProblem(Partition(), 0)
-        with pytest.raises(ValueError):
-            FactorizationProblem(Partition((2,)), -1)
 
 
 class TestCountNaive:

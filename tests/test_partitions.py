@@ -1,4 +1,5 @@
-"""Partition enumeration, class sizes, symmetric functions, psi weights."""
+"""Partition enumeration, class sizes, symmetric functions, psi weights and
+the factorization length r shared by every engine."""
 
 from fractions import Fraction
 from math import factorial
@@ -8,8 +9,13 @@ import pytest
 from hurwitz import (
     Partition,
     a_coeff,
+    c_value,
     class_size,
+    count_transitive,
     elem_sym,
+    evolve,
+    extract_c,
+    factorization_length,
     partitions_of,
     psi,
     theta,
@@ -32,9 +38,6 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
-    def test_of_sorts(self):
-        assert Partition.of([1, 3, 2]) == Partition((3, 2, 1))
-
     def test_empty_partition(self):
         empty = Partition()
         assert empty.n == 0 and empty.m == 0
@@ -49,6 +52,29 @@ class TestPartitionType:
         assert a.pexp() == ((2, 2), (3, 1))
         assert str(a) == "(3,2,2)"
         assert list(a) == [3, 2, 2]
+
+
+class TestFactorizationLength:
+    def test_length(self):
+        assert factorization_length(Partition((2, 1)), 0) == 3
+        assert factorization_length(Partition((2,)), 1) == 3
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="alpha must be a partition of n >= 1"):
+            factorization_length(Partition(), 0)
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            factorization_length(Partition((2,)), -1)
+
+    @pytest.mark.parametrize(
+        "count",
+        [count_transitive, lambda alpha, g: extract_c(evolve(3, 1), alpha, g), c_value],
+        ids=["oracle", "cutjoin", "closed"],
+    )
+    def test_every_engine_refuses_alike(self, count):
+        with pytest.raises(ValueError, match="alpha must be a partition of n >= 1"):
+            count(Partition(), 0)
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            count(Partition((2,)), -1)
 
 
 class TestEnumeration:
