@@ -49,11 +49,11 @@ from math import factorial
 from .partitions import (
     Partition,
     a_coeff,
-    class_size,
     elem_sym,
     factorization_count,
     factorization_length,
     partitions_of,
+    theta,
 )
 from .series import PSeries, exp, log1, powers, subst_x
 
@@ -62,11 +62,13 @@ class FixedPointError(RuntimeError):
     """A candidate series is not the fixed point of its defining equation."""
 
 
-def _prod_a(alpha: Partition) -> Fraction:
-    out = Fraction(1)
-    for part in alpha.parts:
-        out *= a_coeff(part)
-    return out
+def _prod_a(alpha: Partition) -> tuple[int, int]:
+    """prod_i a_{alpha_i} = prod_i k^k / prod_i (k - 1)!, k = alpha_i, as (num, den)."""
+    num = den = 1
+    for k in alpha.parts:
+        num *= k**k
+        den *= factorial(k - 1)
+    return num, den
 
 
 def _bracket(alpha: Partition) -> int:
@@ -79,25 +81,27 @@ def _bracket(alpha: Partition) -> int:
 
 
 def mu0(alpha: Partition) -> Fraction:
-    """Genus-0 Hurwitz number; n^(m-3) is an exact rational for m < 3."""
+    """Genus-0 Hurwitz number (n+m-2)! n^(m-3) prod a_{alpha_i} / theta(alpha).
+
+    |C_alpha|/n! is 1/theta(alpha); the product is kept in integers and
+    n^(m-3) moves to the denominator for m < 3, so one Fraction is built.
+    """
     n, m, r = alpha.n, alpha.m, factorization_length(alpha, 0)
-    return (
-        Fraction(class_size(alpha), factorial(n))
-        * factorial(r)
-        * Fraction(n) ** (m - 3)
-        * _prod_a(alpha)
-    )
+    num, den = _prod_a(alpha)
+    num *= factorial(r)
+    den *= theta(alpha)
+    if m >= 3:
+        num *= n ** (m - 3)
+    else:
+        den *= n ** (3 - m)
+    return Fraction(num, den)
 
 
 def mu1(alpha: Partition) -> Fraction:
-    """Genus-1 Hurwitz number from the explicit bracket formula."""
-    n, r = alpha.n, factorization_length(alpha, 1)
-    return (
-        Fraction(class_size(alpha), 24 * factorial(n))
-        * factorial(r)
-        * _prod_a(alpha)
-        * _bracket(alpha)
-    )
+    """Genus-1 Hurwitz number (n+m)! prod a_{alpha_i} * bracket / (24 theta(alpha))."""
+    r = factorization_length(alpha, 1)
+    num, den = _prod_a(alpha)
+    return Fraction(num * factorial(r) * _bracket(alpha), 24 * den * theta(alpha))
 
 
 def c_value(alpha: Partition, g: int) -> int:

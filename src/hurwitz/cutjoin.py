@@ -20,11 +20,24 @@ Each family has an integer weight that absorbs the 1/2:
 
 * cut: a part k of multiplicity e splits into {i, k - i}: weight e k, or
   e i when k = 2i; n and g are kept;
-* handle join: two parts a, b merge into a + b: weight a b; g rises by 1;
+* handle join: two parts a, b merge into a + b: weight a b per pair of
+  positions, e_a e_b pairs for a != b and C(e_a, 2) for a = b; g rises by 1;
 * cross join: a part of a term of Phi_s (size n_a) and one of Phi_{r-s}
   (size n_b) merge; with s and r - s paired, the weight is
   C(r, s) C(n_a + n_b, n_a) (the second binomial comes from x^n/n!),
   halved when 2s = r (exact: C(2t, t) is even, and C(0,0) C(2,1) = 2).
+
+While it runs, ``evolve`` keys each order by the integer code
+prod_i q_{alpha_i} of alpha, q_k the k-th odd prime
+(``partitions.odd_prime``, the table the series monomials use).  By unique
+factorization the code is injective, and each family builds its key by
+multiplication, with no tuple built and no sort: a cut is
+code / q_k * q_i * q_{k-i}, a handle join code / (q_a q_b) * q_{a+b}, and a
+cross join rest_a * rest_b * q_{i+j}, where each derivative entry keeps
+the code of alpha less one part.  Each new key is decoded once, to its
+parts, n, m and distinct parts with multiplicities.  The finished orders in
+``CutJoinState.phi`` are keyed by the parts tuple: the code never leaves
+``evolve``.
 
 That halving and extract_c's L_r(alpha) / |C_alpha| raise IntegralityError
 through an explicit test, not an assert, when they leave the integers.
@@ -38,60 +51,91 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
-from typing import Iterator
 
-from .partitions import IntegralityError, Partition, class_size, factorization_length
+from .partitions import (
+    IntegralityError,
+    Partition,
+    class_size,
+    factorization_length,
+    odd_prime,
+)
 
 Parts = tuple[int, ...]
 Order = dict[Parts, int]
+# Inside ``evolve`` an order maps the code prod_i q_{alpha_i} of alpha
+# (q_k = odd_prime(k), so (3, 1, 1) is 7 * 3 * 3) to L_r(alpha).
+Coded = dict[int, int]
+# A code decoded once: the parts, n, m and the distinct parts with their
+# multiplicities, largest first.
+Shape = tuple[Parts, int, int, tuple[tuple[int, int], ...]]
 # The p-derivatives of one order, bucketed by the (n, g) of the term they
-# come from: d/dp_i of L p_alpha is the entry (i, alpha less one part i,
-# multiplicity of i in alpha times L).
-Derivatives = dict[tuple[int, int], list[tuple[int, Parts, int]]]
+# come from: d/dp_i of L p_alpha is the entry (i, code of alpha less one
+# part i, multiplicity of i in alpha times L).
+Derivatives = dict[tuple[int, int], list[tuple[int, int, int]]]
 
 
-def _genus(r: int, parts: Parts) -> int:
-    return (r - sum(parts) - len(parts)) // 2 + 1
+def _genus(r: int, n: int, m: int) -> int:
+    return (r - n - m) // 2 + 1
 
 
-def _distinct(parts: Parts) -> Iterator[tuple[Parts, int, int]]:
-    """(parts less one copy of k, k, multiplicity of k) for each distinct part k."""
-    for pos, k in enumerate(parts):
-        if pos == 0 or parts[pos - 1] != k:
-            yield parts[:pos] + parts[pos + 1 :], k, parts.count(k)
+def _decode(code: int, q: list[int]) -> Shape:
+    """The shape of the partition with code ``code``, its parts at most len(q) - 1."""
+    mults = []
+    for k in range(1, len(q)):
+        e = 0
+        while code % q[k] == 0:
+            code //= q[k]
+            e += 1
+        if e:
+            mults.append((k, e))
+            if code == 1:
+                break
+    mults.reverse()
+    parts = tuple(k for k, e in mults for _ in range(e))
+    return parts, sum(parts), len(parts), tuple(mults)
 
 
-def _add(acc: Order, parts: Parts, c: int) -> None:
-    key = tuple(sorted(parts, reverse=True))
-    acc[key] = acc.get(key, 0) + c
-
-
-def _derivatives(phi: Order, r: int) -> Derivatives:
+def _derivatives(phi: Coded, r: int, q: list[int], shapes: dict[int, Shape]) -> Derivatives:
     out: Derivatives = {}
-    for parts, c in phi.items():
-        bucket = out.setdefault((sum(parts), _genus(r, parts)), [])
-        for rest, i, e in _distinct(parts):
-            bucket.append((i, rest, e * c))
+    for code, c in phi.items():
+        _, n, m, mults = shapes[code]
+        bucket = out.setdefault((n, _genus(r, n, m)), [])
+        for k, e in mults:
+            bucket.append((k, code // q[k], e * c))
     return out
 
 
-def _cut_and_handle_join(phi: Order, r: int, G: int, acc: Order) -> None:
+def _cut_and_handle_join(
+    phi: Coded, r: int, G: int, q: list[int], shapes: dict[int, Shape], acc: Coded
+) -> None:
     """Add the cut and genus-raising join terms of Phi_{r+1}."""
-    for parts, c in phi.items():
-        for rest, k, e in _distinct(parts):
+    for code, c in phi.items():
+        _, n, m, mults = shapes[code]
+        for k, e in mults:
+            rest, ec = code // q[k], e * c
             for i in range(1, k // 2 + 1):
-                weight = e * k if 2 * i < k else e * i
-                _add(acc, rest + (i, k - i), weight * c)
-        if _genus(r, parts) < G:
-            for a, b in combinations(range(len(parts)), 2):
-                rest = parts[:a] + parts[a + 1 : b] + parts[b + 1 :]
-                _add(acc, rest + (parts[a] + parts[b],), parts[a] * parts[b] * c)
+                key = rest * q[i] * q[k - i]
+                acc[key] = acc.get(key, 0) + (ec * k if 2 * i < k else ec * i)
+        if _genus(r, n, m) < G:
+            # e_a e_b position pairs of parts a != b, C(e_a, 2) of a = b
+            for x, (a, ea) in enumerate(mults):
+                for b, eb in mults[x:]:
+                    pairs = ea * eb if a != b else ea * (ea - 1) // 2
+                    if pairs:
+                        key = code // (q[a] * q[b]) * q[a + b]
+                        acc[key] = acc.get(key, 0) + pairs * a * b * c
 
 
 def _cross_join(
-    da: Derivatives, db: Derivatives, r: int, s: int, N: int, G: int, acc: Order
+    da: Derivatives,
+    db: Derivatives,
+    r: int,
+    s: int,
+    N: int,
+    G: int,
+    q: list[int],
+    acc: Coded,
 ) -> None:
     """Add the cross joins of Phi_s and Phi_{r-s} with n <= N, g <= G."""
     for (na, ga), entries_a in da.items():
@@ -108,7 +152,29 @@ def _cross_join(
             for i, rest_a, ca in entries_a:
                 wa = weight * i * ca
                 for j, rest_b, cb in entries_b:
-                    _add(acc, rest_a + rest_b + (i + j,), wa * j * cb)
+                    key = rest_a * rest_b * q[i + j]
+                    acc[key] = acc.get(key, 0) + wa * j * cb
+
+
+def _coded_orders(N: int, G: int) -> tuple[list[Coded], dict[int, Shape]]:
+    """The orders Phi_0..Phi_R keyed by code, and the shape of every code in them."""
+    q = [1, *(odd_prime(k) for k in range(1, N + 1))]
+    shapes = {q[1]: _decode(q[1], q)}
+    coded: list[Coded] = [{q[1]: 1}]
+    derivs: list[Derivatives] = []
+    for r in range(2 * N + 2 * G - 2):
+        derivs.append(_derivatives(coded[r], r, q, shapes))
+        acc: Coded = {}
+        _cut_and_handle_join(coded[r], r, G, q, shapes, acc)
+        # the s and r - s cross joins are equal; pair them up
+        for s in range(r // 2 + 1):
+            _cross_join(derivs[s], derivs[r - s], r, s, N, G, q, acc)
+        # every weight is positive, so no coefficient cancels to 0
+        for code in acc:
+            if code not in shapes:
+                shapes[code] = _decode(code, q)
+        coded.append(acc)
+    return coded, shapes
 
 
 @dataclass(frozen=True)
@@ -134,18 +200,9 @@ def evolve(N: int, G: int) -> CutJoinState:
     """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""
     if N < 1 or G < 0:
         raise ValueError(f"invalid cut-and-join bounds N={N}, G={G}")
-    phi: list[Order] = [{(1,): 1}]
-    derivs = [_derivatives(phi[0], 0)]
-    for r in range(2 * N + 2 * G - 2):
-        acc: Order = {}
-        _cut_and_handle_join(phi[r], r, G, acc)
-        # the s and r - s cross joins are equal; pair them up
-        for s in range(r // 2 + 1):
-            _cross_join(derivs[s], derivs[r - s], r, s, N, G, acc)
-        # every weight is positive, so no coefficient cancels to 0
-        phi.append(acc)
-        derivs.append(_derivatives(acc, r + 1))
-    return CutJoinState(N, G, tuple(phi))
+    coded, shapes = _coded_orders(N, G)
+    phi = tuple({shapes[code][0]: L for code, L in order.items()} for order in coded)
+    return CutJoinState(N, G, phi)
 
 
 def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:

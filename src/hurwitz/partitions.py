@@ -5,8 +5,10 @@ conjugacy class C_alpha of the symmetric group S_n.  This module provides
 enumeration in reverse-lexicographic order, the class size |C_alpha|, the
 statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
-closed Hurwitz formulas and the integrality check of a factorization
-count.  ``factorization_length`` is the one definition of the number
+closed Hurwitz formulas, the integrality check of a factorization count
+and the odd primes q_1 = 3, q_2 = 5, ... that code a part k (in
+``cutjoin``) and a variable p_k (in ``series``) as q_k.
+``factorization_length`` is the one definition of the number
 r = n + m + 2g - 2 of transpositions (simple branch points) of a genus-g
 request, and the one check of that request; every engine keys its answer
 by it.  It imports no series code, so the counting engines that build on
@@ -23,6 +25,20 @@ from typing import Iterable, Iterator
 
 class IntegralityError(ArithmeticError):
     """A computed factorization count is not a nonnegative integer."""
+
+
+# q_1, q_2, ...: the odd primes, grown on demand.
+_PRIMES = [3]
+
+
+def odd_prime(k: int) -> int:
+    """q_k, the k-th odd prime (q_1 = 3)."""
+    while len(_PRIMES) < k:
+        q = _PRIMES[-1] + 2
+        while any(q % p == 0 for p in _PRIMES if p * p <= q):
+            q += 2
+        _PRIMES.append(q)
+    return _PRIMES[k - 1]
 
 
 class Partition:

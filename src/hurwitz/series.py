@@ -3,7 +3,8 @@
 The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, its only bound.
 A series maps monomials to nonzero rational coefficients.  The monomial
 x^d prod p_i^e_i is stored as one integer code, 2^d prod q_i^e_i with q_i
-the i-th odd prime (q_1 = 3): unique factorization makes it injective, a
+the i-th odd prime (q_1 = 3, ``partitions.odd_prime``, whose table the
+cut-and-join keys share): unique factorization makes it injective, a
 product of monomials is the product of their codes, and d is the number of
 trailing zero bits.  The code is private: other modules build series from
 ``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``) or single
@@ -38,6 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
+from .partitions import odd_prime
+
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO = Fraction(0)
@@ -49,20 +52,6 @@ class TruncationMismatch(ValueError):
     """Two series cut at different x-degrees were combined."""
 
 
-# q_1, q_2, ...: the odd primes that code p_1, p_2, ...; grown on demand.
-_PRIMES = [3]
-
-
-def _prime(i: int) -> int:
-    """q_i, the i-th odd prime, which codes p_i."""
-    while len(_PRIMES) < i:
-        q = _PRIMES[-1] + 2
-        while any(q % r == 0 for r in _PRIMES if r * r <= q):
-            q += 2
-        _PRIMES.append(q)
-    return _PRIMES[i - 1]
-
-
 def _encode(xd: int, p: Mapping[int, int] | Iterable[tuple[int, int]]) -> int:
     """The code 2^xd prod q_i^e of x^xd prod p_i^e (repeated indices add up)."""
     if xd < 0:
@@ -71,7 +60,7 @@ def _encode(xd: int, p: Mapping[int, int] | Iterable[tuple[int, int]]) -> int:
     for i, e in p.items() if isinstance(p, Mapping) else p:
         if i < 1 or e < 0:
             raise ValueError(f"invalid p-monomial entry p{i}^{e}")
-        code *= _prime(i) ** e
+        code *= odd_prime(i) ** e
     return code << xd
 
 
@@ -86,7 +75,7 @@ def _decode(code: int) -> Monomial:
     rest, pexp, i = code >> xd, [], 0
     while rest > 1:
         i += 1
-        q, e = _prime(i), 0
+        q, e = odd_prime(i), 0
         while rest % q == 0:
             rest //= q
             e += 1
@@ -339,7 +328,7 @@ class PSeries(ExactRing):
         """Formal partial derivative with respect to p_k."""
         if k < 1:
             raise ValueError(f"p-index {k} is below 1")
-        q = _prime(k)
+        q = odd_prime(k)
         out: dict[int, int] = {}
         for c, v in self.terms.items():
             rest, e = c, 0

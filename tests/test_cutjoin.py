@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from itertools import permutations
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hurwitz import (
     CutJoinState,
     IntegralityError,
     Partition,
+    c_value,
     class_size,
     count_naive,
     count_transitive,
@@ -22,7 +24,9 @@ from hurwitz import (
     mu0,
     mu1,
     partitions_of,
+    series,
 )
+from hurwitz.partitions import odd_prime
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +246,110 @@ class TestGenusTwo:
         assert len(keys) == len(table) == 288
         for alpha, g in keys:
             assert table[alpha, g] == count_transitive(alpha, g), (alpha, g)
+
+
+# q_0 (unused), q_1 .. q_20: parts up to 20
+Q = [1, *map(odd_prime, range(1, 21))]
+
+
+def code(parts):
+    return prod(Q[k] for k in parts)
+
+
+def sort(parts):
+    return tuple(sorted(parts, reverse=True))
+
+
+def without(parts, *positions):
+    return tuple(k for pos, k in enumerate(parts) if pos not in positions)
+
+
+def single(parts):
+    """The coded order {code: 1} of p_alpha and the shape table it reads."""
+    return {code(parts): 1}, {code(parts): cutjoin._decode(code(parts), Q)}
+
+
+def decoded(acc):
+    """A coded order keyed by parts tuples, each key decoded by cutjoin."""
+    return {cutjoin._decode(key, Q)[0]: c for key, c in acc.items()}
+
+
+class TestPrimeCode:
+    """Inside evolve a partition is keyed by prod q_k over its parts k."""
+
+    BY_SIZE = {n: [alpha.parts for alpha in partitions_of(n)] for n in range(1, 21)}
+    ALL = [parts for size in BY_SIZE.values() for parts in size]
+
+    def test_one_prime_table(self):
+        assert cutjoin.odd_prime is series.odd_prime is odd_prime
+        assert Q[1:9] == [3, 5, 7, 11, 13, 17, 19, 23]
+
+    def test_codes_are_distinct_and_decode_back(self):
+        codes = {code(parts): parts for parts in self.ALL}
+        assert len(codes) == len(self.ALL) == 2713
+        for c, parts in codes.items():
+            mults = tuple((k, parts.count(k)) for k in sorted(set(parts), reverse=True))
+            assert cutjoin._decode(c, Q) == (parts, sum(parts), len(parts), mults)
+
+    def test_code_of_a_union_is_the_product(self):
+        for a in self.ALL:
+            for nb in range(1, 21 - sum(a)):
+                for b in self.BY_SIZE[nb]:
+                    assert code(sort(a + b)) == code(a) * code(b)
+
+    def test_cut_and_handle_join_match_the_tuple_construction(self):
+        # the PDE's cut and handle-join terms over ordered position pairs,
+        # keyed by sorted tuples; its 1/2 is applied at the end
+        for parts in self.ALL:
+            want = {}
+            for pos, k in enumerate(parts):
+                for i in range(1, k):
+                    key = sort(without(parts, pos) + (i, k - i))
+                    want[key] = want.get(key, 0) + k
+            for a, b in permutations(range(len(parts)), 2):
+                key = sort(without(parts, a, b) + (parts[a] + parts[b],))
+                want[key] = want.get(key, 0) + parts[a] * parts[b]
+            assert all(c % 2 == 0 for c in want.values())
+            got = {}
+            # at r = 0 the genus (r - n - m)/2 + 1 is below G = 1, so every pair joins
+            order, shapes = single(parts)
+            cutjoin._cut_and_handle_join(order, 0, 1, Q, shapes, got)
+            assert decoded(got) == {key: c // 2 for key, c in want.items()}, parts
+
+    def test_cross_join_matches_the_tuple_construction(self):
+        # r = 3, s = 1: the weight C(3, 1) C(n_a + n_b, n_a) is not halved
+        small = [parts for parts in self.ALL if sum(parts) <= 8]
+        for a in small:
+            order_a, shapes_a = single(a)
+            da = cutjoin._derivatives(order_a, 1, Q, shapes_a)
+            for b in small:
+                order_b, shapes_b = single(b)
+                db = cutjoin._derivatives(order_b, 2, Q, shapes_b)
+                weight = comb(3, 1) * comb(sum(a) + sum(b), sum(a))
+                want = {}
+                for pa in range(len(a)):
+                    for pb in range(len(b)):
+                        key = sort(without(a, pa) + without(b, pb) + (a[pa] + b[pb],))
+                        want[key] = want.get(key, 0) + weight * a[pa] * b[pb]
+                got = {}
+                cutjoin._cross_join(da, db, 3, 1, 16, 99, Q, got)
+                assert decoded(got) == want, (a, b)
+
+
+def assert_agrees_with_closed_formulas(N):
+    state = evolve(N, 1)
+    for n in range(1, N + 1):
+        for alpha in partitions_of(n):
+            for g in (0, 1):
+                assert extract_c(state, alpha, g) == c_value(alpha, g), (alpha, g)
+
+
+class TestClosedFormAgreement:
+    """Every type with n <= N and g <= 1, read by extract_c and by c_value."""
+
+    def test_through_n18(self):
+        assert_agrees_with_closed_formulas(18)
+
+    @pytest.mark.slow
+    def test_through_n22(self):
+        assert_agrees_with_closed_formulas(22)

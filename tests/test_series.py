@@ -13,7 +13,8 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz.series import _decode, _encode, _prime, fraction_view, monomial_str, powers
+from hurwitz.partitions import odd_prime
+from hurwitz.series import _decode, _encode, fraction_view, monomial_str, powers
 
 from conftest import TR6, TR8, fractions_st, is_canonical, pexp_st, series_st
 
@@ -346,7 +347,7 @@ class TestMonomialCode:
         # p_40 needs the prime table grown far past the p-indices of verify
         for mono in [(0, ()), (5, ()), (0, ((1, 1),)), (3, ((1, 2), (4, 1))), (2, ((7, 1), (40, 3)))]:
             assert _decode(_encode(*mono)) == mono
-        assert _prime(1) == 3 and _prime(40) == 179
+        assert odd_prime(1) == 3 and odd_prime(40) == 179
         assert _encode(2, ((1, 2), (3, 1))) == 2**2 * 3**2 * 7
 
     def test_repeated_indices_add_up(self):
