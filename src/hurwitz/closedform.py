@@ -73,10 +73,10 @@ def _prod_a(alpha: Partition) -> tuple[int, int]:
 
 def _bracket(alpha: Partition) -> int:
     """n^m - n^(m-1) - sum_{i=2}^m (i-2)! e_i n^(m-i); an integer."""
-    n, m = alpha.n, alpha.m
+    n, m, e = alpha.n, alpha.m, elem_sym(alpha)
     val = n**m - n ** (m - 1)
     for i in range(2, m + 1):
-        val -= factorial(i - 2) * elem_sym(alpha, i) * n ** (m - i)
+        val -= factorial(i - 2) * e[i] * n ** (m - i)
     return val
 
 

@@ -28,10 +28,9 @@ Each family has an integer weight that absorbs the 1/2:
   halved when 2s = r (exact: C(2t, t) is even, and C(0,0) C(2,1) = 2).
 
 While it runs, ``evolve`` keys each order by the integer code
-prod_i q_{alpha_i} of alpha, q_k the k-th odd prime
-(``partitions.odd_prime``, the table the series monomials use).  By unique
-factorization the code is injective, and each family builds its key by
-multiplication, with no tuple built and no sort: a cut is
+prod_i q_{alpha_i} of alpha, q_k the k-th odd prime (``partitions.prime_code``).
+By unique factorization the code is injective, and each family builds its
+key by multiplication, with no tuple built and no sort: a cut is
 code / q_k * q_i * q_{k-i}, a handle join code / (q_a q_b) * q_{a+b}, and a
 cross join rest_a * rest_b * q_{i+j}, where each derivative entry keeps
 the code of alpha less one part.  Each new key is decoded once, to its
@@ -59,6 +58,7 @@ from .partitions import (
     class_size,
     factorization_length,
     odd_prime,
+    prime_pairs,
 )
 
 Parts = tuple[int, ...]
@@ -79,21 +79,11 @@ def _genus(r: int, n: int, m: int) -> int:
     return (r - n - m) // 2 + 1
 
 
-def _decode(code: int, q: list[int]) -> Shape:
-    """The shape of the partition with code ``code``, its parts at most len(q) - 1."""
-    mults = []
-    for k in range(1, len(q)):
-        e = 0
-        while code % q[k] == 0:
-            code //= q[k]
-            e += 1
-        if e:
-            mults.append((k, e))
-            if code == 1:
-                break
-    mults.reverse()
+def _decode(code: int) -> Shape:
+    """The shape of the partition with code ``code``."""
+    mults = prime_pairs(code)[::-1]
     parts = tuple(k for k, e in mults for _ in range(e))
-    return parts, sum(parts), len(parts), tuple(mults)
+    return parts, sum(parts), len(parts), mults
 
 
 def _derivatives(phi: Coded, r: int, q: list[int], shapes: dict[int, Shape]) -> Derivatives:
@@ -159,7 +149,7 @@ def _cross_join(
 def _coded_orders(N: int, G: int) -> tuple[list[Coded], dict[int, Shape]]:
     """The orders Phi_0..Phi_R keyed by code, and the shape of every code in them."""
     q = [1, *(odd_prime(k) for k in range(1, N + 1))]
-    shapes = {q[1]: _decode(q[1], q)}
+    shapes = {q[1]: _decode(q[1])}
     coded: list[Coded] = [{q[1]: 1}]
     derivs: list[Derivatives] = []
     for r in range(2 * N + 2 * G - 2):
@@ -172,7 +162,7 @@ def _coded_orders(N: int, G: int) -> tuple[list[Coded], dict[int, Shape]]:
         # every weight is positive, so no coefficient cancels to 0
         for code in acc:
             if code not in shapes:
-                shapes[code] = _decode(code, q)
+                shapes[code] = _decode(code)
         coded.append(acc)
     return coded, shapes
 

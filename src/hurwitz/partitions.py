@@ -6,8 +6,8 @@ enumeration in reverse-lexicographic order, the class size |C_alpha|, the
 statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
 closed Hurwitz formulas, the integrality check of a factorization count
-and the odd primes q_1 = 3, q_2 = 5, ... that code a part k (in
-``cutjoin``) and a variable p_k (in ``series``) as q_k.
+and the odd-prime code prod q_k^e of (k, e) pairs (``prime_code``,
+``prime_pairs``) that ``series`` and ``cutjoin`` share.
 ``factorization_length`` is the one definition of the number
 r = n + m + 2g - 2 of transpositions (simple branch points) of a genus-g
 request, and the one check of that request; every engine keys its answer
@@ -33,12 +33,47 @@ _PRIMES = [3]
 
 def odd_prime(k: int) -> int:
     """q_k, the k-th odd prime (q_1 = 3)."""
+    if k < 1:
+        raise ValueError(f"odd-prime index {k} is below 1")
     while len(_PRIMES) < k:
         q = _PRIMES[-1] + 2
         while any(q % p == 0 for p in _PRIMES if p * p <= q):
             q += 2
         _PRIMES.append(q)
     return _PRIMES[k - 1]
+
+
+def prime_code(pairs: Iterable[tuple[int, int]]) -> int:
+    """prod q_k^e over the (k, e) pairs, e >= 0; repeated k add up."""
+    code = 1
+    for k, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of q_{k}")
+        code *= odd_prime(k) ** e
+    return code
+
+
+def prime_exponent(code: int, k: int) -> int:
+    """The exponent of q_k in code."""
+    q, e = odd_prime(k), 0
+    while code % q == 0:
+        code //= q
+        e += 1
+    return e
+
+
+def prime_pairs(code: int) -> tuple[tuple[int, int], ...]:
+    """The (k, e) pairs of a positive odd code, k ascending, e >= 1."""
+    if code < 1 or not code & 1:
+        raise ValueError(f"{code} is not a positive odd code")
+    pairs, k = [], 0
+    while code > 1:
+        k += 1
+        q = odd_prime(k)
+        if code % q == 0:
+            pairs.append((k, e := prime_exponent(code, k)))
+            code //= q**e
+    return tuple(pairs)
 
 
 class Partition:
@@ -108,16 +143,16 @@ def _rev_lex(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 # One entry per size n (`verify --N 16`: 17).
-@lru_cache(maxsize=64)
-def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    return tuple(map(Partition, _rev_lex(n, n)))
+_BY_SIZE: dict[int, tuple[Partition, ...]] = {}
 
 
-def partitions_of(n: int) -> list[Partition]:
+def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each once, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_partitions_cached(n))
+    if n not in _BY_SIZE:
+        _BY_SIZE[n] = tuple(map(Partition, _rev_lex(n, n)))
+    return _BY_SIZE[n]
 
 
 def theta(alpha: Partition) -> int:
@@ -153,22 +188,16 @@ def factorization_count(mu: Fraction, alpha: Partition, g: int) -> int:
     return int(raw)
 
 
-def elem_sym(alpha: Partition, k: int) -> int:
-    """Elementary symmetric function e_k of the parts (e_0 = 1, e_k = 0 for k > m).
+def elem_sym(alpha: Partition) -> tuple[int, ...]:
+    """(e_0, ..., e_m), the elementary symmetric functions of the m parts.
 
-    Computed by the division-free DP on prod_j (1 + alpha_j t).
+    e_k = 0 for k > m.  One division-free DP on prod_j (1 + alpha_j t).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > alpha.m:
-        return 0
-    e = [1] + [0] * k
-    filled = 0
-    for a in alpha.parts:
-        filled = min(filled + 1, k)
-        for idx in range(filled, 0, -1):
+    e = [1] + [0] * alpha.m
+    for j, a in enumerate(alpha.parts, 1):
+        for idx in range(j, 0, -1):
             e[idx] += a * e[idx - 1]
-    return e[k]
+    return tuple(e)
 
 
 # `verify --N 12` asks for 23k weights, of 20 distinct r.

@@ -3,10 +3,10 @@
 The carrier ring is Q[p_1, p_2, ...][[x]] cut off at x^N, its only bound.
 A series maps monomials to nonzero rational coefficients.  The monomial
 x^d prod p_i^e_i is stored as one integer code, 2^d prod q_i^e_i with q_i
-the i-th odd prime (q_1 = 3, ``partitions.odd_prime``, whose table the
-cut-and-join keys share): unique factorization makes it injective, a
-product of monomials is the product of their codes, and d is the number of
-trailing zero bits.  The code is private: other modules build series from
+the i-th odd prime (the odd part is ``partitions.prime_code``): unique
+factorization makes it injective, a product of monomials is the product of
+their codes, and d is the number of trailing zero bits.  The code is
+private: other modules build series from
 ``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``) or single
 monomials (``PSeries.term``) and read them back in that form
 (``fraction_view``).  Monomials above x^N are dropped (never rounded); no
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .partitions import odd_prime
+from .partitions import odd_prime, prime_code, prime_exponent, prime_pairs
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -56,12 +56,7 @@ def _encode(xd: int, p: Mapping[int, int] | Iterable[tuple[int, int]]) -> int:
     """The code 2^xd prod q_i^e of x^xd prod p_i^e (repeated indices add up)."""
     if xd < 0:
         raise ValueError(f"negative exponent in monomial x^{xd}")
-    code = 1
-    for i, e in p.items() if isinstance(p, Mapping) else p:
-        if i < 1 or e < 0:
-            raise ValueError(f"invalid p-monomial entry p{i}^{e}")
-        code *= odd_prime(i) ** e
-    return code << xd
+    return prime_code(p.items() if isinstance(p, Mapping) else p) << xd
 
 
 def _xdeg(code: int) -> int:
@@ -72,16 +67,7 @@ def _xdeg(code: int) -> int:
 def _decode(code: int) -> Monomial:
     """The (x-degree, sorted p-exponents) form of a coded monomial."""
     xd = _xdeg(code)
-    rest, pexp, i = code >> xd, [], 0
-    while rest > 1:
-        i += 1
-        q, e = odd_prime(i), 0
-        while rest % q == 0:
-            rest //= q
-            e += 1
-        if e:
-            pexp.append((i, e))
-    return xd, tuple(pexp)
+    return xd, prime_pairs(code >> xd)
 
 
 def _integer_form(
@@ -326,17 +312,11 @@ class PSeries(ExactRing):
 
     def pdiff(self, k: int) -> "PSeries":
         """Formal partial derivative with respect to p_k."""
-        if k < 1:
-            raise ValueError(f"p-index {k} is below 1")
         q = odd_prime(k)
         out: dict[int, int] = {}
         for c, v in self.terms.items():
-            rest, e = c, 0
-            while rest % q == 0:
-                rest //= q
-                e += 1
-            if e:
-                out[c // q] = v * e
+            if c % q == 0:
+                out[c // q] = v * prime_exponent(c, k)
         return PSeries._of(self.N, *_reduce(self.den, out))
 
     def xdiff(self) -> "PSeries":

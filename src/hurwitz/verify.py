@@ -814,11 +814,11 @@ def elem_sym_extraction(max_n: int = 8) -> CheckResult:
                 if k > lam.m:
                     continue
                 got = Fraction(theta(lam), factorial(k)) * mixed.coeff(n, lam)
-                if got != elem_sym(lam, k):
+                if got != (want := elem_sym(lam)[k]):
                     return CheckResult(
                         "elem_sym_extraction",
                         False,
-                        f"lambda={lam}, k={k}: got {got}, want {elem_sym(lam, k)}",
+                        f"lambda={lam}, k={k}: got {got}, want {want}",
                     )
         power = power * lin
     return CheckResult("elem_sym_extraction", True)

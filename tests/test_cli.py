@@ -289,6 +289,11 @@ class TestPinnedOutput:
                 ("table", "--n", "13", "--method", "cutjoin"),
                 "9d209f7085723ffd95c8ecab6706cf723084c13fed249ec6f94254f1670c4aa1",
             ),
+            # the benchmarked oracle table; the three engines give these bytes
+            (
+                ("table", "--n", "7", "--method", "oracle"),
+                "fd8eca4f832c8ca2eb063b1a25fa8cdea8508dc1b4f6996a5edd829a90ee6d0a",
+            ),
             pytest.param(
                 ("table", "--n", "16", "--method", "cutjoin"),
                 "85855bc854800e9dc941f862b48408a0573b0d0b02fcb39384ec0edb0c346eb5",
@@ -297,7 +302,7 @@ class TestPinnedOutput:
         ],
         ids=[
             "compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin",
-            "table-n13-cutjoin", "table-n16-cutjoin",
+            "table-n13-cutjoin", "table-n7-oracle", "table-n16-cutjoin",
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):

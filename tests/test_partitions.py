@@ -1,8 +1,9 @@
-"""Partition enumeration, class sizes, symmetric functions, psi weights and
-the factorization length r shared by every engine."""
+"""Partition enumeration, class sizes, symmetric functions, psi weights,
+the factorization length r shared by every engine and the odd-prime code."""
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -20,6 +21,7 @@ from hurwitz import (
     psi,
     theta,
 )
+from hurwitz.partitions import odd_prime, prime_code, prime_pairs
 
 
 def partition_count(n):
@@ -79,7 +81,7 @@ class TestFactorizationLength:
 
 class TestEnumeration:
     def test_zero(self):
-        assert partitions_of(0) == [Partition()]
+        assert partitions_of(0) == (Partition(),)
 
     def test_small_counts(self):
         assert len(partitions_of(4)) == 5
@@ -125,20 +127,21 @@ class TestClassData:
 
 class TestElemSym:
     def test_e0(self):
-        assert elem_sym(Partition((5, 2)), 0) == 1
-        assert elem_sym(Partition(), 0) == 1
+        assert elem_sym(Partition((5, 2)))[0] == 1
+        assert elem_sym(Partition()) == (1,)
 
     def test_examples(self):
-        assert elem_sym(Partition((2, 1, 1)), 2) == 5
-        assert elem_sym(Partition((3, 2)), 1) == 5
+        assert elem_sym(Partition((2, 1, 1))) == (1, 4, 5, 2)
+        assert elem_sym(Partition((3, 2)))[1] == 5
 
     def test_e1_is_n(self):
         for n in range(1, 9):
             for a in partitions_of(n):
-                assert elem_sym(a, 1) == n
+                assert elem_sym(a)[1] == n
 
     def test_beyond_length_is_zero(self):
-        assert elem_sym(Partition((2, 1)), 3) == 0
+        # e_k = 0 for k > m, so the tuple stops at e_m
+        assert elem_sym(Partition((2, 1))) == (1, 3, 2)
 
     def test_generating_product(self):
         # sum_k e_k t^k = prod_j (1 + part_j t), checked coefficientwise
@@ -151,12 +154,52 @@ class TestElemSym:
                         nxt[i] += c
                         nxt[i + 1] += c * part
                     poly = nxt
-                for k, c in enumerate(poly):
-                    assert elem_sym(lam, k) == c
+                assert elem_sym(lam) == tuple(poly)
 
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            elem_sym(Partition((2,)), -1)
+    def test_sums_over_combinations(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                want = tuple(sum(map(prod, combinations(lam.parts, k))) for k in range(lam.m + 1))
+                assert elem_sym(lam) == want, lam
+
+
+class TestPrimeCode:
+    """prime_code maps (k, e) pairs to prod q_k^e; prime_pairs reads them back."""
+
+    BY_SIZE = {n: partitions_of(n) for n in range(1, 21)}
+    ALL = [alpha for size in BY_SIZE.values() for alpha in size]
+
+    def test_codes_are_distinct_and_decode_back(self):
+        codes = {prime_code(alpha.pexp()): alpha for alpha in self.ALL}
+        assert len(codes) == len(self.ALL) == 2713
+        for c, alpha in codes.items():
+            assert prime_pairs(c) == alpha.pexp()
+        # p_40 needs the table grown far past every part above
+        assert odd_prime(1) == 3 and odd_prime(40) == 179
+        assert prime_code(((7, 1), (40, 3))) == 19 * 179**3
+        assert prime_pairs(19 * 179**3) == ((7, 1), (40, 3))
+
+    def test_code_of_a_union_is_the_product(self):
+        for a in self.ALL:
+            for nb in range(1, 21 - a.n):
+                for b in self.BY_SIZE[nb]:
+                    union = Partition(sorted(a.parts + b.parts, reverse=True))
+                    assert prime_code(union.pexp()) == prime_code(a.pexp()) * prime_code(b.pexp())
+
+    def test_refusals(self):
+        # once the table is grown, q_0 and q_-1 would read its last entries
+        assert odd_prime(6) == 17
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="odd-prime index"):
+                odd_prime(k)
+            with pytest.raises(ValueError, match="odd-prime index"):
+                prime_code([(2, 1), (k, 1)])
+        with pytest.raises(ValueError, match="negative exponent"):
+            prime_code([(2, -1)])
+        for c in (0, -3, 2, 6):
+            with pytest.raises(ValueError, match="not a positive odd code"):
+                prime_pairs(c)
+        assert prime_code([]) == 1 and prime_pairs(1) == ()
 
 
 class TestACoeff:

@@ -329,7 +329,7 @@ class TestFaultInjection:
     def test_elem_sym_fault_is_caught(self, monkeypatch):
         elem_sym = verify.elem_sym
         monkeypatch.setattr(
-            verify, "elem_sym", lambda lam, k: elem_sym(lam, k) + (k == 2)
+            verify, "elem_sym", lambda lam: tuple(e + (k == 2) for k, e in enumerate(elem_sym(lam)))
         )
         result = elem_sym_extraction(max_n=8)
         assert not result.ok
