@@ -11,8 +11,9 @@ Output is byte-deterministic for a fixed invocation: rows follow the
 reverse-lexicographic partition order and all numbers are exact rational
 strings (never decimals).  Exit status: 0 success / all pass, 1 a
 verification or comparison failure, a count that is not a nonnegative
-integer or a failed fixed-point certificate, 2 usage errors (including size
-refusals and unknown options).
+integer, a failed fixed-point certificate or a stdout whose reader closed
+early (no traceback), 2 usage errors (including size refusals and unknown
+options).
 
 The only bound a user sets is verify's series cut --N.  The cut-and-join
 bounds come from the query: count evolves at (n, g), table at (n, 1) and
@@ -24,15 +25,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from . import closedform, cutjoin, oracle, verify
 from .closedform import FixedPointError
 from .oracle import SizeLimitExceeded
-from .partitions import IntegralityError, Partition, class_size, factorization_length, partitions_of
+from .partitions import IntegralityError, Partition, factorization_length, partitions_of, theta
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -105,7 +106,7 @@ def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
 
 
 def _mu(alpha: Partition, c: int) -> Fraction:
-    return Fraction(class_size(alpha) * c, factorial(alpha.n))
+    return Fraction(c, theta(alpha))
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
@@ -214,7 +215,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest of the output quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (UsageError, SizeLimitExceeded, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

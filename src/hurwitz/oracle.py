@@ -21,8 +21,10 @@ the coefficient of a fixed permutation of type alpha in its r-th power gives
     W(alpha, r) = 1/n! * sum_{lambda |- n} dim(lambda) chi^lambda(alpha) cont(lambda)^r,
 
 with chi^lambda(alpha) from the Murnaghan-Nakayama rule on beta-sets and
-dim(lambda) from the hook length formula.  The sum is taken in integers and
-divided by n! exactly; a remainder raises IntegralityError.
+dim(lambda) = chi^lambda(1^n) from the same rule.  Each lambda stays its
+n-bead beta-set throughout; cont(lambda) is read off the beads.  The sum is
+taken in integers and divided by n! exactly; a remainder raises
+IntegralityError.
 
 Counts are plain Python integers, hence arbitrary precision.
 """
@@ -31,15 +33,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
 
 from .partitions import IntegralityError, Partition, factorization_length
 
 NAIVE_MAX_N = 5
 NAIVE_MAX_R = 10
-# `compare --n 12 --genus-max 3` takes 2.3 s, 2.2 s of it in the oracle
-# (2-core machine, Python 3.11.7); each further n about doubles it: 4.6 s at
-# n = 13, 8.5 s at n = 14.
+# `compare --n 12 --genus-max 3` takes 1.5-1.7 s, 1.1-1.5 s of it in the
+# oracle (2-core Intel Xeon, Python 3.11.7); each further n about doubles the
+# oracle's share: 2.0 s at n = 13, 4.3 s at n = 14.
 ORACLE_MAX_N = 12
 
 Parts = tuple[int, ...]
@@ -57,21 +58,14 @@ def _check_budget(n: int) -> None:
 # -- the character formula ---------------------------------------------------
 
 
-def _shape(beads: int) -> Parts:
-    """The partition whose beta-set is the bitmask beads."""
-    positions = [b for b in range(beads.bit_length()) if beads >> b & 1]
-    # the j-th lowest bead sits at lambda_{n-j} + j
-    return tuple(p - j for j, p in reversed(list(enumerate(positions))) if p > j)
-
-
-def _characters(tp: Parts) -> dict[Parts, int]:
-    """chi^lambda(tp) for every lambda |- n at which it is nonzero.
+def _characters(tp: Parts) -> dict[int, int]:
+    """chi^lambda(tp) for every lambda |- n at which it is nonzero, keyed by
+    the n-bead beta-set of lambda (positions lambda_i + n - i, as a bitmask).
 
     Murnaghan-Nakayama: p_alpha = sum_lambda chi^lambda(alpha) s_lambda, and
     p_k s_mu adds every border strip of size k to mu, with sign -1 to its
-    height.  On the n-bead beta-set of mu (positions mu_i + n - i, kept as a
-    bitmask) a strip moves one bead from b to an empty b + k, and its height
-    is the number of beads jumped over.
+    height.  On the beta-set of mu a strip moves one bead from b to an empty
+    b + k, and its height is the number of beads jumped over.
     """
     n = sum(tp)
     column = {(1 << n) - 1: 1}  # the empty partition
@@ -84,22 +78,25 @@ def _characters(tp: Parts) -> dict[Parts, int]:
                     jumped = (beads >> (b + 1) & ((1 << (k - 1)) - 1)).bit_count()
                     nxt[moved] = nxt.get(moved, 0) + (-chi if jumped & 1 else chi)
         column = {beads: chi for beads, chi in nxt.items() if chi}
-    return {_shape(beads): chi for beads, chi in column.items()}
+    return column
 
 
-def _dim(lam: Parts) -> int:
-    """dim(lambda) = n! / prod of the hook lengths."""
-    conj = [sum(1 for a in lam if a > j) for j in range(lam[0])] if lam else []
-    hooks = 1
-    for i, a in enumerate(lam):
-        for j in range(a):
-            hooks *= a - j + conj[j] - i - 1
-    return factorial(sum(lam)) // hooks
+# One entry per n, at most ORACLE_MAX_N.
+@lru_cache(maxsize=ORACLE_MAX_N)
+def _dims(n: int) -> dict[int, int]:
+    """dim(lambda) = chi^lambda(1^n), keyed by beta-set."""
+    return _characters((1,) * n)
 
 
-def _content(lam: Parts) -> int:
-    """cont(lambda) = sum of j - i over the cells (i, j) of lambda."""
-    return sum(a * (a - 1) // 2 - i * a for i, a in enumerate(lam))
+def _content(beads: int, n: int) -> int:
+    """cont(lambda), the sum of j - i over the cells (i, j) of lambda.
+
+    The empty shape's beads 0..n-1 give sum C(b, 2) = C(n, 3); moving the
+    i-th bead to lambda_i + n - i adds C(lambda_i, 2) + lambda_i (n - i),
+    which sums to cont(lambda) + n(n - 1).
+    """
+    total = sum(b * (b - 1) // 2 for b in range(beads.bit_length()) if beads >> b & 1)
+    return total - comb(n, 3) - n * (n - 1)
 
 
 # One entry per type reached by the sieve (`table --n 7 --method oracle`: 44;
@@ -107,10 +104,12 @@ def _content(lam: Parts) -> int:
 @lru_cache(maxsize=1024)
 def _frobenius_terms(tp: Parts) -> tuple[tuple[int, int], ...]:
     """(cont, sum of dim(lambda) chi^lambda(tp) over the lambda with that content)."""
+    n = sum(tp)
+    dims = _dims(n)
     weights: dict[int, int] = {}
-    for lam, chi in _characters(tp).items():
-        c = _content(lam)
-        weights[c] = weights.get(c, 0) + _dim(lam) * chi
+    for beads, chi in _characters(tp).items():
+        c = _content(beads, n)
+        weights[c] = weights.get(c, 0) + dims[beads] * chi
     return tuple((c, w) for c, w in weights.items() if w)
 
 
@@ -136,17 +135,15 @@ def _transitive_count(tp: Parts, r: int) -> int:
     positions split among blocks with a multinomial weight and the product
     condition factors blockwise.  Fixing the block that contains the first
     cycle and summing over the remaining subsets inverts the relation.
+    Sub-tuples of the weakly decreasing tp stay weakly decreasing, and first
+    is its largest part, so block and comp are canonical cache keys.
     """
-    if not tp:
-        return 1 if r == 0 else 0
     total = _walks_type(tp, r)
     first, rest = tp[0], tp[1:]
     k = len(rest)
     for bits in range(2**k - 1):  # proper subsets of the remaining cycles
-        inside = [rest[i] for i in range(k) if bits >> i & 1]
-        outside = [rest[i] for i in range(k) if not bits >> i & 1]
-        block = tuple(sorted([first] + inside, reverse=True))
-        comp = tuple(sorted(outside, reverse=True))
+        block = (first, *(rest[i] for i in range(k) if bits >> i & 1))
+        comp = tuple(rest[i] for i in range(k) if not bits >> i & 1)
         for r1 in range(r + 1):
             w_out = _walks_type(comp, r - r1)
             if w_out:
@@ -166,19 +163,6 @@ def _canonical_images0(tp: Parts) -> Parts:
             imgs[start + off] = start + (off + 1) % part
         start += part
     return tuple(imgs)
-
-
-def _ncycles(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            count += 1
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                a = p[a]
-    return count
 
 
 # -- public counting API -----------------------------------------------------
@@ -256,4 +240,4 @@ def count_naive(alpha: Partition, g: int) -> int:
             delta[a], delta[b] = delta[b], delta[a]
         return total
 
-    return rec(r, n - _ncycles(pi), list(range(n)), n)
+    return rec(r, n - alpha.m, list(range(n)), n)

@@ -272,10 +272,6 @@ class WExpr:
         return WExpr(num, tuple(den))
 
 
-def _wvar(v: int) -> WExpr:
-    return WExpr(WPoly.var(v))
-
-
 def _one_minus_w(v: int) -> WExpr:
     return WExpr(_ATOMS[v - 1])
 
@@ -306,11 +302,11 @@ def sym_psi(m: int, v: int) -> WExpr:
 
 
 def sym_a_form(v: int) -> WExpr:
-    return (_one_minus_w(v) * wd(v, 3) + _wvar(v) * wd(v, 2) - wd(v, 1)) * Fraction(1, 12)
+    return (_one_minus_w(v) * wd(v, 3) + wd(v, 0) * wd(v, 2) - wd(v, 1)) * Fraction(1, 12)
 
 
 def sym_b_form(v: int) -> WExpr:
-    return wd(v, 3) * _wvar(v)
+    return wd(v, 3) * wd(v, 0)
 
 
 def sym_c_form(v1: int, v2: int) -> WExpr:
@@ -319,7 +315,7 @@ def sym_c_form(v1: int, v2: int) -> WExpr:
 
 
 def sym_d_form(v: int) -> WExpr:
-    return wd(v, 2) * _wvar(v)
+    return wd(v, 2) * wd(v, 0)
 
 
 def sym_e_form(v1: int, v2: int) -> WExpr:

@@ -299,10 +299,17 @@ class TestPinnedOutput:
                 "85855bc854800e9dc941f862b48408a0573b0d0b02fcb39384ec0edb0c346eb5",
                 marks=pytest.mark.slow,
             ),
+            # recorded at commit 7ea9adf: 308 rows, all agreeing; every oracle
+            # count within its budget (n <= 12, g <= 3)
+            pytest.param(
+                ("compare", "--n", "12", "--genus-max", "3"),
+                "46a9bedb5710f4f43d1ca769749026c16368316ab94f6b434c99c023069a7aec",
+                marks=pytest.mark.slow,
+            ),
         ],
         ids=[
             "compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin",
-            "table-n13-cutjoin", "table-n7-oracle", "table-n16-cutjoin",
+            "table-n13-cutjoin", "table-n7-oracle", "table-n16-cutjoin", "compare-n12-g3",
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
@@ -379,3 +386,29 @@ class TestOptimizedInterpreter:
         assert plain.returncode == (EXIT_FAIL if extra else EXIT_OK)
         assert json.loads(plain.stdout)["config"] == {"N": 6}
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+class TestClosedStdout:
+    # a reader that quits early (`hurwitz table ... | head -1`) ends the
+    # command with exit 1 and no traceback; buffered, the pipe breaks at the
+    # final flush, unbuffered at the first write
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [("table", "--n", "3"), ("verify", "--N", "8")], ids=["table", "verify"]
+    )
+    def test_closed_reader_exits_quietly(self, argv, unbuffered):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hurwitz", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_FAIL, b"")

@@ -21,7 +21,24 @@ from hurwitz import (
     partitions_of,
     theta,
 )
-from hurwitz.oracle import ORACLE_MAX_N, _characters, _dim
+from hurwitz.oracle import ORACLE_MAX_N, _characters, _content, _dims
+
+
+def hook_length_dim(lam: tuple[int, ...]) -> int:
+    """dim(lambda) = n! / prod of the hook lengths: the reference for _dims."""
+    conj = [sum(1 for a in lam if a > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, a in enumerate(lam):
+        for j in range(a):
+            hooks *= a - j + conj[j] - i - 1
+    return factorial(sum(lam)) // hooks
+
+
+def beta_set(lam: tuple[int, ...], n: int) -> int:
+    """The n-bead beta-set of lambda: bits at lambda_i + n - i, i = 1..n."""
+    padded = lam + (0,) * (n - len(lam))
+    return sum(1 << (a + n - 1 - i) for i, a in enumerate(padded))
+
 
 # Character table of S_3: rows (trivial, sign, standard) on the classes
 # (1,1,1), (2,1), (3); used as an independent oracle for walk counts.
@@ -97,14 +114,16 @@ class TestCountWalks:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_non_integral_character_sum_raises(self, flags):
-        # raising the trivial character at (2,1) adds 3^3 = 27 to a sum that
-        # must be a multiple of 3! = 6; python -O must not strip the guard
+        # raising the trivial character by one, its dimension included,
+        # turns its term 1 * 1 * 3^3 at (2,1) into 2 * 2 * 3^3: the sum grows
+        # by 81, not a multiple of 3! = 6; python -O must not strip the guard
         code = (
             "from hurwitz import IntegralityError, Partition, count_walks, oracle\n"
             "real = oracle._characters\n"
             "def perturbed(tp):\n"
+            "    n = sum(tp)\n"
             "    chars = dict(real(tp))\n"
-            "    chars[(sum(tp),)] += 1\n"
+            "    chars[1 << (2 * n - 1) | ((1 << (n - 1)) - 1)] += 1\n"
             "    return chars\n"
             "oracle._characters = perturbed\n"
             "try:\n"
@@ -180,6 +199,11 @@ class TestCharacters:
 
     def test_identity_column_is_the_hook_length_dimension(self):
         for n in range(1, 10):
-            chars = _characters((1,) * n)
-            assert sorted(chars) == sorted(lam.parts for lam in partitions_of(n))
-            assert all(chars[lam] == _dim(lam) for lam in chars)
+            want = {beta_set(lam.parts, n): hook_length_dim(lam.parts) for lam in partitions_of(n)}
+            assert _dims(n) == want, n
+
+    def test_content_from_beads_is_the_cell_sum(self):
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                cells = sum(j - i for i, a in enumerate(lam.parts) for j in range(a))
+                assert _content(beta_set(lam.parts, n), n) == cells, lam
