@@ -59,8 +59,14 @@ def parse_partition(text: str) -> tuple[Partition, bool]:
     return Partition(ordered), ordered != parts
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse drops an OSError of this write; let main see a closed stdout
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hurwitz",
         description="Exact genus-0/1 Hurwitz numbers by oracle, cut-and-join, "
         "and closed formula, with identity verification.",
@@ -208,14 +214,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 COMMANDS = {"count": cmd_count, "table": cmd_table, "verify": cmd_verify, "compare": cmd_compare}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def _run(argv: Sequence[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
+        # --help and usage errors; buffered help text still waits in stdout
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    return COMMANDS[args.command](args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = COMMANDS[args.command](args)
+        code = _run(argv)
         sys.stdout.flush()  # here, not in the interpreter's final flush
         return code
     except BrokenPipeError:

@@ -15,7 +15,7 @@ satisfies a PDE in u.  Read as a recurrence in u,
                               d(Phi_s)/dp_i * d(Phi_{r-s})/dp_j ]
 
 from the seed Phi_0 = x p_1.  The x-degree n and z-degree g of a monomial
-are read off the parts, so order r maps the parts of alpha to L_r(alpha).
+are read off alpha, so order r maps alpha to L_r(alpha).
 Each family has an integer weight that absorbs the 1/2:
 
 * cut: a part k of multiplicity e splits into {i, k - i}: weight e k, or
@@ -27,16 +27,12 @@ Each family has an integer weight that absorbs the 1/2:
   C(r, s) C(n_a + n_b, n_a) (the second binomial comes from x^n/n!),
   halved when 2s = r (exact: C(2t, t) is even, and C(0,0) C(2,1) = 2).
 
-While it runs, ``evolve`` keys each order by the integer code
-prod_i q_{alpha_i} of alpha, q_k the k-th odd prime (``partitions.prime_code``).
-By unique factorization the code is injective, and each family builds its
-key by multiplication, with no tuple built and no sort: a cut is
-code / q_k * q_i * q_{k-i}, a handle join code / (q_a q_b) * q_{a+b}, and a
-cross join rest_a * rest_b * q_{i+j}, where each derivative entry keeps
-the code of alpha less one part.  Each new key is decoded once, to its
-parts, n, m and distinct parts with multiplicities.  The finished orders in
-``CutJoinState.phi`` are keyed by the parts tuple: the code never leaves
-``evolve``.
+Every order, from the seed to ``extract_c``, is keyed by the code
+prod_i q_{alpha_i} of alpha, q_k the k-th odd prime (``partitions.prime_code``,
+injective by unique factorization), so each family builds its key by
+multiplication: a cut code / q_k * q_i * q_{k-i}, a handle join
+code / (q_a q_b) * q_{a+b} and a cross join rest_a * rest_b * q_{i+j}, rest
+the code of alpha less one part.
 
 That halving and extract_c's L_r(alpha) / |C_alpha| raise IntegralityError
 through an explicit test, not an assert, when they leave the integers.
@@ -58,17 +54,15 @@ from .partitions import (
     class_size,
     factorization_length,
     odd_prime,
+    prime_code,
     prime_pairs,
 )
 
-Parts = tuple[int, ...]
-Order = dict[Parts, int]
-# Inside ``evolve`` an order maps the code prod_i q_{alpha_i} of alpha
-# (q_k = odd_prime(k), so (3, 1, 1) is 7 * 3 * 3) to L_r(alpha).
+# An order maps the code prod_i q_{alpha_i} of alpha (q_k = odd_prime(k),
+# so (3, 1, 1) is 7 * 3 * 3) to L_r(alpha).
 Coded = dict[int, int]
-# A code decoded once: the parts, n, m and the distinct parts with their
-# multiplicities, largest first.
-Shape = tuple[Parts, int, int, tuple[tuple[int, int], ...]]
+# A code decoded once: n, m and the distinct parts with their multiplicities.
+Shape = tuple[int, int, tuple[tuple[int, int], ...]]
 # The p-derivatives of one order, bucketed by the (n, g) of the term they
 # come from: d/dp_i of L p_alpha is the entry (i, code of alpha less one
 # part i, multiplicity of i in alpha times L).
@@ -81,15 +75,14 @@ def _genus(r: int, n: int, m: int) -> int:
 
 def _decode(code: int) -> Shape:
     """The shape of the partition with code ``code``."""
-    mults = prime_pairs(code)[::-1]
-    parts = tuple(k for k, e in mults for _ in range(e))
-    return parts, sum(parts), len(parts), mults
+    mults = prime_pairs(code)
+    return sum(k * e for k, e in mults), sum(e for _, e in mults), mults
 
 
 def _derivatives(phi: Coded, r: int, q: list[int], shapes: dict[int, Shape]) -> Derivatives:
     out: Derivatives = {}
     for code, c in phi.items():
-        _, n, m, mults = shapes[code]
+        n, m, mults = shapes[code]
         bucket = out.setdefault((n, _genus(r, n, m)), [])
         for k, e in mults:
             bucket.append((k, code // q[k], e * c))
@@ -101,7 +94,7 @@ def _cut_and_handle_join(
 ) -> None:
     """Add the cut and genus-raising join terms of Phi_{r+1}."""
     for code, c in phi.items():
-        _, n, m, mults = shapes[code]
+        n, m, mults = shapes[code]
         for k, e in mults:
             rest, ec = code // q[k], e * c
             for i in range(1, k // 2 + 1):
@@ -146,8 +139,29 @@ def _cross_join(
                     acc[key] = acc.get(key, 0) + wa * j * cb
 
 
-def _coded_orders(N: int, G: int) -> tuple[list[Coded], dict[int, Shape]]:
-    """The orders Phi_0..Phi_R keyed by code, and the shape of every code in them."""
+@dataclass(frozen=True)
+class CutJoinState:
+    """Orders Phi_0..Phi_r of the evolution, each a map code of alpha -> L_r(alpha).
+
+    L_r(alpha) = n! mu_g(alpha) = |C_alpha| c_g(alpha) is a nonnegative
+    integer; ``extract_c`` divides it by |C_alpha|.
+    """
+
+    N: int
+    G: int
+    phi: tuple[Coded, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.phi) - 1
+
+
+# One entry per (N, G); each CLI command uses one.
+@lru_cache(maxsize=16)
+def evolve(N: int, G: int) -> CutJoinState:
+    """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""
+    if N < 1 or G < 0:
+        raise ValueError(f"invalid cut-and-join bounds N={N}, G={G}")
     q = [1, *(odd_prime(k) for k in range(1, N + 1))]
     shapes = {q[1]: _decode(q[1])}
     coded: list[Coded] = [{q[1]: 1}]
@@ -164,35 +178,7 @@ def _coded_orders(N: int, G: int) -> tuple[list[Coded], dict[int, Shape]]:
             if code not in shapes:
                 shapes[code] = _decode(code)
         coded.append(acc)
-    return coded, shapes
-
-
-@dataclass(frozen=True)
-class CutJoinState:
-    """Orders Phi_0..Phi_r of the evolution, each a map parts -> L_r(alpha).
-
-    L_r(alpha) = n! mu_g(alpha) = |C_alpha| c_g(alpha) is a nonnegative
-    integer; ``extract_c`` divides it by |C_alpha|.
-    """
-
-    N: int
-    G: int
-    phi: tuple[Order, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.phi) - 1
-
-
-# One entry per (N, G); each CLI command uses one.
-@lru_cache(maxsize=16)
-def evolve(N: int, G: int) -> CutJoinState:
-    """Phi_0..Phi_R for the types with n <= N and g <= G, R = 2N + 2G - 2."""
-    if N < 1 or G < 0:
-        raise ValueError(f"invalid cut-and-join bounds N={N}, G={G}")
-    coded, shapes = _coded_orders(N, G)
-    phi = tuple({shapes[code][0]: L for code, L in order.items()} for order in coded)
-    return CutJoinState(N, G, phi)
+    return CutJoinState(N, G, tuple(coded))
 
 
 def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
@@ -205,7 +191,7 @@ def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
             f"query (n={n}, g={g}, r={r}) outside truncation "
             f"(N={state.N}, G={state.G}, computed orders {state.order})"
         )
-    L, size = state.phi[r].get(alpha.parts, 0), class_size(alpha)
+    L, size = state.phi[r].get(prime_code(alpha.pexp()), 0), class_size(alpha)
     if L < 0 or L % size:
         raise IntegralityError(f"non-integral count for {alpha}, g={g}: {L}/{size}")
     return L // size

@@ -36,8 +36,11 @@ from math import comb, factorial
 
 from .partitions import IntegralityError, Partition, factorization_length
 
+# The slowest request inside this budget, (1,1,1,1,1) at g = 0 (r = 8),
+# takes 19.5 s, and (2,2,1), (3,1,1) at g = 1 and (5) at g = 2 take 15-16.5 s
+# (2-core Intel Xeon, Python 3.11.7); each further r costs 6 to 11 times more.
 NAIVE_MAX_N = 5
-NAIVE_MAX_R = 10
+NAIVE_MAX_R = 8
 # `compare --n 12 --genus-max 3` takes 1.5-1.7 s, 1.1-1.5 s of it in the
 # oracle (2-core Intel Xeon, Python 3.11.7); each further n about doubles the
 # oracle's share: 2.0 s at n = 13, 4.3 s at n = 14.

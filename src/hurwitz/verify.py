@@ -461,8 +461,6 @@ def check_u3(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-# One entry per order (`verify --N 16`: 1).
-@lru_cache(maxsize=16)
 def _tree_coeffs(order: int) -> tuple[Fraction, ...]:
     """[x^n] of the tree function, from the explicit formula n^(n-1)/n!."""
     return (_ZERO,) + tuple(

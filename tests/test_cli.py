@@ -394,7 +394,9 @@ class TestClosedStdout:
     # final flush, unbuffered at the first write
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
-        "argv", [("table", "--n", "3"), ("verify", "--N", "8")], ids=["table", "verify"]
+        "argv",
+        [("table", "--n", "3"), ("verify", "--N", "8"), ("--help",)],
+        ids=["table", "verify", "help"],
     )
     def test_closed_reader_exits_quietly(self, argv, unbuffered):
         src = str(Path(__file__).resolve().parents[1] / "src")

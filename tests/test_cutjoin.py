@@ -26,7 +26,7 @@ from hurwitz import (
     partitions_of,
     series,
 )
-from hurwitz.partitions import odd_prime, prime_code
+from hurwitz.partitions import odd_prime, prime_code, prime_pairs
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,16 @@ def state5():
 
 def genus(r, parts):
     return (r - sum(parts) - len(parts)) // 2 + 1
+
+
+def code(parts):
+    """The key of an order: prod q_k over the parts k."""
+    return prime_code((k, 1) for k in parts)
+
+
+def parts_of(key):
+    """The parts of the partition with code ``key``, largest first."""
+    return tuple(k for k, e in reversed(prime_pairs(key)) for _ in range(e))
 
 
 def counts(state):
@@ -52,8 +62,8 @@ class TestInitialCondition:
     def test_seed_is_x_p1(self):
         # N = 1, G = 0 needs no step: the one type (1) lives at r = 0
         state = evolve(1, 0)
-        assert state.phi == ({(1,): 1},)
-        assert type(state.phi[0][(1,)]) is int
+        assert state.phi == ({code((1,)): 1},)
+        assert type(state.phi[0][code((1,))]) is int
 
     def test_seed_matches_enumeration(self):
         # the unique length-0 factorization of the 1-cycle
@@ -73,23 +83,24 @@ class TestBounds:
         # the largest r = n + m + 2g - 2 is (1^N) at genus G
         state = evolve(N, G)
         assert state.order == 2 * N + 2 * G - 2
-        assert state.phi[-1] == {(1,) * N: state.phi[-1][(1,) * N]}
+        assert state.phi[-1] == {code((1,) * N): state.phi[-1][code((1,) * N)]}
 
 
 class TestStep:
     def test_first_order(self, state5):
         # r = 1 holds exactly the 2-cycle at genus 0: L = 2! mu_0((2)) = 1
-        assert state5.phi[1] == {(2,): 1}
+        assert state5.phi[1] == {code((2,)): 1}
         assert extract_c(state5, Partition((2,)), 0) == 1
 
     def test_genus_one_appears_at_r3(self, state5):
-        assert all(genus(2, parts) == 0 for parts in state5.phi[2])
-        assert any(genus(3, parts) == 1 for parts in state5.phi[3])
+        assert all(genus(2, parts_of(key)) == 0 for key in state5.phi[2])
+        assert any(genus(3, parts_of(key)) == 1 for key in state5.phi[3])
         assert extract_c(state5, Partition((2,)), 1) == count_naive(Partition((2,)), 1)
 
     def test_parity_and_size_constraints(self, state5):
         for r, phi in enumerate(state5.phi):
-            for parts, c in phi.items():
+            for key, c in phi.items():
+                parts = parts_of(key)
                 n, m = sum(parts), len(parts)
                 assert c and parts == tuple(sorted(parts, reverse=True)) and parts[-1] >= 1
                 assert n <= state5.N and 0 <= genus(r, parts) <= state5.G
@@ -108,8 +119,8 @@ class TestStoredCounts:
                 for g in range(3):
                     L = class_size(alpha) * count_transitive(alpha, g)
                     if L:
-                        want[alpha.n + alpha.m + 2 * g - 2, alpha.parts] = L
-        stored = {(r, parts): L for r, phi in enumerate(state.phi) for parts, L in phi.items()}
+                        want[alpha.n + alpha.m + 2 * g - 2, prime_code(alpha.pexp())] = L
+        stored = {(r, key): L for r, phi in enumerate(state.phi) for key, L in phi.items()}
         assert stored == want
         assert all(type(L) is int for L in stored.values())
 
@@ -120,6 +131,7 @@ class TestStoredCounts:
 _GUARD_SCRIPT = """
 from math import comb
 from hurwitz import IntegralityError, Partition, cutjoin
+from hurwitz.partitions import odd_prime
 cutjoin.comb = lambda n, k: 1
 try:
     cutjoin.evolve(2, 0)
@@ -127,7 +139,7 @@ except IntegralityError as exc:
     print(exc)
 cutjoin.comb = comb
 state = cutjoin.evolve(2, 0)
-bad = cutjoin.CutJoinState(2, 0, (state.phi[0], {(2,): -1}))
+bad = cutjoin.CutJoinState(2, 0, (state.phi[0], {odd_prime(2): -1}))
 try:
     cutjoin.extract_c(bad, Partition((2,)), 0)
 except IntegralityError as exc:
@@ -175,11 +187,11 @@ class TestExtract:
 
     def test_non_integral_coefficient_raises(self, state5):
         alpha = Partition((2, 1))
-        r = alpha.n + alpha.m - 2
+        r, key = alpha.n + alpha.m - 2, prime_code(alpha.pexp())
         # |C_(2,1)| = 3: L + 1 is not divisible by it, and -3 is negative
-        for bad in (state5.phi[r][alpha.parts] + 1, -class_size(alpha)):
+        for bad in (state5.phi[r][key] + 1, -class_size(alpha)):
             phi = list(state5.phi)
-            phi[r] = {**phi[r], alpha.parts: bad}
+            phi[r] = {**phi[r], key: bad}
             with pytest.raises(IntegralityError):
                 extract_c(CutJoinState(5, 1, tuple(phi)), alpha, 0)
         assert extract_c(state5, alpha, 0) == 8
@@ -252,10 +264,6 @@ class TestGenusTwo:
 Q = [1, *map(odd_prime, range(1, 21))]
 
 
-def code(parts):
-    return prime_code((k, 1) for k in parts)
-
-
 def sort(parts):
     return tuple(sorted(parts, reverse=True))
 
@@ -270,12 +278,12 @@ def single(parts):
 
 
 def decoded(acc):
-    """A coded order keyed by parts tuples, each key decoded by cutjoin."""
-    return {cutjoin._decode(key)[0]: c for key, c in acc.items()}
+    """A coded order keyed by parts tuples, each key decoded by prime_pairs."""
+    return {parts_of(key): c for key, c in acc.items()}
 
 
 class TestPrimeCode:
-    """Inside evolve a partition is keyed by prod q_k over its parts k."""
+    """Every order keys a partition by prod q_k over its parts k."""
 
     ALL = [alpha.parts for n in range(1, 21) for alpha in partitions_of(n)]
 
@@ -286,8 +294,8 @@ class TestPrimeCode:
 
     def test_decode_gives_the_shape(self):
         for parts in self.ALL:
-            mults = tuple((k, parts.count(k)) for k in sorted(set(parts), reverse=True))
-            assert cutjoin._decode(code(parts)) == (parts, sum(parts), len(parts), mults)
+            mults = tuple((k, parts.count(k)) for k in sorted(set(parts)))
+            assert cutjoin._decode(code(parts)) == (sum(parts), len(parts), mults)
 
     def test_cut_and_handle_join_match_the_tuple_construction(self):
         # the PDE's cut and handle-join terms over ordered position pairs,

@@ -78,6 +78,8 @@ class TestCountNaive:
             count_naive(Partition((6,)), 0)  # n beyond budget
         with pytest.raises(SizeLimitExceeded):
             count_naive(Partition((1, 1, 1, 1, 1)), 2)  # r = 12 beyond budget
+        with pytest.raises(SizeLimitExceeded):
+            count_naive(Partition((2, 1, 1, 1)), 1)  # r = 9 beyond budget
 
 
 class TestCountWalks:
