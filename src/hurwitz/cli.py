@@ -18,6 +18,12 @@ options).
 The only bound a user sets is verify's series cut --N.  The cut-and-join
 bounds come from the query: count evolves at (n, g), table at (n, 1) and
 compare at (n, genus-max), once per command.
+
+Each command imports only the engine it runs: ``_count_by`` imports the
+oracle, cut-and-join or closed-formula module of its method, ``verify``
+imports the identity checks and ``compare`` the oracle for its budget.
+Every error type main catches is defined in ``partitions`` or is a
+ValueError, so no engine is loaded to handle a failure.
 """
 
 from __future__ import annotations
@@ -30,10 +36,14 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import closedform, cutjoin, oracle, verify
-from .closedform import FixedPointError
-from .oracle import SizeLimitExceeded
-from .partitions import IntegralityError, Partition, factorization_length, partitions_of, theta
+from .partitions import (
+    FixedPointError,
+    IntegralityError,
+    Partition,
+    factorization_length,
+    partitions_of,
+    theta,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -102,11 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
     """c_g(alpha); cut-and-join evolves to (alpha.n, genus_bound), g <= genus_bound."""
     if method == "oracle":
+        from . import oracle
+
         return oracle.count_transitive(alpha, g)
     if method == "cutjoin":
+        from . import cutjoin
+
         state = cutjoin.evolve(alpha.n, genus_bound)
         return cutjoin.extract_c(state, alpha, g)
     if method == "closed":
+        from . import closedform
+
         return closedform.c_value(alpha, g)
     raise UsageError(f"unknown method {method!r}")
 
@@ -173,6 +189,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     checks = verify.run_all_checks(args.N, inject_fault=args.inject_fault)
     report = verify.report_obj(checks, config={"N": args.N})
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -185,6 +203,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("n must be at least 1")
     if genus_max < 0:
         raise UsageError("--genus-max must be nonnegative")
+    from . import oracle
+
     methods = ["cutjoin", "closed"]
     if n <= oracle.ORACLE_MAX_N:
         methods.insert(0, "oracle")
@@ -232,7 +252,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader closed stdout: drop the rest of the output quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except (UsageError, SizeLimitExceeded, ValueError) as err:
+    except ValueError as err:  # usage errors and size refusals among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (IntegralityError, FixedPointError) as err:

@@ -47,6 +47,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import (
+    FixedPointError,
     Partition,
     a_coeff,
     elem_sym,
@@ -56,10 +57,6 @@ from .partitions import (
     theta,
 )
 from .series import PSeries, exp, log1, powers, subst_x
-
-
-class FixedPointError(RuntimeError):
-    """A candidate series is not the fixed point of its defining equation."""
 
 
 def _prod_a(alpha: Partition) -> tuple[int, int]:

@@ -44,9 +44,9 @@ and lives at order r <= 2N + 2G - 2, and ``evolve`` runs that many steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .partitions import (
     IntegralityError,
@@ -139,8 +139,7 @@ def _cross_join(
                     acc[key] = acc.get(key, 0) + wa * j * cb
 
 
-@dataclass(frozen=True)
-class CutJoinState:
+class CutJoinState(NamedTuple):
     """Orders Phi_0..Phi_r of the evolution, each a map code of alpha -> L_r(alpha).
 
     L_r(alpha) = n! mu_g(alpha) = |C_alpha| c_g(alpha) is a nonnegative

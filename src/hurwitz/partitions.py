@@ -5,9 +5,10 @@ conjugacy class C_alpha of the symmetric group S_n.  This module provides
 enumeration in reverse-lexicographic order, the class size |C_alpha|, the
 statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
-closed Hurwitz formulas, the integrality check of a factorization count
-and the odd-prime code prod q_k^e of (k, e) pairs (``prime_code``,
-``prime_pairs``) that ``series`` and ``cutjoin`` share.
+closed Hurwitz formulas, the integrality check of a factorization count,
+the two error types the engines raise (``IntegralityError``,
+``FixedPointError``) and the odd-prime code prod q_k^e of (k, e) pairs
+(``prime_code``, ``prime_pairs``) that ``series`` and ``cutjoin`` share.
 ``factorization_length`` is the one definition of the number
 r = n + m + 2g - 2 of transpositions (simple branch points) of a genus-g
 request, and the one check of that request; every engine keys its answer
@@ -25,6 +26,10 @@ from typing import Iterable, Iterator
 
 class IntegralityError(ArithmeticError):
     """A computed factorization count is not a nonnegative integer."""
+
+
+class FixedPointError(RuntimeError):
+    """A candidate series is not the fixed point of its defining equation."""
 
 
 # q_1, q_2, ...: the odd primes, grown on demand.

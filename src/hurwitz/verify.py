@@ -46,11 +46,10 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .closedform import (
     f0_pdiff,
@@ -67,8 +66,7 @@ from .series import ExactRing, PSeries, _integer_form, _reduce, exp
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification step; witness names the first offender."""
 
     name: str
@@ -76,6 +74,7 @@ class CheckResult:
     witness: str | None = None
 
     def __bool__(self) -> bool:
+        # a tuple of three fields is always true
         return self.ok
 
 
@@ -327,8 +326,7 @@ def sym_e_form(v1: int, v2: int) -> WExpr:
 Image = WExpr | WPoly
 
 
-@dataclass(frozen=True)
-class KernelForms:
+class KernelForms(NamedTuple):
     """The symmetrized images the U-combinations are built from, by slot.
 
     a, b, d take one slot, c and e two, and psi(m, v) is the image of psi_m.

@@ -28,7 +28,7 @@ from hurwitz import (
     partitions_of,
     s_series,
 )
-from hurwitz import closedform
+from hurwitz import closedform, partitions
 from hurwitz.closedform import FixedPointError, psi, psi_at_s, s_powers
 from hurwitz.partitions import a_coeff
 from hurwitz.series import fraction_view, powers, subst_x
@@ -203,6 +203,10 @@ class TestSubstitutionSeries:
         with pytest.raises(FixedPointError):
             s_powers(TR8)
         assert s_powers.cache_info().currsize == 0
+
+    def test_fixed_point_error_is_the_shared_type(self):
+        # defined beside IntegralityError, so the CLI catches it unloaded
+        assert closedform.FixedPointError is partitions.FixedPointError
 
     def test_euler_identity(self):
         # x ds/dx (1 - psi_1) = s

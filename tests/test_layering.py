@@ -1,16 +1,28 @@
-"""The counting engines import no series code.
+"""The counting engines import no series code; a command loads only its engine.
 
 The oracle and cut-and-join are evidence only while they stay independent of
 the series ring, the closed formulas and the identity checks, so the modules
 they are built from may share arithmetic but nothing else.  The imports are
-read from the source: ``hurwitz/__init__`` imports every module, so
-``sys.modules`` cannot tell which module pulled in which.
+read from the source, which sees an import inside a function too.
+
+``hurwitz/__init__`` imports no submodule: it reads each public name from its
+module on first use.  So ``sys.modules`` after one CLI run in a fresh
+interpreter tells which engines that command loaded, and a cold ``hurwitz``
+process pays only for those.
 """
 
 import ast
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import hurwitz
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hurwitz"
 ENGINE_MODULES = ["partitions.py", "cutjoin.py", "oracle.py"]
@@ -46,3 +58,84 @@ def test_the_scan_sees_each_import_form():
         "    from hurwitz.series import PSeries\n"
     )
     assert FORBIDDEN <= imported_modules(tree)
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """stdout of `python -c code argv` in a fresh interpreter on this source."""
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return run.stdout
+
+
+# Run the CLI, then list every loaded module on the last line of stdout.
+_LOADED_AFTER = (
+    "import json, sys\n"
+    "import hurwitz.cli\n"
+    "hurwitz.cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, submodules",
+    [
+        (("table", "--n", "5", "--method", "cutjoin"), {"cutjoin"}),
+        (("table", "--n", "5", "--method", "oracle"), {"oracle"}),
+        (("count", "--alpha", "3,2", "--method", "closed"), {"series", "closedform"}),
+        (("compare", "--n", "4"), {"oracle", "cutjoin", "series", "closedform"}),
+        (("verify", "--N", "4"), {"series", "closedform", "verify"}),
+        (("--help",), set()),
+    ],
+    ids=["table-cutjoin", "table-oracle", "count-closed", "compare", "verify", "help"],
+)
+def test_a_command_loads_only_its_engine(argv, submodules):
+    loaded = json.loads(run_fresh(_LOADED_AFTER, *argv).splitlines()[-1])
+    package = {name.removeprefix("hurwitz.") for name in loaded if name.startswith("hurwitz.")}
+    assert package == {"cli", "partitions"} | submodules
+    # no command pays for dataclasses and the inspect it imports
+    assert "dataclasses" not in loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, hurwitz\nprint([m for m in sys.modules if m.startswith('hurwitz.')])"
+    assert run_fresh(code) == "[]\n"
+
+
+# The names the package exported when it imported every module eagerly.
+PUBLIC_NAMES = {
+    "CheckResult", "CutJoinState", "FixedPointError", "IntegralityError", "PSeries", "Partition",
+    "SizeLimitExceeded", "TruncationMismatch", "a_coeff", "build_ABCDE", "c_value", "check_u1",
+    "check_u2", "check_u3", "class_size", "count_naive", "count_transitive", "count_walks",
+    "elem_sym", "evolve", "exp", "extract_c", "f0_pdiff", "f0_series", "factorization_length",
+    "g1_closed", "g1_defn", "log1", "mu0", "mu1", "partitions_of", "psi", "residual_T",
+    "run_all_checks", "s_series", "subst_x", "theta",
+}
+
+
+class TestExports:
+    def test_the_table_lists_the_public_names(self):
+        assert len(PUBLIC_NAMES) == 37
+        assert sorted(hurwitz.__all__) == sorted(PUBLIC_NAMES)
+
+    def test_each_name_is_its_defining_module_attribute(self):
+        for name in hurwitz.__all__:
+            value = getattr(hurwitz, name)
+            module = importlib.import_module(value.__module__)
+            assert module.__name__ == f"hurwitz.{hurwitz._MODULE_OF[name]}", name
+            assert getattr(module, name) is value, name
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hurwitz.no_such_name
+
+    def test_a_submodule_still_imports_by_name(self):
+        from hurwitz import closedform
+
+        assert inspect.ismodule(closedform)
+        assert closedform.__name__ == "hurwitz.closedform"

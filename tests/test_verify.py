@@ -1,6 +1,5 @@
 """The identity checker: PDE residual, polynomial vanishing, series identities."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from hurwitz import (
+    CheckResult,
     PSeries,
     TruncationMismatch,
     build_ABCDE,
@@ -225,7 +225,7 @@ def _perturbed(name):
     """One kernel scaled slightly off; everything else untouched."""
     scale = lambda f: (lambda *slots: f(*slots) * Fraction(13, 12))
     fields = {name: scale(getattr(DEFAULT_KERNELS, name))}
-    return replace(DEFAULT_KERNELS, **fields)
+    return DEFAULT_KERNELS._replace(**fields)
 
 
 class TestFaultInjection:
@@ -396,6 +396,11 @@ class TestReport:
             "g1_pdiff_identity",
             "f0_pdiff_axiom",
         ]
+
+    def test_a_failed_check_is_false(self):
+        # a CheckResult is a tuple, which is true whatever its fields hold
+        assert not CheckResult("x", False)
+        assert CheckResult("x", True)
 
     def test_report_schema(self):
         checks = run_all_checks(inject_fault=True)
