@@ -21,7 +21,10 @@ compare at (n, genus-max), once per command.
 
 Each command imports only the engine it runs: ``_count_by`` imports the
 oracle, cut-and-join or closed-formula module of its method, ``verify``
-imports the identity checks and ``compare`` the oracle for its budget.
+imports the identity checks and ``compare`` the oracle for its budget and
+``closedform`` for its genus range (``closedform.MU``).  A ``compare`` row
+on which only one engine ran has compared nothing: its ``agree`` cell is
+``-``, neither ``yes`` nor a disagreement.
 Every error type main catches is defined in ``partitions`` or is a
 ValueError, so no engine is loaded to handle a failure.
 """
@@ -98,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(pt)
 
     pv = sub.add_parser("verify", help="run the identity checks")
-    pv.add_argument("--N", type=int, default=DEFAULT_N, help="x-degree truncation (default 8)")
+    pv.add_argument(
+        "--N", type=int, default=DEFAULT_N, help="x-degree truncation (default %(default)s)"
+    )
     pv.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     pp = sub.add_parser("compare", help="diff all applicable engines")
@@ -153,16 +158,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if reordered:
         print(f"note: parts reordered to {alpha}", file=sys.stderr)
     g = args.genus
-    if g < 0:
-        raise UsageError("genus must be nonnegative")
+    r = factorization_length(alpha, g)  # the one request check
     c = _count_by(args.method, alpha, g, g)
-    row = {
-        "alpha": alpha,
-        "g": g,
-        "r": factorization_length(alpha, g),
-        "c": c,
-        "mu": str(_mu(alpha, c)),
-    }
+    row = {"alpha": alpha, "g": g, "r": r, "c": c, "mu": str(_mu(alpha, c))}
     _emit([row], ["alpha", "g", "r", "c", "mu"], args.format)
     return EXIT_OK
 
@@ -171,20 +169,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be at least 1")
+    genera = (0, 1)
     rows = []
     for alpha in partitions_of(n):
-        c0 = _count_by(args.method, alpha, 0, 1)
-        c1 = _count_by(args.method, alpha, 1, 1)
-        rows.append(
-            {
-                "alpha": alpha,
-                "c0": c0,
-                "mu0": str(_mu(alpha, c0)),
-                "c1": c1,
-                "mu1": str(_mu(alpha, c1)),
-            }
-        )
-    _emit(rows, ["alpha", "c0", "mu0", "c1", "mu1"], args.format)
+        row = {"alpha": alpha}
+        for g in genera:
+            c = _count_by(args.method, alpha, g, genera[-1])
+            row[f"c{g}"], row[f"mu{g}"] = c, str(_mu(alpha, c))
+        rows.append(row)
+    _emit(rows, ["alpha", *(f"{k}{g}" for g in genera for k in ("c", "mu"))], args.format)
     return EXIT_OK
 
 
@@ -203,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("n must be at least 1")
     if genus_max < 0:
         raise UsageError("--genus-max must be nonnegative")
-    from . import oracle
+    from . import closedform, oracle
 
     methods = ["cutjoin", "closed"]
     if n <= oracle.ORACLE_MAX_N:
@@ -214,19 +207,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     disagreements = 0
     for alpha in partitions_of(n):
         for g in range(genus_max + 1):
-            values = {}
-            for method in methods:
-                if method == "closed" and g > 1:
-                    continue
-                values[method] = _count_by(method, alpha, g, genus_max)
-            agree = len(set(values.values())) == 1
-            if not agree:
-                disagreements += 1
-            row = {"alpha": alpha, "g": g}
-            for method in methods:
-                row[method] = values.get(method, "")
-            row["agree"] = "yes" if agree else "NO"
-            rows.append(row)
+            values = {
+                method: _count_by(method, alpha, g, genus_max)
+                for method in methods
+                if method != "closed" or g < len(closedform.MU)
+            }
+            # one engine alone has compared nothing: "-", not a disagreement
+            agree = "-" if len(values) < 2 else "yes" if len(set(values.values())) == 1 else "NO"
+            disagreements += agree == "NO"
+            rows.append(
+                {"alpha": alpha, "g": g, **dict.fromkeys(methods, ""), **values, "agree": agree}
+            )
     _emit(rows, ["alpha", "g"] + methods + ["agree"], args.format)
     return EXIT_OK if disagreements == 0 else EXIT_FAIL
 

@@ -101,16 +101,16 @@ def mu1(alpha: Partition) -> Fraction:
     return Fraction(num * factorial(r) * _bracket(alpha), 24 * den * theta(alpha))
 
 
+# The closed formulas by genus: the closed engine serves exactly g < len(MU).
+MU = (mu0, mu1)
+
+
 def c_value(alpha: Partition, g: int) -> int:
-    """Factorization count c_g(alpha) = mu_g(alpha) * n! / |C_alpha| (g <= 1)."""
+    """Factorization count c_g(alpha) = mu_g(alpha) * n! / |C_alpha| (g < len(MU))."""
     factorization_length(alpha, g)  # the request check every engine shares
-    if g == 0:
-        mu = mu0(alpha)
-    elif g == 1:
-        mu = mu1(alpha)
-    else:
+    if g >= len(MU):
         raise ValueError(f"no closed formula for genus {g}")
-    return factorization_count(mu, alpha, g)
+    return factorization_count(MU[g](alpha), alpha, g)
 
 
 # -- the substitution series s and everything written in it -----------------
@@ -176,11 +176,10 @@ def _formula_series(N: int, g: int) -> PSeries:
     r is the number of transpositions, so multiplying a coefficient by
     n! r!/|C_alpha| recovers c_g(alpha).
     """
-    mu = mu0 if g == 0 else mu1
     return PSeries.from_parts(
         N,
         {
-            alpha: mu(alpha) / factorial(factorization_length(alpha, g))
+            alpha: MU[g](alpha) / factorial(factorization_length(alpha, g))
             for n in range(1, N + 1)
             for alpha in partitions_of(n)
         },

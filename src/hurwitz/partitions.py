@@ -148,16 +148,12 @@ def _rev_lex(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 # One entry per size n (`verify --N 16`: 17).
-_BY_SIZE: dict[int, tuple[Partition, ...]] = {}
-
-
+@lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each once, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n not in _BY_SIZE:
-        _BY_SIZE[n] = tuple(map(Partition, _rev_lex(n, n)))
-    return _BY_SIZE[n]
+    return tuple(map(Partition, _rev_lex(n, n)))
 
 
 def theta(alpha: Partition) -> int:

@@ -1,7 +1,9 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -107,10 +109,18 @@ class TestCount:
         assert out.splitlines()[1] == '"(1,1)",2,6,1,1/2'
 
     def test_non_integral_count_is_a_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(1, 7))
+        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(1, 7), closedform.mu1))
         code, out, err = run_cli(capsys, "count", "--alpha", "3", "--genus", "0")
         assert code == EXIT_FAIL
         assert out == "" and err.startswith("error: non-integral count")
+
+    @pytest.mark.parametrize("method", ["oracle", "cutjoin", "closed"])
+    def test_negative_genus_refused(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "count", "--alpha", "3,2", "--genus", "-1", "--method", method
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: genus must be nonnegative\n"
 
     def test_bad_partition_literal(self, capsys):
         code, _, err = run_cli(capsys, "count", "--alpha", "2;1", "--genus", "0")
@@ -247,6 +257,24 @@ class TestCompare:
         assert lines[0] == "alpha,g,oracle,cutjoin,closed,agree"
         assert len(lines) == 1 + 2 * 11  # eleven partitions, two genera
         assert all(line.endswith(",yes") for line in lines[1:])
+
+    def test_single_engine_rows_compare_nothing(self, capsys):
+        # above the oracle's budget and the closed formulas' genera only
+        # cut-and-join runs: such a row neither agrees nor disagrees
+        code, out, _ = run_cli(capsys, "compare", "--n", "13", "--genus-max", "2")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows and all(row[-1] == ("-" if row[1] == "2" else "yes") for row in rows)
+        assert sum(row[1] == "2" for row in rows) == 101  # p(13) partitions
+
+    def test_single_engine_verdict_in_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--n", "13", "--genus-max", "2", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert {(rec["g"], rec["agree"]) for rec in json.loads(out)} == {
+            (0, "yes"), (1, "yes"), (2, "-")
+        }
 
     def test_oracle_skipped_above_budget(self, capsys):
         n = ORACLE_MAX_N + 1

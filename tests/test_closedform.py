@@ -92,10 +92,10 @@ class TestRecords:
             c_value(Partition((2,)), 2)
 
     def test_non_integral_count_raises(self, monkeypatch):
-        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(1, 7))
+        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(1, 7), closedform.mu1))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
-        monkeypatch.setattr(closedform, "mu0", lambda alpha: Fraction(-1))
+        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(-1), closedform.mu1))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
 
@@ -104,7 +104,7 @@ class TestRecords:
         code = (
             "from fractions import Fraction\n"
             "from hurwitz import IntegralityError, Partition, closedform\n"
-            "closedform.mu0 = lambda alpha: Fraction(1, 7)\n"
+            "closedform.MU = (lambda alpha: Fraction(1, 7), closedform.mu1)\n"
             "try:\n"
             "    closedform.c_value(Partition((3,)), 0)\n"
             "except IntegralityError:\n"
