@@ -36,6 +36,13 @@ and on the weights-only expansions alike.  The exact route checks U_2 and
 U_3 twice more, in a compact rearranged form; a discrepancy would fail one
 of them rather than being silently reconciled.
 
+The exact route writes the antisymmetric difference w_a^(j) w_b' - w_a' w_b^(j)
+once, in ``_cross``.  The kernels pair up by derivative order: b and c are
+``_one_slot`` and ``_two_slot`` at j = 3, d and e the same builders at j = 2,
+and the rearranged U_2 and U_3 read ``_cross`` too.  Sharing it leaves no
+blind spot: the series route checks c and e against the weights alone, so a
+slip in ``_cross`` fails those checks as well as both rearranged forms.
+
 The genus-0 input dF_0/dp_k, taken as given in ``closedform``, is certified
 by ``f0_pdiff_axiom`` against the p-derivatives of the genus-0 series built
 from the explicit formula.
@@ -244,8 +251,7 @@ class WExpr:
         return WExpr(self._lift(target) + other._lift(target), target)
 
     def __sub__(self, other: "WExpr") -> "WExpr":
-        target = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        return WExpr(self._lift(target) - other._lift(target), target)
+        return self + -other
 
     def __neg__(self) -> "WExpr":
         return WExpr(-self.num, self.den)
@@ -304,22 +310,19 @@ def sym_a_form(v: int) -> WExpr:
     return (_one_minus_w(v) * wd(v, 3) + wd(v, 0) * wd(v, 2) - wd(v, 1)) * Fraction(1, 12)
 
 
-def sym_b_form(v: int) -> WExpr:
-    return wd(v, 3) * wd(v, 0)
+def _cross(j: int, a: int, b: int) -> WExpr:
+    """The antisymmetric difference w_a^(j) w_b' - w_a' w_b^(j)."""
+    return wd(a, j) * wd(b, 1) - wd(a, 1) * wd(b, j)
 
 
-def sym_c_form(v1: int, v2: int) -> WExpr:
-    cross = wd(v1, 3) * wd(v2, 1) - wd(v1, 1) * wd(v2, 3)
-    return -(wd(v1, 3) * wd(v2, 1)) - wd(v1, 1) * wd(v2, 3) - cross.div_diff(v1, v2)
+def _one_slot(j: int, v: int) -> WExpr:
+    """Kernel b at j = 3, kernel d at j = 2."""
+    return wd(v, j) * wd(v, 0)
 
 
-def sym_d_form(v: int) -> WExpr:
-    return wd(v, 2) * wd(v, 0)
-
-
-def sym_e_form(v1: int, v2: int) -> WExpr:
-    cross = wd(v1, 2) * wd(v2, 1) - wd(v1, 1) * wd(v2, 2)
-    return -(wd(v1, 2) * wd(v2, 1)) - wd(v1, 1) * wd(v2, 2) - cross.div_diff(v1, v2)
+def _two_slot(j: int, v1: int, v2: int) -> WExpr:
+    """Kernel c at j = 3, kernel e at j = 2."""
+    return -(wd(v1, j) * wd(v2, 1)) - wd(v1, 1) * wd(v2, j) - _cross(j, v1, v2).div_diff(v1, v2)
 
 
 # A symmetrized image: an exact closed form or a truncated expansion.
@@ -342,7 +345,13 @@ class KernelForms(NamedTuple):
     psi: Callable[[int, int], Image] = sym_psi
 
 
-DEFAULT_KERNELS = KernelForms(sym_a_form, sym_b_form, sym_c_form, sym_d_form, sym_e_form)
+DEFAULT_KERNELS = KernelForms(
+    sym_a_form,
+    partial(_one_slot, 3),
+    partial(_two_slot, 3),
+    partial(_one_slot, 2),
+    partial(_two_slot, 2),
+)
 
 
 def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[Image, ...]:
@@ -382,12 +391,16 @@ def _u2_assembled(k: KernelForms) -> Image:
     )
 
 
+# Each slot t of three with the other two, in order.
+_ROTATIONS = ((1, (2, 3)), (2, (1, 3)), (3, (1, 2)))
+
+
 def _u3_assembled(k: KernelForms) -> Image:
     terms = [
         k.psi(1, p1) * k.psi(1, p2) * k.a(p3) * -12
         for p1, p2, p3 in itertools.permutations((1, 2, 3))
     ]
-    for t, (va, vb) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+    for t, (va, vb) in _ROTATIONS:
         terms.append(-(k.psi(1, t) * k.c(va, vb)))
         terms.append((k.psi(1, t) + k.psi(2, t)) * k.e(va, vb))
     return reduce(operator.add, terms)
@@ -399,38 +412,21 @@ def _u3_assembled(k: KernelForms) -> Image:
 def _u2_rearranged() -> WExpr:
     two_minus = WExpr(WPoly.const(2) - WPoly.var(1) - WPoly.var(2))
     w_sum = WExpr(WPoly.var(1) + WPoly.var(2))
-    cross31 = wd(1, 3) * wd(2, 1) - wd(1, 1) * wd(2, 3)
-    cross21 = wd(1, 2) * wd(2, 1) - wd(1, 1) * wd(2, 2)
     return (
         (wd(1, 2) * wd(2, 3) + wd(1, 3) * wd(2, 2)) * two_minus
         + wd(1, 2) * wd(2, 2) * w_sum
-        - cross31.div_diff(1, 2)
-        + cross21.div_diff(1, 2)
+        - _cross(3, 1, 2).div_diff(1, 2)
+        + _cross(2, 1, 2).div_diff(1, 2)
     )
 
 
 def _u3_rearranged() -> WExpr:
-    line1 = (
-        wd(1, 2) * (wd(2, 3) * wd(3, 1) - wd(2, 1) * wd(3, 3))
-        - (wd(1, 2) + wd(1, 3)) * (wd(2, 2) * wd(3, 1) - wd(2, 1) * wd(3, 2))
-    ).div_diff(2, 3)
-    line2 = (
-        wd(2, 2) * (wd(1, 3) * wd(3, 1) - wd(1, 1) * wd(3, 3))
-        - (wd(2, 2) + wd(2, 3)) * (wd(1, 2) * wd(3, 1) - wd(1, 1) * wd(3, 2))
-    ).div_diff(1, 3)
-    line3 = (
-        wd(3, 2) * (wd(1, 3) * wd(2, 1) - wd(1, 1) * wd(2, 3))
-        - (wd(3, 2) + wd(3, 3)) * (wd(1, 2) * wd(2, 1) - wd(1, 1) * wd(2, 2))
-    ).div_diff(1, 2)
-    line4 = (
-        wd(1, 2) * wd(2, 2) * wd(3, 3) * _one_minus_w(3)
-        + wd(1, 2) * wd(3, 2) * wd(2, 3) * _one_minus_w(2)
-        + wd(2, 2) * wd(3, 2) * wd(1, 3) * _one_minus_w(1)
-    ) * (-2)
-    line5 = wd(1, 2) * wd(2, 2) * wd(3, 2) * WExpr(
-        WPoly.var(1) + WPoly.var(2) + WPoly.var(3)
-    ) * (-2)
-    return line1 + line2 + line3 + line4 + line5
+    terms = []
+    for t, (va, vb) in _ROTATIONS:
+        crossed = wd(t, 2) * _cross(3, va, vb) - (wd(t, 2) + wd(t, 3)) * _cross(2, va, vb)
+        tail = wd(t, 3) * _one_minus_w(t) + wd(t, 2) * wd(t, 0)
+        terms.append(crossed.div_diff(va, vb) + wd(va, 2) * wd(vb, 2) * tail * -2)
+    return reduce(operator.add, terms)
 
 
 def check_u1(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
@@ -488,20 +484,11 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
     return WPoly._of(order, *_reduce(total.den * p.den, total.terms))
 
 
-# `verify --N 16`: 6 entries.
-@lru_cache(maxsize=64)
-def _wexpr_den_series(den: tuple[int, ...], order: int) -> WPoly:
-    out = WPoly.const(1, order)
-    for idx, e in enumerate(den):
-        if e:
-            out = out * _at_tree(_atom_power(idx, e), order)
-    return out
-
-
 def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:
     """num - direct * den as series: zero iff the closed form equals the expansion."""
     order = direct.N
-    return _at_tree(expr.num, order) - direct * _wexpr_den_series(expr.den, order)
+    den = WExpr(WPoly.const(1))._lift(expr.den)
+    return _at_tree(expr.num, order) - direct * _at_tree(den, order)
 
 
 # -- the kernel weights -------------------------------------------------------

@@ -38,6 +38,24 @@ SUBSTITUTION_PROBES = [
 ]
 
 
+# every check function run_all_checks calls, timed by the verify workload
+VERIFY_CHECK_PROBES = [
+    "verify.residual_T",
+    "verify.kernel_recombination",
+    "verify.closed_form_series_checks",
+    "verify.check_u1",
+    "verify.check_u2",
+    "verify.check_u3",
+    "verify.series_u_checks",
+    "verify.elem_sym_extraction",
+    "verify.s_xdiff_identity",
+    "verify.s_pdiff_identity",
+    "verify.psi_pdiff_identity",
+    "verify.g1_xdiff_identity",
+    "verify.g1_pdiff_identity",
+]
+
+
 @pytest.fixture(scope="module")
 def tracer():
     name = "_perfbench_tracer"
@@ -62,6 +80,18 @@ def test_ring_probe_resolves(tracer, name):
 def test_substitution_probe_resolves(tracer, name):
     probe = next(p for p in tracer.PROBES if p.name == name)
     assert tracer.resolve(probe) is not None, f"{name} would read absent"
+
+
+@pytest.mark.parametrize("name", VERIFY_CHECK_PROBES)
+def test_verify_check_probe_resolves(tracer, name):
+    probe = next(p for p in tracer.PROBES if p.name == name)
+    assert tracer.resolve(probe) is not None, f"{name} would read absent"
+
+
+def test_every_verify_check_probe_is_listed(tracer):
+    # the module-level verify probes; the WPoly and XSeries ring probes are methods
+    checks = {p.name for p in tracer.PROBES if p.module == "hurwitz.verify" and "." not in p.attr}
+    assert checks == set(VERIFY_CHECK_PROBES)
 
 
 def test_reflected_products_are_probed_too():

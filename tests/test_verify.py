@@ -247,6 +247,22 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "_u2_rearranged", lambda: WExpr(WPoly.var(1)))
         assert check_u2().witness == "rearranged form: w1"
 
+    def test_shared_cross_fault_is_caught(self, monkeypatch):
+        # the antisymmetric difference feeds c, e and both rearranged forms;
+        # the series route checks c and e against the weights alone
+        cross = verify._cross
+        monkeypatch.setattr(verify, "_cross", lambda j, a, b: cross(j, a, b) * Fraction(13, 12))
+        checks = run_all_checks(TR8)
+        assert [(c.name, c.witness) for c in checks if not c.ok] == [
+            ("sym_closed_form_c", "x1*x2^2"),
+            ("sym_closed_form_e", "x1*x2^2"),
+            ("u2_vanishes", "rearranged form: w1*w2^2"),
+            ("u3_vanishes", "rearranged form: w1*w2^2*w3^3"),
+        ]
+        passed = {c.name for c in checks if c.ok}
+        assert {"pde_residual", "u1_series", "u2_series", "u3_series"} <= passed
+        assert "kernel_recombination" in passed
+
     @pytest.mark.parametrize(
         "name, part, failing_u",
         [
@@ -346,6 +362,21 @@ class TestFaultInjection:
         failed = [c for c in checks if not c.ok]
         assert failed and failed[0].name == "pde_residual"
         assert failed[0].witness
+
+
+class TestDenominatorBound:
+    def test_zero_over_too_large_a_denominator_fails(self):
+        zero = WExpr(WPoly(), (6, 0, 0, 0, 0, 0))
+        result = verify._first_nonzero("bound", [(None, zero)])
+        assert not result.ok
+        assert result.witness == "denominator bound exceeded: (6, 0, 0, 0, 0, 0)"
+
+    def test_extra_division_by_the_difference_is_reported(self, monkeypatch):
+        cross = verify._cross
+        monkeypatch.setattr(verify, "_cross", lambda j, a, b: cross(j, a, b).div_diff(a, b))
+        bound = "rearranged form: denominator bound exceeded"
+        assert check_u2().witness == f"{bound}: (5, 5, 0, 2, 0, 0)"
+        assert check_u3().witness == f"{bound}: (5, 5, 5, 2, 2, 2)"
 
 
 class TestIdentities:
