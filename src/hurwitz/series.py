@@ -22,15 +22,20 @@ so a caller builds each power table once.
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
 *numerators) == 1, den == 1 for zero, so equal series have equal (den,
-terms).  Sums align to lcm(den_a, den_b), scalars and derivations scale
-numerators, products run their double loop on ints over den_a * den_b, and
-each result is reduced by one gcd.  Only coefficient reads (``coeff``,
-``fraction_view``) build Fractions; floating point is never used.
+terms).  A sum of many series (``ExactRing.total``) runs in one pass: it
+adds numerators over a running lcm of the denominators, rescales what it
+holds only when that lcm grows, and reduces once at the end; ``+`` and
+``-`` align their two denominators the same way.  Scalars and derivations
+scale numerators, products run their double loop on ints over
+den_a * den_b, and each result is reduced by one gcd.  Only coefficient
+reads (``coeff``, ``fraction_view``) build Fractions; floating point is
+never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
 monomial; ``PSeries`` here and ``verify.WPoly`` are its two monomial
-formats.  Public constructors validate (no floats, no zeros, nothing beyond
-the cut); ring operations skip that pass (``ExactRing._of``).
+formats.  Public constructors validate (scalars are int or Fraction, no
+zeros, nothing beyond the cut); ring operations skip that pass
+(``ExactRing._of``).
 """
 
 from __future__ import annotations
@@ -70,16 +75,20 @@ def _decode(code: int) -> Monomial:
     return xd, prime_pairs(code >> xd)
 
 
+def _exact(c: object) -> Fraction | int:
+    """c itself if it is an exact scalar (an int or a Fraction), else TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, float):
+        raise TypeError("floating-point coefficients are not allowed")
+    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+
+
 def _integer_form(
     terms: Mapping[Key, Fraction | int], keep: Callable[[Key], bool]
 ) -> tuple[int, dict[Key, int]]:
     """The nonzero kept coefficients over their lcm denominator (canonical as is)."""
-    clean: dict[Key, Fraction] = {}
-    for mono, c in terms.items():
-        if isinstance(c, float):
-            raise TypeError("floating-point coefficients are not allowed")
-        if c and keep(mono):
-            clean[mono] = Fraction(c)
+    clean = {mono: c for mono, c in terms.items() if _exact(c) and keep(mono)}
     den = lcm(*(c.denominator for c in clean.values()))
     return den, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
 
@@ -112,9 +121,7 @@ def _add_scaled(
 
 def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, dict[Key, int]]:
     """Canonical form of c * terms/den for an exact scalar c."""
-    if isinstance(c, float):
-        raise TypeError("floating-point coefficients are not allowed")
-    if not c:
+    if not _exact(c):
         return 1, {}
     return _reduce(den * c.denominator, {m: v * c.numerator for m, v in terms.items()})
 
@@ -194,13 +201,33 @@ class ExactRing:
         return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
 
     def __mul__(self, other: "ExactRing | Fraction | int") -> "ExactRing":
-        if isinstance(other, (int, float, Fraction)):
+        if not isinstance(other, ExactRing):
             return self._of(self.N, *_scale(self.den, self.terms, other))
         self._check(other)
         acc = self._products(other)
         return self._of(self.N, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
+        """The sum of items, each cut at N, in one pass (zero when items is empty).
+
+        Numerators add up over a running lcm of the denominators; the sum so
+        far is rescaled only when that lcm grows, and reduced once at the end.
+        """
+        den, acc = 1, {}
+        for f in items:
+            if f.N != N:
+                raise TruncationMismatch(f"N={N} vs N={f.N}")
+            if den % f.den:
+                grown = lcm(den, f.den)
+                up, den = grown // den, grown
+                acc = {m: v * up for m, v in acc.items()}
+            up = den // f.den
+            for m, v in f.terms.items():
+                acc[m] = acc.get(m, 0) + v * up
+        return cls._of(N, *_reduce(den, {m: v for m, v in acc.items() if v}))
 
     def lead_str(self) -> str:
         """The lexicographically first monomial as text ("0" for zero): a witness."""
@@ -222,7 +249,7 @@ class PSeries(ExactRing):
         coded: dict[int, Fraction | int] = {}
         for (xd, pexp), c in (terms or {}).items():
             code = _encode(xd, pexp)
-            coded[code] = coded.get(code, 0) + c
+            coded[code] = coded[code] + c if code in coded else c
         self.N = N
         self.den, self.terms = _integer_form(coded, lambda code: _xdeg(code) <= N)
 
@@ -275,7 +302,7 @@ class PSeries(ExactRing):
         terms: dict[Monomial, Fraction | int] = {}
         for parts, c in coeffs.items():
             mono = (sum(parts), tuple((a, 1) for a in sorted(parts)))
-            terms[mono] = terms.get(mono, 0) + c
+            terms[mono] = terms[mono] + c if mono in terms else c
         return PSeries(N, terms)
 
     # -- ring operations ---------------------------------------------------
@@ -359,31 +386,28 @@ def exp(f: PSeries) -> PSeries:
     """
     _require_positive_xdeg(f, "exp")
     N = f.N
-    fparts = f.x_parts()
+    dfparts = f.xdiff().x_parts()
     gparts: list[PSeries] = [PSeries.one(N)]
     for d in range(1, N + 1):
-        acc = PSeries.zero(N)
-        for e, fe in fparts.items():
-            if e <= d:
-                acc = acc + (fe * gparts[d - e]) * e
+        acc = PSeries.total(N, (dfe * gparts[d - e] for e, dfe in dfparts.items() if e <= d))
         gparts.append(acc * Fraction(1, d))
-    return sum(gparts[1:], gparts[0])
+    return PSeries.total(N, gparts)
 
 
 def log1(f: PSeries) -> PSeries:
-    """log(1 + f) for an x-adically small series, exact to the truncation."""
+    """log(1 + f) for an x-adically small series, exact to the truncation.
+
+    Computed degree by degree in x on h = x g' for g = log(1 + f), via
+    h = x f' - f h; g_d is h_d / d.
+    """
     _require_positive_xdeg(f, "log1")
     N = f.N
-    fparts = f.x_parts()
-    gparts: list[PSeries] = [PSeries.zero(N)]
+    fparts, dfparts = f.x_parts(), f.xdiff().x_parts()
+    hparts: list[PSeries] = [PSeries.zero(N)]
     for d in range(1, N + 1):
-        acc = fparts.get(d, PSeries.zero(N))
-        corr = PSeries.zero(N)
-        for e, fe in fparts.items():
-            if e < d:
-                corr = corr + (fe * gparts[d - e]) * (d - e)
-        gparts.append(acc - corr * Fraction(1, d))
-    return sum(gparts[1:], gparts[0])
+        corr = PSeries.total(N, (fe * hparts[d - e] for e, fe in fparts.items() if e < d))
+        hparts.append(dfparts.get(d, PSeries.zero(N)) - corr)
+    return PSeries.total(N, (h * Fraction(1, d) for d, h in enumerate(hparts) if d))
 
 
 def powers(s: PSeries) -> tuple[PSeries, ...]:
@@ -399,8 +423,18 @@ def subst_x(f: PSeries, pw: Sequence[PSeries]) -> PSeries:
     """Substitute x -> s in f, given the power table pw = powers(s).
 
     f is read as the rule x-degree d -> coefficient: the p-content of its
-    x-graded piece of degree d multiplies s^d.
+    x-graded piece of degree d multiplies s^d.  A piece of one term shifts
+    the codes of s^d by its own (it has no x, so nothing leaves the cut).
     """
     f._check(pw[0])
-    parts = f.x_parts(strip=True).items()
-    return sum((cd * pw[d] for d, cd in parts), PSeries.zero(f.N))
+
+    def pieces():
+        for d, cd in f.x_parts(strip=True).items():
+            if len(cd.terms) != 1:
+                yield cd * pw[d]
+                continue
+            [(code, v)] = cd.terms.items()
+            shifted = {c * code: u * v for c, u in pw[d].terms.items()}
+            yield PSeries._of(f.N, *_reduce(cd.den * pw[d].den, shifted))
+
+    return PSeries.total(f.N, pieces())

@@ -25,6 +25,9 @@ Three layers, each exact:
   route.  Each kernel weight is written once, in ``_LINEAR`` and
   ``_CROSS``; the symmetrized expansions and ``kernel_recombination``'s
   main-ring rebuild share those weights but expand them independently.
+  Each coefficient sum_{i+j=k} a_i a_j w(i, j) is summed in integers
+  (``_joined``), and cached by the weight function, not by kernel name, so
+  a table entry replaced at run time is summed afresh.
 
 Both routes compute in ``WPoly``, the three-variable monomial format of
 ``series.ExactRing``: exact in w1, w2, w3, or cut per variable in x1, x2,
@@ -55,7 +58,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .closedform import (
@@ -257,7 +260,7 @@ class WExpr:
         return WExpr(-self.num, self.den)
 
     def __mul__(self, other: "WExpr | Fraction | int") -> "WExpr":
-        if isinstance(other, (int, float, Fraction)):
+        if not isinstance(other, WExpr):
             return WExpr(self.num * other, self.den)
         return WExpr(
             self.num * other.num,
@@ -396,14 +399,14 @@ _ROTATIONS = ((1, (2, 3)), (2, (1, 3)), (3, (1, 2)))
 
 
 def _u3_assembled(k: KernelForms) -> Image:
-    terms = [
-        k.psi(1, p1) * k.psi(1, p2) * k.a(p3) * -12
-        for p1, p2, p3 in itertools.permutations((1, 2, 3))
-    ]
-    for t, (va, vb) in _ROTATIONS:
-        terms.append(-(k.psi(1, t) * k.c(va, vb)))
-        terms.append((k.psi(1, t) + k.psi(2, t)) * k.e(va, vb))
-    return reduce(operator.add, terms)
+    def terms():
+        for p1, p2, p3 in itertools.permutations((1, 2, 3)):
+            yield k.psi(1, p1) * k.psi(1, p2) * k.a(p3) * -12
+        for t, (va, vb) in _ROTATIONS:
+            yield -(k.psi(1, t) * k.c(va, vb))
+            yield (k.psi(1, t) + k.psi(2, t)) * k.e(va, vb)
+
+    return reduce(operator.add, terms())
 
 
 # -- the exact route ----------------------------------------------------------
@@ -473,14 +476,17 @@ def _w_power(v: int, e: int, order: int) -> WPoly:
 
 def _at_tree(p: WPoly, order: int) -> WPoly:
     """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v."""
-    total = WPoly(N=order)
-    for mono, c in p.terms.items():
-        term = WPoly.const(c, order)
-        for v, e in enumerate(mono, 1):
-            if e:
-                term = term * _w_power(v, e, order)
-        total = total + term
-    # the loop summed p's numerators; divide by its denominator once
+
+    def terms():
+        for mono, c in p.terms.items():
+            term = WPoly.const(c, order)
+            for v, e in enumerate(mono, 1):
+                if e:
+                    term = term * _w_power(v, e, order)
+            yield term
+
+    total = WPoly.total(order, terms())
+    # the sum ran over p's numerators; divide by its denominator once
     return WPoly._of(order, *_reduce(total.den * p.den, total.terms))
 
 
@@ -514,17 +520,47 @@ _CROSS: dict[str, tuple[Weight, Weight]] = {
 }
 
 
+def _joined(w: Weight, k: int, *rest: int) -> Fraction:
+    """sum_{i+j=k} a_i a_j w(i, j, *rest), summed in integers.
+
+    a_i a_j = i^i j^j C(k-2, i-1) / (k-2)!, so each summand is an integer
+    times a weight; the weights are brought to a running lcm of their
+    denominators and one Fraction is built at the end.
+    """
+    if k < 2:
+        return _ZERO
+    num, den = 0, 1
+    for i in range(1, k):
+        j = k - i
+        c = w(i, j, *rest)
+        if den % c.denominator:
+            grown = lcm(den, c.denominator)
+            num, den = num * (grown // den), grown
+        num += i**i * j**j * comb(k - 2, i - 1) * c.numerator * (den // c.denominator)
+    return Fraction(num, den * factorial(k - 2))
+
+
+# Keyed by the weight function, so a replaced table entry is a cache miss.
+# `verify --N 16`: 51 entries (a, b, d at k = 0..16).
+@lru_cache(maxsize=128)
+def _linear_by(w: Weight, k: int) -> Fraction:
+    return _joined(w, k)
+
+
+# `verify --N 16`: 260 entries (c and e at the pairs k, m <= 10 or k + m <= 16).
+@lru_cache(maxsize=512)
+def _cross_by(join: Weight, split: Weight, k: int, m: int) -> Fraction:
+    return a_coeff(m) * _joined(join, k, m) - a_coeff(k + m) * split(k, m)
+
+
 def _linear_coeff(name: str, k: int) -> Fraction:
     """[y_k] of the one-slot kernel name."""
-    w = _LINEAR[name]
-    return sum((a_coeff(i) * a_coeff(k - i) * w(i, k - i) for i in range(1, k)), _ZERO)
+    return _linear_by(_LINEAR[name], k)
 
 
 def _cross_coeff(name: str, k: int, m: int) -> Fraction:
     """The ordered pair (k, m)'s coefficient of y_k y_m in the two-slot kernel name."""
-    join, split = _CROSS[name]
-    joined = sum((a_coeff(i) * a_coeff(k - i) * join(i, k - i, m) for i in range(1, k)), _ZERO)
-    return a_coeff(m) * joined - a_coeff(k + m) * split(k, m)
+    return _cross_by(*_CROSS[name], k, m)
 
 
 # -- direct (weights-only) expansions of the symmetrized images -------------
@@ -616,27 +652,30 @@ def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
     if g1 is None:
         g1 = g1_closed(N)
     dg = {j: g1.pdiff(j) for j in range(1, N + 1)}
-    acc = g1.xdiff()
-    for i in range(1, N + 1):
-        if not dg[i].is_zero:
-            acc = acc + dg[i].shift(1, p=((i, 1),))
     df0 = {i: f0_pdiff(i, N) for i in range(1, N + 1)}
-    for k in range(2, N + 1):
-        for i in range(1, k):
-            j = k - i
-            if df0[i].is_zero or dg[j].is_zero:
-                continue
-            acc = acc - (df0[i] * dg[j]).shift(i * j, p=((k, 1),))
-    for k in range(2, N + 1):
-        if dg[k].is_zero:
-            continue
-        for i in range(1, k):
-            acc = acc - dg[k].shift(Fraction(k, 2), p=((i, 1), (k - i, 1)))
     pw = s_powers(N)
-    for k in range(2, N + 1):
-        coef = sum((a_coeff(i) * a_coeff(k - i) for i in range(1, k)), _ZERO)
-        acc = acc - pw[k].shift(coef / (2 * k), p=((k, 1),))
-    return acc
+
+    def summands():
+        yield g1.xdiff()
+        for i in range(1, N + 1):
+            if not dg[i].is_zero:
+                yield dg[i].shift(1, p=((i, 1),))
+        for k in range(2, N + 1):
+            for i in range(1, k):
+                j = k - i
+                if df0[i].is_zero or dg[j].is_zero:
+                    continue
+                yield (df0[i] * dg[j]).shift(-i * j, p=((k, 1),))
+        for k in range(2, N + 1):
+            if dg[k].is_zero:
+                continue
+            for i in range(1, k):
+                yield dg[k].shift(Fraction(-k, 2), p=((i, 1), (k - i, 1)))
+        for k in range(2, N + 1):
+            coef = sum((a_coeff(i) * a_coeff(k - i) for i in range(1, k)), _ZERO)
+            yield pw[k].shift(-coef / (2 * k), p=((k, 1),))
+
+    return PSeries.total(N, summands())
 
 
 def kernel_recombination(N: int) -> CheckResult:
@@ -650,12 +689,11 @@ def kernel_recombination(N: int) -> CheckResult:
     exact polynomial route and the symmetrized series.
     """
     pw = s_powers(N)
-    zero = PSeries.zero(N)
 
     def one_slot(name: str) -> PSeries:
         # sum_k [y_k] p_k s^k
         terms = (pw[k].shift(_linear_coeff(name, k), p=((k, 1),)) for k in range(2, N + 1))
-        return sum(terms, zero)
+        return PSeries.total(N, terms)
 
     def two_slot(name: str) -> PSeries:
         # sum over ordered pairs (k, m) of [y_k y_m] p_k p_m s^(k+m)
@@ -664,7 +702,7 @@ def kernel_recombination(N: int) -> CheckResult:
             for k in range(1, N)
             for m in range(1, N - k + 1)
         )
-        return sum(terms, zero)
+        return PSeries.total(N, terms)
 
     a_ser, b_ser, d_ser = map(one_slot, "abd")
     c_ser, e_ser = map(two_slot, "ce")

@@ -1,6 +1,9 @@
 """The truncated series ring: exactness, ring axioms, analytic inverses."""
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import hypothesis.strategies as st
 import pytest
@@ -380,3 +383,105 @@ class TestSerialization:
         assert str(Fraction(-7, 1)) == "-7"
         assert Fraction("3/4") == Fraction(3, 4)
 
+
+class TestScalarRule:
+    """Coefficients and scalars are ints or Fractions; anything else is a TypeError."""
+
+    def test_floats_keep_their_message(self):
+        makers = (
+            lambda: PSeries(TR8, {(1, ()): 0.5}),
+            lambda: PSeries.from_parts(TR8, {(1,): 0.5}),
+            lambda: PSeries.term(TR8, 0.5, x=1),
+            lambda: PSeries.x(TR8) * 0.5,
+            lambda: 0.5 * PSeries.x(TR8),
+        )
+        for make in makers:
+            with pytest.raises(TypeError, match="floating-point"):
+                make()
+
+    @pytest.mark.parametrize("c", ["1/3", Decimal("0.1"), complex(1, 0), None])
+    def test_other_types_rejected(self, c):
+        makers = (
+            lambda: PSeries(4, {(1, ()): c}),
+            lambda: PSeries.from_parts(4, {(1,): c}),
+            lambda: PSeries.term(4, c, x=1),
+            lambda: PSeries.x(4) * c,
+            lambda: c * PSeries.x(4),
+            lambda: PSeries.x(4).shift(c, x=1),
+        )
+        for make in makers:
+            with pytest.raises(TypeError, match="int or Fraction"):
+                make()
+
+    def test_repeated_keys_are_checked_after_adding(self):
+        # "1" + "2" would concatenate; the sum is still refused
+        with pytest.raises(TypeError, match="int or Fraction"):
+            PSeries.from_parts(4, {(1, 2): "1", (2, 1): "2"})
+        with pytest.raises(TypeError, match="floating-point"):
+            PSeries.from_parts(4, {(1, 2): 1, (2, 1): 0.5})
+
+
+class TestTotal:
+    """PSeries.total: the sum of many series in one pass."""
+
+    @given(st.lists(series_st(TR6), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_left_fold(self, items):
+        got = PSeries.total(TR6, iter(items))
+        assert got == reduce(operator.add, items, PSeries.zero(TR6))
+        assert got.N == TR6
+        assert is_canonical(got)
+
+    @given(cancelling_pair_st(TR6))
+    @settings(max_examples=30, deadline=None)
+    def test_cancellations_leave_nothing_stored(self, pair):
+        f, g = pair
+        got = PSeries.total(TR6, [f, g, -f, -g])
+        assert got.is_zero
+        assert is_canonical(got)
+
+    def test_empty_is_zero(self):
+        got = PSeries.total(TR8, ())
+        assert got == PSeries.zero(TR8)
+        assert is_canonical(got)
+
+    def test_mixed_truncations_rejected(self):
+        with pytest.raises(TruncationMismatch):
+            PSeries.total(TR8, [PSeries.one(TR8), PSeries.one(TR6)])
+        with pytest.raises(TruncationMismatch):
+            PSeries.total(TR8, [PSeries.one(TR6)])
+
+
+class TestSubstitutionByShifts:
+    """subst_x shifts s^d by a one-term x-part instead of multiplying."""
+
+    @staticmethod
+    def generic(f, pw):
+        parts = f.x_parts(strip=True).items()
+        return reduce(operator.add, (cd * pw[d] for d, cd in parts), PSeries.zero(f.N))
+
+    def test_one_term_and_many_term_parts(self):
+        s = PSeries.from_parts(TR6, {(1,): Fraction(3, 2), (2,): Fraction(1, 4), (1, 1): 2})
+        pw = powers(s)
+        f = PSeries.from_parts(
+            TR6,
+            {
+                (2,): Fraction(2, 3),  # one term at x^2
+                (1, 2): 1,  # two terms at x^3
+                (3,): Fraction(1, 5),
+                (1, 1, 1, 1): 6,  # one term at x^4
+            },
+        )
+        parts = f.x_parts(strip=True)
+        assert sorted((d, len(p.terms)) for d, p in parts.items()) == [(2, 1), (3, 2), (4, 1)]
+        got = subst_x(f, pw)
+        assert got == self.generic(f, pw)
+        assert is_canonical(got)
+
+    @given(series_st(TR6), series_st(TR6, max_terms=4, min_xdeg=1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_generic_products(self, f, s):
+        pw = powers(s)
+        got = subst_x(f, pw)
+        assert got == self.generic(f, pw)
+        assert is_canonical(got)

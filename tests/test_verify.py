@@ -1,6 +1,9 @@
 """The identity checker: PDE residual, polynomial vanishing, series identities."""
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import hypothesis.strategies as st
 import pytest
@@ -21,6 +24,7 @@ from hurwitz import (
     verify,
 )
 from hurwitz.closedform import f0_series, s_series
+from hurwitz.partitions import a_coeff
 from hurwitz.series import fraction_view
 from hurwitz.verify import (
     DEFAULT_KERNELS,
@@ -182,6 +186,51 @@ class TestRing:
         assert WPoly({(1, 2, 0): 1}, 3).lead_str() == "x1*x2^2"
 
 
+class TestScalarRule:
+    def test_floats_keep_their_message(self):
+        for make in (lambda: WPoly({(1, 0, 0): 0.75}), lambda: WPoly.var(1) * 0.5):
+            with pytest.raises(TypeError, match="floating-point"):
+                make()
+
+    @pytest.mark.parametrize("c", ["3/4", Decimal("0.5")])
+    def test_other_types_rejected(self, c):
+        for make in (
+            lambda: WPoly({(1, 0, 0): c}),
+            lambda: WPoly.const(c, 4),
+            lambda: WPoly.var(1) * c,
+            lambda: c * WPoly.var(1),
+            lambda: WExpr(WPoly.var(1)) * c,
+        ):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                make()
+
+
+class TestTotal:
+    """WPoly.total: the sum of many polynomials in one pass."""
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_left_fold(self, order, data):
+        items = data.draw(st.lists(wpoly_st(order), max_size=6))
+        got = WPoly.total(order, (f for f in items))
+        assert got == reduce(operator.add, items, WPoly(N=order))
+        assert got.N == order
+        assert is_canonical(got)
+
+    def test_empty_is_zero(self):
+        for order in (None, 3):
+            got = WPoly.total(order, [])
+            assert got == WPoly(N=order)
+            assert is_canonical(got)
+
+    def test_mixed_truncations_rejected(self):
+        with pytest.raises(TruncationMismatch):
+            WPoly.total(None, [WPoly.var(1), WPoly.univariate([1, 1], 1, 8)])
+        with pytest.raises(TruncationMismatch):
+            WPoly.total(8, [WPoly.univariate([1, 1], 1, 10)])
+
+
 class TestVanishing:
     def test_u1(self):
         assert check_u1().ok
@@ -219,6 +268,50 @@ class TestVanishing:
             assert k.d(v) == verify._direct_linear("d", v, order)
             for m in range(-1, 3):
                 assert k.psi(m, v) == verify._direct_psi(m, v, order)
+
+
+def _fraction_linear(name, k):
+    """[y_k] of a one-slot kernel, summed term by term in Fractions."""
+    w = verify._LINEAR[name]
+    return sum((a_coeff(i) * a_coeff(k - i) * w(i, k - i) for i in range(1, k)), Fraction(0))
+
+
+def _fraction_cross(name, k, m):
+    """[y_k y_m] of a two-slot kernel, summed term by term in Fractions."""
+    join, split = verify._CROSS[name]
+    joined = sum(
+        (a_coeff(i) * a_coeff(k - i) * join(i, k - i, m) for i in range(1, k)), Fraction(0)
+    )
+    return a_coeff(m) * joined - a_coeff(k + m) * split(k, m)
+
+
+class TestKernelWeights:
+    def test_integer_sums_equal_fraction_sums(self):
+        for name in verify._LINEAR:
+            for k in range(14):
+                assert verify._linear_coeff(name, k) == _fraction_linear(name, k), (name, k)
+        for name in verify._CROSS:
+            for k in range(1, 14):
+                for m in range(1, 13):
+                    got = verify._cross_coeff(name, k, m)
+                    assert got == _fraction_cross(name, k, m), (name, k, m)
+
+    def test_a_patched_weight_is_not_served_from_the_cache(self, monkeypatch):
+        # the same fault as test_kernel_weight_fault_is_caught[c-split], but
+        # after a run has filled the weight caches with the true table
+        assert all(c.ok for c in run_all_checks(TR8))
+        join, split = verify._CROSS["c"]
+        monkeypatch.setitem(
+            verify._CROSS, "c", (join, lambda *args: split(*args) * Fraction(13, 12))
+        )
+        failed = [c for c in run_all_checks(TR8) if not c.ok]
+        assert [c.name for c in failed] == [
+            "sym_closed_form_c",
+            "u2_series",
+            "u3_series",
+            "kernel_recombination",
+        ]
+        assert all(c.witness for c in failed)
 
 
 def _perturbed(name):
