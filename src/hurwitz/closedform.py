@@ -144,12 +144,15 @@ def s_powers(N: int) -> tuple[PSeries, ...]:
     """
     psi0 = psi(0, N)
     xs = PSeries.x(N)
-    s = xs  # k = 0 contributes to n = 1 only
-    for k, power in enumerate(powers(psi0)[1:N], start=1):
-        kf = factorial(k)
-        for d, part in power.x_parts().items():
-            s = s + part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
-    pw = powers(s)
+
+    def lagrange_parts():
+        yield xs  # k = 0 contributes to n = 1 only
+        for k, power in enumerate(powers(psi0)[1:N], start=1):
+            kf = factorial(k)
+            for d, part in power.x_parts().items():
+                yield part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
+
+    pw = powers(PSeries.total(N, lagrange_parts()))
     if xs * exp(subst_x(psi0, pw)) != pw[1]:
         raise FixedPointError(
             f"x exp(psi_0(s)) != s at N={N}: the series from the inversion "

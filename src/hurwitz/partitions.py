@@ -201,7 +201,7 @@ def elem_sym(alpha: Partition) -> tuple[int, ...]:
     return tuple(e)
 
 
-# `verify --N 12` asks for 23k weights, of 20 distinct r.
+# `verify --N 12` asks for 777 weights, `--N 16` for 1,079; both of 20 distinct r.
 @lru_cache(maxsize=256)
 def a_coeff(r: int) -> Fraction:
     """The weight a_r = r^r/(r-1)! attached to a part of size r."""

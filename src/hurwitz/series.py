@@ -22,14 +22,13 @@ so a caller builds each power table once.
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
 *numerators) == 1, den == 1 for zero, so equal series have equal (den,
-terms).  A sum of many series (``ExactRing.total``) runs in one pass: it
+terms).  Every sum of series (``ExactRing.total``) runs in one pass: it
 adds numerators over a running lcm of the denominators, rescales what it
 holds only when that lcm grows, and reduces once at the end; ``+`` and
-``-`` align their two denominators the same way.  Scalars and derivations
-scale numerators, products run their double loop on ints over
-den_a * den_b, and each result is reduced by one gcd.  Only coefficient
-reads (``coeff``, ``fraction_view``) build Fractions; floating point is
-never used.
+``-`` are two-item totals.  Scalars and derivations scale numerators,
+products run their double loop on ints over den_a * den_b, and each result
+is reduced by one gcd.  Only coefficient reads (``coeff``,
+``fraction_view``) build Fractions; floating point is never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
 monomial; ``PSeries`` here and ``verify.WPoly`` are its two monomial
@@ -103,22 +102,6 @@ def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
     return den // g, {m: v // g for m, v in terms.items()}
 
 
-def _add_scaled(
-    da: int, ta: Mapping[Key, int], db: int, tb: Mapping[Key, int], sign: int = 1
-) -> tuple[int, dict[Key, int]]:
-    """Canonical form of ta/da + sign * tb/db, over lcm(da, db)."""
-    den = da if da == db else lcm(da, db)
-    fa, fb = den // da, sign * (den // db)
-    out = dict(ta) if fa == 1 else {m: v * fa for m, v in ta.items()}
-    for m, v in tb.items():
-        total = out.get(m, 0) + v * fb
-        if total:
-            out[m] = total
-        else:
-            del out[m]
-    return _reduce(den, out)
-
-
 def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, dict[Key, int]]:
     """Canonical form of c * terms/den for an exact scalar c."""
     if not _exact(c):
@@ -190,12 +173,10 @@ class ExactRing:
         return f"<{type(self).__name__} N={self.N}: {len(self.terms)} terms>"
 
     def __add__(self, other: "ExactRing") -> "ExactRing":
-        self._check(other)
-        return self._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms))
+        return self.total(self.N, (self, other))
 
     def __sub__(self, other: "ExactRing") -> "ExactRing":
-        self._check(other)
-        return self._of(self.N, *_add_scaled(self.den, self.terms, other.den, other.terms, -1))
+        return self.total(self.N, (self, -other))
 
     def __neg__(self) -> "ExactRing":
         return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
@@ -213,21 +194,29 @@ class ExactRing:
     def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
         """The sum of items, each cut at N, in one pass (zero when items is empty).
 
-        Numerators add up over a running lcm of the denominators; the sum so
-        far is rescaled only when that lcm grows, and reduced once at the end.
+        The sum starts as a copy of the first summand, and again whenever it
+        has cancelled to zero.  Numerators add up over a running lcm of the
+        denominators; the sum so far is rescaled only when that lcm grows,
+        loses each numerator that cancels, and is reduced once at the end.
         """
         den, acc = 1, {}
         for f in items:
             if f.N != N:
                 raise TruncationMismatch(f"N={N} vs N={f.N}")
+            if not acc:
+                den, acc = f.den, dict(f.terms)
+                continue
             if den % f.den:
                 grown = lcm(den, f.den)
                 up, den = grown // den, grown
                 acc = {m: v * up for m, v in acc.items()}
             up = den // f.den
             for m, v in f.terms.items():
-                acc[m] = acc.get(m, 0) + v * up
-        return cls._of(N, *_reduce(den, {m: v for m, v in acc.items() if v}))
+                if s := acc.get(m, 0) + v * up:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        return cls._of(N, *_reduce(den, acc))
 
     def lead_str(self) -> str:
         """The lexicographically first monomial as text ("0" for zero): a witness."""
@@ -297,13 +286,12 @@ class PSeries(ExactRing):
     ) -> "PSeries":
         """sum of coeff * x^n p_alpha over alpha given by its parts, n = |alpha|.
 
-        Keys that name the same partition in another order add up.
+        Keys that name the same partition in another order add up (they
+        encode to one monomial, and the constructor adds those).
         """
-        terms: dict[Monomial, Fraction | int] = {}
-        for parts, c in coeffs.items():
-            mono = (sum(parts), tuple((a, 1) for a in sorted(parts)))
-            terms[mono] = terms[mono] + c if mono in terms else c
-        return PSeries(N, terms)
+        return PSeries(
+            N, {(sum(parts), tuple((a, 1) for a in parts)): c for parts, c in coeffs.items()}
+        )
 
     # -- ring operations ---------------------------------------------------
 

@@ -71,7 +71,7 @@ from .closedform import (
     s_series,
 )
 from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import ExactRing, PSeries, _integer_form, _reduce, exp
+from .series import ExactRing, PSeries, _integer_form, exp
 
 _ZERO = Fraction(0)
 
@@ -485,9 +485,8 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
                     term = term * _w_power(v, e, order)
             yield term
 
-    total = WPoly.total(order, terms())
-    # the sum ran over p's numerators; divide by its denominator once
-    return WPoly._of(order, *_reduce(total.den * p.den, total.terms))
+    # the sum runs over p's numerators; divide by its denominator once
+    return WPoly.total(order, terms()) * Fraction(1, p.den)
 
 
 def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:

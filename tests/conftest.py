@@ -4,6 +4,7 @@ from math import gcd
 import hypothesis.strategies as st
 
 from hurwitz import PSeries
+from hurwitz.series import fraction_view
 
 TR8 = 8  # series cut at x^8
 TR6 = 6
@@ -19,6 +20,16 @@ def is_canonical(f) -> bool:
         and all(type(v) is int and v for v in nums)
         and gcd(f.den, *nums) == 1
     )
+
+
+def fraction_sum(items) -> dict:
+    """The sum of PSeries or WPoly items as Fractions by monomial, folded term by
+    term from left to right without the ring's arithmetic; zeros dropped."""
+    out: dict = {}
+    for f in items:
+        for m, v in fraction_view(f).items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
 
 
 def fractions_st(max_num: int = 6, max_den: int = 4):

@@ -18,7 +18,7 @@ from hurwitz import (
 )
 from hurwitz.series import _decode, _encode, fraction_view, monomial_str, powers
 
-from conftest import TR6, TR8, fractions_st, is_canonical, pexp_st, series_st
+from conftest import TR6, TR8, fraction_sum, fractions_st, is_canonical, pexp_st, series_st
 
 # few monomials, so random products often overflow the truncation
 TR_SMALL = 2
@@ -428,7 +428,7 @@ class TestTotal:
     @settings(max_examples=60, deadline=None)
     def test_equals_the_left_fold(self, items):
         got = PSeries.total(TR6, iter(items))
-        assert got == reduce(operator.add, items, PSeries.zero(TR6))
+        assert fraction_view(got) == fraction_sum(items)
         assert got.N == TR6
         assert is_canonical(got)
 
@@ -438,6 +438,10 @@ class TestTotal:
         f, g = pair
         got = PSeries.total(TR6, [f, g, -f, -g])
         assert got.is_zero
+        assert is_canonical(got)
+        # the running sum empties after -f and starts again from g
+        got = PSeries.total(TR6, [f, -f, g])
+        assert fraction_view(got) == fraction_view(g)
         assert is_canonical(got)
 
     def test_empty_is_zero(self):
