@@ -24,7 +24,10 @@ oracle, cut-and-join or closed-formula module of its method, ``verify``
 imports the identity checks and ``compare`` the oracle for its budget and
 ``closedform`` for its genus range (``closedform.MU``).  A ``compare`` row
 on which only one engine ran has compared nothing: its ``agree`` cell is
-``-``, neither ``yes`` nor a disagreement.
+``-``, neither ``yes`` nor a disagreement.  ``json`` is imported by the
+JSON output and ``verify`` alone, and mu is reduced in integers, so a CSV
+``table`` or ``count`` by the oracle or cut-and-join loads neither ``json``
+nor ``fractions``.
 Every error type main catches is defined in ``partitions`` or is a
 ValueError, so no engine is loaded to handle a failure.
 """
@@ -33,10 +36,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .partitions import (
@@ -132,13 +134,18 @@ def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
     raise UsageError(f"unknown method {method!r}")
 
 
-def _mu(alpha: Partition, c: int) -> Fraction:
-    return Fraction(c, theta(alpha))
+def _mu(alpha: Partition, c: int) -> str:
+    """mu = c / theta(alpha) in lowest terms, as ``str(Fraction(c, theta(alpha)))``."""
+    den = theta(alpha)
+    d = gcd(c, den)
+    return str(c // d) if d == den else f"{c // d}/{den // d}"
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
     """CSV renders partitions as "(a1,a2,...)"; JSON as integer arrays."""
     if fmt == "json":
+        import json
+
         out = []
         for row in rows:
             rec = dict(row)
@@ -160,7 +167,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     g = args.genus
     r = factorization_length(alpha, g)  # the one request check
     c = _count_by(args.method, alpha, g, g)
-    row = {"alpha": alpha, "g": g, "r": r, "c": c, "mu": str(_mu(alpha, c))}
+    row = {"alpha": alpha, "g": g, "r": r, "c": c, "mu": _mu(alpha, c)}
     _emit([row], ["alpha", "g", "r", "c", "mu"], args.format)
     return EXIT_OK
 
@@ -175,13 +182,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         row = {"alpha": alpha}
         for g in genera:
             c = _count_by(args.method, alpha, g, genera[-1])
-            row[f"c{g}"], row[f"mu{g}"] = c, str(_mu(alpha, c))
+            row[f"c{g}"], row[f"mu{g}"] = c, _mu(alpha, c)
         rows.append(row)
     _emit(rows, ["alpha", *(f"{k}{g}" for g in genera for k in ("c", "mu"))], args.format)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     from . import verify
 
     checks = verify.run_all_checks(args.N, inject_fault=args.inject_fault)

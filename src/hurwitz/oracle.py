@@ -10,7 +10,10 @@ check of an (alpha, g) request.  Two engines:
   prune and a union-find transitivity test at the leaves (tiny n only);
 * count_transitive -- counts all (not necessarily transitive) factorizations
   by the Frobenius character formula, then removes disconnected ones by an
-  inclusion-exclusion sieve over blocks of the target's cycles.
+  inclusion-exclusion sieve over blocks of the target's cycles.  Cycles of
+  equal length are interchangeable, so the sieve runs over sub-multisets:
+  it picks j of the e cycles of each length, with weight prod C(e, j), in
+  place of the 2^(m-1) subsets (12 picks for type (1^12) instead of 2,048).
 
 The class sum of the transpositions is central in the group algebra, so it
 acts on the irreducible representation lambda as the scalar cont(lambda),
@@ -22,8 +25,9 @@ the coefficient of a fixed permutation of type alpha in its r-th power gives
 
 with chi^lambda(alpha) from the Murnaghan-Nakayama rule on beta-sets and
 dim(lambda) = chi^lambda(1^n) from the same rule.  Each lambda stays its
-n-bead beta-set throughout; cont(lambda) is read off the beads.  The sum is
-taken in integers and divided by n! exactly; a remainder raises
+n-bead beta-set throughout.  cont(lambda) is read off the beads once per
+lambda, beside dim(lambda) in the cached identity column of each size n.
+The sum is taken in integers and divided by n! exactly; a remainder raises
 IntegralityError.
 
 Counts are plain Python integers, hence arbitrary precision.
@@ -32,6 +36,7 @@ Counts are plain Python integers, hence arbitrary precision.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 
 from .partitions import IntegralityError, Partition, factorization_length
@@ -41,10 +46,11 @@ from .partitions import IntegralityError, Partition, factorization_length
 # (2-core Intel Xeon, Python 3.11.7); each further r costs 6 to 11 times more.
 NAIVE_MAX_N = 5
 NAIVE_MAX_R = 8
-# `compare --n 12 --genus-max 3` takes 1.5-1.7 s, 1.1-1.5 s of it in the
-# oracle (2-core Intel Xeon, Python 3.11.7); each further n about doubles the
-# oracle's share: 2.0 s at n = 13, 4.3 s at n = 14.
-ORACLE_MAX_N = 12
+# `compare --n 16 --genus-max 3` takes 2.2-2.4 s, 1.3-1.8 s of it in the
+# oracle and half of that in the character sums (2-core Intel Xeon, Python
+# 3.11.7); each further n about doubles the oracle's share: 2.3 s at n = 17,
+# 4.7 s at n = 18.
+ORACLE_MAX_N = 16
 
 Parts = tuple[int, ...]
 
@@ -84,11 +90,12 @@ def _characters(tp: Parts) -> dict[int, int]:
     return column
 
 
-# One entry per n, at most ORACLE_MAX_N.
+# One entry per size n reached, at most ORACLE_MAX_N.
 @lru_cache(maxsize=ORACLE_MAX_N)
-def _dims(n: int) -> dict[int, int]:
-    """dim(lambda) = chi^lambda(1^n), keyed by beta-set."""
-    return _characters((1,) * n)
+def _identity_column(n: int) -> dict[int, tuple[int, int]]:
+    """(dim(lambda), cont(lambda)) for every lambda |- n, keyed by beta-set;
+    dim(lambda) = chi^lambda(1^n)."""
+    return {beads: (dim, _content(beads, n)) for beads, dim in _characters((1,) * n).items()}
 
 
 def _content(beads: int, n: int) -> int:
@@ -102,22 +109,23 @@ def _content(beads: int, n: int) -> int:
     return total - comb(n, 3) - n * (n - 1)
 
 
-# One entry per type reached by the sieve (`table --n 7 --method oracle`: 44;
-# `compare --n 12 --genus-max 3`: 271).
+# One entry per type reached by the sieve: `table --n 7 --method oracle`
+# 44, `compare --n 12 --genus-max 3` 271, `--n 16` 914 (every partition of
+# every k <= 16).
 @lru_cache(maxsize=1024)
 def _frobenius_terms(tp: Parts) -> tuple[tuple[int, int], ...]:
     """(cont, sum of dim(lambda) chi^lambda(tp) over the lambda with that content)."""
-    n = sum(tp)
-    dims = _dims(n)
+    column = _identity_column(sum(tp))
     weights: dict[int, int] = {}
     for beads, chi in _characters(tp).items():
-        c = _content(beads, n)
-        weights[c] = weights.get(c, 0) + dims[beads] * chi
+        dim, c = column[beads]
+        weights[c] = weights.get(c, 0) + dim * chi
     return tuple((c, w) for c, w in weights.items() if w)
 
 
-# `table --n 7 --method oracle`: 277 entries; `compare --n 12 --genus-max 3`: 3231.
-@lru_cache(maxsize=8192)
+# `table --n 7 --method oracle`: 181 entries; `compare --genus-max 3` at
+# n = 12: 1,936, n = 16: 7,097; `compare --n 16 --genus-max 5`: 8,925.
+@lru_cache(maxsize=16384)
 def _walks_type(tp: Parts, r: int) -> int:
     """W(tp, r): the character sum, divided by n! exactly."""
     total = sum(w * c**r for c, w in _frobenius_terms(tp))
@@ -129,28 +137,40 @@ def _walks_type(tp: Parts, r: int) -> int:
     return walks
 
 
-# `table --n 7 --method oracle`: 179 entries; `compare --n 12 --genus-max 3`: 2286.
-@lru_cache(maxsize=4096)
+# `table --n 7 --method oracle`: 156 entries; `compare --genus-max 3` at
+# n = 12: 1,690, n = 16: 6,095; `compare --n 16 --genus-max 5`: 7,923.
+@lru_cache(maxsize=8192)
 def _transitive_count(tp: Parts, r: int) -> int:
     """Sieve: subtract factorizations whose generated group splits the cycles.
 
     Every factorization assigns each cycle of the target to an orbit block;
     positions split among blocks with a multinomial weight and the product
     condition factors blockwise.  Fixing the block that contains the first
-    cycle and summing over the remaining subsets inverts the relation.
-    Sub-tuples of the weakly decreasing tp stay weakly decreasing, and first
-    is its largest part, so block and comp are canonical cache keys.
+    cycle and summing over the proper sub-multisets of the remaining cycles
+    inverts the relation: a pick of j of the e parts equal to a gives the
+    same block for each of its C(e, j) subsets.  Sub-tuples of the weakly
+    decreasing tp stay weakly decreasing, and tp[0] is its largest part, so
+    block and comp are canonical cache keys.  With nb, mb the size and part
+    count of block and nc, mc those of comp, the block count vanishes below
+    genus 0 (r1 < nb + mb - 2) and the walks of comp below their Cayley
+    distance (r - r1 < nc - mc), so r1 runs only between, in steps of 2.
     """
     total = _walks_type(tp, r)
-    first, rest = tp[0], tp[1:]
-    k = len(rest)
-    for bits in range(2**k - 1):  # proper subsets of the remaining cycles
-        block = (first, *(rest[i] for i in range(k) if bits >> i & 1))
-        comp = tuple(rest[i] for i in range(k) if not bits >> i & 1)
-        for r1 in range(r + 1):
+    n, m, rest = sum(tp), len(tp), tp[1:]
+    classes = [(a, rest.count(a)) for a in sorted(set(rest), reverse=True)]
+    picks = list(product(*(range(e + 1) for _, e in classes)))
+    for pick in picks[:-1]:  # the last pick takes every cycle
+        block, comp, weight = [tp[0]], [], 1
+        for (a, e), j in zip(classes, pick):
+            block += (a,) * j
+            comp += (a,) * (e - j)
+            weight *= comb(e, j)
+        nb, mb = sum(block), len(block)
+        nc, mc = n - nb, m - mb
+        block, comp = tuple(block), tuple(comp)
+        for r1 in range(nb + mb - 2, r - (nc - mc) + 1, 2):
             w_out = _walks_type(comp, r - r1)
-            if w_out:
-                total -= comb(r, r1) * _transitive_count(block, r1) * w_out
+            total -= weight * comb(r, r1) * _transitive_count(block, r1) * w_out
     return total
 
 

@@ -18,10 +18,12 @@ it (``cutjoin``, ``oracle``) stay independent of the series ring.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IntegralityError(ArithmeticError):
@@ -205,6 +207,8 @@ def elem_sym(alpha: Partition) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def a_coeff(r: int) -> Fraction:
     """The weight a_r = r^r/(r-1)! attached to a part of size r."""
+    from fractions import Fraction  # only the series checks load fractions
+
     if r < 1:
         raise ValueError("r must be at least 1")
     return Fraction(r**r, factorial(r - 1))

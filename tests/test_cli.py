@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from hurwitz import closedform, cutjoin
-from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_partition
+from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _mu, build_parser, main, parse_partition
 from hurwitz.oracle import ORACLE_MAX_N
-from hurwitz.partitions import Partition
+from hurwitz.partitions import Partition, partitions_of, theta
 from hurwitz.series import PSeries
 
 
@@ -125,6 +125,19 @@ class TestCount:
     def test_bad_partition_literal(self, capsys):
         code, _, err = run_cli(capsys, "count", "--alpha", "2;1", "--genus", "0")
         assert code == EXIT_USAGE
+
+
+class TestMu:
+    def test_mu_is_the_reduced_fraction(self):
+        # cli._mu reduces c / theta(alpha) in integers; its bytes are those
+        # of the Fraction it replaces, for zero and for every real count
+        genus_max = 3
+        state = cutjoin.evolve(12, genus_max)
+        for n in range(1, 13):
+            for alpha in partitions_of(n):
+                counts = {0} | {cutjoin.extract_c(state, alpha, g) for g in range(genus_max + 1)}
+                for c in counts:
+                    assert _mu(alpha, c) == str(Fraction(c, theta(alpha))), (alpha, c)
 
 
 class TestTable:
@@ -261,20 +274,30 @@ class TestCompare:
     def test_single_engine_rows_compare_nothing(self, capsys):
         # above the oracle's budget and the closed formulas' genera only
         # cut-and-join runs: such a row neither agrees nor disagrees
-        code, out, _ = run_cli(capsys, "compare", "--n", "13", "--genus-max", "2")
+        n = ORACLE_MAX_N + 1
+        code, out, _ = run_cli(capsys, "compare", "--n", str(n), "--genus-max", "2")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert rows and all(row[-1] == ("-" if row[1] == "2" else "yes") for row in rows)
-        assert sum(row[1] == "2" for row in rows) == 101  # p(13) partitions
+        assert sum(row[1] == "2" for row in rows) == len(partitions_of(n))
 
     def test_single_engine_verdict_in_json(self, capsys):
         code, out, _ = run_cli(
-            capsys, "compare", "--n", "13", "--genus-max", "2", "--format", "json"
+            capsys, "compare", "--n", str(ORACLE_MAX_N + 1), "--genus-max", "2", "--format", "json"
         )
         assert code == EXIT_OK
         assert {(rec["g"], rec["agree"]) for rec in json.loads(out)} == {
             (0, "yes"), (1, "yes"), (2, "-")
         }
+
+    @pytest.mark.slow
+    def test_every_engine_agrees_at_the_oracle_budget(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--n", str(ORACLE_MAX_N), "--genus-max", "3")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "alpha,g,oracle,cutjoin,closed,agree"
+        assert len(lines) == 1 + 4 * len(partitions_of(ORACLE_MAX_N))
+        assert all(line.endswith(",yes") for line in lines[1:])
 
     def test_oracle_skipped_above_budget(self, capsys):
         n = ORACLE_MAX_N + 1

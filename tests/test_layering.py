@@ -73,12 +73,15 @@ def run_fresh(code: str, *argv: str) -> str:
     return run.stdout
 
 
-# Run the CLI, then list every loaded module on the last line of stdout.
+# Run the CLI, then list every module it loaded on the last line of stdout
+# (read before this script imports json to print the list).
 _LOADED_AFTER = (
-    "import json, sys\n"
+    "import sys\n"
     "import hurwitz.cli\n"
     "hurwitz.cli.main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(sys.modules)))\n"
+    "loaded = sorted(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps(loaded))\n"
 )
 
 
@@ -100,6 +103,23 @@ def test_a_command_loads_only_its_engine(argv, submodules):
     assert package == {"cli", "partitions"} | submodules
     # no command pays for dataclasses and the inspect it imports
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "5", "--method", "oracle"),
+        ("table", "--n", "5", "--method", "cutjoin"),
+        ("count", "--alpha", "3,2", "--genus", "1", "--method", "oracle"),
+        ("count", "--alpha", "3,2", "--genus", "1", "--method", "cutjoin"),
+    ],
+    ids=["table-oracle", "table-cutjoin", "count-oracle", "count-cutjoin"],
+)
+def test_a_counting_engine_loads_no_json_or_fractions(argv):
+    # mu is reduced in integers and json serves only the JSON output and
+    # verify, so a CSV count by a counting engine pays for neither
+    loaded = set(json.loads(run_fresh(_LOADED_AFTER, *argv).splitlines()[-1]))
+    assert loaded & {"json", "fractions", "decimal"} == set()
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from pathlib import Path
 
@@ -17,21 +18,48 @@ from hurwitz import (
     count_naive,
     count_transitive,
     count_walks,
+    factorization_length,
     mu0,
     partitions_of,
     theta,
 )
-from hurwitz.oracle import ORACLE_MAX_N, _characters, _content, _dims
+from hurwitz import cutjoin
+from hurwitz.oracle import (
+    ORACLE_MAX_N,
+    _characters,
+    _content,
+    _identity_column,
+    _transitive_count,
+    _walks_type,
+)
 
 
 def hook_length_dim(lam: tuple[int, ...]) -> int:
-    """dim(lambda) = n! / prod of the hook lengths: the reference for _dims."""
+    """dim(lambda) = n! / prod of the hook lengths: the reference for the
+    dimensions in _identity_column."""
     conj = [sum(1 for a in lam if a > j) for j in range(lam[0])] if lam else []
     hooks = 1
     for i, a in enumerate(lam):
         for j in range(a):
             hooks *= a - j + conj[j] - i - 1
     return factorial(sum(lam)) // hooks
+
+
+@cache
+def subset_sieve(tp: tuple[int, ...], r: int) -> int:
+    """The transitivity sieve over all 2^(m-1) subsets of the cycles after
+    the first, every r1 from 0 to r: the reference for _transitive_count."""
+    total = _walks_type(tp, r)
+    first, rest = tp[0], tp[1:]
+    k = len(rest)
+    for bits in range(2**k - 1):  # proper subsets of the remaining cycles
+        block = (first, *(rest[i] for i in range(k) if bits >> i & 1))
+        comp = tuple(rest[i] for i in range(k) if not bits >> i & 1)
+        for r1 in range(r + 1):
+            w_out = _walks_type(comp, r - r1)
+            if w_out:
+                total -= comb(r, r1) * subset_sieve(block, r1) * w_out
+    return total
 
 
 def beta_set(lam: tuple[int, ...], n: int) -> int:
@@ -191,6 +219,41 @@ class TestCountTransitive:
             count_transitive(Partition((ORACLE_MAX_N + 1,)), 0)
 
 
+class TestSieve:
+    def test_multiset_sieve_equals_the_subset_sieve(self):
+        for n in range(1, 11):
+            for alpha in partitions_of(n):
+                for g in range(4):
+                    r = factorization_length(alpha, g)
+                    assert _transitive_count(alpha.parts, r) == subset_sieve(alpha.parts, r), (
+                        alpha, g
+                    )
+
+    def test_the_skipped_terms_vanish(self):
+        # the multiset sieve runs r1 only where neither factor is zero: no
+        # factorization is shorter than the Cayley distance n - m, and no
+        # transitive one is shorter than genus 0 allows, n + m - 2
+        for n in range(1, 9):
+            for alpha in partitions_of(n):
+                for r in range(n - alpha.m):
+                    assert count_walks(alpha, r) == 0, (alpha, r)
+                for r in range(n + alpha.m - 2):
+                    assert subset_sieve(alpha.parts, r) == 0, (alpha, r)
+
+    @pytest.mark.parametrize(
+        "n_max", [12, pytest.param(ORACLE_MAX_N, marks=pytest.mark.slow)], ids=["n12", "budget"]
+    )
+    def test_oracle_equals_cut_and_join(self, n_max):
+        genus_max = 3
+        state = cutjoin.evolve(n_max, genus_max)
+        for n in range(1, n_max + 1):
+            for alpha in partitions_of(n):
+                for g in range(genus_max + 1):
+                    assert count_transitive(alpha, g) == cutjoin.extract_c(state, alpha, g), (
+                        alpha, g
+                    )
+
+
 class TestCharacters:
     def test_column_orthogonality(self):
         # sum_lambda chi^lambda(alpha)^2 is the centralizer order theta(alpha)
@@ -202,10 +265,12 @@ class TestCharacters:
     def test_identity_column_is_the_hook_length_dimension(self):
         for n in range(1, 10):
             want = {beta_set(lam.parts, n): hook_length_dim(lam.parts) for lam in partitions_of(n)}
-            assert _dims(n) == want, n
+            assert {beads: dim for beads, (dim, _) in _identity_column(n).items()} == want, n
 
     def test_content_from_beads_is_the_cell_sum(self):
-        for n in range(1, 13):
+        for n in range(1, ORACLE_MAX_N + 1):
+            column = _identity_column(n)
             for lam in partitions_of(n):
                 cells = sum(j - i for i, a in enumerate(lam.parts) for j in range(a))
-                assert _content(beta_set(lam.parts, n), n) == cells, lam
+                beads = beta_set(lam.parts, n)
+                assert _content(beads, n) == column[beads][1] == cells, lam
