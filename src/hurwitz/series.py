@@ -25,9 +25,15 @@ denominator ``den``, in canonical form: no zero numerator, gcd(den,
 terms).  Every sum of series (``ExactRing.total``) runs in one pass: it
 adds numerators over a running lcm of the denominators, rescales what it
 holds only when that lcm grows, and reduces once at the end; ``+`` and
-``-`` are two-item totals.  Scalars and derivations scale numerators,
-products run their double loop on ints over den_a * den_b, and each result
-is reduced by one gcd.  Only coefficient reads (``coeff``,
+``-`` are two-item totals, with the sign of ``-`` folded into the pass.
+Derivations scale numerators, products run their double loop on ints over
+den_a * den_b, and each result is reduced by one gcd over its numerators.
+A scalar a/b (``*`` by a scalar, ``shift``) skips that scan: the content
+(gcd of the numerators) of a canonical series is prime to den, so the
+result reduces by exactly gcd(den, a) * gcd(b, content): only b > 1 reads
+the numerators, and scalar 1 is no pass at all.  A ``shift`` whose cut
+drops terms loses that guarantee, since the terms kept may share a factor
+with den; it is reduced in full.  Only coefficient reads (``coeff``,
 ``fraction_view``) build Fractions; floating point is never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
@@ -103,10 +109,24 @@ def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
 
 
 def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, dict[Key, int]]:
-    """Canonical form of c * terms/den for an exact scalar c."""
+    """c * terms/den for an exact scalar c = a/b in lowest terms, divided
+    through by gcd(den, a) * gcd(b, content).
+
+    That is the canonical form when terms/den is canonical: its content is
+    then prime to den, so nothing else divides out.  Only b > 1 reads the
+    numerators for a gcd.
+    """
     if not _exact(c):
         return 1, {}
-    return _reduce(den * c.denominator, {m: v * c.numerator for m, v in terms.items()})
+    if c == 1:
+        return den, terms
+    a, b = c.numerator, c.denominator
+    g = gcd(den, a)
+    a, den = a // g, den // g
+    h = gcd(b, *terms.values()) if b > 1 else 1
+    if h == 1:
+        return den * b, {m: v * a for m, v in terms.items()}
+    return den * (b // h), {m: v // h * a for m, v in terms.items()}
 
 
 def fraction_view(f: "ExactRing") -> dict:
@@ -176,7 +196,7 @@ class ExactRing:
         return self.total(self.N, (self, other))
 
     def __sub__(self, other: "ExactRing") -> "ExactRing":
-        return self.total(self.N, (self, -other))
+        return self._signed_total(self.N, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "ExactRing":
         return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
@@ -186,7 +206,9 @@ class ExactRing:
             return self._of(self.N, *_scale(self.den, self.terms, other))
         self._check(other)
         acc = self._products(other)
-        return self._of(self.N, *_reduce(self.den * other.den, {m: v for m, v in acc.items() if v}))
+        if 0 in acc.values():
+            acc = {m: v for m, v in acc.items() if v}
+        return self._of(self.N, *_reduce(self.den * other.den, acc))
 
     __rmul__ = __mul__
 
@@ -199,18 +221,33 @@ class ExactRing:
         denominators; the sum so far is rescaled only when that lcm grows,
         loses each numerator that cancels, and is reduced once at the end.
         """
+        return cls._signed_total(N, ((f, 1) for f in items))
+
+    @classmethod
+    def _signed_total(
+        cls, N: int | None, signed: Iterable[tuple["ExactRing", int]]
+    ) -> "ExactRing":
+        """The sum of sign * f over the (f, sign) pairs, sign 1 or -1, as ``total``."""
         den, acc = 1, {}
-        for f in items:
+        for f, sign in signed:
             if f.N != N:
                 raise TruncationMismatch(f"N={N} vs N={f.N}")
             if not acc:
-                den, acc = f.den, dict(f.terms)
+                den = f.den
+                acc = dict(f.terms) if sign == 1 else {m: -v for m, v in f.terms.items()}
                 continue
             if den % f.den:
                 grown = lcm(den, f.den)
                 up, den = grown // den, grown
                 acc = {m: v * up for m, v in acc.items()}
-            up = den // f.den
+            up = den // f.den * sign
+            if up == 1:
+                for m, v in f.terms.items():
+                    if s := acc.get(m, 0) + v:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+                continue
             for m, v in f.terms.items():
                 if s := acc.get(m, 0) + v * up:
                     acc[m] = s
@@ -297,17 +334,20 @@ class PSeries(ExactRing):
 
     def _products(self, other: "PSeries") -> dict[int, int]:
         N = self.N
-        # other's terms by x-degree: the first ends[d] have x-degree <= d
+        # partners[k]: other's terms of x-degree <= k, built once per product;
+        # (c & -c).bit_length() is 1 + the x-degree of c (_xdeg inlined)
         buckets: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
-        for c, v in other.terms.items():
-            buckets[_xdeg(c)].append((c, v))
-        B, ends = [], []
+        for item in other.terms.items():
+            c = item[0]
+            buckets[(c & -c).bit_length() - 1].append(item)
+        partners, B = [], []
         for bucket in buckets:
-            B += bucket
-            ends.append(len(B))
+            if bucket:
+                B = B + bucket
+            partners.append(B)
         acc: dict[int, int] = {}
         for c1, a in self.terms.items():
-            for c2, b in B[: ends[N - _xdeg(c1)]]:
+            for c2, b in partners[N + 1 - (c1 & -c1).bit_length()]:
                 key = c1 * c2
                 acc[key] = acc.get(key, 0) + a * b
         return acc
@@ -320,8 +360,10 @@ class PSeries(ExactRing):
     ) -> "PSeries":
         """Multiply by a single monomial (cheaper than building a PSeries)."""
         m, top = _encode(x, p), self.N - x
-        out = {c * m: v for c, v in self.terms.items() if not x or _xdeg(c) <= top}
-        return PSeries._of(self.N, *_scale(self.den, out, coeff))
+        kept = {c * m: v for c, v in self.terms.items() if not x or _xdeg(c) <= top}
+        scaled = _scale(self.den, kept, coeff)
+        # the terms the cut kept may share a factor with den
+        return PSeries._of(self.N, *(scaled if len(kept) == len(self.terms) else _reduce(*scaled)))
 
     # -- derivations and slices --------------------------------------------
 

@@ -475,18 +475,27 @@ def _w_power(v: int, e: int, order: int) -> WPoly:
 
 
 def _at_tree(p: WPoly, order: int) -> WPoly:
-    """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v."""
+    """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v.
 
-    def terms():
-        for mono, c in p.terms.items():
-            term = WPoly.const(c, order)
-            for v, e in enumerate(mono, 1):
-                if e:
-                    term = term * _w_power(v, e, order)
-            yield term
-
+    Horner-style by variable: p's monomials are grouped by (e1, e2), each
+    group's w3-polynomial is a sum of scaled tree powers, and it is multiplied
+    once by w2^e2; each e1 group of those is multiplied once by w1^e1.
+    """
+    rows: dict[int, dict[int, list[WPoly]]] = {}
+    one = WPoly.const(1, order)
+    for (e1, e2, e3), c in p.terms.items():
+        w3 = _w_power(3, e3, order) if e3 else one
+        rows.setdefault(e1, {}).setdefault(e2, []).append(w3 * c)
+    by_e1 = []
+    for e1, by_e2 in rows.items():
+        by_e2_sums = []
+        for e2, row in by_e2.items():
+            f = WPoly.total(order, row)
+            by_e2_sums.append(f * _w_power(2, e2, order) if e2 else f)
+        f = WPoly.total(order, by_e2_sums)
+        by_e1.append(f * _w_power(1, e1, order) if e1 else f)
     # the sum runs over p's numerators; divide by its denominator once
-    return WPoly.total(order, terms()) * Fraction(1, p.den)
+    return WPoly.total(order, by_e1) * Fraction(1, p.den)
 
 
 def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:

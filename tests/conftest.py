@@ -4,7 +4,7 @@ from math import gcd
 import hypothesis.strategies as st
 
 from hurwitz import PSeries
-from hurwitz.series import fraction_view
+from hurwitz.series import _reduce, fraction_view
 
 TR8 = 8  # series cut at x^8
 TR6 = 6
@@ -53,4 +53,26 @@ def series_st(N: int, max_terms: int = 5, min_xdeg: int = 0):
     term = st.tuples(mono, fractions_st())
     return st.lists(term, max_size=max_terms).map(
         lambda pairs: PSeries(N, dict(pairs))
+    )
+
+
+def reduced_scale(den: int, terms: dict, c) -> tuple[int, dict]:
+    """c * terms/den by the generic route: scale every numerator, then reduce
+    by one gcd over all of them (the stored form of a scalar product)."""
+    c = Fraction(c)
+    if not c:
+        return 1, {}
+    return _reduce(den * c.denominator, {m: v * c.numerator for m, v in terms.items()})
+
+
+def scalars_st(f):
+    """Scalars for f: small ints and Fractions (0 and negatives among them),
+    ints sharing a factor with f.den, and Fractions whose denominator shares
+    a factor with the content of f's numerators."""
+    content = gcd(*f.terms.values()) or 1
+    return st.one_of(
+        st.integers(-3, 3),
+        fractions_st(),
+        st.integers(-3, 3).map(lambda k: k * f.den),
+        st.builds(lambda a, b: Fraction(a, b * content), st.integers(-6, 6), st.integers(1, 4)),
     )

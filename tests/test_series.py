@@ -16,9 +16,19 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz.series import _decode, _encode, fraction_view, monomial_str, powers
+from hurwitz.series import _decode, _encode, _xdeg, fraction_view, monomial_str, powers
 
-from conftest import TR6, TR8, fraction_sum, fractions_st, is_canonical, pexp_st, series_st
+from conftest import (
+    TR6,
+    TR8,
+    fraction_sum,
+    fractions_st,
+    is_canonical,
+    pexp_st,
+    reduced_scale,
+    scalars_st,
+    series_st,
+)
 
 # few monomials, so random products often overflow the truncation
 TR_SMALL = 2
@@ -232,6 +242,71 @@ class TestCanonicalForm:
         for got, want in cases:
             assert is_canonical(got)
             assert fraction_view(got) == want
+
+
+def with_content_st(N):
+    """Random series times 1, 2 or 6, so the numerators often share a factor."""
+    return st.tuples(series_st(N, max_terms=6), st.sampled_from([1, 2, 6])).map(
+        lambda fk: PSeries(N, {m: v * fk[1] for m, v in fraction_view(fk[0]).items()})
+    )
+
+
+class TestScalarsWithoutAScan:
+    """f * c and f.shift(c, ...) reduce without a gcd over the numerators,
+    except where the cut dropped terms; both equal the generic route."""
+
+    def test_a_cut_shift_is_reduced_in_full(self):
+        # 1/2 + x^4/6 is 3/6 + 1/6 x^4; x times it keeps only 3/6 x
+        f = PSeries(4, {(0, ()): Fraction(1, 2), (4, ()): Fraction(1, 6)})
+        assert f.den == 6
+        got = f.shift(x=1)
+        assert got == PSeries.term(4, Fraction(1, 2), x=1)
+        assert got.den == 2
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize(
+        "c", [0, 1, -1, 3, -6, 4, Fraction(1, 2), Fraction(-3, 4), Fraction(9, 2), Fraction(5, 3)]
+    )
+    def test_pinned_scalars(self, c):
+        # den 3, numerators 2 and 4 (content 2)
+        f = PSeries(TR6, {(1, ((1, 1),)): Fraction(2, 3), (5, ()): Fraction(4, 3)})
+        assert (f.den, sorted(f.terms.values())) == (3, [2, 4])
+        got = f * c
+        assert (got.den, got.terms) == reduced_scale(f.den, f.terms, c)
+        assert is_canonical(got)
+        for x in (0, 1, 2):
+            self.check_shift(f, c, x, ((2, 1),))
+
+    @staticmethod
+    def check_shift(f, c, x, p):
+        got = f.shift(c, x=x, p=p)
+        m = _encode(x, p)
+        kept = {code * m: v for code, v in f.terms.items() if _xdeg(code) + x <= f.N}
+        assert (got.den, got.terms) == reduced_scale(f.den, kept, c)
+        assert is_canonical(got)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_generic_route(self, data):
+        f = data.draw(with_content_st(TR_SMALL + 1))
+        c = data.draw(scalars_st(f))
+        got = f * c
+        assert (got.den, got.terms) == reduced_scale(f.den, f.terms, c)
+        assert is_canonical(got)
+        self.check_shift(f, c, data.draw(st.integers(0, 2)), data.draw(pexp_st(3)))
+
+
+class TestSubtraction:
+    """a - b is one signed pass, with no negated copy of b."""
+
+    @given(series_st(TR6, max_terms=6))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_and_self(self, f):
+        zero = PSeries.zero(TR6)
+        for got, want in ((zero - f, -f), (f - zero, f), (f - f, zero)):
+            assert got == want
+            assert is_canonical(got)
+        assert (f - f).den == 1
 
 
 class TestDerivations:

@@ -43,7 +43,7 @@ from hurwitz.verify import (
     wd,
 )
 
-from conftest import fraction_sum, is_canonical
+from conftest import fraction_sum, is_canonical, reduced_scale, scalars_st
 
 TR8 = 8
 
@@ -184,6 +184,29 @@ class TestRing:
         assert WPoly({(1, 2, 0): 1}, 3).lead_str() == "x1*x2^2"
 
 
+class TestScalarsAndSubtraction:
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_equals_the_generic_route(self, order, data):
+        f = data.draw(wpoly_st(order)) * data.draw(st.sampled_from([1, 2, 6]))
+        c = data.draw(scalars_st(f))
+        got = f * c
+        assert (got.den, got.terms) == reduced_scale(f.den, f.terms, c)
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_subtracting_zero_and_self(self, order, data):
+        f, zero = data.draw(wpoly_st(order)), WPoly(N=order)
+        for got, want in ((zero - f, -f), (f - zero, f), (f - f, zero)):
+            assert got == want
+            assert got.N == order
+            assert is_canonical(got)
+        assert (f - f).den == 1
+
+
 class TestScalarRule:
     def test_floats_keep_their_message(self):
         for make in (lambda: WPoly({(1, 0, 0): 0.75}), lambda: WPoly.var(1) * 0.5):
@@ -266,6 +289,51 @@ class TestVanishing:
             assert k.d(v) == verify._direct_linear("d", v, order)
             for m in range(-1, 3):
                 assert k.psi(m, v) == verify._direct_psi(m, v, order)
+
+
+def at_tree_by_monomial(p, order):
+    """p at the tree series one monomial at a time: const * W1^a * W2^b * W3^c."""
+
+    def terms():
+        for mono, c in p.terms.items():
+            term = WPoly.const(c, order)
+            for v, e in enumerate(mono, 1):
+                if e:
+                    term = term * verify._w_power(v, e, order)
+            yield term
+
+    return WPoly.total(order, terms()) * Fraction(1, p.den)
+
+
+class TestTreeEvaluation:
+    """_at_tree groups monomials by (e1, e2); it equals the per-monomial sum."""
+
+    def test_on_every_form_the_series_checks_evaluate(self, monkeypatch):
+        at_tree, seen = verify._at_tree, []
+
+        def recording(p, order):
+            seen.append((p, order))
+            return at_tree(p, order)
+
+        monkeypatch.setattr(verify, "_at_tree", recording)
+        assert all(closed_form_series_checks(order=10))
+        # a numerator and a lifted denominator for each of a..e and psi_-1..psi_2
+        assert len(seen) == 18
+        for p, order in seen:
+            assert at_tree(p, order) == at_tree_by_monomial(p, order)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_on_random_polynomials(self, data):
+        mono = st.tuples(*[st.integers(0, 3)] * 3)
+        terms = data.draw(st.dictionaries(mono, coeff_st(), max_size=8))
+        terms[0, 0, 0] = Fraction(2 * data.draw(st.integers(-3, 3)) + 1, 2)
+        p = WPoly(terms)
+        assert p.den > 1 and (0, 0, 0) in p.terms
+        order = data.draw(st.integers(1, 10))
+        got = verify._at_tree(p, order)
+        assert got == at_tree_by_monomial(p, order)
+        assert is_canonical(got)
 
 
 def _fraction_linear(name, k):
