@@ -189,8 +189,6 @@ def _formula_series(N: int, g: int) -> PSeries:
     )
 
 
-# One entry per N (`verify --N 16`: 1).
-@lru_cache(maxsize=16)
 def g1_defn(N: int) -> PSeries:
     """Genus-1 series assembled partition by partition from the mu_1 formula.
 
@@ -208,8 +206,6 @@ def g1_closed(N: int) -> PSeries:
     return log1(-psi1) * Fraction(-1, 24) - psi0 * Fraction(1, 24)
 
 
-# One entry per N (`verify --N 16`: 1).
-@lru_cache(maxsize=16)
 def f0_series(N: int) -> PSeries:
     """Genus-0 generating series assembled from the mu_0 formula.
 

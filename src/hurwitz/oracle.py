@@ -59,11 +59,6 @@ class SizeLimitExceeded(ValueError):
     """The requested count is outside the enumeration budget."""
 
 
-def _check_budget(n: int) -> None:
-    if n > ORACLE_MAX_N:
-        raise SizeLimitExceeded(f"oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {n}")
-
-
 # -- the character formula ---------------------------------------------------
 
 
@@ -191,21 +186,13 @@ def _canonical_images0(tp: Parts) -> Parts:
 # -- public counting API -----------------------------------------------------
 
 
-def count_walks(alpha: Partition, r: int) -> int:
-    """All (not necessarily transitive) length-r factorizations of a fixed
-    permutation of cycle type alpha, by the character formula."""
-    if alpha.n < 1:
-        raise ValueError("alpha must be a partition of n >= 1")
-    _check_budget(alpha.n)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return _walks_type(alpha.parts, r)
-
-
 def count_transitive(alpha: Partition, g: int) -> int:
     """c_g(alpha) via the character formula plus the disconnection sieve."""
     r = factorization_length(alpha, g)
-    _check_budget(alpha.n)
+    if alpha.n > ORACLE_MAX_N:
+        raise SizeLimitExceeded(
+            f"oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {alpha.n}"
+        )
     return _transitive_count(alpha.parts, r)
 
 

@@ -17,7 +17,8 @@ demand.  Genus is no coordinate: only the cut-and-join carries it.
 ``exp``, ``log1`` and ``powers`` require every input monomial to carry
 positive x-degree, which keeps their expansions finite inside the cut.
 ``subst_x`` reads a table built by ``powers`` rather than the inner series,
-so a caller builds each power table once.
+so a caller builds each power table once; it sums one ``shift`` of s^d per
+term of the rule, so multiplying by a monomial has one implementation.
 
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
@@ -381,12 +382,12 @@ class PSeries(ExactRing):
         out = {c: v * d for c, v in self.terms.items() if (d := _xdeg(c))}
         return PSeries._of(self.N, *_reduce(self.den, out))
 
-    def x_parts(self, strip: bool = False) -> dict[int, "PSeries"]:
-        """Split into x-degree parts; strip removes the x factor."""
+    def x_parts(self) -> dict[int, "PSeries"]:
+        """Split into x-degree parts, each keeping its x factor (``subst_x``
+        reads f term by term instead, one ``shift`` of s^d per term)."""
         buckets: dict[int, dict[int, int]] = {}
         for c, v in self.terms.items():
-            xd = _xdeg(c)
-            buckets.setdefault(xd, {})[c >> xd if strip else c] = v
+            buckets.setdefault(_xdeg(c), {})[c] = v
         return {d: PSeries._of(self.N, *_reduce(self.den, t)) for d, t in buckets.items()}
 
     # -- queries -----------------------------------------------------------
@@ -452,19 +453,11 @@ def powers(s: PSeries) -> tuple[PSeries, ...]:
 def subst_x(f: PSeries, pw: Sequence[PSeries]) -> PSeries:
     """Substitute x -> s in f, given the power table pw = powers(s).
 
-    f is read as the rule x-degree d -> coefficient: the p-content of its
-    x-graded piece of degree d multiplies s^d.  A piece of one term shifts
-    the codes of s^d by its own (it has no x, so nothing leaves the cut).
+    f is read as the rule x-degree d -> coefficient: each term c x^d p^e of
+    f adds ``pw[d].shift(c, p=e)``, s^d times its p-monomial, to one total.
+    The shift has no x, so nothing leaves the cut.
     """
     f._check(pw[0])
-
-    def pieces():
-        for d, cd in f.x_parts(strip=True).items():
-            if len(cd.terms) != 1:
-                yield cd * pw[d]
-                continue
-            [(code, v)] = cd.terms.items()
-            shifted = {c * code: u * v for c, u in pw[d].terms.items()}
-            yield PSeries._of(f.N, *_reduce(cd.den * pw[d].den, shifted))
-
-    return PSeries.total(f.N, pieces())
+    return PSeries.total(
+        f.N, (pw[d].shift(c, p=pexp) for (d, pexp), c in fraction_view(f).items())
+    )

@@ -31,9 +31,11 @@ Three layers, each exact:
 
 Both routes compute in ``WPoly``, the three-variable monomial format of
 ``series.ExactRing``: exact in w1, w2, w3, or cut per variable in x1, x2,
-x3.  Every check reports through ``_first_nonzero``: the first
+x3.  Every check but one reports through ``_first_nonzero``: the first
 nonzero difference names its lead monomial (``ExactRing.lead_str``) as the
-witness, after its label when the check has several.  Each U-combination is
+witness, after its label when the check has several.  The exception,
+``elem_sym_extraction``, compares Fractions and names its witness itself,
+as ``lambda=..., k=...: got ..., want ...``.  Each U-combination is
 written once, over a ``KernelForms``, and evaluated on the exact closed forms
 and on the weights-only expansions alike.  The exact route checks U_2 and
 U_3 twice more, in a compact rearranged form; a discrepancy would fail one

@@ -208,7 +208,8 @@ class TestVerify:
     # bounds "K" and "G" that no result depends on.  The checks entries are
     # those recorded at commit 06c69f1 (N=8) and f75081f (N=12): the product
     # kernel, the inversion formula and the integer rings changed no byte.
-    # N=16 was recorded at f0c3948, before the kernel weights were tabulated.
+    # N=16 was recorded at f0c3948, before the kernel weights were tabulated,
+    # and N=20 at c2b659b, before subst_x became a sum of shifts.
     @pytest.mark.parametrize(
         "argv, want_code, digest",
         [
@@ -234,8 +235,15 @@ class TestVerify:
                 "7a3d545af039a754d455958d669782665444a48c5f3b8d4c7855c58275eb5961",
                 marks=pytest.mark.slow,
             ),
+            # the largest documented size
+            pytest.param(
+                ("--N", "20"),
+                EXIT_OK,
+                "2fc2c3400ec984e0b0aa4760de28995270a944c4f72451406ec580656f1349b4",
+                marks=pytest.mark.slow,
+            ),
         ],
-        ids=["N8", "N8-inject-fault", "N12", "N16"],
+        ids=["N8", "N8-inject-fault", "N12", "N16", "N20"],
     )
     def test_report_bytes_are_pinned(self, capsys, argv, want_code, digest):
         code, out, _ = run_cli(capsys, "verify", *argv)

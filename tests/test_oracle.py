@@ -17,7 +17,6 @@ from hurwitz import (
     class_size,
     count_naive,
     count_transitive,
-    count_walks,
     factorization_length,
     mu0,
     partitions_of,
@@ -111,11 +110,14 @@ class TestCountNaive:
 
 
 class TestCountWalks:
+    """W(alpha, r), all (not necessarily transitive) length-r factorizations,
+    as the sieve reads it: ``_walks_type(alpha.parts, r)``."""
+
     def test_identity_in_s2(self):
-        assert count_walks(Partition((1, 1)), 2) == 1
+        assert _walks_type((1, 1), 2) == 1
 
     def test_parity_obstruction(self):
-        assert count_walks(Partition((2,)), 2) == 0
+        assert _walks_type((2,), 2) == 0
 
     def test_character_oracle_s3(self):
         for alpha in (Partition((3,)), Partition((2, 1)), Partition((1, 1, 1))):
@@ -124,14 +126,16 @@ class TestCountWalks:
                 want = s3_walks_by_characters(alpha, r)
                 if (r - n_minus_m) % 2:
                     want = 0  # the character sum also vanishes; be explicit
-                assert count_walks(alpha, r) == want
+                assert _walks_type(alpha.parts, r) == want
 
     def test_class_sums_count_every_sequence(self):
         # each of the C(n, 2)^r transposition sequences multiplies to exactly
         # one permutation, and the count is constant on each class
         for n in range(1, 10):
             for r in range(2 * n + 1):
-                total = sum(class_size(alpha) * count_walks(alpha, r) for alpha in partitions_of(n))
+                total = sum(
+                    class_size(alpha) * _walks_type(alpha.parts, r) for alpha in partitions_of(n)
+                )
                 assert total == comb(n, 2) ** r, (n, r)
 
     def test_parity_zeros(self):
@@ -140,7 +144,7 @@ class TestCountWalks:
         for n in range(1, 10):
             for alpha in partitions_of(n):
                 for r in range(n - alpha.m + 1, 2 * n + 1, 2):
-                    assert count_walks(alpha, r) == 0, (alpha, r)
+                    assert _walks_type(alpha.parts, r) == 0, (alpha, r)
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_non_integral_character_sum_raises(self, flags):
@@ -148,7 +152,7 @@ class TestCountWalks:
         # turns its term 1 * 1 * 3^3 at (2,1) into 2 * 2 * 3^3: the sum grows
         # by 81, not a multiple of 3! = 6; python -O must not strip the guard
         code = (
-            "from hurwitz import IntegralityError, Partition, count_walks, oracle\n"
+            "from hurwitz import IntegralityError, oracle\n"
             "real = oracle._characters\n"
             "def perturbed(tp):\n"
             "    n = sum(tp)\n"
@@ -157,7 +161,7 @@ class TestCountWalks:
             "    return chars\n"
             "oracle._characters = perturbed\n"
             "try:\n"
-            "    count_walks(Partition((2, 1)), 3)\n"
+            "    oracle._walks_type((2, 1), 3)\n"
             "except IntegralityError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
@@ -165,10 +169,6 @@ class TestCountWalks:
         src = str(Path(hurwitz.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         assert subprocess.run([sys.executable, *flags, "-c", code], env=env).returncode == 0
-
-    def test_size_refusal(self):
-        with pytest.raises(SizeLimitExceeded, match="ORACLE_MAX_N"):
-            count_walks(Partition((ORACLE_MAX_N + 1,)), ORACLE_MAX_N)
 
 
 class TestCountTransitive:
@@ -184,7 +184,7 @@ class TestCountTransitive:
             alpha = Partition((n,))
             for g in (0, 1, 2):
                 r = n + 1 + 2 * (g - 1)
-                assert count_transitive(alpha, g) == count_walks(alpha, r)
+                assert count_transitive(alpha, g) == _walks_type(alpha.parts, r)
 
     def test_matches_naive_enumeration(self):
         for n in range(1, 5):
@@ -236,7 +236,7 @@ class TestSieve:
         for n in range(1, 9):
             for alpha in partitions_of(n):
                 for r in range(n - alpha.m):
-                    assert count_walks(alpha, r) == 0, (alpha, r)
+                    assert _walks_type(alpha.parts, r) == 0, (alpha, r)
                 for r in range(n + alpha.m - 2):
                     assert subset_sieve(alpha.parts, r) == 0, (alpha, r)
 

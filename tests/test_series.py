@@ -4,6 +4,7 @@ import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -193,10 +194,9 @@ class TestCanonicalForm:
         st.integers(0, 2),
         pexp_st(3),
         st.integers(1, 3),
-        st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_every_operation(self, f, g, c, x, p, k, strip):
+    def test_every_operation(self, f, g, c, x, p, k):
         F, G = fraction_view(f), fraction_view(g)
 
         def nonzero(pairs):
@@ -234,10 +234,10 @@ class TestCanonicalForm:
             ),
             (f.xdiff(), nonzero((m, v * m[0]) for m, v in F.items())),
         ]
-        parts = f.x_parts(strip)
+        parts = f.x_parts()
         assert sorted(parts) == sorted({xd for xd, _ in F})
         for d, part in parts.items():
-            want = {(0 if strip else xd, pexp): v for (xd, pexp), v in F.items() if xd == d}
+            want = {(xd, pexp): v for (xd, pexp), v in F.items() if xd == d}
             cases.append((part, want))
         for got, want in cases:
             assert is_canonical(got)
@@ -437,14 +437,6 @@ class TestMonomialCode:
         assert (f * f).pdiff(40) == f * PSeries.x(TR8) * 4
         assert f.coeff(1, (40,)) == 2
 
-    def test_strip_removes_x_from_every_key(self):
-        f = PSeries.from_parts(TR8, {(1,): 1, (2, 1): 2, (3,): 3, (2, 2, 1): 4})
-        parts = f.x_parts(strip=True)
-        assert sorted(parts) == [1, 3, 5]
-        for part in parts.values():
-            assert all(xd == 0 for xd, _ in fraction_view(part))
-        assert fraction_view(parts[3]) == {(0, ((1, 1), (2, 1))): 2, (0, ((3, 1),)): 3}
-
     def test_fraction_view_keys(self):
         f = PSeries.term(TR8, Fraction(1, 3), x=4, p=((3, 1), (1, 1)))
         assert fraction_view(f) == {(4, ((1, 1), (3, 1))): Fraction(1, 3)}
@@ -532,12 +524,16 @@ class TestTotal:
 
 
 class TestSubstitutionByShifts:
-    """subst_x shifts s^d by a one-term x-part instead of multiplying."""
+    """subst_x sums shifts of s^d, one per term of the rule; the reference
+    multiplies s^d by the whole p-content of each x-part."""
 
     @staticmethod
     def generic(f, pw):
-        parts = f.x_parts(strip=True).items()
-        return reduce(operator.add, (cd * pw[d] for d, cd in parts), PSeries.zero(f.N))
+        def content(part):
+            return PSeries(f.N, {(0, pexp): c for (_, pexp), c in fraction_view(part).items()})
+
+        products = (content(part) * pw[d] for d, part in f.x_parts().items())
+        return reduce(operator.add, products, PSeries.zero(f.N))
 
     def test_one_term_and_many_term_parts(self):
         s = PSeries.from_parts(TR6, {(1,): Fraction(3, 2), (2,): Fraction(1, 4), (1, 1): 2})
@@ -551,7 +547,7 @@ class TestSubstitutionByShifts:
                 (1, 1, 1, 1): 6,  # one term at x^4
             },
         )
-        parts = f.x_parts(strip=True)
+        parts = f.x_parts()
         assert sorted((d, len(p.terms)) for d, p in parts.items()) == [(2, 1), (3, 2), (4, 1)]
         got = subst_x(f, pw)
         assert got == self.generic(f, pw)
@@ -564,3 +560,21 @@ class TestSubstitutionByShifts:
         got = subst_x(f, pw)
         assert got == self.generic(f, pw)
         assert is_canonical(got)
+
+    def test_rule_denominators_cancel_against_the_powers(self):
+        # every numerator of s^d is a multiple of 2^d and every rule
+        # coefficient has denominator 2 or 4, so each shift divides through
+        # by gcd(b, content) > 1
+        s = PSeries.from_parts(TR6, {(1,): 2, (1, 1): 4, (2,): 6})
+        pw = powers(s)
+        rule = {(1,): Fraction(1, 2), (1, 1): Fraction(5, 4), (2, 3): Fraction(3, 4)}
+        f = PSeries.from_parts(TR6, rule)
+        for (d, pexp), c in fraction_view(f).items():
+            assert gcd(c.denominator, *pw[d].terms.values()) > 1
+            assert is_canonical(pw[d].shift(c, p=pexp))
+        got = subst_x(f, pw)
+        assert got == self.generic(f, pw)
+        assert is_canonical(got)
+        half = subst_x(PSeries.term(TR6, Fraction(1, 2), x=1), pw)
+        assert half == PSeries.from_parts(TR6, {(1,): 1, (1, 1): 2, (2,): 3})
+        assert half.den == 1
