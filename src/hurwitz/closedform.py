@@ -201,9 +201,8 @@ def g1_defn(N: int) -> PSeries:
 @lru_cache(maxsize=16)
 def g1_closed(N: int) -> PSeries:
     """Genus-1 series in closed form through the substitution series."""
-    psi1 = psi_at_s(1, N)
-    psi0 = psi_at_s(0, N)
-    return log1(-psi1) * Fraction(-1, 24) - psi0 * Fraction(1, 24)
+    w = Fraction(-1, 24)
+    return PSeries.weighted_total(N, ((log1(-psi_at_s(1, N)), w), (psi_at_s(0, N), w)))
 
 
 def f0_series(N: int) -> PSeries:

@@ -23,18 +23,20 @@ term of the rule, so multiplying by a monomial has one implementation.
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
 *numerators) == 1, den == 1 for zero, so equal series have equal (den,
-terms).  Every sum of series (``ExactRing.total``) runs in one pass: it
-adds numerators over a running lcm of the denominators, rescales what it
-holds only when that lcm grows, and reduces once at the end; ``+`` and
-``-`` are two-item totals, with the sign of ``-`` folded into the pass.
+terms).  Every linear combination of series (``ExactRing.weighted_total``;
+``total``, ``+`` and ``-`` have weights 1 and -1) runs in one pass: a
+summand with weight a/b enters over its den * b with a folded into its
+numerators, numerators add up over a running lcm of the denominators that
+rescales the sum only when it grows, and the sum is reduced once at the end.
 Derivations scale numerators, products run their double loop on ints over
-den_a * den_b, and each result is reduced by one gcd over its numerators.
-A scalar a/b (``*`` by a scalar, ``shift``) skips that scan: the content
-(gcd of the numerators) of a canonical series is prime to den, so the
-result reduces by exactly gcd(den, a) * gcd(b, content): only b > 1 reads
-the numerators, and scalar 1 is no pass at all.  A ``shift`` whose cut
-drops terms loses that guarantee, since the terms kept may share a factor
-with den; it is reduced in full.  Only coefficient reads (``coeff``,
+den_a * den_b, visiting only the partners inside the cut (``_partners``),
+and each result is reduced by one gcd over its numerators.  A scalar a/b
+(``*`` by a scalar, ``shift``) skips that scan: the content (gcd of the
+numerators) of a canonical series is prime to den, so the result reduces by
+exactly gcd(den, a) * gcd(b, content): only b > 1 reads the numerators, and
+scalar 1 is no pass at all.  ``shift`` moves and scales each term in one
+pass, unless its cut drops terms: the terms kept may share a factor with
+den, so they are reduced in full first.  Only coefficient reads (``coeff``,
 ``fraction_view``) build Fractions; floating point is never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
@@ -47,6 +49,7 @@ zeros, nothing beyond the cut); ring operations skip that pass
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
@@ -109,25 +112,42 @@ def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
     return den // g, {m: v // g for m, v in terms.items()}
 
 
-def _scale(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, dict[Key, int]]:
-    """c * terms/den for an exact scalar c = a/b in lowest terms, divided
-    through by gcd(den, a) * gcd(b, content).
-
-    That is the canonical form when terms/den is canonical: its content is
-    then prime to den, so nothing else divides out.  Only b > 1 reads the
-    numerators for a gcd.
-    """
-    if not _exact(c):
-        return 1, {}
-    if c == 1:
-        return den, terms
+def _scaling(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, int, int]:
+    """(den', h, a') with c * terms/den == {m: v // h * a'}/den', canonical when
+    terms/den is, for c = a/b != 0: gcd(den, a) * gcd(b, content) divides out."""
     a, b = c.numerator, c.denominator
-    g = gcd(den, a)
-    a, den = a // g, den // g
-    h = gcd(b, *terms.values()) if b > 1 else 1
-    if h == 1:
-        return den * b, {m: v * a for m, v in terms.items()}
-    return den * (b // h), {m: v // h * a for m, v in terms.items()}
+    g, h = gcd(den, a), gcd(b, *terms.values()) if b > 1 else 1
+    return den // g * (b // h), h, a // g
+
+
+def _accumulate(den: int, acc: dict, f: "ExactRing", c: Fraction | int) -> tuple[int, dict]:
+    """acc/den + c * f, in acc when acc holds terms (see ``weighted_total``)."""
+    a, fden = _exact(c).numerator, f.den * c.denominator
+    if not a:
+        return den, acc
+    if not acc:
+        return fden, dict(f.terms) if a == 1 else {m: v * a for m, v in f.terms.items()}
+    if den % fden:
+        grown = lcm(den, fden)
+        up, den = grown // den, grown
+        acc = {m: v * up for m, v in acc.items()}
+    up = den // fden * a
+    for m, v in f.terms.items():
+        if s := acc.get(m, 0) + v * up:
+            acc[m] = s
+        else:
+            del acc[m]
+    return den, acc
+
+
+def _partners(buckets: list[list]) -> list[list]:
+    """lists[k]: the items of buckets[0..k] (a left term of degree d reads lists[N - d])."""
+    lists, B = [], []
+    for bucket in buckets:
+        if bucket:
+            B = B + bucket
+        lists.append(B)
+    return lists
 
 
 def fraction_view(f: "ExactRing") -> dict:
@@ -197,14 +217,19 @@ class ExactRing:
         return self.total(self.N, (self, other))
 
     def __sub__(self, other: "ExactRing") -> "ExactRing":
-        return self._signed_total(self.N, ((self, 1), (other, -1)))
+        return self.weighted_total(self.N, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "ExactRing":
         return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
 
     def __mul__(self, other: "ExactRing | Fraction | int") -> "ExactRing":
         if not isinstance(other, ExactRing):
-            return self._of(self.N, *_scale(self.den, self.terms, other))
+            if _exact(other) == 1:
+                return self
+            if not other:
+                return self._of(self.N, 1, {})
+            den, h, a = _scaling(self.den, self.terms, other)
+            return self._of(self.N, den, {m: v // h * a for m, v in self.terms.items()})
         self._check(other)
         acc = self._products(other)
         if 0 in acc.values():
@@ -215,45 +240,26 @@ class ExactRing:
 
     @classmethod
     def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
-        """The sum of items, each cut at N, in one pass (zero when items is empty).
-
-        The sum starts as a copy of the first summand, and again whenever it
-        has cancelled to zero.  Numerators add up over a running lcm of the
-        denominators; the sum so far is rescaled only when that lcm grows,
-        loses each numerator that cancels, and is reduced once at the end.
-        """
-        return cls._signed_total(N, ((f, 1) for f in items))
+        """The sum of items, each cut at N, in one pass (zero when items is empty)."""
+        return cls.weighted_total(N, ((f, 1) for f in items))
 
     @classmethod
-    def _signed_total(
-        cls, N: int | None, signed: Iterable[tuple["ExactRing", int]]
+    def weighted_total(
+        cls, N: int | None, weighted: Iterable[tuple["ExactRing", Fraction | int]]
     ) -> "ExactRing":
-        """The sum of sign * f over the (f, sign) pairs, sign 1 or -1, as ``total``."""
+        """The sum of c * f over the (f, c) pairs, each f cut at N, in one pass.
+
+        f with weight a/b enters over f.den * b, a folded into its factor up;
+        zero weights are skipped.  The sum restarts from a scaled copy of a
+        summand whenever it is empty, is rescaled only when the lcm of the
+        denominators grows, and is reduced once at the end.
+        """
         den, acc = 1, {}
-        for f, sign in signed:
+        for f, c in weighted:
             if f.N != N:
                 raise TruncationMismatch(f"N={N} vs N={f.N}")
-            if not acc:
-                den = f.den
-                acc = dict(f.terms) if sign == 1 else {m: -v for m, v in f.terms.items()}
-                continue
-            if den % f.den:
-                grown = lcm(den, f.den)
-                up, den = grown // den, grown
-                acc = {m: v * up for m, v in acc.items()}
-            up = den // f.den * sign
-            if up == 1:
-                for m, v in f.terms.items():
-                    if s := acc.get(m, 0) + v:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-                continue
-            for m, v in f.terms.items():
-                if s := acc.get(m, 0) + v * up:
-                    acc[m] = s
-                else:
-                    del acc[m]
+            den, acc = _accumulate(den, acc, f, c)
+            del f  # a summand made for this sum is freed before the next is made
         return cls._of(N, *_reduce(den, acc))
 
     def lead_str(self) -> str:
@@ -335,17 +341,12 @@ class PSeries(ExactRing):
 
     def _products(self, other: "PSeries") -> dict[int, int]:
         N = self.N
-        # partners[k]: other's terms of x-degree <= k, built once per product;
         # (c & -c).bit_length() is 1 + the x-degree of c (_xdeg inlined)
         buckets: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
         for item in other.terms.items():
             c = item[0]
             buckets[(c & -c).bit_length() - 1].append(item)
-        partners, B = [], []
-        for bucket in buckets:
-            if bucket:
-                B = B + bucket
-            partners.append(B)
+        partners = _partners(buckets)
         acc: dict[int, int] = {}
         for c1, a in self.terms.items():
             for c2, b in partners[N + 1 - (c1 & -c1).bit_length()]:
@@ -359,12 +360,16 @@ class PSeries(ExactRing):
         x: int = 0,
         p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
-        """Multiply by a single monomial (cheaper than building a PSeries)."""
+        """Multiply by a single monomial, in one pass when the cut drops no term."""
         m, top = _encode(x, p), self.N - x
-        kept = {c * m: v for c, v in self.terms.items() if not x or _xdeg(c) <= top}
-        scaled = _scale(self.den, kept, coeff)
-        # the terms the cut kept may share a factor with den
-        return PSeries._of(self.N, *(scaled if len(kept) == len(self.terms) else _reduce(*scaled)))
+        den, terms = self.den, self.terms
+        if x and len(kept := {c: v for c, v in terms.items() if _xdeg(c) <= top}) < len(terms):
+            # the terms the cut kept may share a factor with den
+            den, terms = _reduce(den, kept)
+        if not _exact(coeff):
+            return PSeries._of(self.N, 1, {})
+        den, h, a = _scaling(den, terms, coeff)
+        return PSeries._of(self.N, den, {c * m: v // h * a for c, v in terms.items()})
 
     # -- derivations and slices --------------------------------------------
 
@@ -420,8 +425,8 @@ def exp(f: PSeries) -> PSeries:
     dfparts = f.xdiff().x_parts()
     gparts: list[PSeries] = [PSeries.one(N)]
     for d in range(1, N + 1):
-        acc = PSeries.total(N, (dfe * gparts[d - e] for e, dfe in dfparts.items() if e <= d))
-        gparts.append(acc * Fraction(1, d))
+        terms = ((dfe * gparts[d - e], Fraction(1, d)) for e, dfe in dfparts.items() if e <= d)
+        gparts.append(PSeries.weighted_total(N, terms))
     return PSeries.total(N, gparts)
 
 
@@ -434,11 +439,12 @@ def log1(f: PSeries) -> PSeries:
     _require_positive_xdeg(f, "log1")
     N = f.N
     fparts, dfparts = f.x_parts(), f.xdiff().x_parts()
-    hparts: list[PSeries] = [PSeries.zero(N)]
+    zero = PSeries.zero(N)
+    hparts: list[PSeries] = [zero]
     for d in range(1, N + 1):
-        corr = PSeries.total(N, (fe * hparts[d - e] for e, fe in fparts.items() if e < d))
-        hparts.append(dfparts.get(d, PSeries.zero(N)) - corr)
-    return PSeries.total(N, (h * Fraction(1, d) for d, h in enumerate(hparts) if d))
+        corr = ((fe * hparts[d - e], -1) for e, fe in fparts.items() if e < d)
+        hparts.append(PSeries.weighted_total(N, chain(((dfparts.get(d, zero), 1),), corr)))
+    return PSeries.weighted_total(N, ((h, Fraction(1, d)) for d, h in enumerate(hparts) if d))
 
 
 def powers(s: PSeries) -> tuple[PSeries, ...]:

@@ -55,13 +55,12 @@ from the explicit formula.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .closedform import (
     f0_pdiff,
@@ -73,7 +72,7 @@ from .closedform import (
     s_series,
 )
 from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import ExactRing, PSeries, _integer_form, exp
+from .series import ExactRing, PSeries, _integer_form, _partners, exp
 
 _ZERO = Fraction(0)
 
@@ -177,15 +176,21 @@ class WPoly(ExactRing):
         return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, N)
 
     def _products(self, other: "WPoly") -> dict[Mono, int]:
-        L = _NO_CAP if self.N is None else self.N
-        B = other.terms.items()
+        L = self.N
+        if L is None:
+            L, B = _NO_CAP, other.terms.items()
+        else:  # only partners inside the cut in x1, so only x2 and x3 are tested
+            buckets: list[list[tuple[Mono, int]]] = [[] for _ in range(L + 1)]
+            for item in other.terms.items():
+                buckets[item[0][0]].append(item)
+            partners = _partners(buckets)
         acc: dict[Mono, int] = {}
         for (a1, a2, a3), a in self.terms.items():
-            for (b1, b2, b3), b in B:
-                e1, e2, e3 = a1 + b1, a2 + b2, a3 + b3
-                if e1 > L or e2 > L or e3 > L:
+            for (b1, b2, b3), b in B if L is _NO_CAP else partners[L - a1]:
+                e2, e3 = a2 + b2, a3 + b3
+                if e2 > L or e3 > L:
                     continue
-                key = (e1, e2, e3)
+                key = (a1 + b1, e2, e3)
                 acc[key] = acc.get(key, 0) + a * b
         return acc
 
@@ -201,15 +206,10 @@ class WPoly(ExactRing):
 
 # Denominator atoms, in fixed order: (1-w1), (1-w2), (1-w3), then the
 # pairwise differences (w1-w2), (w2-w3), (w1-w3).
-_ATOMS: tuple[WPoly, ...] = (
-    WPoly.const(1) - WPoly.var(1),
-    WPoly.const(1) - WPoly.var(2),
-    WPoly.const(1) - WPoly.var(3),
-    WPoly.var(1) - WPoly.var(2),
-    WPoly.var(2) - WPoly.var(3),
-    WPoly.var(1) - WPoly.var(3),
-)
 _DIFF_SLOT = {(1, 2): 3, (2, 3): 4, (1, 3): 5}
+_ATOMS: tuple[WPoly, ...] = tuple(WPoly.const(1) - WPoly.var(v) for v in (1, 2, 3)) + tuple(
+    WPoly.var(a) - WPoly.var(b) for a, b in _DIFF_SLOT
+)
 
 # Largest denominator the checks may accumulate: the closed forms carry at
 # most (1-w_i)^5 and a first power of each difference.  Anything beyond this
@@ -217,12 +217,13 @@ _DIFF_SLOT = {(1, 2): 3, (2, 3): 4, (1, 3): 5}
 _DEN_BOUND = (5, 5, 5, 1, 1, 1)
 
 
-# `verify --N 16`: 23 entries.
+# `verify --N 16`: 26 entries, 11 of them at the tree series.
 @lru_cache(maxsize=128)
-def _atom_power(idx: int, e: int) -> WPoly:
-    if e == 0:
-        return WPoly.const(1)
-    return _atom_power(idx, e - 1) * _ATOMS[idx]
+def _atom_power(idx: int, e: int, order: int | None) -> WPoly:
+    """Atom idx to the power e >= 1: exact for order None, else at the tree series cut at order."""
+    if e > 1:
+        return _atom_power(idx, e - 1, order) * _atom_power(idx, 1, order)
+    return _ATOMS[idx] if order is None else _at_tree(_ATOMS[idx], order)
 
 
 class WExpr:
@@ -248,7 +249,7 @@ class WExpr:
         for idx in range(6):
             gap = target[idx] - self.den[idx]
             if gap:
-                num = num * _atom_power(idx, gap)
+                num = num * _atom_power(idx, gap, None)
         return num
 
     def __add__(self, other: "WExpr") -> "WExpr":
@@ -273,13 +274,9 @@ class WExpr:
 
     def div_diff(self, a: int, b: int) -> "WExpr":
         """Divide by (w_a - w_b); swapped indices flip the sign."""
-        if a < b:
-            slot, num = _DIFF_SLOT[(a, b)], self.num
-        else:
-            slot, num = _DIFF_SLOT[(b, a)], -self.num
         den = list(self.den)
-        den[slot] += 1
-        return WExpr(num, tuple(den))
+        den[_DIFF_SLOT[min(a, b), max(a, b)]] += 1
+        return WExpr(self.num if a < b else -self.num, tuple(den))
 
 
 def _one_minus_w(v: int) -> WExpr:
@@ -288,20 +285,12 @@ def _one_minus_w(v: int) -> WExpr:
 
 def wd(v: int, j: int) -> WExpr:
     """The j-th Euler derivative of the tree function at slot v, in closed form."""
+    if j not in (0, 1, 2, 3):
+        raise ValueError(f"no closed form stored for derivative order {j}")
     w = WPoly.var(v)
     den = [0, 0, 0, 0, 0, 0]
-    if j == 0:
-        return WExpr(w)
-    if j == 1:
-        den[v - 1] = 1
-        return WExpr(w, tuple(den))
-    if j == 2:
-        den[v - 1] = 3
-        return WExpr(w, tuple(den))
-    if j == 3:
-        den[v - 1] = 5
-        return WExpr(w + w * w * 2, tuple(den))
-    raise ValueError(f"no closed form stored for derivative order {j}")
+    den[v - 1] = (0, 1, 3, 5)[j]  # w, w/(1-w), w/(1-w)^3, (w+2w^2)/(1-w)^5
+    return WExpr(w + w * w * 2 if j == 3 else w, tuple(den))
 
 
 def sym_psi(m: int, v: int) -> WExpr:
@@ -371,44 +360,41 @@ def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[Image, ...]:
 
 
 # -- the degree-1..3 vanishing combinations, for either route ---------------
+# Each is a lazy sequence of (image, weight) pairs: the series route sums it
+# with WPoly.weighted_total, the exact route with _fold.
 
 
-def _u1_expr(k: KernelForms) -> Image:
-    return k.psi(2, 1) - k.psi(0, 1) - k.a(1) * 12 - k.b(1) + k.d(1)
+def _fold(weighted: Iterable[tuple[WExpr, int]]) -> WExpr:
+    """sum c * f over the (f, c) pairs of closed forms, added two at a time."""
+    return reduce(operator.add, (f if c == 1 else f * c for f, c in weighted))
 
 
-def _pair(f: Callable[[int], Image], g: Callable[[int], Image]) -> Image:
-    """Two-slot symmetrization of a product of two degree-1 series."""
-    return f(1) * g(2) + f(2) * g(1)
+def _u1_terms(k: KernelForms) -> Iterable[tuple[Image, int]]:
+    return ((k.psi(2, 1), 1), (k.psi(0, 1), -1), (k.a(1), -12), (k.b(1), -1), (k.d(1), 1))
 
 
-def _u2_assembled(k: KernelForms) -> Image:
+def _u2_terms(k: KernelForms) -> Iterator[tuple[Image, int]]:
     psi0, psi1, psi2 = (partial(k.psi, m) for m in range(3))
-    return (
-        _pair(psi0, psi1)
-        + _pair(psi0, psi2)
-        + _pair(psi1, k.a) * 24
-        + _pair(psi1, k.b)
-        + k.c(1, 2)
-        - _pair(psi1, k.d)
-        - _pair(psi2, k.d)
-        - k.e(1, 2)
-    )
+    yield k.c(1, 2), 1
+    yield k.e(1, 2), -1
+    pairs = ((psi0, psi1, 1), (psi0, psi2, 1), (psi1, k.a, 24), (psi1, k.b, 1))
+    for f, g, c in pairs + ((psi1, k.d, -1), (psi2, k.d, -1)):
+        yield f(1) * g(2), c  # symmetrized over the two slots
+        yield f(2) * g(1), c
 
 
 # Each slot t of three with the other two, in order.
 _ROTATIONS = ((1, (2, 3)), (2, (1, 3)), (3, (1, 2)))
 
 
-def _u3_assembled(k: KernelForms) -> Image:
-    def terms():
-        for p1, p2, p3 in itertools.permutations((1, 2, 3)):
-            yield k.psi(1, p1) * k.psi(1, p2) * k.a(p3) * -12
-        for t, (va, vb) in _ROTATIONS:
-            yield -(k.psi(1, t) * k.c(va, vb))
-            yield (k.psi(1, t) + k.psi(2, t)) * k.e(va, vb)
-
-    return reduce(operator.add, terms())
+def _u3_terms(k: KernelForms) -> Iterator[tuple[Image, int]]:
+    for t, (va, vb) in _ROTATIONS:
+        psi1 = k.psi(1, t)
+        # -12 psi1(a) psi1(b) a(t) over the six orders of (a, b, t) is
+        # symmetric in a and b: three rotations with weight -24
+        yield k.psi(1, va) * k.psi(1, vb) * k.a(t), -24
+        yield psi1 * k.c(va, vb), -1
+        yield (psi1 + k.psi(2, t)) * k.e(va, vb), 1
 
 
 # -- the exact route ----------------------------------------------------------
@@ -436,14 +422,14 @@ def _u3_rearranged() -> WExpr:
 
 def check_u1(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
     """Degree-1 vanishing, exactly as a polynomial after clearing."""
-    return _first_nonzero("u1_vanishes", [(None, _u1_expr(kernels))])
+    return _first_nonzero("u1_vanishes", [(None, _fold(_u1_terms(kernels)))])
 
 
 def check_u2(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
     """Degree-2 vanishing: rearranged form and direct assembly, both exact."""
     return _first_nonzero(
         "u2_vanishes",
-        [("rearranged form", _u2_rearranged()), ("assembled form", _u2_assembled(kernels))],
+        [("rearranged form", _u2_rearranged()), ("assembled form", _fold(_u2_terms(kernels)))],
     )
 
 
@@ -451,7 +437,7 @@ def check_u3(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
     """Degree-3 vanishing: rearranged form and direct assembly, both exact."""
     return _first_nonzero(
         "u3_vanishes",
-        [("rearranged form", _u3_rearranged()), ("assembled form", _u3_assembled(kernels))],
+        [("rearranged form", _u3_rearranged()), ("assembled form", _fold(_u3_terms(kernels)))],
     )
 
 
@@ -480,31 +466,34 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
     """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v.
 
     Horner-style by variable: p's monomials are grouped by (e1, e2), each
-    group's w3-polynomial is a sum of scaled tree powers, and it is multiplied
-    once by w2^e2; each e1 group of those is multiplied once by w1^e1.
+    group's w3-polynomial is one weighted total of tree powers, and it is
+    multiplied once by w2^e2; each e1 group of those is multiplied once by w1^e1.
     """
-    rows: dict[int, dict[int, list[WPoly]]] = {}
+    rows: dict[int, dict[int, list[tuple[WPoly, int]]]] = {}
     one = WPoly.const(1, order)
     for (e1, e2, e3), c in p.terms.items():
         w3 = _w_power(3, e3, order) if e3 else one
-        rows.setdefault(e1, {}).setdefault(e2, []).append(w3 * c)
+        rows.setdefault(e1, {}).setdefault(e2, []).append((w3, c))
     by_e1 = []
     for e1, by_e2 in rows.items():
         by_e2_sums = []
         for e2, row in by_e2.items():
-            f = WPoly.total(order, row)
+            f = WPoly.weighted_total(order, row)
             by_e2_sums.append(f * _w_power(2, e2, order) if e2 else f)
         f = WPoly.total(order, by_e2_sums)
-        by_e1.append(f * _w_power(1, e1, order) if e1 else f)
-    # the sum runs over p's numerators; divide by its denominator once
-    return WPoly.total(order, by_e1) * Fraction(1, p.den)
+        by_e1.append((f * _w_power(1, e1, order) if e1 else f, Fraction(1, p.den)))
+    # the sum runs over p's numerators; divide by its denominator in the same pass
+    return WPoly.weighted_total(order, by_e1)
 
 
 def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:
-    """num - direct * den as series: zero iff the closed form equals the expansion."""
+    """num - direct * den as series: zero iff the closed form equals the expansion;
+    direct is multiplied by each atom of den at the tree series, never by den expanded."""
     order = direct.N
-    den = WExpr(WPoly.const(1))._lift(expr.den)
-    return _at_tree(expr.num, order) - direct * _at_tree(den, order)
+    for idx, e in enumerate(expr.den):
+        if e:
+            direct = direct * _atom_power(idx, e, order)
+    return _at_tree(expr.num, order) - direct
 
 
 # -- the kernel weights -------------------------------------------------------
@@ -640,9 +629,8 @@ def series_u_checks(order: int = 8) -> list[CheckResult]:
     """The three vanishing combinations, evaluated on the weights-only expansions."""
     direct = _series_kernels(order)
     return [
-        _first_nonzero("u1_series", [(None, _u1_expr(direct))]),
-        _first_nonzero("u2_series", [(None, _u2_assembled(direct))]),
-        _first_nonzero("u3_series", [(None, _u3_assembled(direct))]),
+        _first_nonzero(f"u{i}_series", [(None, WPoly.weighted_total(order, terms(direct)))])
+        for i, terms in enumerate((_u1_terms, _u2_terms, _u3_terms), 1)
     ]
 
 
@@ -716,19 +704,19 @@ def kernel_recombination(N: int) -> CheckResult:
 
     a_ser, b_ser, d_ser = map(one_slot, "abd")
     c_ser, e_ser = map(two_slot, "ce")
-    psi0 = psi_at_s(0, N)
-    psi1 = psi_at_s(1, N)
-    psi2 = psi_at_s(2, N)
-    u1 = psi2 - psi0 - a_ser * 12 - b_ser + d_ser
-    u2 = (
-        psi0 * (psi1 + psi2)
-        + psi1 * a_ser * 24
-        + psi1 * b_ser
-        + c_ser
-        - (psi1 + psi2) * d_ser
-        - e_ser
+    psi0, psi1, psi2 = (psi_at_s(i, N) for i in range(3))
+    psi12, psi1_a = psi1 + psi2, psi1 * a_ser
+
+    def combination(*triples: tuple[PSeries, PSeries | int, int]) -> PSeries:
+        # sum of c * f * g, each product made as the sum reads it (g = 1 multiplies nothing)
+        return PSeries.weighted_total(N, ((f * g, c) for f, g, c in triples))
+
+    u1 = combination((psi2, 1, 1), (psi0, 1, -1), (a_ser, 1, -12), (b_ser, 1, -1), (d_ser, 1, 1))
+    u2 = combination(
+        (psi0, psi12, 1), (psi1_a, 1, 24), (psi1, b_ser, 1), (c_ser, 1, 1),
+        (psi12, d_ser, -1), (e_ser, 1, -1),
     )
-    u3 = psi1 * psi1 * a_ser * (-12) - psi1 * c_ser + (psi1 + psi2) * e_ser
+    u3 = combination((psi1, psi1_a, -12), (psi1, c_ser, -1), (psi12, e_ser, 1))
     return _first_nonzero(
         "kernel_recombination", (("degree 1", u1), ("degree 2", u2), ("degree 3", u3))
     )
@@ -741,27 +729,30 @@ def kernel_recombination(N: int) -> CheckResult:
 PDIFF_MAX_K = 4
 
 
-def _one_minus_psi1(N: int) -> PSeries:
-    return PSeries.one(N) - psi_at_s(1, N)
+# 1 - psi_1 and its square.  `verify --N 16`: 1 entry.
+@lru_cache(maxsize=4)
+def _one_minus_psi1(N: int) -> tuple[PSeries, PSeries]:
+    omp = PSeries.one(N) - psi_at_s(1, N)
+    return omp, omp * omp
 
 
 def s_xdiff_identity(N: int) -> CheckResult:
     """x ds/dx * (1 - psi_1) = s."""
     s = s_series(N)
-    return _first_nonzero("s_xdiff_identity", [(None, s.xdiff() * _one_minus_psi1(N) - s)])
+    omp = _one_minus_psi1(N)[0]
+    return _first_nonzero("s_xdiff_identity", [(None, s.xdiff() * omp - s)])
 
 
 def s_pdiff_identity(N: int) -> CheckResult:
     """k ds/dp_k * (1 - psi_1) = a_k s^(k+1) for every k <= N."""
     s = s_series(N)
     pw = s_powers(N)
-    omp = _one_minus_psi1(N)
+    omp = _one_minus_psi1(N)[0]
 
     def differences():
         for k in range(1, N + 1):
-            lhs = s.pdiff(k) * omp * k
-            rhs = pw[k + 1] * a_coeff(k) if k + 1 <= N else PSeries.zero(N)
-            yield f"k={k}", lhs - rhs
+            rhs = pw[k + 1] if k + 1 <= N else PSeries.zero(N)
+            yield f"k={k}", PSeries.weighted_total(N, ((s.pdiff(k) * omp, k), (rhs, -a_coeff(k))))
 
     return _first_nonzero("s_pdiff_identity", differences())
 
@@ -769,7 +760,8 @@ def s_pdiff_identity(N: int) -> CheckResult:
 def psi_pdiff_identity(N: int) -> CheckResult:
     """k dpsi_j/dp_k (1-psi_1) = k^j a_k s^k (1-psi_1) + a_k psi_{j+1} s^k."""
     pw = s_powers(N)
-    omp = _one_minus_psi1(N)
+    omp = _one_minus_psi1(N)[0]
+    total = partial(PSeries.weighted_total, N)
 
     def differences():
         for j in range(0, 3):
@@ -777,9 +769,8 @@ def psi_pdiff_identity(N: int) -> CheckResult:
             pj1 = psi_at_s(j + 1, N)
             for k in range(1, min(PDIFF_MAX_K, N) + 1):
                 ak = a_coeff(k)
-                lhs = pj.pdiff(k) * omp * k
-                rhs = pw[k] * (omp * (Fraction(k) ** j * ak) + pj1 * ak)
-                yield f"j={j}, k={k}", lhs - rhs
+                rhs = pw[k] * total(((omp, Fraction(k) ** j * ak), (pj1, ak)))
+                yield f"j={j}, k={k}", total(((pj.pdiff(k) * omp, k), (rhs, -1)))
 
     return _first_nonzero("psi_pdiff_identity", differences())
 
@@ -788,9 +779,10 @@ def g1_xdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     """24 x dG1/dx (1-psi_1)^2 = psi_2 - psi_1 (1-psi_1)."""
     if g1 is None:
         g1 = g1_closed(N)
-    omp = _one_minus_psi1(N)
+    omp, omp2 = _one_minus_psi1(N)
     rhs = psi_at_s(2, N) - psi_at_s(1, N) * omp
-    return _first_nonzero("g1_xdiff_identity", [(None, g1.xdiff() * omp * omp * 24 - rhs)])
+    diff = PSeries.weighted_total(N, ((g1.xdiff() * omp2, 24), (rhs, -1)))
+    return _first_nonzero("g1_xdiff_identity", [(None, diff)])
 
 
 def g1_pdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
@@ -798,15 +790,15 @@ def g1_pdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     if g1 is None:
         g1 = g1_closed(N)
     pw = s_powers(N)
-    omp = _one_minus_psi1(N)
-    omp2 = omp * omp
+    omp, omp2 = _one_minus_psi1(N)
     bracket = psi_at_s(2, N) - omp
+    total = partial(PSeries.weighted_total, N)
 
     def differences():
         for k in range(1, min(PDIFF_MAX_K, N) + 1):
             ak = a_coeff(k)
-            rhs = pw[k] * (omp * ak + bracket * (ak / k))
-            yield f"k={k}", g1.pdiff(k) * omp2 * 24 - rhs
+            rhs = pw[k] * total(((omp, ak), (bracket, ak / k)))
+            yield f"k={k}", total(((g1.pdiff(k) * omp2, 24), (rhs, -1)))
 
     return _first_nonzero("g1_pdiff_identity", differences())
 
@@ -833,20 +825,22 @@ def elem_sym_extraction(max_n: int = 8) -> CheckResult:
     """
     lin = PSeries.from_parts(max_n, {(i,): 1 for i in range(1, max_n + 1)})
     ex = exp(PSeries.from_parts(max_n, {(i,): Fraction(1, i) for i in range(1, max_n + 1)}))
+    lams = [  # theta and e_0..e_m of each lambda, computed once for every k
+        (n, lam, theta(lam), elem_sym(lam)) for n in range(max_n + 1) for lam in partitions_of(n)
+    ]
     power = PSeries.one(max_n)
     for k in range(0, max_n + 1):
         mixed = power * ex
-        for n in range(0, max_n + 1):
-            for lam in partitions_of(n):
-                if k > lam.m:
-                    continue
-                got = Fraction(theta(lam), factorial(k)) * mixed.coeff(n, lam)
-                if got != (want := elem_sym(lam)[k]):
-                    return CheckResult(
-                        "elem_sym_extraction",
-                        False,
-                        f"lambda={lam}, k={k}: got {got}, want {want}",
-                    )
+        for n, lam, th, e in lams:
+            if k > lam.m:
+                continue
+            got = Fraction(th, factorial(k)) * mixed.coeff(n, lam)
+            if got != (want := e[k]):
+                return CheckResult(
+                    "elem_sym_extraction",
+                    False,
+                    f"lambda={lam}, k={k}: got {got}, want {want}",
+                )
         power = power * lin
     return CheckResult("elem_sym_extraction", True)
 

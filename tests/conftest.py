@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 import hypothesis.strategies as st
@@ -22,13 +23,14 @@ def is_canonical(f) -> bool:
     )
 
 
-def fraction_sum(items) -> dict:
-    """The sum of PSeries or WPoly items as Fractions by monomial, folded term by
-    term from left to right without the ring's arithmetic; zeros dropped."""
+def fraction_sum(items, weights=None) -> dict:
+    """The sum of c * f over PSeries or WPoly items f with weights c (each 1 by
+    default) as Fractions by monomial, folded term by term from left to right
+    without the ring's arithmetic; zeros dropped."""
     out: dict = {}
-    for f in items:
+    for f, c in zip(items, weights or repeat(1)):
         for m, v in fraction_view(f).items():
-            out[m] = out.get(m, 0) + v
+            out[m] = out.get(m, 0) + c * v
     return {m: v for m, v in out.items() if v}
 
 

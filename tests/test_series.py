@@ -17,6 +17,7 @@ from hurwitz import (
     log1,
     subst_x,
 )
+from hurwitz import series
 from hurwitz.series import _decode, _encode, _xdeg, fraction_view, monomial_str, powers
 
 from conftest import (
@@ -254,6 +255,18 @@ def with_content_st(N):
 class TestScalarsWithoutAScan:
     """f * c and f.shift(c, ...) reduce without a gcd over the numerators,
     except where the cut dropped terms; both equal the generic route."""
+
+    def test_integer_scalars_never_scan(self, monkeypatch):
+        # the full reduction is unreachable, and scalar 1 returns f itself
+        f = PSeries(TR6, {(1, ((1, 1),)): Fraction(2, 3), (5, ()): Fraction(4, 3)})
+        scalars = (-1, 2, -6, Fraction(6))
+        want = [reduced_scale(f.den, f.terms, c) for c in scalars]
+        monkeypatch.setattr(series, "_reduce", None)
+        assert f * 1 is f
+        for c, (den, terms) in zip(scalars, want):
+            got = f * c
+            assert (got.den, got.terms) == (den, terms)
+            assert f.shift(c, p=((2, 1),)).den == den
 
     def test_a_cut_shift_is_reduced_in_full(self):
         # 1/2 + x^4/6 is 3/6 + 1/6 x^4; x times it keeps only 3/6 x
@@ -509,6 +522,27 @@ class TestTotal:
         # the running sum empties after -f and starts again from g
         got = PSeries.total(TR6, [f, -f, g])
         assert fraction_view(got) == fraction_view(g)
+        assert is_canonical(got)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_equals_the_fraction_fold(self, data):
+        # weights sharing a factor with den or the content, negative and zero
+        items = data.draw(st.lists(with_content_st(TR6), max_size=6))
+        weights = [data.draw(scalars_st(f)) for f in items]
+        got = PSeries.weighted_total(TR6, zip(items, weights))
+        assert fraction_view(got) == fraction_sum(items, weights)
+        assert got.N == TR6
+        assert is_canonical(got)
+
+    @given(cancelling_pair_st(TR6), fractions_st())
+    @settings(max_examples=30, deadline=None)
+    def test_a_weighted_sum_cancels_and_restarts(self, pair, c):
+        f, g = pair
+        # c f and -c/2 (2 f) cancel; the sum restarts from 3 g, and a zero
+        # weight adds nothing, first or later
+        got = PSeries.weighted_total(TR6, [(g, 0), (f, c), (f * 2, -c / 2), (g, 3), (f, 0)])
+        assert fraction_view(got) == fraction_view(g * 3)
         assert is_canonical(got)
 
     def test_empty_is_zero(self):

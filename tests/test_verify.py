@@ -172,6 +172,16 @@ class TestRing:
             assert is_canonical(got)
             assert fraction_view(got) == want
 
+    def test_truncated_product_crosses_the_cut_in_each_variable(self):
+        # at order 2, x_v^2 * x_v crosses the cut in x_v alone, and x1 is
+        # partnered with terms of x1-degree up to 2 - a1 only
+        f = WPoly({(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3, (1, 1, 1): 5, (0, 1, 0): 7}, 2)
+        g = WPoly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1, (1, 1, 0): 1}, 2)
+        sums = [tuple(map(sum, zip(m1, m2))) for m1 in f.terms for m2 in g.terms]
+        for v in range(3):
+            assert any(e[v] > 2 >= max(e[:v] + e[v + 1 :]) for e in sums)
+        assert fraction_view(f * g) == fraction_loop_product(f, g)
+
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
         # (1 + w1)(1 - w1) = 1 - w1^2; at order 1 the w1^2 term is dropped too
         for order, want in ((None, {(0, 0, 0): 1, (2, 0, 0): -1}), (1, {(0, 0, 0): 1})):
@@ -237,6 +247,29 @@ class TestTotal:
         got = WPoly.total(order, (f for f in items))
         assert fraction_view(got) == fraction_sum(items)
         assert got.N == order
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_equals_the_fraction_fold(self, order, data):
+        # weights sharing a factor with den or the content, negative and zero
+        scaled = st.tuples(wpoly_st(order), st.sampled_from([1, 2, 6]))
+        items = [f * k for f, k in data.draw(st.lists(scaled, max_size=6))]
+        weights = [data.draw(scalars_st(f)) for f in items]
+        got = WPoly.weighted_total(order, zip(items, weights))
+        assert fraction_view(got) == fraction_sum(items, weights)
+        assert got.N == order
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_weighted_sum_cancels_and_restarts(self, order, data):
+        f, g = data.draw(wpoly_pair_st(order))
+        c = data.draw(coeff_st())
+        got = WPoly.weighted_total(order, [(g, 0), (f, c), (f * 2, -c / 2), (g, 3), (f, 0)])
+        assert fraction_view(got) == fraction_view(g * 3)
         assert is_canonical(got)
 
     def test_empty_is_zero(self):
@@ -305,8 +338,18 @@ def at_tree_by_monomial(p, order):
     return WPoly.total(order, terms()) * Fraction(1, p.den)
 
 
+def series_gap_by_expansion(expr, direct):
+    """num - direct * den with den expanded as a polynomial, then evaluated at
+    the tree series."""
+    order = direct.N
+    den = WExpr(WPoly.const(1))._lift(expr.den)
+    return verify._at_tree(expr.num, order) - direct * verify._at_tree(den, order)
+
+
 class TestTreeEvaluation:
-    """_at_tree groups monomials by (e1, e2); it equals the per-monomial sum."""
+    """_at_tree groups monomials by (e1, e2); it equals the per-monomial sum.
+    _series_gap evaluates each denominator atom with it, never the expanded
+    denominator; it equals the expanded route."""
 
     def test_on_every_form_the_series_checks_evaluate(self, monkeypatch):
         at_tree, seen = verify._at_tree, []
@@ -316,11 +359,35 @@ class TestTreeEvaluation:
             return at_tree(p, order)
 
         monkeypatch.setattr(verify, "_at_tree", recording)
+        verify._atom_power.cache_clear()
         assert all(closed_form_series_checks(order=10))
-        # a numerator and a lifted denominator for each of a..e and psi_-1..psi_2
-        assert len(seen) == 18
+        # a numerator for each of a..e and psi_-1..psi_2, and once each the
+        # denominator atoms they carry, 1 - w1, 1 - w2 and w1 - w2
+        atoms = [p for p, _ in seen if any(p == atom for atom in verify._ATOMS)]
+        assert atoms == [verify._ATOMS[i] for i in (0, 1, 3)]
+        assert len(seen) == 9 + len(atoms)
         for p, order in seen:
             assert at_tree(p, order) == at_tree_by_monomial(p, order)
+
+    @pytest.mark.parametrize("order", [6, 10])
+    def test_factored_gap_equals_the_expanded_denominator(self, order):
+        direct = verify._series_kernels(order)
+        pairs = list(zip(build_ABCDE(DEFAULT_KERNELS), build_ABCDE(direct)))
+        pairs += [(DEFAULT_KERNELS.psi(m, 1), direct.psi(m, 1)) for m in range(-1, 3)]
+        assert len(pairs) == 9
+        for expr, series in pairs:
+            assert verify._series_gap(expr, series) == series_gap_by_expansion(expr, series)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_factored_gap_on_random_fractions(self, data):
+        den = tuple(data.draw(st.integers(0, bound)) for bound in verify._DEN_BOUND)
+        expr = WExpr(data.draw(wpoly_st(None)), den)
+        order = data.draw(st.integers(1, 6))
+        direct = data.draw(wpoly_st(order))
+        got = verify._series_gap(expr, direct)
+        assert got == series_gap_by_expansion(expr, direct)
+        assert is_canonical(got)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
