@@ -146,13 +146,13 @@ def s_powers(N: int) -> tuple[PSeries, ...]:
     xs = PSeries.x(N)
 
     def lagrange_parts():
-        yield xs  # k = 0 contributes to n = 1 only
+        yield xs, 1  # k = 0 contributes to n = 1 only
         for k, power in enumerate(powers(psi0)[1:N], start=1):
             kf = factorial(k)
             for d, part in power.x_parts().items():
-                yield part.shift(Fraction((d + 1) ** (k - 1), kf), x=1)
+                yield part, Fraction((d + 1) ** (k - 1), kf), xs
 
-    pw = powers(PSeries.total(N, lagrange_parts()))
+    pw = powers(PSeries.weighted_total(N, lagrange_parts()))
     if xs * exp(subst_x(psi0, pw)) != pw[1]:
         raise FixedPointError(
             f"x exp(psi_0(s)) != s at N={N}: the series from the inversion "

@@ -17,26 +17,32 @@ demand.  Genus is no coordinate: only the cut-and-join carries it.
 ``exp``, ``log1`` and ``powers`` require every input monomial to carry
 positive x-degree, which keeps their expansions finite inside the cut.
 ``subst_x`` reads a table built by ``powers`` rather than the inner series,
-so a caller builds each power table once; it sums one ``shift`` of s^d per
-term of the rule, so multiplying by a monomial has one implementation.
+so a caller builds each power table once; each term c x^d p^e of the rule
+adds c s^d p^e to one sum, so multiplying by a p-monomial has one
+implementation.
 
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
 *numerators) == 1, den == 1 for zero, so equal series have equal (den,
-terms).  Every linear combination of series (``ExactRing.weighted_total``;
-``total``, ``+`` and ``-`` have weights 1 and -1) runs in one pass: a
-summand with weight a/b enters over its den * b with a folded into its
-numerators, numerators add up over a running lcm of the denominators that
-rescales the sum only when it grows, and the sum is reduced once at the end.
-Derivations scale numerators, products run their double loop on ints over
-den_a * den_b, visiting only the partners inside the cut (``_partners``),
-and each result is reduced by one gcd over its numerators.  A scalar a/b
-(``*`` by a scalar, ``shift``) skips that scan: the content (gcd of the
-numerators) of a canonical series is prime to den, so the result reduces by
-exactly gcd(den, a) * gcd(b, content): only b > 1 reads the numerators, and
-scalar 1 is no pass at all.  ``shift`` moves and scales each term in one
-pass, unless its cut drops terms: the terms kept may share a factor with
-den, so they are reduced in full first.  Only coefficient reads (``coeff``,
+terms).  Every linear combination (``ExactRing.weighted_total``; ``total``,
+``+`` and ``-`` have weights 1 and -1) is one multiply-accumulate pass: a
+summand c * f, c * f * g or c * f * g * p-monomial with c = a/b enters over
+f.den * g.den * b, with a folded into the sum's rescaling factor, and its
+numerators (or numerator products) are added straight into the running
+numerators, so a product or a p-monomial multiple that feeds a sum is never
+built as a series.  The sum is rescaled only when the lcm of the
+denominators grows; what cancels stays in it until one pass drops the zeros
+and one gcd reduces it at the end.  ``*`` is the same pair loop run into an
+empty sum.  It visits only the partners inside the cut: a right factor's
+terms of each cut degree and below (``ExactRing._partner_lists``), built
+the first time a series is a right factor and kept with it.  Derivations
+scale numerators and are reduced by one gcd.  A scalar a/b (``*`` by a
+scalar, ``shift``) skips that scan: the content (gcd of the numerators) of
+a canonical series is prime to den, so the result reduces by exactly
+gcd(den, a) * gcd(b, content): only b > 1 reads the numerators, and scalar
+1 is no pass at all.  ``shift`` moves and scales each term in one pass,
+unless its cut drops terms: the terms kept may share a factor with den, so
+they are reduced in full first.  Only coefficient reads (``coeff``,
 ``fraction_view``) build Fractions; floating point is never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
@@ -120,34 +126,44 @@ def _scaling(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int
     return den // g * (b // h), h, a // g
 
 
-def _accumulate(den: int, acc: dict, f: "ExactRing", c: Fraction | int) -> tuple[int, dict]:
-    """acc/den + c * f, in acc when acc holds terms (see ``weighted_total``)."""
-    a, fden = _exact(c).numerator, f.den * c.denominator
-    if not a:
+def _accumulate(
+    N: int | None, den: int, acc: dict, f: "ExactRing", c: Fraction | int,
+    g: "ExactRing | None" = None, p: Iterable[tuple[int, int]] = (),
+) -> tuple[int, dict]:
+    """acc/den + c * f * g * p, added into acc (see ``weighted_total``)."""
+    if f.N != N or g is not None and g.N != N:
+        raise TruncationMismatch(f"N={N} vs N={f.N if f.N != N else g.N}")
+    a = _exact(c).numerator
+    if not a or not f.terms or g is not None and not g.terms:
         return den, acc
+    fden = f.den * c.denominator * (1 if g is None else g.den)
+    m = f._p_code(p) if p else 1
     if not acc:
-        return fden, dict(f.terms) if a == 1 else {m: v * a for m, v in f.terms.items()}
-    if den % fden:
+        if g is None and m == 1:
+            return fden, dict(f.terms) if a == 1 else {k: v * a for k, v in f.terms.items()}
+        den = fden
+    elif den % fden:
         grown = lcm(den, fden)
         up, den = grown // den, grown
-        acc = {m: v * up for m, v in acc.items()}
+        acc = {k: v * up for k, v in acc.items()}
     up = den // fden * a
-    for m, v in f.terms.items():
-        if s := acc.get(m, 0) + v * up:
-            acc[m] = s
-        else:
-            del acc[m]
+    if g is not None:
+        f._pairs_into(g, acc, up, m)
+    elif m == 1:
+        for k, v in f.terms.items():
+            acc[k] = acc.get(k, 0) + v * up
+    else:  # a p-monomial has no x, so every moved term stays inside the cut
+        for k, v in f.terms.items():
+            k *= m
+            acc[k] = acc.get(k, 0) + v * up
     return den, acc
 
 
-def _partners(buckets: list[list]) -> list[list]:
-    """lists[k]: the items of buckets[0..k] (a left term of degree d reads lists[N - d])."""
-    lists, B = [], []
-    for bucket in buckets:
-        if bucket:
-            B = B + bucket
-        lists.append(B)
-    return lists
+def _canonical(den: int, acc: dict) -> tuple[int, dict]:
+    """``_reduce`` of an accumulator, whose sums may have cancelled to zero."""
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _reduce(den, acc)
 
 
 def fraction_view(f: "ExactRing") -> dict:
@@ -173,15 +189,16 @@ class ExactRing:
     format of a monomial key.  ``PSeries`` keys monomial codes and cuts the
     x-degree at N.  ``verify.WPoly`` keys exponent triples and cuts
     each variable at N, or nothing when N is None.  A subclass supplies its
-    constructor, ``_products`` (the summed numerator products by monomial,
-    inside the cut), ``_mono_str`` (the text of one monomial) and, when it
-    stores a monomial in private form, ``_decode`` (its public form).
+    constructor, ``_pairs_into`` (a product's pair loop), ``_cut_degree``
+    (the degree of a key in the variable its partner lists are cut by),
+    ``_mono_str`` (the text of one monomial) and, when it stores a monomial
+    in private form, ``_decode`` (its public form).
 
     All binary operations demand the same N; mixing them raises
     TruncationMismatch rather than silently coercing.
     """
 
-    __slots__ = ("N", "den", "terms")
+    __slots__ = ("N", "den", "terms", "_lists")
 
     @classmethod
     def _of(cls, N: int | None, den: int, terms: dict) -> "ExactRing":
@@ -210,6 +227,10 @@ class ExactRing:
     def _decode(mono: Hashable) -> Hashable:
         return mono
 
+    @staticmethod
+    def _p_code(p: Iterable[tuple[int, int]]) -> int:
+        raise TypeError("only a PSeries has p-variables")
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} N={self.N}: {len(self.terms)} terms>"
 
@@ -231,12 +252,31 @@ class ExactRing:
             den, h, a = _scaling(self.den, self.terms, other)
             return self._of(self.N, den, {m: v // h * a for m, v in self.terms.items()})
         self._check(other)
-        acc = self._products(other)
-        if 0 in acc.values():
-            acc = {m: v for m, v in acc.items() if v}
-        return self._of(self.N, *_reduce(self.den * other.den, acc))
+        acc: dict = {}
+        if self.terms and other.terms:
+            self._pairs_into(other, acc, 1, 1)
+        return self._of(self.N, *_canonical(self.den * other.den, acc))
 
     __rmul__ = __mul__
+
+    def _partner_lists(self) -> list[list]:
+        """lists[k]: the terms of degree <= k in the cut variable (a left term of
+        degree d reads lists[N - d]), built the first time self is a right
+        factor and kept as long as self."""
+        try:
+            return self._lists
+        except AttributeError:
+            buckets: list[list] = [[] for _ in range(self.N + 1)]
+            degree = self._cut_degree
+            for item in self.terms.items():
+                buckets[degree(item[0])].append(item)
+            lists, B = [], []
+            for bucket in buckets:
+                if bucket:
+                    B = B + bucket
+                lists.append(B)
+            self._lists = lists
+            return lists
 
     @classmethod
     def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
@@ -244,23 +284,23 @@ class ExactRing:
         return cls.weighted_total(N, ((f, 1) for f in items))
 
     @classmethod
-    def weighted_total(
-        cls, N: int | None, weighted: Iterable[tuple["ExactRing", Fraction | int]]
-    ) -> "ExactRing":
-        """The sum of c * f over the (f, c) pairs, each f cut at N, in one pass.
+    def weighted_total(cls, N: int | None, weighted: Iterable[tuple]) -> "ExactRing":
+        """The sum of the summands c * f, c * f * g or c * f * g * p, each cut at N.
 
-        f with weight a/b enters over f.den * b, a folded into its factor up;
-        zero weights are skipped.  The sum restarts from a scaled copy of a
-        summand whenever it is empty, is rescaled only when the lcm of the
-        denominators grows, and is reduced once at the end.
+        A summand is a tuple (f, c), (f, c, g) or (f, c, g, p): series f and
+        g (g None for no factor), an exact weight c = a/b and a p-monomial p
+        given as ((i, e), ...) (PSeries only).  It enters over f.den * g.den
+        * b with a folded into the sum's rescaling factor up, which
+        multiplies each left numerator once, so a product or a multiple is
+        never built as a series.  Zero weights and empty factors are
+        skipped.  The sum is rescaled only when the lcm of the denominators
+        grows, keeps what cancels until the end, and is reduced once.
         """
         den, acc = 1, {}
-        for f, c in weighted:
-            if f.N != N:
-                raise TruncationMismatch(f"N={N} vs N={f.N}")
-            den, acc = _accumulate(den, acc, f, c)
-            del f  # a summand made for this sum is freed before the next is made
-        return cls._of(N, *_reduce(den, acc))
+        for summand in weighted:
+            den, acc = _accumulate(N, den, acc, *summand)
+            del summand  # a summand made for this sum is freed before the next is made
+        return cls._of(N, *_canonical(den, acc))
 
     def lead_str(self) -> str:
         """The lexicographically first monomial as text ("0" for zero): a witness."""
@@ -299,6 +339,8 @@ class PSeries(ExactRing):
 
     _mono_str = staticmethod(monomial_str)
     _decode = staticmethod(_decode)
+    _cut_degree = staticmethod(_xdeg)
+    _p_code = staticmethod(prime_code)
 
     # -- constructors ------------------------------------------------------
 
@@ -339,20 +381,16 @@ class PSeries(ExactRing):
 
     # -- ring operations ---------------------------------------------------
 
-    def _products(self, other: "PSeries") -> dict[int, int]:
-        N = self.N
-        # (c & -c).bit_length() is 1 + the x-degree of c (_xdeg inlined)
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
-        for item in other.terms.items():
-            c = item[0]
-            buckets[(c & -c).bit_length() - 1].append(item)
-        partners = _partners(buckets)
-        acc: dict[int, int] = {}
+    def _pairs_into(self, other: "PSeries", acc: dict[int, int], up: int, m: int) -> None:
+        """acc[key] += up * a * b for each pair inside the cut, key = c1 * c2 * m."""
+        N, partners = self.N, other._partner_lists()
+        # (c & -c).bit_length() is 1 + the x-degree of c (_xdeg inlined); m is odd
         for c1, a in self.terms.items():
+            a *= up
+            c1 *= m
             for c2, b in partners[N + 1 - (c1 & -c1).bit_length()]:
                 key = c1 * c2
                 acc[key] = acc.get(key, 0) + a * b
-        return acc
 
     def shift(
         self,
@@ -389,7 +427,7 @@ class PSeries(ExactRing):
 
     def x_parts(self) -> dict[int, "PSeries"]:
         """Split into x-degree parts, each keeping its x factor (``subst_x``
-        reads f term by term instead, one ``shift`` of s^d per term)."""
+        reads f term by term instead)."""
         buckets: dict[int, dict[int, int]] = {}
         for c, v in self.terms.items():
             buckets.setdefault(_xdeg(c), {})[c] = v
@@ -425,7 +463,7 @@ def exp(f: PSeries) -> PSeries:
     dfparts = f.xdiff().x_parts()
     gparts: list[PSeries] = [PSeries.one(N)]
     for d in range(1, N + 1):
-        terms = ((dfe * gparts[d - e], Fraction(1, d)) for e, dfe in dfparts.items() if e <= d)
+        terms = ((dfe, Fraction(1, d), gparts[d - e]) for e, dfe in dfparts.items() if e <= d)
         gparts.append(PSeries.weighted_total(N, terms))
     return PSeries.total(N, gparts)
 
@@ -442,7 +480,7 @@ def log1(f: PSeries) -> PSeries:
     zero = PSeries.zero(N)
     hparts: list[PSeries] = [zero]
     for d in range(1, N + 1):
-        corr = ((fe * hparts[d - e], -1) for e, fe in fparts.items() if e < d)
+        corr = ((fe, -1, hparts[d - e]) for e, fe in fparts.items() if e < d)
         hparts.append(PSeries.weighted_total(N, chain(((dfparts.get(d, zero), 1),), corr)))
     return PSeries.weighted_total(N, ((h, Fraction(1, d)) for d, h in enumerate(hparts) if d))
 
@@ -460,10 +498,10 @@ def subst_x(f: PSeries, pw: Sequence[PSeries]) -> PSeries:
     """Substitute x -> s in f, given the power table pw = powers(s).
 
     f is read as the rule x-degree d -> coefficient: each term c x^d p^e of
-    f adds ``pw[d].shift(c, p=e)``, s^d times its p-monomial, to one total.
-    The shift has no x, so nothing leaves the cut.
+    f adds c s^d p^e, s^d times its p-monomial, straight into one weighted
+    total.  The p-monomial has no x, so nothing leaves the cut.
     """
     f._check(pw[0])
-    return PSeries.total(
-        f.N, (pw[d].shift(c, p=pexp) for (d, pexp), c in fraction_view(f).items())
+    return PSeries.weighted_total(
+        f.N, ((pw[d], c, None, pexp) for (d, pexp), c in fraction_view(f).items())
     )

@@ -72,7 +72,7 @@ from .closedform import (
     s_series,
 )
 from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import ExactRing, PSeries, _integer_form, _partners, exp
+from .series import ExactRing, PSeries, _integer_form, exp
 
 _ZERO = Fraction(0)
 
@@ -175,24 +175,23 @@ class WPoly(ExactRing):
         """sum_d coeffs[d] x_v^d, cut at N."""
         return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, N)
 
-    def _products(self, other: "WPoly") -> dict[Mono, int]:
+    _cut_degree = operator.itemgetter(0)  # partner lists are cut in x1
+
+    def _pairs_into(self, other: "WPoly", acc: dict[Mono, int], up: int, m: int) -> None:
+        """acc[key] += up * a * b for each pair inside the cut (WPoly has no p, m is 1)."""
         L = self.N
         if L is None:
             L, B = _NO_CAP, other.terms.items()
         else:  # only partners inside the cut in x1, so only x2 and x3 are tested
-            buckets: list[list[tuple[Mono, int]]] = [[] for _ in range(L + 1)]
-            for item in other.terms.items():
-                buckets[item[0][0]].append(item)
-            partners = _partners(buckets)
-        acc: dict[Mono, int] = {}
+            partners = other._partner_lists()
         for (a1, a2, a3), a in self.terms.items():
+            a *= up
             for (b1, b2, b3), b in B if L is _NO_CAP else partners[L - a1]:
                 e2, e3 = a2 + b2, a3 + b3
                 if e2 > L or e3 > L:
                     continue
                 key = (a1 + b1, e2, e3)
                 acc[key] = acc.get(key, 0) + a * b
-        return acc
 
     def _mono_str(self, mono: Mono) -> str:
         name = "w" if self.N is None else "x"
@@ -360,13 +359,13 @@ def build_ABCDE(kernels: KernelForms = DEFAULT_KERNELS) -> tuple[Image, ...]:
 
 
 # -- the degree-1..3 vanishing combinations, for either route ---------------
-# Each is a lazy sequence of (image, weight) pairs: the series route sums it
-# with WPoly.weighted_total, the exact route with _fold.
+# Each is a lazy sequence of summands (f, c) and (f, c, g), c * f or c * f * g:
+# the series route sums it with WPoly.weighted_total, the exact route with _fold.
 
 
-def _fold(weighted: Iterable[tuple[WExpr, int]]) -> WExpr:
-    """sum c * f over the (f, c) pairs of closed forms, added two at a time."""
-    return reduce(operator.add, (f if c == 1 else f * c for f, c in weighted))
+def _fold(weighted: Iterable[tuple]) -> WExpr:
+    """sum c * f (* g) over the summands of closed forms, added two at a time."""
+    return reduce(operator.add, (reduce(operator.mul, (f, *g)) * c for f, c, *g in weighted))
 
 
 def _u1_terms(k: KernelForms) -> Iterable[tuple[Image, int]]:
@@ -379,8 +378,8 @@ def _u2_terms(k: KernelForms) -> Iterator[tuple[Image, int]]:
     yield k.e(1, 2), -1
     pairs = ((psi0, psi1, 1), (psi0, psi2, 1), (psi1, k.a, 24), (psi1, k.b, 1))
     for f, g, c in pairs + ((psi1, k.d, -1), (psi2, k.d, -1)):
-        yield f(1) * g(2), c  # symmetrized over the two slots
-        yield f(2) * g(1), c
+        yield f(1), c, g(2)  # symmetrized over the two slots
+        yield f(2), c, g(1)
 
 
 # Each slot t of three with the other two, in order.
@@ -392,9 +391,9 @@ def _u3_terms(k: KernelForms) -> Iterator[tuple[Image, int]]:
         psi1 = k.psi(1, t)
         # -12 psi1(a) psi1(b) a(t) over the six orders of (a, b, t) is
         # symmetric in a and b: three rotations with weight -24
-        yield k.psi(1, va) * k.psi(1, vb) * k.a(t), -24
-        yield psi1 * k.c(va, vb), -1
-        yield (psi1 + k.psi(2, t)) * k.e(va, vb), 1
+        yield k.psi(1, va) * k.psi(1, vb), -24, k.a(t)
+        yield psi1, -1, k.c(va, vb)
+        yield psi1 + k.psi(2, t), 1, k.e(va, vb)
 
 
 # -- the exact route ----------------------------------------------------------
@@ -466,24 +465,27 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
     """The polynomial p(w1, w2, w3) with each w_v set to the tree series in x_v.
 
     Horner-style by variable: p's monomials are grouped by (e1, e2), each
-    group's w3-polynomial is one weighted total of tree powers, and it is
-    multiplied once by w2^e2; each e1 group of those is multiplied once by w1^e1.
+    group's w3-polynomial is one weighted total of tree powers, and it enters
+    its e1 group's sum times w2^e2; each e1 group enters the result times w1^e1.
     """
     rows: dict[int, dict[int, list[tuple[WPoly, int]]]] = {}
     one = WPoly.const(1, order)
     for (e1, e2, e3), c in p.terms.items():
         w3 = _w_power(3, e3, order) if e3 else one
         rows.setdefault(e1, {}).setdefault(e2, []).append((w3, c))
-    by_e1 = []
-    for e1, by_e2 in rows.items():
-        by_e2_sums = []
-        for e2, row in by_e2.items():
-            f = WPoly.weighted_total(order, row)
-            by_e2_sums.append(f * _w_power(2, e2, order) if e2 else f)
-        f = WPoly.total(order, by_e2_sums)
-        by_e1.append((f * _w_power(1, e1, order) if e1 else f, Fraction(1, p.den)))
+
+    def power(v: int, e: int) -> WPoly | None:
+        return _w_power(v, e, order) if e else None
+
+    def e1_sums() -> Iterator[tuple]:
+        for e1, by_e2 in rows.items():
+            e2_sums = (
+                (WPoly.weighted_total(order, row), 1, power(2, e2)) for e2, row in by_e2.items()
+            )
+            yield WPoly.weighted_total(order, e2_sums), Fraction(1, p.den), power(1, e1)
+
     # the sum runs over p's numerators; divide by its denominator in the same pass
-    return WPoly.weighted_total(order, by_e1)
+    return WPoly.weighted_total(order, e1_sums())
 
 
 def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:
@@ -654,26 +656,21 @@ def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
     pw = s_powers(N)
 
     def summands():
-        yield g1.xdiff()
+        # products and p-multiples enter the sum directly; empty factors are skipped
+        yield g1.xdiff(), 1
         for i in range(1, N + 1):
-            if not dg[i].is_zero:
-                yield dg[i].shift(1, p=((i, 1),))
+            yield dg[i], 1, None, ((i, 1),)
         for k in range(2, N + 1):
             for i in range(1, k):
-                j = k - i
-                if df0[i].is_zero or dg[j].is_zero:
-                    continue
-                yield (df0[i] * dg[j]).shift(-i * j, p=((k, 1),))
+                yield df0[i], -i * (k - i), dg[k - i], ((k, 1),)
         for k in range(2, N + 1):
-            if dg[k].is_zero:
-                continue
             for i in range(1, k):
-                yield dg[k].shift(Fraction(-k, 2), p=((i, 1), (k - i, 1)))
+                yield dg[k], Fraction(-k, 2), None, ((i, 1), (k - i, 1))
         for k in range(2, N + 1):
             coef = sum((a_coeff(i) * a_coeff(k - i) for i in range(1, k)), _ZERO)
-            yield pw[k].shift(-coef / (2 * k), p=((k, 1),))
+            yield pw[k], -coef / (2 * k), None, ((k, 1),)
 
-    return PSeries.total(N, summands())
+    return PSeries.weighted_total(N, summands())
 
 
 def kernel_recombination(N: int) -> CheckResult:
@@ -687,36 +684,31 @@ def kernel_recombination(N: int) -> CheckResult:
     exact polynomial route and the symmetrized series.
     """
     pw = s_powers(N)
+    total = partial(PSeries.weighted_total, N)
 
     def one_slot(name: str) -> PSeries:
         # sum_k [y_k] p_k s^k
-        terms = (pw[k].shift(_linear_coeff(name, k), p=((k, 1),)) for k in range(2, N + 1))
-        return PSeries.total(N, terms)
+        return total((pw[k], _linear_coeff(name, k), None, ((k, 1),)) for k in range(2, N + 1))
 
     def two_slot(name: str) -> PSeries:
         # sum over ordered pairs (k, m) of [y_k y_m] p_k p_m s^(k+m)
-        terms = (
-            pw[k + m].shift(_cross_coeff(name, k, m), p=((k, 1), (m, 1)))
+        return total(
+            (pw[k + m], _cross_coeff(name, k, m), None, ((k, 1), (m, 1)))
             for k in range(1, N)
             for m in range(1, N - k + 1)
         )
-        return PSeries.total(N, terms)
 
     a_ser, b_ser, d_ser = map(one_slot, "abd")
     c_ser, e_ser = map(two_slot, "ce")
     psi0, psi1, psi2 = (psi_at_s(i, N) for i in range(3))
     psi12, psi1_a = psi1 + psi2, psi1 * a_ser
-
-    def combination(*triples: tuple[PSeries, PSeries | int, int]) -> PSeries:
-        # sum of c * f * g, each product made as the sum reads it (g = 1 multiplies nothing)
-        return PSeries.weighted_total(N, ((f * g, c) for f, g, c in triples))
-
-    u1 = combination((psi2, 1, 1), (psi0, 1, -1), (a_ser, 1, -12), (b_ser, 1, -1), (d_ser, 1, 1))
-    u2 = combination(
-        (psi0, psi12, 1), (psi1_a, 1, 24), (psi1, b_ser, 1), (c_ser, 1, 1),
-        (psi12, d_ser, -1), (e_ser, 1, -1),
-    )
-    u3 = combination((psi1, psi1_a, -12), (psi1, c_ser, -1), (psi12, e_ser, 1))
+    # summands (f, c) and (f, c, g): each product enters its sum as it is read
+    u1 = total(((psi2, 1), (psi0, -1), (a_ser, -12), (b_ser, -1), (d_ser, 1)))
+    u2 = total((
+        (psi0, 1, psi12), (psi1_a, 24), (psi1, 1, b_ser), (c_ser, 1), (psi12, -1, d_ser),
+        (e_ser, -1),
+    ))
+    u3 = total(((psi1, -12, psi1_a), (psi1, -1, c_ser), (psi12, 1, e_ser)))
     return _first_nonzero(
         "kernel_recombination", (("degree 1", u1), ("degree 2", u2), ("degree 3", u3))
     )
@@ -740,7 +732,8 @@ def s_xdiff_identity(N: int) -> CheckResult:
     """x ds/dx * (1 - psi_1) = s."""
     s = s_series(N)
     omp = _one_minus_psi1(N)[0]
-    return _first_nonzero("s_xdiff_identity", [(None, s.xdiff() * omp - s)])
+    diff = PSeries.weighted_total(N, ((s.xdiff(), 1, omp), (s, -1)))
+    return _first_nonzero("s_xdiff_identity", [(None, diff)])
 
 
 def s_pdiff_identity(N: int) -> CheckResult:
@@ -752,7 +745,7 @@ def s_pdiff_identity(N: int) -> CheckResult:
     def differences():
         for k in range(1, N + 1):
             rhs = pw[k + 1] if k + 1 <= N else PSeries.zero(N)
-            yield f"k={k}", PSeries.weighted_total(N, ((s.pdiff(k) * omp, k), (rhs, -a_coeff(k))))
+            yield f"k={k}", PSeries.weighted_total(N, ((s.pdiff(k), k, omp), (rhs, -a_coeff(k))))
 
     return _first_nonzero("s_pdiff_identity", differences())
 
@@ -769,8 +762,8 @@ def psi_pdiff_identity(N: int) -> CheckResult:
             pj1 = psi_at_s(j + 1, N)
             for k in range(1, min(PDIFF_MAX_K, N) + 1):
                 ak = a_coeff(k)
-                rhs = pw[k] * total(((omp, Fraction(k) ** j * ak), (pj1, ak)))
-                yield f"j={j}, k={k}", total(((pj.pdiff(k) * omp, k), (rhs, -1)))
+                rhs = total(((omp, Fraction(k) ** j * ak), (pj1, ak)))
+                yield f"j={j}, k={k}", total(((pj.pdiff(k), k, omp), (pw[k], -1, rhs)))
 
     return _first_nonzero("psi_pdiff_identity", differences())
 
@@ -780,8 +773,8 @@ def g1_xdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     if g1 is None:
         g1 = g1_closed(N)
     omp, omp2 = _one_minus_psi1(N)
-    rhs = psi_at_s(2, N) - psi_at_s(1, N) * omp
-    diff = PSeries.weighted_total(N, ((g1.xdiff() * omp2, 24), (rhs, -1)))
+    summands = ((g1.xdiff(), 24, omp2), (psi_at_s(2, N), -1), (psi_at_s(1, N), 1, omp))
+    diff = PSeries.weighted_total(N, summands)
     return _first_nonzero("g1_xdiff_identity", [(None, diff)])
 
 
@@ -797,8 +790,8 @@ def g1_pdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     def differences():
         for k in range(1, min(PDIFF_MAX_K, N) + 1):
             ak = a_coeff(k)
-            rhs = pw[k] * total(((omp, ak), (bracket, ak / k)))
-            yield f"k={k}", total(((g1.pdiff(k) * omp2, 24), (rhs, -1)))
+            rhs = total(((omp, ak), (bracket, ak / k)))
+            yield f"k={k}", total(((g1.pdiff(k), 24, omp2), (pw[k], -1, rhs)))
 
     return _first_nonzero("g1_pdiff_identity", differences())
 

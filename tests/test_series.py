@@ -557,6 +557,104 @@ class TestTotal:
             PSeries.total(TR8, [PSeries.one(TR6)])
 
 
+def summand_st(N):
+    """A lazy summand (f, c), (f, c, g), (f, c, None, p) or (f, c, g, p), g
+    sometimes empty, with a weight that may share a factor with either den."""
+
+    def weighted(fgp):
+        f, g, p = fgp
+        dens = st.sampled_from([f.den, 1 if g is None else g.den])
+        c = st.one_of(scalars_st(f), dens.flatmap(lambda d: st.integers(-3, 3).map(d.__mul__)))
+        return c.map(lambda c: (f, c, g, p) if p else (f, c) if g is None else (f, c, g))
+
+    g = st.one_of(st.none(), st.just(PSeries.zero(N)), with_content_st(N))
+    return st.tuples(with_content_st(N), g, st.one_of(st.just(()), pexp_st(N))).flatmap(weighted)
+
+
+def eager(f, c, g=None, p=()):
+    """The summand built as a series, the way the sum avoids."""
+    return (f if g is None else f * g).shift(1, p=p), c
+
+
+class TestMultiplyAccumulate:
+    """weighted_total adds products and p-monomial multiples straight into
+    the sum; the result equals the sum of the series built one by one."""
+
+    @given(st.lists(summand_st(TR6), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_lazy_summands_equal_the_eager_fold(self, summands):
+        got = PSeries.weighted_total(TR6, iter(summands))
+        items, weights = zip(*(eager(*s) for s in summands)) if summands else ((), ())
+        assert fraction_view(got) == fraction_sum(items, weights)
+        assert got.N == TR6
+        assert is_canonical(got)
+
+    @given(cancelling_pair_st(TR6), series_st(TR6, 4), fractions_st(), pexp_st(TR6))
+    @settings(max_examples=40, deadline=None)
+    def test_products_cancel_inside_the_sum_and_restart(self, pair, h, c, p):
+        f, g = pair
+        a, b = (f + g) * Fraction(1, 2), (f - g) * Fraction(1, 2)
+        # (a + b)(a - b) - a a + b b: the cross pairs cancel inside the first
+        # product, the rest against the next two
+        got = PSeries.weighted_total(TR6, [(f, 1, g), (a, -1, a), (b, 1, b)])
+        assert got.is_zero
+        assert is_canonical(got)
+        # a sum that cancels to zero goes on from there
+        got = PSeries.weighted_total(TR6, [(f, c, g), (f * g, -c), (h, 3, None, p), (h, 0, g)])
+        assert fraction_view(got) == fraction_view(h.shift(3, p=p))
+        assert is_canonical(got)
+
+    def test_zero_weights_and_empty_factors_add_nothing(self):
+        f, zero = xp1(TR6), PSeries.zero(TR6)
+        summands = [(f, 0, f), (zero, 5, f), (f, 5, zero, ((2, 1),)), (f, 2, None, ((2, 1),))]
+        want = PSeries.term(TR6, 2, x=1, p=((1, 1), (2, 1)))
+        assert PSeries.weighted_total(TR6, summands) == want
+
+    def test_mixed_truncations_rejected_in_either_factor(self):
+        six, eight = PSeries.one(TR6), PSeries.one(TR8)
+        p1 = ((1, 1),)
+        for summand in ((eight, 1, six), (six, 1, eight), (six, 0, eight), (eight, 1, None, p1)):
+            with pytest.raises(TruncationMismatch):
+                PSeries.weighted_total(TR6, [summand])
+
+
+class TestPartnerLists:
+    """A right factor's partner lists are built once and kept with it."""
+
+    def test_pinned_products_on_the_cut(self):
+        # every pair of degrees d1 + d2 = N = 3 is kept and every d1 + d2 = 4
+        # dropped, so a partner bound one off either way changes the product
+        f = PSeries(3, {(0, ()): 1, (1, ((1, 1),)): 2, (2, ()): 3, (3, ((2, 1),)): 5})
+        g = PSeries(3, {(0, ((3, 1),)): 7, (1, ()): 11, (2, ((1, 1),)): 13, (3, ()): 17})
+        want = {
+            (0, ((3, 1),)): 7, (1, ()): 11, (1, ((1, 1), (3, 1))): 14, (2, ((1, 1),)): 35,
+            (2, ((3, 1),)): 21, (3, ()): 50, (3, ((1, 2),)): 26, (3, ((2, 1), (3, 1))): 35,
+        }
+        for _ in range(2):
+            assert fraction_view(f * g) == want
+        assert fraction_view(g * f) == want
+        assert fraction_view(f * g) == want
+
+    @given(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_right_factors_give_the_same_products(self, f, g):
+        want = fraction_loop_product(f, g)
+        assert fraction_view(f * g) == want
+        assert fraction_view(f * g) == want  # g's lists kept
+        assert fraction_view(g * f) == fraction_loop_product(g, f)
+        assert fraction_view(f * g) == want  # after g was a left factor
+
+    @given(series_st(TR_SMALL, max_terms=8), series_st(TR_SMALL, max_terms=8), fractions_st())
+    @settings(max_examples=40, deadline=None)
+    def test_derived_series_carry_no_lists_of_their_own_source(self, f, g, c):
+        f * g  # g's lists are built
+        derived = [PSeries._of(g.N, g.den, g.terms), -g, g * 3, g * c]
+        derived += [g.shift(2, x=1), g.shift(p=((1, 1),))]
+        for h in derived:
+            assert h is g or not hasattr(h, "_lists")  # g * 1 is g itself
+            assert fraction_view(f * h) == fraction_loop_product(f, h)
+
+
 class TestSubstitutionByShifts:
     """subst_x sums shifts of s^d, one per term of the rule; the reference
     multiplies s^d by the whole p-content of each x-part."""

@@ -182,6 +182,18 @@ class TestRing:
             assert any(e[v] > 2 >= max(e[:v] + e[v + 1 :]) for e in sums)
         assert fraction_view(f * g) == fraction_loop_product(f, g)
 
+    def test_pinned_products_on_the_cut(self):
+        # at order 2, every pair of x1-degrees summing to 2 is kept and every
+        # pair summing to 3 dropped, so a partner bound one off either way
+        # changes the product; g's partner lists are kept and read again
+        f = WPoly({(0, 0, 0): 1, (1, 0, 1): 2, (2, 1, 0): 3}, 2)
+        g = WPoly({(0, 1, 0): 5, (1, 0, 0): 7, (2, 0, 1): 11}, 2)
+        want = {(0, 1, 0): 5, (1, 0, 0): 7, (2, 0, 1): 11 + 14, (1, 1, 1): 10, (2, 2, 0): 15}
+        for _ in range(2):
+            assert fraction_view(f * g) == want
+        assert fraction_view(g * f) == want
+        assert fraction_view(f * g) == want
+
     def test_cancelling_and_overflowing_terms_are_not_stored(self):
         # (1 + w1)(1 - w1) = 1 - w1^2; at order 1 the w1^2 term is dropped too
         for order, want in ((None, {(0, 0, 0): 1, (2, 0, 0): -1}), (1, {(0, 0, 0): 1})):
@@ -271,6 +283,50 @@ class TestTotal:
         got = WPoly.weighted_total(order, [(g, 0), (f, c), (f * 2, -c / 2), (g, 3), (f, 0)])
         assert fraction_view(got) == fraction_view(g * 3)
         assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_products_equal_the_eager_fold(self, order, data):
+        # summands (f, c) and (f, c, g), g sometimes empty, with weights that
+        # may share a factor with either den
+        factor = st.one_of(st.none(), st.just(WPoly(N=order)), wpoly_st(order))
+        pairs = data.draw(st.lists(st.tuples(wpoly_st(order), factor), max_size=6))
+        summands, items, weights = [], [], []
+        for f, g in pairs:
+            f = f * data.draw(st.sampled_from([1, 2, 6]))
+            c = data.draw(st.one_of(scalars_st(f), scalars_st(f if g is None else g)))
+            summands.append((f, c) if g is None else (f, c, g))
+            items.append(f if g is None else f * g)
+            weights.append(c)
+        got = WPoly.weighted_total(order, iter(summands))
+        assert fraction_view(got) == fraction_sum(items, weights)
+        assert got.N == order
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_products_cancel_inside_the_sum_and_restart(self, order, data):
+        a, b, h = (data.draw(wpoly_st(order)) for _ in range(3))
+        c = data.draw(coeff_st())
+        # (a + b)(a - b) - a a + b b: the cross pairs cancel inside the first
+        # product, the rest against the next two
+        got = WPoly.weighted_total(order, [(a + b, 1, a - b), (a, -1, a), (b, 1, b)])
+        assert got.is_zero
+        assert is_canonical(got)
+        # a sum that cancels to zero goes on from there
+        got = WPoly.weighted_total(order, [(a, c, b), (a * b, -c), (h, 3), (h, 0, b)])
+        assert fraction_view(got) == fraction_view(h * 3)
+        assert is_canonical(got)
+
+    def test_mixed_truncations_and_p_monomials_rejected(self):
+        exact, cut = WPoly.var(1), WPoly.univariate([1, 1], 1, 8)
+        for summand in ((exact, 1, cut), (cut, 1, exact), (cut, 0, exact)):
+            with pytest.raises(TruncationMismatch):
+                WPoly.weighted_total(8, [summand])
+        with pytest.raises(TypeError, match="p-variables"):
+            WPoly.weighted_total(None, [(exact, 1, None, ((1, 1),))])
 
     def test_empty_is_zero(self):
         for order in (None, 3):
