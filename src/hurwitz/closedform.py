@@ -20,9 +20,17 @@ the way Goulden and Jackson obtain the genus-0 counts.  ``s_powers`` is the
 one place that builds s: it builds the power table s^0 .. s^N once and
 certifies s exactly against it (x exp(psi_0(s, p)) must give back s,
 otherwise FixedPointError is raised).  Every series written in s (psi_i at
-s, dF_0/dp_k) is a rule in x read at x -> s through that table
-(``series.subst_x``).  The one-part series psi_i, whose weights
+s, dF_0/dp_k, and the right sides x^k (c (1 - psi_1) + b psi_i) of
+``verify``'s pdiff identities, ``_rule_at_s``) is a rule in x read at
+x -> s through that table (``series.subst_x``); no series in s is
+multiplied to build one.  The one-part series psi_i, whose weights
 a_r = r^r/(r-1)! drive the closed formulas, are built here too.
+
+The termwise series (``g1_defn``, ``f0_series``) are built in integers:
+mu_g(alpha)/r! has no r! left in it, so each partition gives one integer
+pair (``_OVER_R``), and the series brings the pairs to one denominator and
+reduces once (``PSeries.from_part_pairs``).  ``mu0`` and ``mu1`` multiply
+the same pairs by r!, so each formula is written once.
 
 The genus-0 series enters the verification through its first p-derivatives
 
@@ -77,28 +85,46 @@ def _bracket(alpha: Partition) -> int:
     return val
 
 
-def mu0(alpha: Partition) -> Fraction:
-    """Genus-0 Hurwitz number (n+m-2)! n^(m-3) prod a_{alpha_i} / theta(alpha).
+def _mu0_over_r(alpha: Partition) -> tuple[int, int]:
+    """mu_0(alpha)/r!, r = n+m-2: n^(m-3) prod a_{alpha_i} / theta(alpha), as (num, den).
 
-    |C_alpha|/n! is 1/theta(alpha); the product is kept in integers and
-    n^(m-3) moves to the denominator for m < 3, so one Fraction is built.
+    |C_alpha|/n! is 1/theta(alpha); n^(m-3) moves to the denominator for m < 3.
     """
-    n, m, r = alpha.n, alpha.m, factorization_length(alpha, 0)
+    n, m = alpha.n, alpha.m
     num, den = _prod_a(alpha)
-    num *= factorial(r)
     den *= theta(alpha)
     if m >= 3:
         num *= n ** (m - 3)
     else:
         den *= n ** (3 - m)
-    return Fraction(num, den)
+    return num, den
+
+
+def _mu1_over_r(alpha: Partition) -> tuple[int, int]:
+    """mu_1(alpha)/r!, r = n+m: prod a_{alpha_i} * bracket / (24 theta(alpha)), as (num, den)."""
+    num, den = _prod_a(alpha)
+    return num * _bracket(alpha), 24 * den * theta(alpha)
+
+
+# mu_g(alpha)/r! by genus, in integers: the termwise series read these, and
+# mu0 and mu1 multiply them by r!.
+_OVER_R = (_mu0_over_r, _mu1_over_r)
+
+
+def _times_r_factorial(alpha: Partition, g: int) -> Fraction:
+    r = factorization_length(alpha, g)
+    num, den = _OVER_R[g](alpha)
+    return Fraction(num * factorial(r), den)
+
+
+def mu0(alpha: Partition) -> Fraction:
+    """Genus-0 Hurwitz number (n+m-2)! n^(m-3) prod a_{alpha_i} / theta(alpha)."""
+    return _times_r_factorial(alpha, 0)
 
 
 def mu1(alpha: Partition) -> Fraction:
     """Genus-1 Hurwitz number (n+m)! prod a_{alpha_i} * bracket / (24 theta(alpha))."""
-    r = factorization_length(alpha, 1)
-    num, den = _prod_a(alpha)
-    return Fraction(num * factorial(r) * _bracket(alpha), 24 * den * theta(alpha))
+    return _times_r_factorial(alpha, 1)
 
 
 # The closed formulas by genus: the closed engine serves exactly g < len(MU).
@@ -166,26 +192,38 @@ def s_series(N: int) -> PSeries:
     return s_powers(N)[1]
 
 
-# psi_0..psi_3 per N (`verify --N 16`: 4).
-@lru_cache(maxsize=64)
+# psi_0..psi_2 per N (`verify --N 16`: 3).
+@lru_cache(maxsize=48)
 def psi_at_s(i: int, N: int) -> PSeries:
     """psi_i evaluated at x -> s, still a series in x and p."""
     return subst_x(psi(i, N), s_powers(N))
+
+
+# The rules psi_1..psi_3 that ``_rule_at_s`` reads, per N (`verify --N 16`: 3).
+@lru_cache(maxsize=48)
+def _psi_rule(i: int, N: int) -> PSeries:
+    return psi(i, N)
+
+
+def _rule_at_s(k: int, N: int, c: Fraction | int, b: Fraction | int, i: int) -> PSeries:
+    """x^k (c (1 - psi_1) + b psi_i) read at x -> s, the right side of a pdiff
+    identity in ``verify``: a rule in x, read once through ``s_powers(N)``."""
+    one, psi1 = PSeries.one(N), _psi_rule(1, N)
+    rule = PSeries.weighted_total(N, ((one, c), (psi1, -c), (_psi_rule(i, N), b)))
+    return subst_x(rule.shift(x=k), s_powers(N))
 
 
 def _formula_series(N: int, g: int) -> PSeries:
     """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = factorization_length(alpha, g).
 
     r is the number of transpositions, so multiplying a coefficient by
-    n! r!/|C_alpha| recovers c_g(alpha).
+    n! r!/|C_alpha| recovers c_g(alpha).  Each coefficient is an integer
+    pair (``_OVER_R``); the series brings them to one denominator and
+    reduces once.
     """
-    return PSeries.from_parts(
-        N,
-        {
-            alpha: MU[g](alpha) / factorial(factorization_length(alpha, g))
-            for n in range(1, N + 1)
-            for alpha in partitions_of(n)
-        },
+    over_r = _OVER_R[g]
+    return PSeries.from_part_pairs(
+        N, {alpha.parts: over_r(alpha) for n in range(1, N + 1) for alpha in partitions_of(n)}
     )
 
 

@@ -7,7 +7,8 @@ the i-th odd prime (the odd part is ``partitions.prime_code``): unique
 factorization makes it injective, a product of monomials is the product of
 their codes, and d is the number of trailing zero bits.  The code is
 private: other modules build series from
-``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``) or single
+``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``, or
+``PSeries.from_part_pairs`` with integer (num, den) coefficients) or single
 monomials (``PSeries.term``) and read them back in that form
 (``fraction_view``).  Monomials above x^N are dropped (never rounded); no
 operation lowers the x-degree, so every kept coefficient is that of the
@@ -279,6 +280,17 @@ class ExactRing:
             return lists
 
     @classmethod
+    def _of_pairs(cls, N: int | None, items: Iterable[tuple[Hashable, int, int]]) -> "ExactRing":
+        """The sum of num/den at key over items (key, num, den) of ints, den > 0:
+        brought to the lcm denominator, repeated keys added, reduced once.
+        Keys are in the ring's own format and inside the cut, unchecked."""
+        items = list(items)
+        den, acc = lcm(*(d for _, _, d in items)), {}
+        for key, num, d in items:
+            acc[key] = acc.get(key, 0) + num * (den // d)
+        return cls._of(N, *_canonical(den, acc))
+
+    @classmethod
     def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
         """The sum of items, each cut at N, in one pass (zero when items is empty)."""
         return cls.weighted_total(N, ((f, 1) for f in items))
@@ -378,6 +390,28 @@ class PSeries(ExactRing):
         return PSeries(
             N, {(sum(parts), tuple((a, 1) for a in parts)): c for parts, c in coeffs.items()}
         )
+
+    @staticmethod
+    def from_part_pairs(
+        N: int, coeffs: Mapping[Iterable[int], tuple[int, int]]
+    ) -> "PSeries":
+        """sum of num/den * x^n p_alpha over alpha given by its parts, n = |alpha|.
+
+        Each coefficient is an integer pair (num, den), den > 0; no Fraction
+        is built (see ``ExactRing._of_pairs``).  Partitions above the cut are
+        dropped, and keys naming one partition add up, as in ``from_parts``.
+        """
+        if N < 1:
+            raise ValueError(f"truncation degree N={N} is below 1")
+        items = []
+        for parts, (num, den) in coeffs.items():
+            if type(num) is not int or type(den) is not int:
+                raise TypeError(f"{(num, den)!r} is not a pair of ints")
+            if den < 1:
+                raise ValueError(f"denominator {den} is below 1")
+            if (n := sum(parts)) <= N:
+                items.append((_encode(n, ((a, 1) for a in parts)), num, den))
+        return PSeries._of_pairs(N, items)
 
     # -- ring operations ---------------------------------------------------
 

@@ -25,9 +25,11 @@ Three layers, each exact:
   route.  Each kernel weight is written once, in ``_LINEAR`` and
   ``_CROSS``; the symmetrized expansions and ``kernel_recombination``'s
   main-ring rebuild share those weights but expand them independently.
-  Each coefficient sum_{i+j=k} a_i a_j w(i, j) is summed in integers
-  (``_joined``), and cached by the weight function, not by kernel name, so
-  a table entry replaced at run time is summed afresh.
+  A weight gives an integer pair (num, den).  Each coefficient
+  sum_{i+j=k} a_i a_j w(i, j) is summed in integers (``_joined``) and
+  cached as a pair by the weight function, not by kernel name, so a table
+  entry replaced at run time is summed afresh; the expansions enter
+  ``WPoly`` as integer numerators over one denominator.
 
 Both routes compute in ``WPoly``, the three-variable monomial format of
 ``series.ExactRing``: exact in w1, w2, w3, or cut per variable in x1, x2,
@@ -50,7 +52,9 @@ slip in ``_cross`` fails those checks as well as both rearranged forms.
 
 The genus-0 input dF_0/dp_k, taken as given in ``closedform``, is certified
 by ``f0_pdiff_axiom`` against the p-derivatives of the genus-0 series built
-from the explicit formula.
+from the explicit formula.  The right sides of the psi and G_1 pdiff
+identities are rules in x read at x -> s (``closedform._rule_at_s``); only
+the left sides differentiate.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .closedform import (
+    _rule_at_s,
     f0_pdiff,
     f0_series,
     g1_closed,
@@ -509,59 +514,63 @@ def _series_gap(expr: WExpr, direct: WPoly) -> WPoly:
 # and a two-slot kernel (c, e), summed over ordered pairs (k, m), is
 #     sum_{k,m} y_k y_m (a_m sum_{i+j=k} a_i a_j join(i, j, m) - a_(k+m) split(k, m)):
 # y_k joins y_i y_j while y_m is kept, and y_(k+m) splits into y_k y_m.
-Weight = Callable[..., Fraction]
+# A weight gives its value as an integer pair (numerator, denominator).
+Weight = Callable[..., tuple[int, int]]
 _LINEAR: dict[str, Weight] = {
-    "a": lambda i, j: Fraction(1, i + j),
-    "b": lambda i, j: Fraction(i, j * j),
-    "d": lambda i, j: Fraction(1, j * j),
+    "a": lambda i, j: (1, i + j),
+    "b": lambda i, j: (i, j * j),
+    "d": lambda i, j: (1, j * j),
 }
 _CROSS: dict[str, tuple[Weight, Weight]] = {
-    "c": (lambda i, j, m: Fraction(i, j * (j + m)), lambda i, j: Fraction(i + j, 2)),
-    "e": (lambda i, j, m: Fraction(1, j * (j + m)), lambda i, j: Fraction(1, 2)),
+    "c": (lambda i, j, m: (i, j * (j + m)), lambda i, j: (i + j, 2)),
+    "e": (lambda i, j, m: (1, j * (j + m)), lambda i, j: (1, 2)),
 }
 
 
-def _joined(w: Weight, k: int, *rest: int) -> Fraction:
-    """sum_{i+j=k} a_i a_j w(i, j, *rest), summed in integers.
+def _joined(w: Weight, k: int, *rest: int) -> tuple[int, int]:
+    """sum_{i+j=k} a_i a_j w(i, j, *rest) as a pair (num, den), summed in integers.
 
     a_i a_j = i^i j^j C(k-2, i-1) / (k-2)!, so each summand is an integer
     times a weight; the weights are brought to a running lcm of their
-    denominators and one Fraction is built at the end.
+    denominators, and no Fraction is built.
     """
     if k < 2:
-        return _ZERO
+        return 0, 1
     num, den = 0, 1
     for i in range(1, k):
         j = k - i
-        c = w(i, j, *rest)
-        if den % c.denominator:
-            grown = lcm(den, c.denominator)
+        a, b = w(i, j, *rest)
+        if den % b:
+            grown = lcm(den, b)
             num, den = num * (grown // den), grown
-        num += i**i * j**j * comb(k - 2, i - 1) * c.numerator * (den // c.denominator)
-    return Fraction(num, den * factorial(k - 2))
+        num += i**i * j**j * comb(k - 2, i - 1) * a * (den // b)
+    return num, den * factorial(k - 2)
 
 
-# Keyed by the weight function, so a replaced table entry is a cache miss.
-# `verify --N 16`: 51 entries (a, b, d at k = 0..16).
+# Pairs keyed by the weight function, so a replaced table entry is a cache
+# miss.  `verify --N 16`: 51 pairs (a, b, d at k = 0..16).
 @lru_cache(maxsize=128)
-def _linear_by(w: Weight, k: int) -> Fraction:
+def _linear_by(w: Weight, k: int) -> tuple[int, int]:
     return _joined(w, k)
 
 
-# `verify --N 16`: 260 entries (c and e at the pairs k, m <= 10 or k + m <= 16).
+# `verify --N 16`: 260 pairs (c and e at k, m <= 10 or k + m <= 16).
 @lru_cache(maxsize=512)
-def _cross_by(join: Weight, split: Weight, k: int, m: int) -> Fraction:
-    return a_coeff(m) * _joined(join, k, m) - a_coeff(k + m) * split(k, m)
+def _cross_by(join: Weight, split: Weight, k: int, m: int) -> tuple[int, int]:
+    """a_m joined - a_(k+m) split(k, m) as a pair, a_r = r^r/(r-1)!."""
+    (jn, jd), (sn, sd) = _joined(join, k, m), split(k, m)
+    left, right = factorial(m - 1) * jd, factorial(k + m - 1) * sd
+    return m**m * jn * right - (k + m) ** (k + m) * sn * left, left * right
 
 
 def _linear_coeff(name: str, k: int) -> Fraction:
     """[y_k] of the one-slot kernel name."""
-    return _linear_by(_LINEAR[name], k)
+    return Fraction(*_linear_by(_LINEAR[name], k))
 
 
 def _cross_coeff(name: str, k: int, m: int) -> Fraction:
     """The ordered pair (k, m)'s coefficient of y_k y_m in the two-slot kernel name."""
-    return _cross_by(*_CROSS[name], k, m)
+    return Fraction(*_cross_by(*_CROSS[name], k, m))
 
 
 # -- direct (weights-only) expansions of the symmetrized images -------------
@@ -574,8 +583,8 @@ def _direct_psi(m: int, v: int, order: int) -> WPoly:
 
 def _direct_linear(name: str, v: int, order: int) -> WPoly:
     """The one-slot kernel name symmetrized at slot v: y_k -> x_v^k."""
-    coeffs = [_linear_coeff(name, k) for k in range(order + 1)]
-    return WPoly.univariate(coeffs, v, order)
+    w = _LINEAR[name]
+    return WPoly._of_pairs(order, ((_mono((v, k)), *_linear_by(w, k)) for k in range(order + 1)))
 
 
 def _direct_cross(name: str, v1: int, v2: int, order: int) -> WPoly:
@@ -583,13 +592,10 @@ def _direct_cross(name: str, v1: int, v2: int, order: int) -> WPoly:
 
     y_k y_m -> x_v1^k x_v2^m + x_v2^k x_v1^m, summed over ordered pairs.
     """
-    coeff = {
-        (k, m): _cross_coeff(name, k, m)
-        for k in range(1, order + 1)
-        for m in range(1, order + 1)
-    }
-    return WPoly(
-        {_mono((v1, k), (v2, m)): c + coeff[m, k] for (k, m), c in coeff.items()}, order
+    weights, ks = _CROSS[name], range(1, order + 1)
+    coeffs = ((k, m, _cross_by(*weights, k, m)) for k in ks for m in ks)
+    return WPoly._of_pairs(
+        order, ((_mono((a, k), (b, m)), *c) for k, m, c in coeffs for a, b in ((v1, v2), (v2, v1)))
     )
 
 
@@ -716,8 +722,9 @@ def kernel_recombination(N: int) -> CheckResult:
 
 # psi_pdiff_identity and g1_pdiff_identity stop at k = 4 (or N).  Both are
 # derived for every k at once, and k = 1..4 already moves each k-dependent
-# factor (k^j, a_k, 1/k, s^k); every further k costs eight more full
-# products (six and two).  s_pdiff_identity, one product per k, runs to N.
+# factor (k^j, a_k, 1/k, s^k); every further k costs four more full
+# products (three and one) and four rule reads.  s_pdiff_identity, one
+# product per k, runs to N.
 PDIFF_MAX_K = 4
 
 
@@ -752,18 +759,16 @@ def s_pdiff_identity(N: int) -> CheckResult:
 
 def psi_pdiff_identity(N: int) -> CheckResult:
     """k dpsi_j/dp_k (1-psi_1) = k^j a_k s^k (1-psi_1) + a_k psi_{j+1} s^k."""
-    pw = s_powers(N)
     omp = _one_minus_psi1(N)[0]
     total = partial(PSeries.weighted_total, N)
 
     def differences():
         for j in range(0, 3):
             pj = psi_at_s(j, N)
-            pj1 = psi_at_s(j + 1, N)
             for k in range(1, min(PDIFF_MAX_K, N) + 1):
                 ak = a_coeff(k)
-                rhs = total(((omp, Fraction(k) ** j * ak), (pj1, ak)))
-                yield f"j={j}, k={k}", total(((pj.pdiff(k), k, omp), (pw[k], -1, rhs)))
+                rhs = _rule_at_s(k, N, k**j * ak, ak, j + 1)
+                yield f"j={j}, k={k}", total(((pj.pdiff(k), k, omp), (rhs, -1)))
 
     return _first_nonzero("psi_pdiff_identity", differences())
 
@@ -782,16 +787,15 @@ def g1_pdiff_identity(N: int, g1: PSeries | None = None) -> CheckResult:
     """24 dG1/dp_k (1-psi_1)^2 = a_k s^k (1-psi_1) + (a_k/k) s^k (psi_2 - (1-psi_1))."""
     if g1 is None:
         g1 = g1_closed(N)
-    pw = s_powers(N)
-    omp, omp2 = _one_minus_psi1(N)
-    bracket = psi_at_s(2, N) - omp
+    omp2 = _one_minus_psi1(N)[1]
     total = partial(PSeries.weighted_total, N)
 
     def differences():
         for k in range(1, min(PDIFF_MAX_K, N) + 1):
             ak = a_coeff(k)
-            rhs = total(((omp, ak), (bracket, ak / k)))
-            yield f"k={k}", total(((g1.pdiff(k), 24, omp2), (pw[k], -1, rhs)))
+            # the right side regrouped as (a_k - a_k/k)(1 - psi_1) + (a_k/k) psi_2
+            rhs = _rule_at_s(k, N, ak - ak / k, ak / k, 2)
+            yield f"k={k}", total(((g1.pdiff(k), 24, omp2), (rhs, -1)))
 
     return _first_nonzero("g1_pdiff_identity", differences())
 

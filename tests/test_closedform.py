@@ -30,9 +30,11 @@ from hurwitz import (
 )
 from hurwitz import closedform, partitions
 from hurwitz.closedform import FixedPointError, psi, psi_at_s, s_powers
-from hurwitz.partitions import a_coeff
+from hurwitz.partitions import a_coeff, elem_sym, factorization_length, theta
 from hurwitz.series import fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
+
+from conftest import is_canonical
 
 TR8 = 8
 TR10 = 10
@@ -114,6 +116,69 @@ class TestRecords:
         src = str(Path(hurwitz.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def _prod_a(alpha):
+    out = Fraction(1)
+    for k in alpha.parts:
+        out *= a_coeff(k)
+    return out
+
+
+def _mu0_reference(alpha):
+    """mu_0 from the formula, in Fractions: (n+m-2)! n^(m-3) prod a / theta."""
+    n, m = alpha.n, alpha.m
+    return factorial(n + m - 2) * Fraction(n) ** (m - 3) * _prod_a(alpha) / theta(alpha)
+
+
+def _mu1_reference(alpha):
+    """mu_1 from the formula, in Fractions: (n+m)! prod a * bracket / (24 theta)."""
+    n, m, e = alpha.n, alpha.m, elem_sym(alpha)
+    tail = sum(factorial(i - 2) * e[i] * n ** (m - i) for i in range(2, m + 1))
+    bracket = n**m - n ** (m - 1) - tail
+    return factorial(n + m) * _prod_a(alpha) * bracket / (24 * theta(alpha))
+
+
+class TestIntegerFormulas:
+    def test_mu_and_counts_equal_the_fraction_formulas(self):
+        for n in range(1, 13):
+            for alpha in partitions_of(n):
+                for g, reference in enumerate((_mu0_reference, _mu1_reference)):
+                    want = reference(alpha)
+                    assert closedform.MU[g](alpha) == want, (alpha, g)
+                    assert c_value(alpha, g) == want * theta(alpha), (alpha, g)
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_termwise_series_equals_the_fraction_route(self, N, g):
+        want = PSeries.from_parts(
+            N,
+            {
+                alpha.parts: closedform.MU[g](alpha) / factorial(factorization_length(alpha, g))
+                for n in range(1, N + 1)
+                for alpha in partitions_of(n)
+            },
+        )
+        got = closedform._formula_series(N, g)
+        assert got == want
+        assert is_canonical(got)
+
+
+class TestRulesReadAtS:
+    @pytest.mark.parametrize("N", [TR8, 12])
+    def test_rule_read_equals_the_product(self, N):
+        # x^k (c (1 - psi_1) + b psi_i) read at x -> s, against s^k times the
+        # same combination of the substituted series, built as a product
+        pw = s_powers(N)
+        omp = PSeries.one(N) - psi_at_s(1, N)
+        for k in range(1, 5):
+            for i in range(0, 4):
+                psi_i = subst_x(psi(i, N), pw)
+                for c, b in ((0, 1), (1, 0), (Fraction(-3, 2), Fraction(5, 7))):
+                    want = pw[k] * (omp * c + psi_i * b)
+                    got = closedform._rule_at_s(k, N, c, b, i)
+                    assert got == want, (k, i, c, b)
+                    assert is_canonical(got)
 
 
 class TestG1Series:

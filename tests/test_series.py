@@ -103,6 +103,44 @@ class TestFromParts:
             PSeries.one(TR8).coeff(0, (0,))
 
 
+class TestFromPartPairs:
+    """PSeries.from_part_pairs: integer pairs (num, den), one reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+            st.tuples(st.integers(-30, 30), st.integers(1, 12)),
+            max_size=6,
+        )
+    )
+    def test_equals_the_fraction_constructor(self, pairs):
+        got = PSeries.from_part_pairs(TR6, pairs)
+        assert got == PSeries.from_parts(TR6, {k: Fraction(*v) for k, v in pairs.items()})
+        assert is_canonical(got)
+
+    def test_keys_naming_one_partition_add_up_and_cancel(self):
+        pairs = {(2, 1): (1, 6), (1, 2): (1, 3), (3,): (2, 4), (2, 2): (0, 5)}
+        f = PSeries.from_part_pairs(TR8, pairs)
+        assert f == PSeries.from_parts(TR8, {(2, 1): Fraction(1, 2), (3,): Fraction(1, 2)})
+        assert (f.den, sorted(f.terms.values())) == (2, [1, 1])
+        g = PSeries.from_part_pairs(TR8, {(2, 1): (1, 6), (1, 2): (-2, 12)})
+        assert g.is_zero and g.den == 1
+
+    def test_sizes_above_n_dropped(self):
+        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 3)}).is_zero
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), (1, 2.0), (Fraction(1, 2), 1), ("1", 2)])
+    def test_only_int_pairs(self, pair):
+        with pytest.raises(TypeError, match="pair of ints"):
+            PSeries.from_part_pairs(TR8, {(1,): pair})
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_only_positive_denominators(self, den):
+        with pytest.raises(ValueError, match="below 1"):
+            PSeries.from_part_pairs(TR8, {(1,): (1, den)})
+
+
 class TestRingOps:
     def test_monomial_product(self):
         f = xp1(TR8)

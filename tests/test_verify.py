@@ -21,6 +21,7 @@ from hurwitz import (
     run_all_checks,
     verify,
 )
+from hurwitz import closedform
 from hurwitz.closedform import f0_series, s_series
 from hurwitz.partitions import a_coeff
 from hurwitz.series import fraction_view
@@ -462,16 +463,29 @@ class TestTreeEvaluation:
 def _fraction_linear(name, k):
     """[y_k] of a one-slot kernel, summed term by term in Fractions."""
     w = verify._LINEAR[name]
-    return sum((a_coeff(i) * a_coeff(k - i) * w(i, k - i) for i in range(1, k)), Fraction(0))
+    return sum(
+        (a_coeff(i) * a_coeff(k - i) * Fraction(*w(i, k - i)) for i in range(1, k)), Fraction(0)
+    )
 
 
 def _fraction_cross(name, k, m):
     """[y_k y_m] of a two-slot kernel, summed term by term in Fractions."""
     join, split = verify._CROSS[name]
     joined = sum(
-        (a_coeff(i) * a_coeff(k - i) * join(i, k - i, m) for i in range(1, k)), Fraction(0)
+        (a_coeff(i) * a_coeff(k - i) * Fraction(*join(i, k - i, m)) for i in range(1, k)),
+        Fraction(0),
     )
-    return a_coeff(m) * joined - a_coeff(k + m) * split(k, m)
+    return a_coeff(m) * joined - a_coeff(k + m) * Fraction(*split(k, m))
+
+
+def _scaled(w):
+    """The weight w, a function giving an integer pair (num, den), times 13/12."""
+
+    def off(*args):
+        num, den = w(*args)
+        return 13 * num, 12 * den
+
+    return off
 
 
 class TestKernelWeights:
@@ -490,9 +504,7 @@ class TestKernelWeights:
         # after a run has filled the weight caches with the true table
         assert all(c.ok for c in run_all_checks(TR8))
         join, split = verify._CROSS["c"]
-        monkeypatch.setitem(
-            verify._CROSS, "c", (join, lambda *args: split(*args) * Fraction(13, 12))
-        )
+        monkeypatch.setitem(verify._CROSS, "c", (join, _scaled(split)))
         failed = [c for c in run_all_checks(TR8) if not c.ok]
         assert [c.name for c in failed] == [
             "sym_closed_form_c",
@@ -561,14 +573,11 @@ class TestFaultInjection:
     def test_kernel_weight_fault_is_caught(self, monkeypatch, name, part, failing_u):
         # one weight of the table scaled by 13/12: every route that reads the
         # table fails against the closed forms, the PDE residual does not move
-        def scaled(w):
-            return lambda *args: w(*args) * Fraction(13, 12)
-
         if part is None:
-            monkeypatch.setitem(verify._LINEAR, name, scaled(verify._LINEAR[name]))
+            monkeypatch.setitem(verify._LINEAR, name, _scaled(verify._LINEAR[name]))
         else:
             weights = list(verify._CROSS[name])
-            weights[part] = scaled(weights[part])
+            weights[part] = _scaled(weights[part])
             monkeypatch.setitem(verify._CROSS, name, tuple(weights))
         checks = run_all_checks(TR8)
         failed = [c for c in checks if not c.ok]
@@ -605,6 +614,20 @@ class TestFaultInjection:
         result = psi_pdiff_identity(TR8)
         assert not result.ok
         assert result.witness.startswith("j=0, k=1: ")
+
+    def test_psi_rule_fault_is_caught_on_the_right_sides(self, monkeypatch):
+        # the pdiff right sides read the psi rules in x, not psi_at_s: a bumped
+        # psi_2 rule fails both identities that read it, and nothing else moves
+        rule = closedform._psi_rule
+        bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
+        monkeypatch.setattr(
+            closedform, "_psi_rule", lambda i, N: rule(i, N) + bump if i == 2 else rule(i, N)
+        )
+        psi_result, g1_result = psi_pdiff_identity(TR8), g1_pdiff_identity(TR8)
+        assert not psi_result.ok and psi_result.witness == "j=1, k=1: x^5*p1^2*p2"
+        assert not g1_result.ok and g1_result.witness == "k=1: x^5*p1^2*p2"
+        failed = [c.name for c in run_all_checks(TR8) if not c.ok]
+        assert failed == ["psi_pdiff_identity", "g1_pdiff_identity"]
 
     def test_genus1_forms_fault_is_caught(self, monkeypatch):
         bad = g1_defn(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
