@@ -1,4 +1,4 @@
-"""Exact enumeration of almost-simple ramified coverings of the sphere.
+"""Exact counts of almost-simple ramified coverings of the sphere.
 
 Hurwitz numbers mu_m^(g)(alpha) count degree-n coverings of the sphere by a
 genus-g surface with simple branch points and ramification type alpha over
@@ -8,10 +8,10 @@ r = n + m + 2(g - 1) transpositions, counted by c_g(alpha) with
 mu = |C_alpha| c_g(alpha) / n!.
 
 The package computes the genus-0 and genus-1 numbers three independent ways
-(counting in the symmetric group, by enumeration and by the Frobenius
-character formula; the cut-and-join evolution of the generating series; and
-explicit closed formulas) and machine-verifies the exact series and
-polynomial identities that tie the methods together.
+(counting in the symmetric group by the Frobenius character formula; the
+cut-and-join evolution of the generating series; and explicit closed
+formulas) and machine-verifies the exact series and polynomial identities
+that tie the methods together.
 All arithmetic is exact rational; there is no floating point anywhere.
 """
 
@@ -26,7 +26,7 @@ _EXPORTS = {
         "c_value", "f0_pdiff", "f0_series", "g1_closed", "g1_defn", "mu0", "mu1", "psi", "s_series",
     ),
     "cutjoin": ("CutJoinState", "evolve", "extract_c"),
-    "oracle": ("SizeLimitExceeded", "count_naive", "count_transitive"),
+    "oracle": ("SizeLimitExceeded", "count_transitive"),
     "partitions": (
         "FixedPointError", "IntegralityError", "Partition", "a_coeff", "class_size", "elem_sym",
         "factorization_length", "partitions_of", "theta",

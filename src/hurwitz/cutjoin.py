@@ -27,6 +27,10 @@ Each family has an integer weight that absorbs the 1/2:
   C(r, s) C(n_a + n_b, n_a) (the second binomial comes from x^n/n!),
   halved when 2s = r (exact: C(2t, t) is even, and C(0,0) C(2,1) = 2).
 
+Each order is walked once: that pass adds its cut and handle-join terms to
+the next order and returns its derivatives i dPhi_r/dp_i, bucketed by the
+(n, g) of their term, for the cross joins of every later order.
+
 Every order, from the seed to ``extract_c``, is keyed by the code
 prod_i q_{alpha_i} of alpha, q_k the k-th odd prime (``partitions.prime_code``,
 injective by unique factorization), so each family builds its key by
@@ -64,8 +68,8 @@ Coded = dict[int, int]
 # A code decoded once: n, m and the distinct parts with their multiplicities.
 Shape = tuple[int, int, tuple[tuple[int, int], ...]]
 # The p-derivatives of one order, bucketed by the (n, g) of the term they
-# come from: d/dp_i of L p_alpha is the entry (i, code of alpha less one
-# part i, multiplicity of i in alpha times L).
+# come from: i d/dp_i of L p_alpha is the entry (i, code of alpha less one
+# part i, i times the multiplicity of i in alpha times L).
 Derivatives = dict[tuple[int, int], list[tuple[int, int, int]]]
 
 
@@ -79,28 +83,23 @@ def _decode(code: int) -> Shape:
     return sum(k * e for k, e in mults), sum(e for _, e in mults), mults
 
 
-def _derivatives(phi: Coded, r: int, q: list[int], shapes: dict[int, Shape]) -> Derivatives:
+def _cut_and_handle_join(
+    phi: Coded, r: int, G: int, q: list[int], shapes: dict[int, Shape], acc: Coded
+) -> Derivatives:
+    """Add the cut and genus-raising join terms of Phi_{r+1}; return the
+    p-derivatives of Phi_r."""
     out: Derivatives = {}
     for code, c in phi.items():
         n, m, mults = shapes[code]
-        bucket = out.setdefault((n, _genus(r, n, m)), [])
+        g = _genus(r, n, m)
+        bucket = out.setdefault((n, g), [])
         for k, e in mults:
-            bucket.append((k, code // q[k], e * c))
-    return out
-
-
-def _cut_and_handle_join(
-    phi: Coded, r: int, G: int, q: list[int], shapes: dict[int, Shape], acc: Coded
-) -> None:
-    """Add the cut and genus-raising join terms of Phi_{r+1}."""
-    for code, c in phi.items():
-        n, m, mults = shapes[code]
-        for k, e in mults:
-            rest, ec = code // q[k], e * c
+            rest, ekc = code // q[k], e * k * c
+            bucket.append((k, rest, ekc))
             for i in range(1, k // 2 + 1):
                 key = rest * q[i] * q[k - i]
-                acc[key] = acc.get(key, 0) + (ec * k if 2 * i < k else ec * i)
-        if _genus(r, n, m) < G:
+                acc[key] = acc.get(key, 0) + (ekc if 2 * i < k else ekc // 2)
+        if g < G:
             # e_a e_b position pairs of parts a != b, C(e_a, 2) of a = b
             for x, (a, ea) in enumerate(mults):
                 for b, eb in mults[x:]:
@@ -108,6 +107,7 @@ def _cut_and_handle_join(
                     if pairs:
                         key = code // (q[a] * q[b]) * q[a + b]
                         acc[key] = acc.get(key, 0) + pairs * a * b * c
+    return out
 
 
 def _cross_join(
@@ -133,10 +133,10 @@ def _cross_join(
                     )
                 weight //= 2
             for i, rest_a, ca in entries_a:
-                wa = weight * i * ca
+                wa = weight * ca
                 for j, rest_b, cb in entries_b:
                     key = rest_a * rest_b * q[i + j]
-                    acc[key] = acc.get(key, 0) + wa * j * cb
+                    acc[key] = acc.get(key, 0) + wa * cb
 
 
 class CutJoinState(NamedTuple):
@@ -166,9 +166,8 @@ def evolve(N: int, G: int) -> CutJoinState:
     coded: list[Coded] = [{q[1]: 1}]
     derivs: list[Derivatives] = []
     for r in range(2 * N + 2 * G - 2):
-        derivs.append(_derivatives(coded[r], r, q, shapes))
         acc: Coded = {}
-        _cut_and_handle_join(coded[r], r, G, q, shapes, acc)
+        derivs.append(_cut_and_handle_join(coded[r], r, G, q, shapes, acc))
         # the s and r - s cross joins are equal; pair them up
         for s in range(r // 2 + 1):
             _cross_join(derivs[s], derivs[r - s], r, s, N, G, q, acc)

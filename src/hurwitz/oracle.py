@@ -4,16 +4,13 @@ c_g(alpha) is the number of ordered tuples (t_1, ..., t_r) of transpositions
 in S_n with t_1 ... t_r equal to a fixed permutation of cycle type alpha,
 generating a transitive subgroup, where r = n + m + 2(g - 1) is
 ``partitions.factorization_length``, the one definition of r and the one
-check of an (alpha, g) request.  Two engines:
-
-* count_naive -- depth-first enumeration of the tuples with a Cayley-distance
-  prune and a union-find transitivity test at the leaves (tiny n only);
-* count_transitive -- counts all (not necessarily transitive) factorizations
-  by the Frobenius character formula, then removes disconnected ones by an
-  inclusion-exclusion sieve over blocks of the target's cycles.  Cycles of
-  equal length are interchangeable, so the sieve runs over sub-multisets:
-  it picks j of the e cycles of each length, with weight prod C(e, j), in
-  place of the 2^(m-1) subsets (12 picks for type (1^12) instead of 2,048).
+check of an (alpha, g) request.  ``count_transitive`` counts all (not
+necessarily transitive) factorizations by the Frobenius character formula,
+then removes disconnected ones by an inclusion-exclusion sieve over blocks
+of the target's cycles.  Cycles of equal length are interchangeable, so the
+sieve runs over sub-multisets: it picks j of the e cycles of each length,
+with weight prod C(e, j), in place of the 2^(m-1) subsets (12 picks for
+type (1^12) instead of 2,048).
 
 The class sum of the transpositions is central in the group algebra, so it
 acts on the irreducible representation lambda as the scalar cont(lambda),
@@ -41,11 +38,6 @@ from math import comb, factorial
 
 from .partitions import IntegralityError, Partition, factorization_length
 
-# The slowest request inside this budget, (1,1,1,1,1) at g = 0 (r = 8),
-# takes 19.5 s, and (2,2,1), (3,1,1) at g = 1 and (5) at g = 2 take 15-16.5 s
-# (2-core Intel Xeon, Python 3.11.7); each further r costs 6 to 11 times more.
-NAIVE_MAX_N = 5
-NAIVE_MAX_R = 8
 # `compare --n 16 --genus-max 3` takes 2.2-2.4 s, 1.3-1.8 s of it in the
 # oracle and half of that in the character sums (2-core Intel Xeon, Python
 # 3.11.7); each further n about doubles the oracle's share: 2.3 s at n = 17,
@@ -56,7 +48,7 @@ Parts = tuple[int, ...]
 
 
 class SizeLimitExceeded(ValueError):
-    """The requested count is outside the enumeration budget."""
+    """The requested count is outside the oracle's budget, n <= ORACLE_MAX_N."""
 
 
 # -- the character formula ---------------------------------------------------
@@ -169,20 +161,6 @@ def _transitive_count(tp: Parts, r: int) -> int:
     return total
 
 
-# -- internal 0-based permutation helpers for the enumeration ----------------
-
-
-def _canonical_images0(tp: Parts) -> Parts:
-    n = sum(tp)
-    imgs = list(range(n))
-    start = 0
-    for part in tp:
-        for off in range(part):
-            imgs[start + off] = start + (off + 1) % part
-        start += part
-    return tuple(imgs)
-
-
 # -- public counting API -----------------------------------------------------
 
 
@@ -194,60 +172,3 @@ def count_transitive(alpha: Partition, g: int) -> int:
             f"oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {alpha.n}"
         )
     return _transitive_count(alpha.parts, r)
-
-
-def count_naive(alpha: Partition, g: int) -> int:
-    """c_g(alpha) by direct enumeration of transposition tuples.
-
-    Walks the tree of prefixes carrying delta = rho^(-1) pi; appending the
-    factor (a b) swaps two entries of delta and moves the Cayley distance
-    by exactly one, so branches that cannot reach the target (distance or
-    parity) or cannot become transitive (too few merges left) are cut
-    early.  Transitivity of the generated group is tracked by union-find
-    over the transposition supports, so fixed points of the target must be
-    connected by the factors themselves.
-    """
-    n, r = alpha.n, factorization_length(alpha, g)
-    if n > NAIVE_MAX_N or r > NAIVE_MAX_R:
-        raise SizeLimitExceeded(
-            f"enumeration budget is n <= {NAIVE_MAX_N} and r <= {NAIVE_MAX_R}; "
-            f"got n = {n}, r = {r}"
-        )
-    pi = _canonical_images0(alpha.parts)
-    if n == 1:
-        return 1 if r == 0 else 0
-    transpositions = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    delta = list(pi)
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def rec(remaining: int, dist: int, parent: list[int], comps: int) -> int:
-        if dist > remaining or (remaining - dist) % 2 or comps - 1 > remaining:
-            return 0
-        if remaining == 0:
-            return 1 if comps == 1 else 0
-        total = 0
-        for a, b in transpositions:
-            same_cycle = False
-            x = delta[a]
-            while x != a:
-                if x == b:
-                    same_cycle = True
-                    break
-                x = delta[x]
-            p2 = parent.copy()
-            ra, rb = find(p2, a), find(p2, b)
-            c2 = comps
-            if ra != rb:
-                p2[ra] = rb
-                c2 -= 1
-            delta[a], delta[b] = delta[b], delta[a]
-            total += rec(remaining - 1, dist - 1 if same_cycle else dist + 1, p2, c2)
-            delta[a], delta[b] = delta[b], delta[a]
-        return total
-
-    return rec(r, n - alpha.m, list(range(n)), n)

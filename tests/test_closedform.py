@@ -16,7 +16,6 @@ from hurwitz import (
     PSeries,
     c_value,
     class_size,
-    count_naive,
     count_transitive,
     exp,
     f0_pdiff,
@@ -35,6 +34,7 @@ from hurwitz.series import fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
 
 from conftest import is_canonical
+from naive import count_naive
 
 TR8 = 8
 TR10 = 10

@@ -16,7 +16,6 @@ from hurwitz import (
     Partition,
     c_value,
     class_size,
-    count_naive,
     count_transitive,
     cutjoin,
     evolve,
@@ -27,6 +26,8 @@ from hurwitz import (
     series,
 )
 from hurwitz.partitions import odd_prime, prime_code, prime_pairs
+
+from naive import count_naive
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,13 @@ def single(parts):
     return {code(parts): 1}, {code(parts): cutjoin._decode(code(parts))}
 
 
+def cut_pass_derivatives(parts, r, L=1):
+    """The derivative buckets that the cut pass over the order {code: L} of
+    p_alpha, read as order r, returns."""
+    _, shapes = single(parts)
+    return cutjoin._cut_and_handle_join({code(parts): L}, r, 0, Q, shapes, {})
+
+
 def decoded(acc):
     """A coded order keyed by parts tuples, each key decoded by prime_pairs."""
     return {parts_of(key): c for key, c in acc.items()}
@@ -316,15 +324,29 @@ class TestPrimeCode:
             cutjoin._cut_and_handle_join(order, 0, 1, Q, shapes, got)
             assert decoded(got) == {key: c // 2 for key, c in want.items()}, parts
 
+    def test_cut_pass_derivatives_match_the_tuple_construction(self):
+        # k d/dp_k of L p_alpha, one term per position of a part k, keyed by
+        # the (n, g) of p_alpha at genus 0 and genus 2
+        for parts in self.ALL:
+            n, m, L = sum(parts), len(parts), 7
+            want = {}
+            for pos, k in enumerate(parts):
+                key = (k, code(without(parts, pos)))
+                want[key] = want.get(key, 0) + k * L
+            want = sorted((k, rest, c) for (k, rest), c in want.items())
+            for g in (0, 2):
+                got = cut_pass_derivatives(parts, n + m + 2 * g - 2, L)
+                assert {key: sorted(entries) for key, entries in got.items()} == {
+                    (n, g): want
+                }, (parts, g)
+
     def test_cross_join_matches_the_tuple_construction(self):
         # r = 3, s = 1: the weight C(3, 1) C(n_a + n_b, n_a) is not halved
         small = [parts for parts in self.ALL if sum(parts) <= 8]
         for a in small:
-            order_a, shapes_a = single(a)
-            da = cutjoin._derivatives(order_a, 1, Q, shapes_a)
+            da = cut_pass_derivatives(a, 1)
             for b in small:
-                order_b, shapes_b = single(b)
-                db = cutjoin._derivatives(order_b, 2, Q, shapes_b)
+                db = cut_pass_derivatives(b, 2)
                 weight = comb(3, 1) * comb(sum(a) + sum(b), sum(a))
                 want = {}
                 for pa in range(len(a)):

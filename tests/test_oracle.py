@@ -15,7 +15,6 @@ from hurwitz import (
     Partition,
     SizeLimitExceeded,
     class_size,
-    count_naive,
     count_transitive,
     factorization_length,
     mu0,
@@ -31,6 +30,8 @@ from hurwitz.oracle import (
     _transitive_count,
     _walks_type,
 )
+
+from naive import count_naive
 
 
 def hook_length_dim(lam: tuple[int, ...]) -> int:
