@@ -142,22 +142,16 @@ def _mu(alpha: Partition, c: int) -> str:
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
-    """CSV renders partitions as "(a1,a2,...)"; JSON as integer arrays."""
+    """Write the rows as they are: a partition is a tuple, so JSON writes it as
+    an integer array and CSV as its str, "(a1,a2,...)"."""
     if fmt == "json":
         import json
 
-        out = []
-        for row in rows:
-            rec = dict(row)
-            if isinstance(rec.get("alpha"), Partition):
-                rec["alpha"] = list(rec["alpha"].parts)
-            out.append(rec)
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json.dumps(rows, indent=2, sort_keys=True))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(row[h]) if isinstance(row[h], Partition) else row[h] for h in header])
+    writer.writerows([row[h] for h in header] for row in rows)
 
 
 def cmd_count(args: argparse.Namespace) -> int:

@@ -70,7 +70,7 @@ from .series import PSeries, exp, log1, powers, subst_x
 def _prod_a(alpha: Partition) -> tuple[int, int]:
     """prod_i a_{alpha_i} = prod_i k^k / prod_i (k - 1)!, k = alpha_i, as (num, den)."""
     num = den = 1
-    for k in alpha.parts:
+    for k in alpha:
         num *= k**k
         den *= factorial(k - 1)
     return num, den
@@ -223,7 +223,7 @@ def _formula_series(N: int, g: int) -> PSeries:
     """
     over_r = _OVER_R[g]
     return PSeries.from_part_pairs(
-        N, {alpha.parts: over_r(alpha) for n in range(1, N + 1) for alpha in partitions_of(n)}
+        N, {alpha: over_r(alpha) for n in range(1, N + 1) for alpha in partitions_of(n)}
     )
 
 

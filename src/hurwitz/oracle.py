@@ -171,4 +171,4 @@ def count_transitive(alpha: Partition, g: int) -> int:
         raise SizeLimitExceeded(
             f"oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {alpha.n}"
         )
-    return _transitive_count(alpha.parts, r)
+    return _transitive_count(alpha, r)

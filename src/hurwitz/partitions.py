@@ -1,16 +1,16 @@
 """Integer partitions and the symmetric-group statistics built on them.
 
-A partition alpha = (alpha_1 >= ... >= alpha_m >= 1) of n indexes a
-conjugacy class C_alpha of the symmetric group S_n.  This module provides
-enumeration in reverse-lexicographic order, the class size |C_alpha|, the
-statistic theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
-symmetric functions of the parts, the weights a_r = r^r/(r-1)! of the
-closed Hurwitz formulas, the integrality check of a factorization count,
-the two error types the engines raise (``IntegralityError``,
-``FixedPointError``) and the odd-prime code prod q_k^e of (k, e) pairs
-(``prime_code``, ``prime_pairs``) that ``series`` and ``cutjoin`` share.
-``factorization_length`` is the one definition of the number
-r = n + m + 2g - 2 of transpositions (simple branch points) of a genus-g
+A partition alpha = (alpha_1 >= ... >= alpha_m >= 1) of n indexes a class
+C_alpha of S_n.  ``Partition`` is a validated tuple that equals and hashes
+as its parts, and every engine, cache and writer reads it directly.  This
+module gives enumeration in reverse-lexicographic order, the class size
+|C_alpha|, theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
+symmetric functions of the parts, weights a_r = r^r/(r-1)! of the
+closed formulas, the integrality check of a count, the two error types the
+engines raise (``IntegralityError``, ``FixedPointError``) and the odd-prime
+code prod q_k^e of (k, e) pairs (``prime_code``, ``prime_pairs``) that
+``series`` and ``cutjoin`` share.  ``factorization_length`` is the one
+definition of the number r = n + m + 2g - 2 of transpositions of a genus-g
 request, and the one check of that request; every engine keys its answer
 by it.  It imports no series code, so the counting engines that build on
 it (``cutjoin``, ``oracle``) stay independent of the series ring.
@@ -83,32 +83,32 @@ def prime_pairs(code: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-class Partition:
-    """Weakly decreasing tuple of positive parts; the empty partition is legal."""
+class Partition(tuple):
+    """Validated tuple of weakly decreasing positive parts; empty is legal too."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()) -> Partition:
         pt = tuple(int(a) for a in parts)
         for pos, a in enumerate(pt):
             if a < 1:
                 raise ValueError(f"parts must be positive, got {a}")
             if pos and pt[pos - 1] < a:
                 raise ValueError(f"parts must be weakly decreasing, got {pt}")
-        self.parts = pt
+        return super().__new__(cls, pt)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def m(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def mults(self) -> dict[int, int]:
         """Multiplicity view: part size -> number of occurrences."""
         out: dict[int, int] = {}
-        for a in self.parts:
+        for a in self:
             out[a] = out.get(a, 0) + 1
         return out
 
@@ -116,28 +116,11 @@ class Partition:
         """The exponent vector of the monomial p_alpha = prod p_{alpha_i}."""
         return tuple(sorted(self.mults().items()))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __repr__(self) -> str:
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 def _rev_lex(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -197,7 +180,7 @@ def elem_sym(alpha: Partition) -> tuple[int, ...]:
     e_k = 0 for k > m.  One division-free DP on prod_j (1 + alpha_j t).
     """
     e = [1] + [0] * alpha.m
-    for j, a in enumerate(alpha.parts, 1):
+    for j, a in enumerate(alpha, 1):
         for idx in range(j, 0, -1):
             e[idx] += a * e[idx - 1]
     return tuple(e)

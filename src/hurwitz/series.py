@@ -73,11 +73,11 @@ class TruncationMismatch(ValueError):
     """Two series cut at different x-degrees were combined."""
 
 
-def _encode(xd: int, p: Mapping[int, int] | Iterable[tuple[int, int]]) -> int:
+def _encode(xd: int, p: Iterable[tuple[int, int]]) -> int:
     """The code 2^xd prod q_i^e of x^xd prod p_i^e (repeated indices add up)."""
     if xd < 0:
         raise ValueError(f"negative exponent in monomial x^{xd}")
-    return prime_code(p.items() if isinstance(p, Mapping) else p) << xd
+    return prime_code(p) << xd
 
 
 def _xdeg(code: int) -> int:
@@ -373,7 +373,7 @@ class PSeries(ExactRing):
         N: int,
         coeff: Fraction | int,
         x: int = 0,
-        p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+        p: Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Single monomial coeff * x^x * p-monomial."""
         return PSeries.one(N).shift(coeff, x, p)
@@ -430,7 +430,7 @@ class PSeries(ExactRing):
         self,
         coeff: Fraction | int = 1,
         x: int = 0,
-        p: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+        p: Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
         """Multiply by a single monomial, in one pass when the cut drops no term."""
         m, top = _encode(x, p), self.N - x

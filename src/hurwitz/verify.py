@@ -244,10 +244,6 @@ class WExpr:
         self.num = num
         self.den = den
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def _lift(self, target: tuple[int, ...]) -> WPoly:
         num = self.num
         for idx in range(6):

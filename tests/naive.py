@@ -46,7 +46,7 @@ def count_naive(alpha: Partition, g: int) -> int:
             f"enumeration budget is n <= {NAIVE_MAX_N} and r <= {NAIVE_MAX_R}; "
             f"got n = {n}, r = {r}"
         )
-    pi = _canonical_images0(alpha.parts)
+    pi = _canonical_images0(alpha)
     if n == 1:
         return 1 if r == 0 else 0
     transpositions = [(a, b) for a in range(n) for b in range(a + 1, n)]

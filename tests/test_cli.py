@@ -353,6 +353,19 @@ class TestPinnedOutput:
                 ("table", "--n", "7", "--method", "oracle"),
                 "fd8eca4f832c8ca2eb063b1a25fa8cdea8508dc1b4f6996a5edd829a90ee6d0a",
             ),
+            # the JSON writer, recorded at commit 74a0975
+            (
+                ("table", "--n", "7", "--method", "oracle", "--format", "json"),
+                "7a7db74b2073662376fb4a09f845bf6c06aa2d7e881ff714f219d662a5f9538b",
+            ),
+            (
+                ("compare", "--n", "6", "--genus-max", "2", "--format", "json"),
+                "bbd91cfc4ff27f0ac28068fdc6340c7e29575266818d4b1f2e45319cfbc74897",
+            ),
+            (
+                ("count", "--alpha", "3,2,2", "--genus", "1", "--format", "json"),
+                "6d744af77c2de11991344f0fafe12cdf69a03b7984c652110ee9042e00bcde5c",
+            ),
             pytest.param(
                 ("table", "--n", "16", "--method", "cutjoin"),
                 "85855bc854800e9dc941f862b48408a0573b0d0b02fcb39384ec0edb0c346eb5",
@@ -368,7 +381,8 @@ class TestPinnedOutput:
         ],
         ids=[
             "compare-n6-g2", "table-n12-closed", "compare-n8-g3", "count-332-g3-cutjoin",
-            "table-n13-cutjoin", "table-n7-oracle", "table-n16-cutjoin", "compare-n12-g3",
+            "table-n13-cutjoin", "table-n7-oracle", "table-n7-oracle-json", "compare-n6-g2-json",
+            "count-322-g1-json", "table-n16-cutjoin", "compare-n12-g3",
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):

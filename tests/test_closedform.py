@@ -120,7 +120,7 @@ class TestRecords:
 
 def _prod_a(alpha):
     out = Fraction(1)
-    for k in alpha.parts:
+    for k in alpha:
         out *= a_coeff(k)
     return out
 
@@ -154,7 +154,7 @@ class TestIntegerFormulas:
         want = PSeries.from_parts(
             N,
             {
-                alpha.parts: closedform.MU[g](alpha) / factorial(factorization_length(alpha, g))
+                alpha: closedform.MU[g](alpha) / factorial(factorization_length(alpha, g))
                 for n in range(1, N + 1)
                 for alpha in partitions_of(n)
             },
@@ -191,7 +191,7 @@ class TestG1Series:
         for parts in ((2,), (3,), (2, 1)):
             alpha = Partition(parts)
             n, m = alpha.n, alpha.m
-            coeff = g1.coeff(n, alpha.parts)
+            coeff = g1.coeff(n, alpha)
             got = coeff * factorial(n) * factorial(n + m) / class_size(alpha)
             assert got == count_transitive(alpha, 1)
 

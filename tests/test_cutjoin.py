@@ -293,7 +293,7 @@ def decoded(acc):
 class TestPrimeCode:
     """Every order keys a partition by prod q_k over its parts k."""
 
-    ALL = [alpha.parts for n in range(1, 21) for alpha in partitions_of(n)]
+    ALL = [alpha for n in range(1, 21) for alpha in partitions_of(n)]
 
     def test_one_prime_table(self):
         assert cutjoin.odd_prime is series.odd_prime is odd_prime

@@ -112,7 +112,7 @@ class TestCountNaive:
 
 class TestCountWalks:
     """W(alpha, r), all (not necessarily transitive) length-r factorizations,
-    as the sieve reads it: ``_walks_type(alpha.parts, r)``."""
+    as the sieve reads it: ``_walks_type(alpha, r)``."""
 
     def test_identity_in_s2(self):
         assert _walks_type((1, 1), 2) == 1
@@ -127,7 +127,7 @@ class TestCountWalks:
                 want = s3_walks_by_characters(alpha, r)
                 if (r - n_minus_m) % 2:
                     want = 0  # the character sum also vanishes; be explicit
-                assert _walks_type(alpha.parts, r) == want
+                assert _walks_type(alpha, r) == want
 
     def test_class_sums_count_every_sequence(self):
         # each of the C(n, 2)^r transposition sequences multiplies to exactly
@@ -135,7 +135,7 @@ class TestCountWalks:
         for n in range(1, 10):
             for r in range(2 * n + 1):
                 total = sum(
-                    class_size(alpha) * _walks_type(alpha.parts, r) for alpha in partitions_of(n)
+                    class_size(alpha) * _walks_type(alpha, r) for alpha in partitions_of(n)
                 )
                 assert total == comb(n, 2) ** r, (n, r)
 
@@ -145,7 +145,7 @@ class TestCountWalks:
         for n in range(1, 10):
             for alpha in partitions_of(n):
                 for r in range(n - alpha.m + 1, 2 * n + 1, 2):
-                    assert _walks_type(alpha.parts, r) == 0, (alpha, r)
+                    assert _walks_type(alpha, r) == 0, (alpha, r)
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_non_integral_character_sum_raises(self, flags):
@@ -185,7 +185,7 @@ class TestCountTransitive:
             alpha = Partition((n,))
             for g in (0, 1, 2):
                 r = n + 1 + 2 * (g - 1)
-                assert count_transitive(alpha, g) == _walks_type(alpha.parts, r)
+                assert count_transitive(alpha, g) == _walks_type(alpha, r)
 
     def test_matches_naive_enumeration(self):
         for n in range(1, 5):
@@ -226,7 +226,7 @@ class TestSieve:
             for alpha in partitions_of(n):
                 for g in range(4):
                     r = factorization_length(alpha, g)
-                    assert _transitive_count(alpha.parts, r) == subset_sieve(alpha.parts, r), (
+                    assert _transitive_count(alpha, r) == subset_sieve(alpha, r), (
                         alpha, g
                     )
 
@@ -237,9 +237,9 @@ class TestSieve:
         for n in range(1, 9):
             for alpha in partitions_of(n):
                 for r in range(n - alpha.m):
-                    assert _walks_type(alpha.parts, r) == 0, (alpha, r)
+                    assert _walks_type(alpha, r) == 0, (alpha, r)
                 for r in range(n + alpha.m - 2):
-                    assert subset_sieve(alpha.parts, r) == 0, (alpha, r)
+                    assert subset_sieve(alpha, r) == 0, (alpha, r)
 
     @pytest.mark.parametrize(
         "n_max", [12, pytest.param(ORACLE_MAX_N, marks=pytest.mark.slow)], ids=["n12", "budget"]
@@ -260,18 +260,18 @@ class TestCharacters:
         # sum_lambda chi^lambda(alpha)^2 is the centralizer order theta(alpha)
         for n in range(1, 10):
             for alpha in partitions_of(n):
-                chars = _characters(alpha.parts)
+                chars = _characters(alpha)
                 assert sum(chi * chi for chi in chars.values()) == theta(alpha), alpha
 
     def test_identity_column_is_the_hook_length_dimension(self):
         for n in range(1, 10):
-            want = {beta_set(lam.parts, n): hook_length_dim(lam.parts) for lam in partitions_of(n)}
+            want = {beta_set(lam, n): hook_length_dim(lam) for lam in partitions_of(n)}
             assert {beads: dim for beads, (dim, _) in _identity_column(n).items()} == want, n
 
     def test_content_from_beads_is_the_cell_sum(self):
         for n in range(1, ORACLE_MAX_N + 1):
             column = _identity_column(n)
             for lam in partitions_of(n):
-                cells = sum(j - i for i, a in enumerate(lam.parts) for j in range(a))
-                beads = beta_set(lam.parts, n)
+                cells = sum(j - i for i, a in enumerate(lam) for j in range(a))
+                beads = beta_set(lam, n)
                 assert _content(beads, n) == column[beads][1] == cells, lam

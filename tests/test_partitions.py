@@ -55,6 +55,19 @@ class TestPartitionType:
         assert str(a) == "(3,2,2)"
         assert list(a) == [3, 2, 2]
 
+    def test_is_its_tuple(self):
+        a = Partition((3, 2, 2))
+        assert isinstance(a, tuple)
+        assert a == (3, 2, 2) and hash(a) == hash((3, 2, 2))
+        assert {(3, 2, 2): "c"}[a] == "c"
+        assert type(a[1:]) is tuple and a[1:] == (2, 2)
+        assert repr(a) == "Partition(3, 2, 2)" and repr(Partition((4,))) == "Partition(4,)"
+        assert str(a) == "(3,2,2)" and str(Partition((4,))) == "(4)"
+        with pytest.raises(ValueError, match=r"^parts must be weakly decreasing, got \(1, 2\)$"):
+            Partition([1, 2])
+        with pytest.raises(ValueError, match=r"^parts must be positive, got 0$"):
+            Partition((2, 0))
+
 
 class TestFactorizationLength:
     def test_length(self):
@@ -92,7 +105,7 @@ class TestEnumeration:
             assert len(partitions_of(n)) == partition_count(n)
 
     def test_reverse_lex_order(self):
-        got = [p.parts for p in partitions_of(4)]
+        got = list(partitions_of(4))
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_no_duplicates(self):
@@ -148,7 +161,7 @@ class TestElemSym:
         for n in range(9):
             for lam in partitions_of(n):
                 poly = [1]
-                for part in lam.parts:
+                for part in lam:
                     nxt = [0] * (len(poly) + 1)
                     for i, c in enumerate(poly):
                         nxt[i] += c
@@ -159,7 +172,7 @@ class TestElemSym:
     def test_sums_over_combinations(self):
         for n in range(11):
             for lam in partitions_of(n):
-                want = tuple(sum(map(prod, combinations(lam.parts, k))) for k in range(lam.m + 1))
+                want = tuple(sum(map(prod, combinations(lam, k))) for k in range(lam.m + 1))
                 assert elem_sym(lam) == want, lam
 
 
@@ -183,7 +196,7 @@ class TestPrimeCode:
         for a in self.ALL:
             for nb in range(1, 21 - a.n):
                 for b in self.BY_SIZE[nb]:
-                    union = Partition(sorted(a.parts + b.parts, reverse=True))
+                    union = Partition(sorted(a + b, reverse=True))
                     assert prime_code(union.pexp()) == prime_code(a.pexp()) * prime_code(b.pexp())
 
     def test_refusals(self):

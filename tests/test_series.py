@@ -478,7 +478,7 @@ class TestMonomialCode:
         assert _encode(2, ((1, 2), (3, 1))) == 2**2 * 3**2 * 7
 
     def test_repeated_indices_add_up(self):
-        assert _encode(1, ((2, 1), (1, 1), (2, 1))) == _encode(1, {1: 1, 2: 2})
+        assert _encode(1, ((2, 1), (1, 1), (2, 1))) == _encode(1, ((1, 1), (2, 2)))
         f = PSeries(TR8, {(1, ((1, 1), (2, 1))): 1, (1, ((2, 1), (1, 1))): 2})
         assert fraction_view(f) == {(1, ((1, 1), (2, 1))): 3}
 
