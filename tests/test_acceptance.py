@@ -93,7 +93,7 @@ def test_criterion_4_proof_certificate():
     ok = residual_T(TR8).is_zero
     ok = ok and g1_closed(TR8) == g1_defn(TR8)
     ok = ok and check_u1().ok and check_u2().ok and check_u3().ok
-    ok = ok and all(c.ok for c in closed_form_series_checks(order=8))
+    ok = ok and all(c.ok for c in closed_form_series_checks())
     _report(4, "PDE residual, series equality, and polynomial vanishing", ok)
 
 
@@ -149,7 +149,7 @@ def test_criterion_5_series_identities():
 
 
 def test_criterion_6_elementary_symmetric_extraction():
-    ok = elem_sym_extraction(max_n=8).ok
+    ok = elem_sym_extraction().ok
     _report(6, "coefficient-extraction identity for e_k, n <= 8", ok)
 
 

@@ -20,6 +20,10 @@ from hurwitz.partitions import Partition, partitions_of, theta
 from hurwitz.series import PSeries
 
 
+# SHA-256 of the `verify --N 8` report, the default truncation's
+VERIFY_N8_DIGEST = "d68ead7cf1786ca348d0a4abc03d2a5ce5e5db6b2bd4e5217d98da719bfd403f"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -184,6 +188,18 @@ class TestVerify:
         assert report["config"] == {"N": 6}
         assert all(c["status"] == "pass" for c in report["checks"])
 
+    def test_default_truncation_is_the_pinned_N8_report(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"] == {"N": 8}
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N8_DIGEST
+
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_truncation_below_one_is_refused(self, capsys, N):
+        code, out, err = run_cli(capsys, "verify", "--N", N)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: truncation degree N={N} is below 1\n"
+
     def test_injected_fault_fails_with_witness(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "6", "--inject-fault")
         assert code == EXIT_FAIL
@@ -213,11 +229,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, want_code, digest",
         [
-            (
-                ("--N", "8"),
-                EXIT_OK,
-                "d68ead7cf1786ca348d0a4abc03d2a5ce5e5db6b2bd4e5217d98da719bfd403f",
-            ),
+            (("--N", "8"), EXIT_OK, VERIFY_N8_DIGEST),
             (
                 ("--N", "8", "--inject-fault"),
                 EXIT_FAIL,

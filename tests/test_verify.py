@@ -1,5 +1,6 @@
 """The identity checker: PDE residual, polynomial vanishing, series identities."""
 
+import inspect
 from decimal import Decimal
 from fractions import Fraction
 
@@ -357,14 +358,14 @@ class TestVanishing:
             assert not expr.num.is_zero
 
     def test_series_routes(self):
-        for result in series_u_checks(order=8):
+        for result in series_u_checks():
             assert result.ok, result
 
     def test_kernels_recombine_in_main_ring(self):
         assert kernel_recombination(TR8).ok
 
     def test_closed_forms_match_series(self):
-        for result in closed_form_series_checks(order=10):
+        for result in closed_form_series_checks():
             assert result.ok, result
 
     @pytest.mark.parametrize("order", [8, 10])
@@ -417,7 +418,7 @@ class TestTreeEvaluation:
 
         monkeypatch.setattr(verify, "_at_tree", recording)
         verify._atom_power.cache_clear()
-        assert all(closed_form_series_checks(order=10))
+        assert all(closed_form_series_checks())
         # a numerator for each of a..e and psi_-1..psi_2, and once each the
         # denominator atoms they carry, 1 - w1, 1 - w2 and w1 - w2
         atoms = [p for p, _ in seen if any(p == atom for atom in verify._ATOMS)]
@@ -527,7 +528,7 @@ class TestFaultInjection:
     def test_single_kernel_fault_is_caught(self, name):
         kernels = _perturbed(name)
         checks = (
-            closed_form_series_checks(kernels, order=8)
+            closed_form_series_checks(kernels)
             + [check_u1(kernels), check_u2(kernels), check_u3(kernels)]
         )
         failed = [c for c in checks if not c.ok]
@@ -589,10 +590,11 @@ class TestFaultInjection:
         assert all(c.witness for c in failed)
         assert (checks[0].name, checks[0].ok) == ("pde_residual", True)
 
-    def test_genus0_input_fault_is_caught(self):
-        assert f0_pdiff_axiom(TR8, f0_series(TR8)).ok
+    def test_genus0_input_fault_is_caught(self, monkeypatch):
+        assert f0_pdiff_axiom(TR8).ok
         bad = f0_series(TR8) + PSeries.term(TR8, 1, x=3, p=((1, 1), (2, 1)))
-        result = f0_pdiff_axiom(TR8, bad)
+        monkeypatch.setattr(verify, "f0_series", lambda N: bad)
+        result = f0_pdiff_axiom(TR8)
         assert not result.ok
         assert result.witness.startswith("k=1: ")
 
@@ -648,22 +650,33 @@ class TestFaultInjection:
         assert result.witness == "degree 1: x^4*p1^2*p2"
 
     def test_elem_sym_fault_is_caught(self, monkeypatch):
+        # a wrong right side: e_2 one too large wherever it is defined
         elem_sym = verify.elem_sym
         monkeypatch.setattr(
             verify, "elem_sym", lambda lam: tuple(e + (k == 2) for k, e in enumerate(elem_sym(lam)))
         )
-        result = elem_sym_extraction(max_n=8)
+        result = elem_sym_extraction()
         assert not result.ok
-        assert result.witness == "lambda=(1,1), k=2: got 1, want 2"
+        assert result.witness == "k=2: x^2*p1^2"
 
-    def test_g1_pdiff_fault_is_caught(self):
+    def test_elem_sym_product_fault_is_caught(self, monkeypatch):
+        # a wrong left side: exp(sum p_i/i) off by x^3 p1 p2 / 5
+        exp = verify.exp
+        bump = PSeries.term(TR8, Fraction(1, 5), x=3, p=((1, 1), (2, 1)))
+        monkeypatch.setattr(verify, "exp", lambda f: exp(f) + bump)
+        result = elem_sym_extraction()
+        assert not result.ok
+        assert result.witness == "k=0: x^3*p1*p2"
+
+    def test_g1_pdiff_fault_is_caught(self, monkeypatch):
         bad = g1_closed(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
-        result = g1_pdiff_identity(TR8, bad)
+        monkeypatch.setattr(verify, "g1_closed", lambda N: bad)
+        result = g1_pdiff_identity(TR8)
         assert not result.ok
         assert result.witness == "k=2: x^2"
 
     def test_residual_fault_reports_witness(self):
-        checks = run_all_checks(inject_fault=True)
+        checks = run_all_checks(TR8, inject_fault=True)
         failed = [c for c in checks if not c.ok]
         assert failed and failed[0].name == "pde_residual"
         assert failed[0].witness
@@ -694,19 +707,20 @@ class TestIdentities:
         assert g1_xdiff_identity(TR8).ok
         assert g1_pdiff_identity(TR8).ok
 
-    def test_g1_derivative_check_catches_fault(self):
+    def test_g1_derivative_check_catches_fault(self, monkeypatch):
         bad = g1_closed(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
-        result = g1_xdiff_identity(TR8, bad)
+        monkeypatch.setattr(verify, "g1_closed", lambda N: bad)
+        result = g1_xdiff_identity(TR8)
         assert not result.ok
         assert result.witness == "x^2*p2"
 
     def test_elem_sym_extraction(self):
-        assert elem_sym_extraction(max_n=8).ok
+        assert elem_sym_extraction().ok
 
 
 class TestReport:
     def test_all_pass(self):
-        checks = run_all_checks()
+        checks = run_all_checks(TR8)
         assert all(c.ok for c in checks)
         assert [c.name for c in checks] == [
             "pde_residual",
@@ -733,13 +747,30 @@ class TestReport:
             "f0_pdiff_axiom",
         ]
 
+    def test_every_check_takes_only_N(self):
+        # besides N, only the kernel seam of the vanishing checks and the g1
+        # that inject_fault perturbs; every other input is read by name
+        extra = {"residual_T": {"g1"}, "closed_form_series_checks": {"kernels"}}
+        extra |= {f"check_u{i}": {"kernels"} for i in (1, 2, 3)}
+        called = [
+            name
+            for name in run_all_checks.__code__.co_names
+            if not name.startswith("_")
+            and inspect.isfunction(f := getattr(verify, name, None))
+            and f.__module__ == verify.__name__
+        ]
+        assert len(called) == 14 and extra.keys() <= set(called)
+        for name in called:
+            params = set(inspect.signature(getattr(verify, name)).parameters)
+            assert params <= {"N"} | extra.get(name, set()), name
+
     def test_a_failed_check_is_false(self):
         # a CheckResult is a tuple, which is true whatever its fields hold
         assert not CheckResult("x", False)
         assert CheckResult("x", True)
 
     def test_report_schema(self):
-        checks = run_all_checks(inject_fault=True)
+        checks = run_all_checks(TR8, inject_fault=True)
         obj = report_obj(checks, config={"N": 8})
         assert obj["config"] == {"N": 8}
         for entry in obj["checks"]:
