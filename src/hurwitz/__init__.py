@@ -26,10 +26,10 @@ _EXPORTS = {
         "c_value", "f0_pdiff", "f0_series", "g1_closed", "g1_defn", "mu0", "mu1", "psi", "s_series",
     ),
     "cutjoin": ("CutJoinState", "evolve", "extract_c"),
-    "oracle": ("SizeLimitExceeded", "count_transitive"),
+    "oracle": ("count_transitive",),
     "partitions": (
-        "FixedPointError", "IntegralityError", "Partition", "a_coeff", "class_size", "elem_sym",
-        "factorization_length", "partitions_of", "theta",
+        "FixedPointError", "IntegralityError", "Partition", "SizeLimitExceeded", "a_coeff",
+        "class_size", "elem_sym", "factorization_length", "partitions_of", "theta",
     ),
     "series": ("PSeries", "TruncationMismatch", "exp", "log1", "subst_x"),
     "verify": (

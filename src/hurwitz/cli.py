@@ -20,11 +20,12 @@ bounds come from the query: count evolves at (n, g), table at (n, 1) and
 compare at (n, genus-max), once per command.
 
 Each command imports only the engine it runs: ``_count_by`` imports the
-oracle, cut-and-join or closed-formula module of its method, ``verify``
-imports the identity checks and ``compare`` the oracle for its budget and
-``closedform`` for its genus range (``closedform.MU``).  A ``compare`` row
-on which only one engine ran has compared nothing: its ``agree`` cell is
-``-``, neither ``yes`` nor a disagreement.  ``json`` is imported by the
+module of its method and ``verify`` the identity checks.  An engine refuses
+a request outside its range with ``SizeLimitExceeded``; ``compare`` asks
+every engine for every row, leaves a refused cell empty and keeps the
+columns of the engines that served a row.  A ``compare`` row on which only
+one engine ran has compared nothing: its ``agree`` cell is ``-``, neither
+``yes`` nor a disagreement.  ``json`` is imported by the
 JSON output and ``verify`` alone, and mu is reduced in integers, so a CSV
 ``table`` or ``count`` by the oracle or cut-and-join loads neither ``json``
 nor ``fractions``.
@@ -45,6 +46,7 @@ from .partitions import (
     FixedPointError,
     IntegralityError,
     Partition,
+    SizeLimitExceeded,
     factorization_length,
     partitions_of,
     theta,
@@ -127,11 +129,9 @@ def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
 
         state = cutjoin.evolve(alpha.n, genus_bound)
         return cutjoin.extract_c(state, alpha, g)
-    if method == "closed":
-        from . import closedform
+    from . import closedform
 
-        return closedform.c_value(alpha, g)
-    raise UsageError(f"unknown method {method!r}")
+    return closedform.c_value(alpha, g)
 
 
 def _mu(alpha: Partition, c: int) -> str:
@@ -142,16 +142,17 @@ def _mu(alpha: Partition, c: int) -> str:
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
-    """Write the rows as they are: a partition is a tuple, so JSON writes it as
-    an integer array and CSV as its str, "(a1,a2,...)"."""
+    """Write the header's cells of the rows as they are: a partition is a tuple,
+    so JSON writes it as an integer array and CSV as its str, "(a1,a2,...)"."""
+    cells = [[row[h] for h in header] for row in rows]
     if fmt == "json":
         import json
 
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        print(json.dumps([dict(zip(header, c)) for c in cells], indent=2, sort_keys=True))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([row[h] for h in header] for row in rows)
+    writer.writerows(cells)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -199,30 +200,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("n must be at least 1")
     if genus_max < 0:
         raise UsageError("--genus-max must be nonnegative")
-    from . import closedform, oracle
-
-    methods = ["cutjoin", "closed"]
-    if n <= oracle.ORACLE_MAX_N:
-        methods.insert(0, "oracle")
-    else:
-        print(f"note: oracle skipped for n={n} > ORACLE_MAX_N={oracle.ORACLE_MAX_N}", file=sys.stderr)
-    rows = []
-    disagreements = 0
+    rows, refusals = [], {}
     for alpha in partitions_of(n):
         for g in range(genus_max + 1):
-            values = {
-                method: _count_by(method, alpha, g, genus_max)
-                for method in methods
-                if method != "closed" or g < len(closedform.MU)
-            }
+            values = {}
+            for method in METHODS:
+                try:
+                    values[method] = _count_by(method, alpha, g, genus_max)
+                except SizeLimitExceeded as err:
+                    refusals.setdefault(method, err)
             # one engine alone has compared nothing: "-", not a disagreement
             agree = "-" if len(values) < 2 else "yes" if len(set(values.values())) == 1 else "NO"
-            disagreements += agree == "NO"
             rows.append(
-                {"alpha": alpha, "g": g, **dict.fromkeys(methods, ""), **values, "agree": agree}
+                {"alpha": alpha, "g": g, **dict.fromkeys(METHODS, ""), **values, "agree": agree}
             )
+    methods = [m for m in METHODS if any(row[m] != "" for row in rows)]
+    for method in METHODS:
+        if method not in methods:
+            print(f"note: {method} skipped: {refusals[method]}", file=sys.stderr)
     _emit(rows, ["alpha", "g"] + methods + ["agree"], args.format)
-    return EXIT_OK if disagreements == 0 else EXIT_FAIL
+    return EXIT_FAIL if any(row["agree"] == "NO" for row in rows) else EXIT_OK
 
 
 COMMANDS = {"count": cmd_count, "table": cmd_table, "verify": cmd_verify, "compare": cmd_compare}

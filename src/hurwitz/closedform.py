@@ -57,6 +57,7 @@ from math import factorial
 from .partitions import (
     FixedPointError,
     Partition,
+    SizeLimitExceeded,
     a_coeff,
     elem_sym,
     factorization_count,
@@ -135,7 +136,7 @@ def c_value(alpha: Partition, g: int) -> int:
     """Factorization count c_g(alpha) = mu_g(alpha) * n! / |C_alpha| (g < len(MU))."""
     factorization_length(alpha, g)  # the request check every engine shares
     if g >= len(MU):
-        raise ValueError(f"no closed formula for genus {g}")
+        raise SizeLimitExceeded(f"no closed formula for genus {g}")
     return factorization_count(MU[g](alpha), alpha, g)
 
 

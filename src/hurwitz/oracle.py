@@ -36,19 +36,15 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .partitions import IntegralityError, Partition, factorization_length
+from .partitions import IntegralityError, Partition, SizeLimitExceeded, factorization_length
 
-# `compare --n 16 --genus-max 3` takes 2.2-2.4 s, 1.3-1.8 s of it in the
-# oracle and half of that in the character sums (2-core Intel Xeon, Python
-# 3.11.7); each further n about doubles the oracle's share: 2.3 s at n = 17,
-# 4.7 s at n = 18.
+# `compare --n 16 --genus-max 3` takes 1.2-1.9 s cold, 0.95-1.2 s of it in
+# the oracle and half of that in the character sums (shared 2-core Intel Xeon,
+# Python 3.11.7, no bytecode cache); each further n multiplies the oracle's
+# share by about 1.8: 1.9-2.1 s at n = 17, 3.3-3.8 s at n = 18.
 ORACLE_MAX_N = 16
 
 Parts = tuple[int, ...]
-
-
-class SizeLimitExceeded(ValueError):
-    """The requested count is outside the oracle's budget, n <= ORACLE_MAX_N."""
 
 
 # -- the character formula ---------------------------------------------------

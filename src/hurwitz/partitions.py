@@ -6,14 +6,15 @@ as its parts, and every engine, cache and writer reads it directly.  This
 module gives enumeration in reverse-lexicographic order, the class size
 |C_alpha|, theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, weights a_r = r^r/(r-1)! of the
-closed formulas, the integrality check of a count, the two error types the
-engines raise (``IntegralityError``, ``FixedPointError``) and the odd-prime
-code prod q_k^e of (k, e) pairs (``prime_code``, ``prime_pairs``) that
-``series`` and ``cutjoin`` share.  ``factorization_length`` is the one
-definition of the number r = n + m + 2g - 2 of transpositions of a genus-g
-request, and the one check of that request; every engine keys its answer
-by it.  It imports no series code, so the counting engines that build on
-it (``cutjoin``, ``oracle``) stay independent of the series ring.
+closed formulas, the integrality check of a count, the error types the
+engines raise (``IntegralityError``, ``FixedPointError``,
+``SizeLimitExceeded``) and the odd-prime code prod q_k^e of (k, e) pairs
+(``prime_code``, ``prime_pairs``) that ``series`` and ``cutjoin`` share.
+``factorization_length`` is the one definition of the number
+r = n + m + 2g - 2 of transpositions of a genus-g request, and the one
+check of that request; every engine keys its answer by it.  It imports no
+series code, so the counting engines that build on it (``cutjoin``,
+``oracle``) stay independent of the series ring.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ class IntegralityError(ArithmeticError):
 
 class FixedPointError(RuntimeError):
     """A candidate series is not the fixed point of its defining equation."""
+
+
+class SizeLimitExceeded(ValueError):
+    """A request outside the range an engine serves."""
 
 
 # q_1, q_2, ...: the odd primes, grown on demand.

@@ -16,7 +16,7 @@ import pytest
 from hurwitz import closedform, cutjoin
 from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _mu, build_parser, main, parse_partition
 from hurwitz.oracle import ORACLE_MAX_N
-from hurwitz.partitions import Partition, partitions_of, theta
+from hurwitz.partitions import Partition, SizeLimitExceeded, partitions_of, theta
 from hurwitz.series import PSeries
 
 
@@ -306,9 +306,13 @@ class TestCompare:
             capsys, "compare", "--n", str(ORACLE_MAX_N + 1), "--genus-max", "2", "--format", "json"
         )
         assert code == EXIT_OK
-        assert {(rec["g"], rec["agree"]) for rec in json.loads(out)} == {
+        records = json.loads(out)
+        assert {(rec["g"], rec["agree"]) for rec in records} == {
             (0, "yes"), (1, "yes"), (2, "-")
         }
+        # a column only for an engine that served a row, an empty cell where one refused
+        assert not any("oracle" in rec for rec in records)
+        assert all(rec["closed"] == "" for rec in records if rec["g"] == 2)
 
     @pytest.mark.slow
     def test_every_engine_agrees_at_the_oracle_budget(self, capsys):
@@ -323,8 +327,32 @@ class TestCompare:
         n = ORACLE_MAX_N + 1
         code, out, err = run_cli(capsys, "compare", "--n", str(n))
         assert code == EXIT_OK
-        assert err == f"note: oracle skipped for n={n} > ORACLE_MAX_N={ORACLE_MAX_N}\n"
+        assert err == (
+            f"note: oracle skipped: oracle budget is n <= ORACLE_MAX_N = {ORACLE_MAX_N}; got n = {n}\n"
+        )
         assert out.splitlines()[0] == "alpha,g,cutjoin,closed,agree"
+
+    def test_an_engine_refusal_empties_its_cells(self, capsys, monkeypatch):
+        # compare reads an engine's range from its refusal, not from a copy of it
+        from hurwitz import oracle
+
+        count = oracle.count_transitive
+
+        def genus_zero_only(alpha, g):
+            if g >= 1:
+                raise SizeLimitExceeded(f"genus {g} refused")
+            return count(alpha, g)
+
+        monkeypatch.setattr(oracle, "count_transitive", genus_zero_only)
+        code, out, err = run_cli(capsys, "compare", "--n", "5", "--genus-max", "1")
+        assert code == EXIT_OK and err == ""
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["alpha", "g", "oracle", "cutjoin", "closed", "agree"]
+        want = []
+        for alpha in partitions_of(5):
+            c0, c1 = str(count(alpha, 0)), str(closedform.c_value(alpha, 1))
+            want += [[str(alpha), "0", c0, c0, c0, "yes"], [str(alpha), "1", "", c1, c1, "yes"]]
+        assert rows == want
 
 
 class TestPinnedOutput:

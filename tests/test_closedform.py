@@ -93,6 +93,11 @@ class TestRecords:
         with pytest.raises(ValueError):
             c_value(Partition((2,)), 2)
 
+    def test_genus_bound_is_the_engines_refusal(self):
+        # the refusal type compare reads an engine's range from
+        with pytest.raises(partitions.SizeLimitExceeded, match="^no closed formula for genus 2$"):
+            c_value(Partition((2,)), 2)
+
     def test_non_integral_count_raises(self, monkeypatch):
         monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(1, 7), closedform.mu1))
         with pytest.raises(IntegralityError):

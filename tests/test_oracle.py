@@ -219,6 +219,12 @@ class TestCountTransitive:
         with pytest.raises(SizeLimitExceeded, match="ORACLE_MAX_N"):
             count_transitive(Partition((ORACLE_MAX_N + 1,)), 0)
 
+    def test_size_refusal_is_the_shared_type(self):
+        # defined beside IntegralityError; the oracle's name still imports
+        from hurwitz import oracle, partitions
+
+        assert oracle.SizeLimitExceeded is partitions.SizeLimitExceeded is SizeLimitExceeded
+
 
 class TestSieve:
     def test_multiset_sieve_equals_the_subset_sieve(self):
