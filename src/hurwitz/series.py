@@ -33,18 +33,14 @@ numerators (or numerator products) are added straight into the running
 numerators, so a product or a p-monomial multiple that feeds a sum is never
 built as a series.  The sum is rescaled only when the lcm of the
 denominators grows; what cancels stays in it until one pass drops the zeros
-and one gcd reduces it at the end.  ``*`` is the same pair loop run into an
-empty sum.  It visits only the partners inside the cut: a right factor's
-terms of each cut degree and below (``ExactRing._partner_lists``), built
-the first time a series is a right factor and kept with it.  Derivations
-scale numerators and are reduced by one gcd.  A scalar a/b (``*`` by a
-scalar, ``shift``) skips that scan: the content (gcd of the numerators) of
-a canonical series is prime to den, so the result reduces by exactly
-gcd(den, a) * gcd(b, content): only b > 1 reads the numerators, and scalar
-1 is no pass at all.  ``shift`` moves and scales each term in one pass,
-unless its cut drops terms: the terms kept may share a factor with den, so
-they are reduced in full first.  Only coefficient reads (``coeff``,
-``fraction_view``) build Fractions; floating point is never used.
+and one gcd reduces it at the end.  Scalar multiples, negation, products
+and shifts (``shift``, the product by one monomial) are weighted totals of
+one summand.  A product visits only the partners inside the cut: a right
+factor's terms of each cut degree and below (``ExactRing._partner_lists``),
+built the first time a series is a right factor and kept with it.
+Derivations scale numerators and are reduced by one gcd.  Only coefficient
+reads (``coeff``, ``fraction_view``) build Fractions; floating point is
+never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
 monomial; ``PSeries`` here and ``verify.WPoly`` are its two monomial
@@ -100,15 +96,6 @@ def _exact(c: object) -> Fraction | int:
     raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
 
 
-def _integer_form(
-    terms: Mapping[Key, Fraction | int], keep: Callable[[Key], bool]
-) -> tuple[int, dict[Key, int]]:
-    """The nonzero kept coefficients over their lcm denominator (canonical as is)."""
-    clean = {mono: c for mono, c in terms.items() if _exact(c) and keep(mono)}
-    den = lcm(*(c.denominator for c in clean.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-
-
 def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
     """Canonical form of terms/den (den > 0, no zero numerator in terms)."""
     if not terms:
@@ -117,14 +104,6 @@ def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
     if g == 1:
         return den, terms
     return den // g, {m: v // g for m, v in terms.items()}
-
-
-def _scaling(den: int, terms: Mapping[Key, int], c: Fraction | int) -> tuple[int, int, int]:
-    """(den', h, a') with c * terms/den == {m: v // h * a'}/den', canonical when
-    terms/den is, for c = a/b != 0: gcd(den, a) * gcd(b, content) divides out."""
-    a, b = c.numerator, c.denominator
-    g, h = gcd(den, a), gcd(b, *terms.values()) if b > 1 else 1
-    return den // g * (b // h), h, a // g
 
 
 def _accumulate(
@@ -242,21 +221,11 @@ class ExactRing:
         return self.weighted_total(self.N, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "ExactRing":
-        return self._of(self.N, self.den, {m: -v for m, v in self.terms.items()})
+        return self.weighted_total(self.N, ((self, -1),))
 
     def __mul__(self, other: "ExactRing | Fraction | int") -> "ExactRing":
-        if not isinstance(other, ExactRing):
-            if _exact(other) == 1:
-                return self
-            if not other:
-                return self._of(self.N, 1, {})
-            den, h, a = _scaling(self.den, self.terms, other)
-            return self._of(self.N, den, {m: v // h * a for m, v in self.terms.items()})
-        self._check(other)
-        acc: dict = {}
-        if self.terms and other.terms:
-            self._pairs_into(other, acc, 1, 1)
-        return self._of(self.N, *_canonical(self.den * other.den, acc))
+        summand = (self, 1, other) if isinstance(other, ExactRing) else (self, other)
+        return self.weighted_total(self.N, (summand,))
 
     __rmul__ = __mul__
 
@@ -279,16 +248,30 @@ class ExactRing:
             self._lists = lists
             return lists
 
-    @classmethod
-    def _of_pairs(cls, N: int | None, items: Iterable[tuple[Hashable, int, int]]) -> "ExactRing":
-        """The sum of num/den at key over items (key, num, den) of ints, den > 0:
-        brought to the lcm denominator, repeated keys added, reduced once.
-        Keys are in the ring's own format and inside the cut, unchecked."""
+    def _set_pairs(self, N: int | None, items: Iterable[tuple[Hashable, int, int]]) -> None:
+        """Set self, cut at N, to the sum of num/den at key over items (key, num,
+        den) of ints, den > 0: brought to the lcm denominator, repeated keys
+        added, zeros dropped, reduced once.  Keys are in the ring's own format
+        and inside the cut, unchecked."""
         items = list(items)
         den, acc = lcm(*(d for _, _, d in items)), {}
         for key, num, d in items:
             acc[key] = acc.get(key, 0) + num * (den // d)
-        return cls._of(N, *_canonical(den, acc))
+        self.N, (self.den, self.terms) = N, _canonical(den, acc)
+
+    @classmethod
+    def _of_pairs(cls, N: int | None, items: Iterable[tuple[Hashable, int, int]]) -> "ExactRing":
+        """A new series set by ``_set_pairs``: a constructor that builds no Fraction."""
+        out = object.__new__(cls)
+        out._set_pairs(N, items)
+        return out
+
+    @staticmethod
+    def _exact_pairs(
+        terms: Iterable[tuple[Key, object]], keep: Callable[[Key], bool]
+    ) -> Iterable[tuple[Key, int, int]]:
+        """(key, num, den) of each nonzero kept coefficient; every one must pass ``_exact``."""
+        return ((k, c.numerator, c.denominator) for k, c in terms if _exact(c) and keep(k))
 
     @classmethod
     def total(cls, N: int | None, items: Iterable["ExactRing"]) -> "ExactRing":
@@ -331,12 +314,8 @@ class PSeries(ExactRing):
     ):
         if N < 1:
             raise ValueError(f"truncation degree N={N} is below 1")
-        coded: dict[int, Fraction | int] = {}
-        for (xd, pexp), c in (terms or {}).items():
-            code = _encode(xd, pexp)
-            coded[code] = coded[code] + c if code in coded else c
-        self.N = N
-        self.den, self.terms = _integer_form(coded, lambda code: _xdeg(code) <= N)
+        coded = ((_encode(xd, pexp), c) for (xd, pexp), c in (terms or {}).items())
+        self._set_pairs(N, self._exact_pairs(coded, lambda code: _xdeg(code) <= N))
 
     # Code objects of their own for the benchmark probes series.PSeries.{mul,
     # add}: cProfile counts calls per code object, and a body shared with
@@ -375,8 +354,8 @@ class PSeries(ExactRing):
         x: int = 0,
         p: Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
-        """Single monomial coeff * x^x * p-monomial."""
-        return PSeries.one(N).shift(coeff, x, p)
+        """Single monomial coeff * x^x * p-monomial (repeated p indices add up)."""
+        return PSeries(N, {(x, tuple(p)): coeff})
 
     @staticmethod
     def from_parts(
@@ -432,16 +411,8 @@ class PSeries(ExactRing):
         x: int = 0,
         p: Iterable[tuple[int, int]] = (),
     ) -> "PSeries":
-        """Multiply by a single monomial, in one pass when the cut drops no term."""
-        m, top = _encode(x, p), self.N - x
-        den, terms = self.den, self.terms
-        if x and len(kept := {c: v for c, v in terms.items() if _xdeg(c) <= top}) < len(terms):
-            # the terms the cut kept may share a factor with den
-            den, terms = _reduce(den, kept)
-        if not _exact(coeff):
-            return PSeries._of(self.N, 1, {})
-        den, h, a = _scaling(den, terms, coeff)
-        return PSeries._of(self.N, den, {c * m: v // h * a for c, v in terms.items()})
+        """Multiply by the single monomial coeff * x^x * p-monomial."""
+        return self * PSeries.term(self.N, coeff, x, p)
 
     # -- derivations and slices --------------------------------------------
 

@@ -75,7 +75,7 @@ from .closedform import (
     s_series,
 )
 from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import ExactRing, PSeries, _integer_form, exp
+from .series import ExactRing, PSeries, exp
 
 _ZERO = Fraction(0)
 
@@ -154,9 +154,8 @@ class WPoly(ExactRing):
         terms: Mapping[Mono, Fraction | int] | None = None,
         N: int | None = None,
     ):
-        self.N = N
         cap = _NO_CAP if N is None else N
-        self.den, self.terms = _integer_form(terms or {}, lambda mono: max(mono) <= cap)
+        self._set_pairs(N, self._exact_pairs((terms or {}).items(), lambda m: max(m) <= cap))
 
     # A code object of its own for the benchmark probe verify.WPoly.mul, as
     # for the probed operations of PSeries.

@@ -49,6 +49,19 @@ def test_engine_module_imports_no_series_code(filename):
     assert imported_modules(tree) & FORBIDDEN == set()
 
 
+def test_verify_imports_no_private_series_name():
+    # WPoly reaches the ring's shared routines through ExactRing, not by name
+    tree = ast.parse((PACKAGE / "verify.py").read_text(), "verify.py")
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "series"
+        for alias in node.names
+    }
+    assert "ExactRing" in names
+    assert {name for name in names if name.startswith("_")} == set()
+
+
 def test_the_scan_sees_each_import_form():
     tree = ast.parse(
         "import hurwitz.series\n"

@@ -17,7 +17,6 @@ from hurwitz import (
     log1,
     subst_x,
 )
-from hurwitz import series
 from hurwitz.series import _decode, _encode, _xdeg, fraction_view, monomial_str, powers
 
 from conftest import (
@@ -101,6 +100,40 @@ class TestFromParts:
             PSeries.from_parts(TR8, {(2, 0): 1})
         with pytest.raises(ValueError):
             PSeries.one(TR8).coeff(0, (0,))
+
+
+class TestTerm:
+    """PSeries.term builds its one monomial with the constructor and keeps the
+    edges of a shift of the series 1."""
+
+    def test_equals_a_shift_of_one(self):
+        p = ((2, 1), (1, 1), (2, 2))
+        for x in (0, 3, TR6):
+            assert PSeries.term(TR6, Fraction(-2, 3), x, p) == PSeries.one(TR6).shift(
+                Fraction(-2, 3), x, p
+            )
+
+    def test_beyond_the_cut_is_zero(self):
+        got = PSeries.term(TR6, Fraction(2, 3), x=TR6 + 1, p=((1, 1),))
+        assert got.is_zero and got.den == 1
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            PSeries.term(TR6, 1, x=-1)
+
+    def test_repeated_p_indices_add_up(self):
+        got = PSeries.term(TR6, 3, x=2, p=((2, 1), (1, 1), (2, 2)))
+        assert fraction_view(got) == {(2, ((1, 1), (2, 3))): 3}
+        assert got == PSeries.term(TR6, 3, x=2, p=((1, 1), (2, 3)))
+
+    def test_zero_coefficient_is_zero(self):
+        got = PSeries.term(TR6, Fraction(0, 5), x=1, p=((1, 1),))
+        assert got.is_zero and got.den == 1
+
+    def test_float_refused_inside_and_beyond_the_cut(self):
+        for x in (1, TR6 + 1):
+            with pytest.raises(TypeError, match="floating-point"):
+                PSeries.term(TR6, 0.5, x=x)
 
 
 class TestFromPartPairs:
@@ -291,16 +324,13 @@ def with_content_st(N):
 
 
 class TestScalarsWithoutAScan:
-    """f * c and f.shift(c, ...) reduce without a gcd over the numerators,
-    except where the cut dropped terms; both equal the generic route."""
+    """f * c and f.shift(c, ...) are weighted totals of one summand; both
+    store the form the generic route gives, also where the cut dropped terms."""
 
-    def test_integer_scalars_never_scan(self, monkeypatch):
-        # the full reduction is unreachable, and scalar 1 returns f itself
+    def test_integer_scalars(self):
         f = PSeries(TR6, {(1, ((1, 1),)): Fraction(2, 3), (5, ()): Fraction(4, 3)})
         scalars = (-1, 2, -6, Fraction(6))
         want = [reduced_scale(f.den, f.terms, c) for c in scalars]
-        monkeypatch.setattr(series, "_reduce", None)
-        assert f * 1 is f
         for c, (den, terms) in zip(scalars, want):
             got = f * c
             assert (got.den, got.terms) == (den, terms)
@@ -532,7 +562,7 @@ class TestScalarRule:
                 make()
 
     def test_repeated_keys_are_checked_after_adding(self):
-        # "1" + "2" would concatenate; the sum is still refused
+        # each coefficient is checked before keys are added, so "1" + "2" never concatenates
         with pytest.raises(TypeError, match="int or Fraction"):
             PSeries.from_parts(4, {(1, 2): "1", (2, 1): "2"})
         with pytest.raises(TypeError, match="floating-point"):
@@ -689,7 +719,7 @@ class TestPartnerLists:
         derived = [PSeries._of(g.N, g.den, g.terms), -g, g * 3, g * c]
         derived += [g.shift(2, x=1), g.shift(p=((1, 1),))]
         for h in derived:
-            assert h is g or not hasattr(h, "_lists")  # g * 1 is g itself
+            assert not hasattr(h, "_lists")
             assert fraction_view(f * h) == fraction_loop_product(f, h)
 
 
