@@ -29,7 +29,8 @@ Each family has an integer weight that absorbs the 1/2:
 
 Each order is walked once: that pass adds its cut and handle-join terms to
 the next order and returns its derivatives i dPhi_r/dp_i, bucketed by the
-(n, g) of their term, for the cross joins of every later order.
+(n, g) of their term, for the cross joins of every later order.  Only terms
+with n < N get a bucket: the other side of a cross join has n >= 1.
 
 Every order, from the seed to ``extract_c``, is keyed by the code
 prod_i q_{alpha_i} of alpha, q_k the k-th odd prime (``partitions.prime_code``,
@@ -84,18 +85,19 @@ def _decode(code: int) -> Shape:
 
 
 def _cut_and_handle_join(
-    phi: Coded, r: int, G: int, q: list[int], shapes: dict[int, Shape], acc: Coded
+    phi: Coded, r: int, N: int, G: int, q: list[int], shapes: dict[int, Shape], acc: Coded
 ) -> Derivatives:
     """Add the cut and genus-raising join terms of Phi_{r+1}; return the
-    p-derivatives of Phi_r."""
+    p-derivatives of the terms of Phi_r with n < N."""
     out: Derivatives = {}
     for code, c in phi.items():
         n, m, mults = shapes[code]
         g = _genus(r, n, m)
-        bucket = out.setdefault((n, g), [])
+        bucket = out.setdefault((n, g), []) if n < N else None
         for k, e in mults:
             rest, ekc = code // q[k], e * k * c
-            bucket.append((k, rest, ekc))
+            if bucket is not None:
+                bucket.append((k, rest, ekc))
             for i in range(1, k // 2 + 1):
                 key = rest * q[i] * q[k - i]
                 acc[key] = acc.get(key, 0) + (ekc if 2 * i < k else ekc // 2)
@@ -167,7 +169,7 @@ def evolve(N: int, G: int) -> CutJoinState:
     derivs: list[Derivatives] = []
     for r in range(2 * N + 2 * G - 2):
         acc: Coded = {}
-        derivs.append(_cut_and_handle_join(coded[r], r, G, q, shapes, acc))
+        derivs.append(_cut_and_handle_join(coded[r], r, N, G, q, shapes, acc))
         # the s and r - s cross joins are equal; pair them up
         for s in range(r // 2 + 1):
             _cross_join(derivs[s], derivs[r - s], r, s, N, G, q, acc)

@@ -4,8 +4,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 
-from hurwitz import PSeries
-from hurwitz.series import _reduce, fraction_view
+from hurwitz.series import PSeries, _reduce, fraction_view
 
 TR8 = 8  # series cut at x^8
 TR6 = 6

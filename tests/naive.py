@@ -7,7 +7,7 @@ cut-and-join and closed-form tests compare against ``count_naive``; no
 package code calls it.
 """
 
-from hurwitz import Partition, SizeLimitExceeded, factorization_length
+from hurwitz.partitions import Partition, SizeLimitExceeded, factorization_length
 
 # The slowest request inside this budget, (1,1,1,1,1) at g = 0 (r = 8),
 # takes 19.5 s, and (2,2,1), (3,1,1) at g = 1 and (5) at g = 2 take 15-16.5 s

@@ -8,37 +8,24 @@ them on success.
 from fractions import Fraction
 from math import factorial
 
-from hurwitz import (
-    PSeries,
+from hurwitz.closedform import f0_series, g1_closed, g1_defn, mu0, mu1, psi_at_s, s_series
+from hurwitz.cutjoin import evolve, extract_c
+from hurwitz.oracle import count_transitive
+from hurwitz.partitions import a_coeff, class_size, partitions_of
+from hurwitz.series import PSeries, exp, fraction_view
+from hurwitz.verify import (
+    _tree_coeffs,
     check_u1,
     check_u2,
     check_u3,
-    class_size,
-    count_transitive,
-    evolve,
-    exp,
-    extract_c,
-    f0_series,
-    g1_closed,
-    g1_defn,
-    mu0,
-    mu1,
-    partitions_of,
-    residual_T,
-    s_series,
-)
-from hurwitz.closedform import psi_at_s
-from hurwitz.partitions import a_coeff
-from hurwitz.series import fraction_view
-from hurwitz.verify import (
     closed_form_series_checks,
     elem_sym_extraction,
     g1_pdiff_identity,
     g1_xdiff_identity,
     psi_pdiff_identity,
+    residual_T,
     s_pdiff_identity,
     s_xdiff_identity,
-    _tree_coeffs,
 )
 
 TR8 = 8

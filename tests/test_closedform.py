@@ -10,27 +10,33 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import (
-    IntegralityError,
-    Partition,
-    PSeries,
+from hurwitz import closedform, partitions
+from hurwitz.closedform import (
+    FixedPointError,
     c_value,
-    class_size,
-    count_transitive,
-    exp,
     f0_pdiff,
     f0_series,
     g1_closed,
     g1_defn,
     mu0,
     mu1,
-    partitions_of,
+    psi,
+    psi_at_s,
+    s_powers,
     s_series,
 )
-from hurwitz import closedform, partitions
-from hurwitz.closedform import FixedPointError, psi, psi_at_s, s_powers
-from hurwitz.partitions import a_coeff, elem_sym, factorization_length, theta
-from hurwitz.series import fraction_view, powers, subst_x
+from hurwitz.oracle import count_transitive
+from hurwitz.partitions import (
+    IntegralityError,
+    Partition,
+    a_coeff,
+    class_size,
+    elem_sym,
+    factorization_length,
+    partitions_of,
+    theta,
+)
+from hurwitz.series import PSeries, exp, fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
 
 from conftest import is_canonical
@@ -110,7 +116,8 @@ class TestRecords:
         # python -O strips assert statements; the guard must still fire
         code = (
             "from fractions import Fraction\n"
-            "from hurwitz import IntegralityError, Partition, closedform\n"
+            "from hurwitz import closedform\n"
+            "from hurwitz.partitions import IntegralityError, Partition\n"
             "closedform.MU = (lambda alpha: Fraction(1, 7), closedform.mu1)\n"
             "try:\n"
             "    closedform.c_value(Partition((3,)), 0)\n"

@@ -10,22 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import (
-    CutJoinState,
+from hurwitz import cutjoin, series
+from hurwitz.closedform import c_value, mu0, mu1
+from hurwitz.cutjoin import CutJoinState, evolve, extract_c
+from hurwitz.oracle import count_transitive
+from hurwitz.partitions import (
     IntegralityError,
     Partition,
-    c_value,
     class_size,
-    count_transitive,
-    cutjoin,
-    evolve,
-    extract_c,
-    mu0,
-    mu1,
+    odd_prime,
     partitions_of,
-    series,
+    prime_code,
+    prime_pairs,
 )
-from hurwitz.partitions import odd_prime, prime_code, prime_pairs
 
 from naive import count_naive
 
@@ -131,8 +128,8 @@ class TestStoredCounts:
 # negative genus, whose r would index the orders from their end.
 _GUARD_SCRIPT = """
 from math import comb
-from hurwitz import IntegralityError, Partition, cutjoin
-from hurwitz.partitions import odd_prime
+from hurwitz import cutjoin
+from hurwitz.partitions import IntegralityError, Partition, odd_prime
 cutjoin.comb = lambda n, k: 1
 try:
     cutjoin.evolve(2, 0)
@@ -280,9 +277,9 @@ def single(parts):
 
 def cut_pass_derivatives(parts, r, L=1):
     """The derivative buckets that the cut pass over the order {code: L} of
-    p_alpha, read as order r, returns."""
+    p_alpha, read as order r, returns at the least N that keeps them."""
     _, shapes = single(parts)
-    return cutjoin._cut_and_handle_join({code(parts): L}, r, 0, Q, shapes, {})
+    return cutjoin._cut_and_handle_join({code(parts): L}, r, sum(parts) + 1, 0, Q, shapes, {})
 
 
 def decoded(acc):
@@ -319,9 +316,10 @@ class TestPrimeCode:
                 want[key] = want.get(key, 0) + parts[a] * parts[b]
             assert all(c % 2 == 0 for c in want.values())
             got = {}
-            # at r = 0 the genus (r - n - m)/2 + 1 is below G = 1, so every pair joins
+            # at r = 0 the genus (r - n - m)/2 + 1 is below G = 1, so every pair
+            # joins; a term of size N is cut and joined but gets no bucket
             order, shapes = single(parts)
-            cutjoin._cut_and_handle_join(order, 0, 1, Q, shapes, got)
+            assert cutjoin._cut_and_handle_join(order, 0, sum(parts), 1, Q, shapes, got) == {}
             assert decoded(got) == {key: c // 2 for key, c in want.items()}, parts
 
     def test_cut_pass_derivatives_match_the_tuple_construction(self):

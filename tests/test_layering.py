@@ -5,24 +5,22 @@ the series ring, the closed formulas and the identity checks, so the modules
 they are built from may share arithmetic but nothing else.  The imports are
 read from the source, which sees an import inside a function too.
 
-``hurwitz/__init__`` imports no submodule: it reads each public name from its
-module on first use.  So ``sys.modules`` after one CLI run in a fresh
-interpreter tells which engines that command loaded, and a cold ``hurwitz``
-process pays only for those.
+``hurwitz/__init__`` imports no submodule and exports no name: each public
+name is imported from the module that defines it.  So ``sys.modules`` after
+one CLI run in a fresh interpreter tells which engines that command loaded,
+and a cold ``hurwitz`` process pays only for those.
 """
 
 import ast
-import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import hurwitz
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hurwitz"
 ENGINE_MODULES = ["partitions.py", "cutjoin.py", "oracle.py"]
@@ -140,35 +138,34 @@ def test_importing_the_package_loads_no_submodule():
     assert run_fresh(code) == "[]\n"
 
 
-# The names the package exported when it imported every module eagerly, less
-# count_walks and count_naive, which only tests called (they now read
-# oracle._walks_type and the reference enumeration in tests/naive.py).
-PUBLIC_NAMES = {
-    "CheckResult", "CutJoinState", "FixedPointError", "IntegralityError", "PSeries", "Partition",
-    "SizeLimitExceeded", "TruncationMismatch", "a_coeff", "build_ABCDE", "c_value", "check_u1",
-    "check_u2", "check_u3", "class_size", "count_transitive", "elem_sym",
-    "evolve", "exp", "extract_c", "f0_pdiff", "f0_series", "factorization_length",
-    "g1_closed", "g1_defn", "log1", "mu0", "mu1", "partitions_of", "psi", "residual_T",
-    "run_all_checks", "s_series", "subst_x", "theta",
-}
+ROOT = PACKAGE.parents[1]
+SUBMODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+# The names imported from the package itself, on one line or in parentheses.
+# The source is read as text, so code strings run in a subprocess count too.
+PACKAGE_IMPORT = re.compile(r"from hurwitz import\s+(?:\(([\w\s,]*)\)|([\w ,]+))")
+
+
+def test_every_name_is_imported_from_its_module():
+    found = []
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for match in PACKAGE_IMPORT.finditer(path.read_text()):
+                names = set(re.findall(r"\w+", match.group(1) or match.group(2)))
+                found += [(path.name, name) for name in sorted(names - SUBMODULES)]
+    assert found == []
+
+
+def test_the_package_exports_no_name():
+    code = (
+        "import hurwitz\n"
+        "print(hasattr(hurwitz, 'evolve'))\n"
+        "from hurwitz import cutjoin\n"
+        "print(cutjoin.__name__, hasattr(hurwitz, 'evolve'))\n"
+    )
+    assert run_fresh(code) == "False\nhurwitz.cutjoin False\n"
 
 
 class TestExports:
-    def test_the_table_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 35
-        assert sorted(hurwitz.__all__) == sorted(PUBLIC_NAMES)
-
-    def test_each_name_is_its_defining_module_attribute(self):
-        for name in hurwitz.__all__:
-            value = getattr(hurwitz, name)
-            module = importlib.import_module(value.__module__)
-            assert module.__name__ == f"hurwitz.{hurwitz._MODULE_OF[name]}", name
-            assert getattr(module, name) is value, name
-
-    def test_an_unknown_name_is_an_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            hurwitz.no_such_name
-
     def test_a_submodule_still_imports_by_name(self):
         from hurwitz import closedform
 

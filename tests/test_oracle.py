@@ -11,17 +11,8 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import (
-    Partition,
-    SizeLimitExceeded,
-    class_size,
-    count_transitive,
-    factorization_length,
-    mu0,
-    partitions_of,
-    theta,
-)
 from hurwitz import cutjoin
+from hurwitz.closedform import c_value, mu0
 from hurwitz.oracle import (
     ORACLE_MAX_N,
     _characters,
@@ -29,6 +20,15 @@ from hurwitz.oracle import (
     _identity_column,
     _transitive_count,
     _walks_type,
+    count_transitive,
+)
+from hurwitz.partitions import (
+    Partition,
+    SizeLimitExceeded,
+    class_size,
+    factorization_length,
+    partitions_of,
+    theta,
 )
 
 from naive import count_naive
@@ -153,7 +153,8 @@ class TestCountWalks:
         # turns its term 1 * 1 * 3^3 at (2,1) into 2 * 2 * 3^3: the sum grows
         # by 81, not a multiple of 3! = 6; python -O must not strip the guard
         code = (
-            "from hurwitz import IntegralityError, oracle\n"
+            "from hurwitz import oracle\n"
+            "from hurwitz.partitions import IntegralityError\n"
             "real = oracle._characters\n"
             "def perturbed(tp):\n"
             "    n = sum(tp)\n"
@@ -200,16 +201,12 @@ class TestCountTransitive:
                 assert Fraction(class_size(alpha) * c, factorial(n)) == mu0(alpha)
 
     def test_six_cycle_spot_check(self):
-        from hurwitz import c_value
-
         alpha = Partition((6,))
         assert count_transitive(alpha, 0) == c_value(alpha, 0)
 
     def test_minimal_factorizations_count_labeled_trees(self):
         # an n-cycle splits into n-1 transpositions transitively in n^(n-2)
         # ways, in bijection with labeled trees on n vertices
-        from hurwitz import c_value
-
         for n in range(2, 9):
             assert c_value(Partition((n,)), 0) == n ** (n - 2)
         for n in range(2, 6):

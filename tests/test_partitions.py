@@ -7,21 +7,21 @@ from math import factorial, prod
 
 import pytest
 
-from hurwitz import (
+from hurwitz.closedform import c_value, psi
+from hurwitz.cutjoin import evolve, extract_c
+from hurwitz.oracle import count_transitive
+from hurwitz.partitions import (
     Partition,
     a_coeff,
-    c_value,
     class_size,
-    count_transitive,
     elem_sym,
-    evolve,
-    extract_c,
     factorization_length,
+    odd_prime,
     partitions_of,
-    psi,
+    prime_code,
+    prime_pairs,
     theta,
 )
-from hurwitz.partitions import odd_prime, prime_code, prime_pairs
 
 
 def partition_count(n):

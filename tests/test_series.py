@@ -10,14 +10,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hurwitz import (
+from hurwitz.series import (
     PSeries,
     TruncationMismatch,
+    _decode,
+    _encode,
+    _xdeg,
     exp,
+    fraction_view,
     log1,
+    monomial_str,
+    powers,
     subst_x,
 )
-from hurwitz.series import _decode, _encode, _xdeg, fraction_view, monomial_str, powers
 
 from conftest import (
     TR6,
@@ -323,7 +328,7 @@ def with_content_st(N):
     )
 
 
-class TestScalarsWithoutAScan:
+class TestScalarMultiples:
     """f * c and f.shift(c, ...) are weighted totals of one summand; both
     store the form the generic route gives, also where the cut dropped terms."""
 

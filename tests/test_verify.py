@@ -8,36 +8,29 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hurwitz import (
+from hurwitz import closedform, verify
+from hurwitz.closedform import f0_series, g1_closed, g1_defn, s_series
+from hurwitz.partitions import a_coeff
+from hurwitz.series import PSeries, TruncationMismatch, fraction_view
+from hurwitz.verify import (
+    DEFAULT_KERNELS,
     CheckResult,
-    PSeries,
-    TruncationMismatch,
+    WExpr,
+    WPoly,
     build_ABCDE,
     check_u1,
     check_u2,
     check_u3,
-    g1_closed,
-    g1_defn,
-    residual_T,
-    run_all_checks,
-    verify,
-)
-from hurwitz import closedform
-from hurwitz.closedform import f0_series, s_series
-from hurwitz.partitions import a_coeff
-from hurwitz.series import fraction_view
-from hurwitz.verify import (
-    DEFAULT_KERNELS,
-    WExpr,
-    WPoly,
     closed_form_series_checks,
-    kernel_recombination,
     elem_sym_extraction,
     f0_pdiff_axiom,
     g1_pdiff_identity,
     g1_xdiff_identity,
+    kernel_recombination,
     psi_pdiff_identity,
     report_obj,
+    residual_T,
+    run_all_checks,
     s_pdiff_identity,
     s_xdiff_identity,
     series_u_checks,
