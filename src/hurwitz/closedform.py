@@ -20,11 +20,11 @@ the way Goulden and Jackson obtain the genus-0 counts.  ``s_powers`` is the
 one place that builds s: it builds the power table s^0 .. s^N once and
 certifies s exactly against it (x exp(psi_0(s, p)) must give back s,
 otherwise FixedPointError is raised).  Every series written in s (psi_i at
-s, dF_0/dp_k, and the right sides x^k (c (1 - psi_1) + b psi_i) of
-``verify``'s pdiff identities, ``_rule_at_s``) is a rule in x read at
-x -> s through that table (``series.subst_x``); no series in s is
-multiplied to build one.  The one-part series psi_i, whose weights
-a_r = r^r/(r-1)! drive the closed formulas, are built here too.
+s, dF_0/dp_k, and the right sides of ``verify``'s pdiff identities, which
+read ``psi`` there) is a rule in x read at x -> s through that table
+(``series.subst_x``); no series in s is multiplied to build one.  The
+one-part series psi_i, whose weights a_r = r^r/(r-1)! drive the closed
+formulas, are built here too, from the integer pairs of ``a_weight``.
 
 The termwise series (``g1_defn``, ``f0_series``) are built in integers:
 mu_g(alpha)/r! has no r! left in it, so each partition gives one integer
@@ -58,7 +58,7 @@ from .partitions import (
     FixedPointError,
     Partition,
     SizeLimitExceeded,
-    a_coeff,
+    a_weight,
     elem_sym,
     factorization_count,
     factorization_length,
@@ -69,11 +69,10 @@ from .series import PSeries, exp, log1, powers, subst_x
 
 
 def _prod_a(alpha: Partition) -> tuple[int, int]:
-    """prod_i a_{alpha_i} = prod_i k^k / prod_i (k - 1)!, k = alpha_i, as (num, den)."""
+    """prod_i a_{alpha_i} as (num, den): the pairs of ``a_weight`` multiplied out."""
     num = den = 1
-    for k in alpha:
-        num *= k**k
-        den *= factorial(k - 1)
+    for a, b in map(a_weight, alpha):
+        num, den = num * a, den * b
     return num, den
 
 
@@ -143,14 +142,14 @@ def c_value(alpha: Partition, g: int) -> int:
 # -- the substitution series s and everything written in it -----------------
 
 
+# psi_0..psi_3 per N (`verify --N 16`: 4): s_powers, psi_at_s and verify's rules.
+@lru_cache(maxsize=48)
 def psi(i: int, N: int) -> PSeries:
     """The one-part series psi_i = sum_r r^(i-1) a_r p_r x^r, truncated at x^N.
 
-    Negative i is allowed; the exponent just yields exact rational weights.
+    Negative i is allowed; each weight is an integer pair (``a_weight``).
     """
-    return PSeries.from_parts(
-        N, {(r,): Fraction(r) ** (i - 1) * a_coeff(r) for r in range(1, N + 1)}
-    )
+    return PSeries.from_part_pairs(N, {(r,): a_weight(r, i - 1) for r in range(1, N + 1)})
 
 
 # One entry per N; a CLI run uses one (`verify --N 16`: 1).
@@ -200,20 +199,6 @@ def psi_at_s(i: int, N: int) -> PSeries:
     return subst_x(psi(i, N), s_powers(N))
 
 
-# The rules psi_1..psi_3 that ``_rule_at_s`` reads, per N (`verify --N 16`: 3).
-@lru_cache(maxsize=48)
-def _psi_rule(i: int, N: int) -> PSeries:
-    return psi(i, N)
-
-
-def _rule_at_s(k: int, N: int, c: Fraction | int, b: Fraction | int, i: int) -> PSeries:
-    """x^k (c (1 - psi_1) + b psi_i) read at x -> s, the right side of a pdiff
-    identity in ``verify``: a rule in x, read once through ``s_powers(N)``."""
-    one, psi1 = PSeries.one(N), _psi_rule(1, N)
-    rule = PSeries.weighted_total(N, ((one, c), (psi1, -c), (_psi_rule(i, N), b)))
-    return subst_x(rule.shift(x=k), s_powers(N))
-
-
 def _formula_series(N: int, g: int) -> PSeries:
     """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = factorization_length(alpha, g).
 
@@ -259,8 +244,9 @@ def f0_pdiff(k: int, N: int) -> PSeries:
     """dF_0/dp_k in terms of s (axiomatic input, see module docstring)."""
     if k < 1:
         raise ValueError(f"p-index {k} is below 1")
-    ak = a_coeff(k)
+    (n2, d2), rule = a_weight(k, -2), {(): a_weight(k, -3)}
     # the rule x^k (a_k/k^3 - sum_r a_k a_r/(k^2 (k+r)) p_r x^r), read at x -> s
-    weights = {(r,): -ak * a_coeff(r) / (k**2 * (k + r)) for r in range(1, N - k + 1)}
-    rule = PSeries.from_parts(N, {(): ak / k**3, **weights}).shift(x=k)
-    return subst_x(rule, s_powers(N))
+    for r in range(1, N - k + 1):
+        nr, dr = a_weight(r)
+        rule[(r,)] = -n2 * nr, d2 * dr * (k + r)
+    return subst_x(PSeries.from_part_pairs(N, rule).shift(x=k), s_powers(N))

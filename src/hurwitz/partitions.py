@@ -5,8 +5,9 @@ C_alpha of S_n.  ``Partition`` is a validated tuple that equals and hashes
 as its parts, and every engine, cache and writer reads it directly.  This
 module gives enumeration in reverse-lexicographic order, the class size
 |C_alpha|, theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
-symmetric functions of the parts, weights a_r = r^r/(r-1)! of the
-closed formulas, the integrality check of a count, the error types the
+symmetric functions of the parts, the weights r^j a_r of the closed
+formulas, a_r = r^r/(r-1)!, as integer pairs (``a_weight``; ``a_coeff`` is
+a_r as a Fraction), the integrality check of a count, the error types the
 engines raise (``IntegralityError``, ``FixedPointError``,
 ``SizeLimitExceeded``) and the odd-prime code prod q_k^e of (k, e) pairs
 (``prime_code``, ``prime_pairs``) that ``series`` and ``cutjoin`` share.
@@ -191,12 +192,18 @@ def elem_sym(alpha: Partition) -> tuple[int, ...]:
     return tuple(e)
 
 
-# `verify --N 12` asks for 394 weights of 12 distinct r, `--N 16` for 592 of 16.
-@lru_cache(maxsize=256)
-def a_coeff(r: int) -> Fraction:
-    """The weight a_r = r^r/(r-1)! attached to a part of size r."""
-    from fractions import Fraction  # only the series checks load fractions
-
+def a_weight(r: int, j: int = 0) -> tuple[int, int]:
+    """r^j a_r = r^(r+j)/(r-1)! as an unreduced integer pair (num, den), any integer j."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return Fraction(r**r, factorial(r - 1))
+    e = r + j
+    return (r**e, factorial(r - 1)) if e >= 0 else (1, r**-e * factorial(r - 1))
+
+
+# `verify --N 12` asks for 160 weights of 12 distinct r, `--N 16` for 272 of 16.
+@lru_cache(maxsize=256)
+def a_coeff(r: int) -> Fraction:
+    """The weight a_r = r^r/(r-1)! attached to a part of size r, as a Fraction."""
+    from fractions import Fraction  # only the series checks load fractions
+
+    return Fraction(*a_weight(r))

@@ -6,14 +6,14 @@ x^d prod p_i^e_i is stored as one integer code, 2^d prod q_i^e_i with q_i
 the i-th odd prime (the odd part is ``partitions.prime_code``): unique
 factorization makes it injective, a product of monomials is the product of
 their codes, and d is the number of trailing zero bits.  The code is
-private: other modules build series from
-``(d, ((i, e_i), ...))`` keys, partitions (``PSeries.from_parts``, or
-``PSeries.from_part_pairs`` with integer (num, den) coefficients) or single
-monomials (``PSeries.term``) and read them back in that form
-(``fraction_view``).  Monomials above x^N are dropped (never rounded); no
-operation lowers the x-degree, so every kept coefficient is that of the
-untruncated ring.  The p-indices need no bound: the prime table grows on
-demand.  Genus is no coordinate: only the cut-and-join carries it.
+private: other modules build series from ``(d, ((i, e_i), ...))`` keys,
+partitions with integer (num, den) coefficients
+(``PSeries.from_part_pairs``) or single monomials (``PSeries.term``) and
+read them back in that form (``fraction_view``).  Monomials above x^N are
+dropped (never rounded); no operation lowers the x-degree, so every kept
+coefficient is that of the untruncated ring.  The p-indices need no bound:
+the prime table grows on demand.  Genus is no coordinate: only the
+cut-and-join carries it.
 
 ``exp``, ``log1`` and ``powers`` require every input monomial to carry
 positive x-degree, which keeps their expansions finite inside the cut.
@@ -358,27 +358,15 @@ class PSeries(ExactRing):
         return PSeries(N, {(x, tuple(p)): coeff})
 
     @staticmethod
-    def from_parts(
-        N: int, coeffs: Mapping[Iterable[int], Fraction | int]
-    ) -> "PSeries":
-        """sum of coeff * x^n p_alpha over alpha given by its parts, n = |alpha|.
-
-        Keys that name the same partition in another order add up (they
-        encode to one monomial, and the constructor adds those).
-        """
-        return PSeries(
-            N, {(sum(parts), tuple((a, 1) for a in parts)): c for parts, c in coeffs.items()}
-        )
-
-    @staticmethod
     def from_part_pairs(
         N: int, coeffs: Mapping[Iterable[int], tuple[int, int]]
     ) -> "PSeries":
         """sum of num/den * x^n p_alpha over alpha given by its parts, n = |alpha|.
 
         Each coefficient is an integer pair (num, den), den > 0; no Fraction
-        is built (see ``ExactRing._of_pairs``).  Partitions above the cut are
-        dropped, and keys naming one partition add up, as in ``from_parts``.
+        is built (see ``ExactRing._of_pairs``).  Every key is encoded, so a
+        part below 1 is refused, before partitions above the cut are
+        dropped; keys naming one partition in another order add up.
         """
         if N < 1:
             raise ValueError(f"truncation degree N={N} is below 1")
@@ -388,8 +376,9 @@ class PSeries(ExactRing):
                 raise TypeError(f"{(num, den)!r} is not a pair of ints")
             if den < 1:
                 raise ValueError(f"denominator {den} is below 1")
-            if (n := sum(parts)) <= N:
-                items.append((_encode(n, ((a, 1) for a in parts)), num, den))
+            code = _encode(n := sum(parts), ((a, 1) for a in parts))
+            if n <= N:
+                items.append((code, num, den))
         return PSeries._of_pairs(N, items)
 
     # -- ring operations ---------------------------------------------------

@@ -51,8 +51,8 @@ slip in ``_cross`` fails those checks as well as both rearranged forms.
 The genus-0 input dF_0/dp_k, taken as given in ``closedform``, is certified
 by ``f0_pdiff_axiom`` against the p-derivatives of the genus-0 series built
 from the explicit formula.  The right sides of the psi and G_1 pdiff
-identities are rules in x read at x -> s (``closedform._rule_at_s``); only
-the left sides differentiate.
+identities are rules in x, built from ``closedform.psi``, read at x -> s
+(``_rule_at_s``); only the left sides differentiate.
 """
 
 from __future__ import annotations
@@ -62,20 +62,20 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .closedform import (
-    _rule_at_s,
     f0_pdiff,
     f0_series,
     g1_closed,
     g1_defn,
+    psi,
     psi_at_s,
     s_powers,
     s_series,
 )
-from .partitions import a_coeff, elem_sym, partitions_of, theta
-from .series import ExactRing, PSeries, exp
+from .partitions import a_coeff, a_weight, elem_sym, partitions_of, theta
+from .series import ExactRing, PSeries, exp, subst_x
 
 _ZERO = Fraction(0)
 
@@ -171,11 +171,6 @@ class WPoly(ExactRing):
     @staticmethod
     def var(v: int) -> "WPoly":
         return WPoly({_mono((v, 1)): 1})
-
-    @staticmethod
-    def univariate(coeffs: Sequence[Fraction], v: int, N: int) -> "WPoly":
-        """sum_d coeffs[d] x_v^d, cut at N."""
-        return WPoly({_mono((v, d)): c for d, c in enumerate(coeffs)}, N)
 
     _cut_degree = operator.itemgetter(0)  # partner lists are cut in x1
 
@@ -443,11 +438,9 @@ def check_u3(kernels: KernelForms = DEFAULT_KERNELS) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _tree_coeffs(order: int) -> tuple[Fraction, ...]:
-    """[x^n] of the tree function, from the explicit formula n^(n-1)/n!."""
-    return (_ZERO,) + tuple(
-        Fraction(n ** (n - 1), factorial(n)) for n in range(1, order + 1)
-    )
+def _tree_coeffs(order: int) -> tuple[tuple[int, int], ...]:
+    """[x^n] of the tree function as pairs (num, den), from the explicit formula n^(n-1)/n!."""
+    return ((0, 1),) + tuple((n ** (n - 1), factorial(n)) for n in range(1, order + 1))
 
 
 # `verify --N 16`: 12 entries.
@@ -456,7 +449,7 @@ def _w_power(v: int, e: int, order: int) -> WPoly:
     """The tree function at slot v to the power e >= 1, as a series."""
     if e > 1:
         return _w_power(v, e - 1, order) * _w_power(v, 1, order)
-    return WPoly.univariate(_tree_coeffs(order), v, order)
+    return WPoly._of_pairs(order, ((_mono((v, n)), *c) for n, c in enumerate(_tree_coeffs(order))))
 
 
 def _at_tree(p: WPoly, order: int) -> WPoly:
@@ -556,22 +549,13 @@ def _cross_by(join: Weight, split: Weight, k: int, m: int) -> tuple[int, int]:
     return m**m * jn * right - (k + m) ** (k + m) * sn * left, left * right
 
 
-def _linear_coeff(name: str, k: int) -> Fraction:
-    """[y_k] of the one-slot kernel name."""
-    return Fraction(*_linear_by(_LINEAR[name], k))
-
-
-def _cross_coeff(name: str, k: int, m: int) -> Fraction:
-    """The ordered pair (k, m)'s coefficient of y_k y_m in the two-slot kernel name."""
-    return Fraction(*_cross_by(*_CROSS[name], k, m))
-
-
 # -- direct (weights-only) expansions of the symmetrized images -------------
 
 
 def _direct_psi(m: int, v: int, order: int) -> WPoly:
-    coeffs = [_ZERO] + [Fraction(r) ** (m - 1) * a_coeff(r) for r in range(1, order + 1)]
-    return WPoly.univariate(coeffs, v, order)
+    """psi_m at slot v: sum_r r^(m-1) a_r x_v^r."""
+    pairs = ((_mono((v, r)), *a_weight(r, m - 1)) for r in range(1, order + 1))
+    return WPoly._of_pairs(order, pairs)
 
 
 def _direct_linear(name: str, v: int, order: int) -> WPoly:
@@ -676,8 +660,8 @@ def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
 def kernel_recombination(N: int) -> CheckResult:
     """The three kernel combinations vanish when rebuilt in the main ring.
 
-    Each quadratic kernel is re-expanded from the weight table with
-    y_k = p_k s^k as an honest series in x and p and combined exactly as in
+    Each quadratic kernel is its weight-table rule in x and p (y_k = p_k x^k)
+    read at x -> s, an honest series in x and p, combined exactly as in
     the degree-split of the PDE residual; all three combinations must be the
     zero series.  The weights are shared with the symmetrized expansions,
     but the expansion is not: this is a third route, independent of both the
@@ -686,20 +670,16 @@ def kernel_recombination(N: int) -> CheckResult:
     pw = s_powers(N)
     total = partial(PSeries.weighted_total, N)
 
-    def one_slot(name: str) -> PSeries:
-        # sum_k [y_k] p_k s^k
-        return total((pw[k], _linear_coeff(name, k), None, ((k, 1),)) for k in range(2, N + 1))
+    def at_s(rule: Mapping[tuple[int, ...], tuple[int, int]]) -> PSeries:
+        # sum_k [y_k] p_k x^k, or sum over ordered pairs (k, m) of
+        # [y_k y_m] p_k p_m x^(k+m), read at x -> s
+        return subst_x(PSeries.from_part_pairs(N, rule), pw)
 
-    def two_slot(name: str) -> PSeries:
-        # sum over ordered pairs (k, m) of [y_k y_m] p_k p_m s^(k+m)
-        return total(
-            (pw[k + m], _cross_coeff(name, k, m), None, ((k, 1), (m, 1)))
-            for k in range(1, N)
-            for m in range(1, N - k + 1)
-        )
-
-    a_ser, b_ser, d_ser = map(one_slot, "abd")
-    c_ser, e_ser = map(two_slot, "ce")
+    pairs = [(k, m) for k in range(1, N) for m in range(1, N - k + 1)]
+    a_ser, b_ser, d_ser = (
+        at_s({(k,): _linear_by(_LINEAR[name], k) for k in range(2, N + 1)}) for name in "abd"
+    )
+    c_ser, e_ser = (at_s({km: _cross_by(*_CROSS[name], *km) for km in pairs}) for name in "ce")
     psi0, psi1, psi2 = (psi_at_s(i, N) for i in range(3))
     psi12, psi1_a = psi1 + psi2, psi1 * a_ser
     # summands (f, c) and (f, c, g): each product enters its sum as it is read
@@ -727,6 +707,14 @@ PDIFF_MAX_K = 4
 def _one_minus_psi1(N: int) -> tuple[PSeries, PSeries]:
     omp = PSeries.one(N) - psi_at_s(1, N)
     return omp, omp * omp
+
+
+def _rule_at_s(k: int, N: int, c: Fraction | int, b: Fraction | int, i: int) -> PSeries:
+    """x^k (c (1 - psi_1) + b psi_i) read at x -> s, the right side of a pdiff
+    identity: a rule in x, read once through ``s_powers(N)``."""
+    one, psi1 = PSeries.one(N), psi(1, N)
+    rule = PSeries.weighted_total(N, ((one, c), (psi1, -c), (psi(i, N), b)))
+    return subst_x(rule.shift(x=k), s_powers(N))
 
 
 def s_xdiff_identity(N: int) -> CheckResult:
@@ -813,7 +801,7 @@ def elem_sym_extraction() -> CheckResult:
     truncation bound applies.  The right side has a term for each lambda with
     at least k parts, so every other coefficient on the left must vanish.
     """
-    lin = PSeries.from_parts(8, {(i,): 1 for i in range(1, 9)})
+    lin = PSeries.from_part_pairs(8, {(i,): (1, 1) for i in range(1, 9)})
     ex = exp(PSeries.from_part_pairs(8, {(i,): (1, i) for i in range(1, 9)}))
     lams = [(lam, theta(lam), elem_sym(lam)) for n in range(9) for lam in partitions_of(n)]
 

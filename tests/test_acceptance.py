@@ -103,7 +103,7 @@ def test_criterion_5_series_identities():
     # tree-function coefficients, as verify expands w = x e^w
     w10 = PSeries.zero(TR10)
     for n, c in enumerate(_tree_coeffs(TR10)):
-        w10 = w10 + PSeries.term(TR10, c, x=n)
+        w10 = w10 + PSeries.term(TR10, Fraction(*c), x=n)
     for n in range(1, 11):
         if w10.coeff(n, ()) != Fraction(n ** (n - 1), factorial(n)):
             ok = False
@@ -111,7 +111,7 @@ def test_criterion_5_series_identities():
     # functional equation and derivative identities of the tree function
     w = PSeries.zero(TR8)
     for n, c in enumerate(_tree_coeffs(TR8)):
-        w = w + PSeries.term(TR8, c, x=n)
+        w = w + PSeries.term(TR8, Fraction(*c), x=n)
     d1 = w.xdiff()
     d2 = d1.xdiff()
     d3 = d2.xdiff()

@@ -48,16 +48,21 @@ def test_engine_module_imports_no_series_code(filename):
 
 
 def test_verify_imports_no_private_series_name():
-    # WPoly reaches the ring's shared routines through ExactRing, not by name
+    # WPoly reaches the ring's shared routines through ExactRing, not by name,
+    # and the rules verify reads at x -> s are built from closedform's public psi
     tree = ast.parse((PACKAGE / "verify.py").read_text(), "verify.py")
     names = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "series"
-        for alias in node.names
+        module: {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+            for alias in node.names
+        }
+        for module in ("series", "closedform")
     }
-    assert "ExactRing" in names
-    assert {name for name in names if name.startswith("_")} == set()
+    assert "ExactRing" in names["series"] and "psi" in names["closedform"]
+    for module, imported in names.items():
+        assert {name for name in imported if name.startswith("_")} == set(), module
 
 
 def test_the_scan_sees_each_import_form():
@@ -165,9 +170,8 @@ def test_the_package_exports_no_name():
     assert run_fresh(code) == "False\nhurwitz.cutjoin False\n"
 
 
-class TestExports:
-    def test_a_submodule_still_imports_by_name(self):
-        from hurwitz import closedform
+def test_a_submodule_still_imports_by_name():
+    from hurwitz import closedform
 
-        assert inspect.ismodule(closedform)
-        assert closedform.__name__ == "hurwitz.closedform"
+    assert inspect.ismodule(closedform)
+    assert closedform.__name__ == "hurwitz.closedform"

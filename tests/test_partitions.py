@@ -13,6 +13,7 @@ from hurwitz.oracle import count_transitive
 from hurwitz.partitions import (
     Partition,
     a_coeff,
+    a_weight,
     class_size,
     elem_sym,
     factorization_length,
@@ -224,6 +225,20 @@ class TestACoeff:
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             a_coeff(0)
+        for j in (-3, 0, 2):
+            with pytest.raises(ValueError, match="r must be at least 1"):
+                a_weight(0, j)
+
+    def test_weight_pairs_are_the_powers_of_r_times_a_r(self):
+        # r^j a_r for every j, the power of r in the denominator once r + j < 0
+        for r in range(1, 11):
+            assert a_coeff(r) == Fraction(*a_weight(r))
+            for j in range(-14, 4):
+                num, den = a_weight(r, j)
+                assert type(num) is int and type(den) is int and den > 0
+                assert Fraction(num, den) == Fraction(r) ** j * a_coeff(r), (r, j)
+        assert a_weight(3, -5) == (1, 9 * 2)
+        assert a_weight(2, -2) == (1, 1)
 
 
 class TestPsi:

@@ -85,24 +85,34 @@ class TestTruncation:
         assert f.coeff(1, (9,)) == 1
 
 
+def parts_key(parts):
+    """The constructor's key (n, ((a, 1), ...)) of x^n p_alpha, alpha given by its parts."""
+    return sum(parts), tuple((a, 1) for a in parts)
+
+
 class TestFromParts:
+    """PSeries.from_part_pairs builds x^n p_alpha from the parts of alpha."""
+
     def test_x_degree_is_the_size(self):
-        f = PSeries.from_parts(TR8, {(3, 1): Fraction(1, 2), (1,): 2})
+        f = PSeries.from_part_pairs(TR8, {(3, 1): (1, 2), (1,): (2, 1)})
         assert f == PSeries.term(TR8, Fraction(1, 2), x=4, p=((1, 1), (3, 1))) + (
             PSeries.term(TR8, 2, x=1, p=((1, 1),))
         )
         assert f.coeff(4, (1, 3)) == Fraction(1, 2)
 
     def test_keys_naming_one_partition_add_up(self):
-        f = PSeries.from_parts(TR8, {(2, 1): 1, (1, 2): 2, (2, 2): 3, (4,): 0})
-        assert f == PSeries.from_parts(TR8, {(2, 1): 3, (2, 2): 3})
+        pairs = {(2, 1): (1, 1), (1, 2): (2, 1), (2, 2): (3, 1), (4,): (0, 1)}
+        f = PSeries.from_part_pairs(TR8, pairs)
+        assert f == PSeries.from_part_pairs(TR8, {(2, 1): (3, 1), (2, 2): (3, 1)})
 
     def test_sizes_above_n_dropped(self):
-        assert PSeries.from_parts(TR_SMALL, {(2, 1): 1}).is_zero
+        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 1)}).is_zero
 
     def test_non_positive_parts_rejected(self):
-        with pytest.raises(ValueError):
-            PSeries.from_parts(TR8, {(2, 0): 1})
+        # above the cut too: a key is encoded before its size meets the cut
+        for parts in ((2, 0), (9, 0), (10, -1)):
+            with pytest.raises(ValueError, match="odd-prime index -?[01] is below 1"):
+                PSeries.from_part_pairs(TR8, {parts: (1, 1)})
         with pytest.raises(ValueError):
             PSeries.one(TR8).coeff(0, (0,))
 
@@ -154,13 +164,14 @@ class TestFromPartPairs:
     )
     def test_equals_the_fraction_constructor(self, pairs):
         got = PSeries.from_part_pairs(TR6, pairs)
-        assert got == PSeries.from_parts(TR6, {k: Fraction(*v) for k, v in pairs.items()})
+        assert got == PSeries(TR6, {parts_key(k): Fraction(*v) for k, v in pairs.items()})
         assert is_canonical(got)
 
     def test_keys_naming_one_partition_add_up_and_cancel(self):
         pairs = {(2, 1): (1, 6), (1, 2): (1, 3), (3,): (2, 4), (2, 2): (0, 5)}
         f = PSeries.from_part_pairs(TR8, pairs)
-        assert f == PSeries.from_parts(TR8, {(2, 1): Fraction(1, 2), (3,): Fraction(1, 2)})
+        half = Fraction(1, 2)
+        assert f == PSeries(TR8, {parts_key((2, 1)): half, parts_key((3,)): half})
         assert (f.den, sorted(f.terms.values())) == (2, [1, 1])
         g = PSeries.from_part_pairs(TR8, {(2, 1): (1, 6), (1, 2): (-2, 12)})
         assert g.is_zero and g.den == 1
@@ -168,7 +179,19 @@ class TestFromPartPairs:
     def test_sizes_above_n_dropped(self):
         assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 3)}).is_zero
 
-    @pytest.mark.parametrize("pair", [(0.5, 1), (1, 2.0), (Fraction(1, 2), 1), ("1", 2)])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (0.5, 1),
+            (1, 2.0),
+            (Fraction(1, 2), 1),
+            ("1", 2),
+            ("1/3", 1),
+            (Decimal("0.1"), 1),
+            (complex(1, 0), 1),
+            (None, 1),
+        ],
+    )
     def test_only_int_pairs(self, pair):
         with pytest.raises(TypeError, match="pair of ints"):
             PSeries.from_part_pairs(TR8, {(1,): pair})
@@ -543,7 +566,7 @@ class TestScalarRule:
     def test_floats_keep_their_message(self):
         makers = (
             lambda: PSeries(TR8, {(1, ()): 0.5}),
-            lambda: PSeries.from_parts(TR8, {(1,): 0.5}),
+            lambda: PSeries(TR8, {parts_key((1,)): 0.5}),
             lambda: PSeries.term(TR8, 0.5, x=1),
             lambda: PSeries.x(TR8) * 0.5,
             lambda: 0.5 * PSeries.x(TR8),
@@ -556,7 +579,7 @@ class TestScalarRule:
     def test_other_types_rejected(self, c):
         makers = (
             lambda: PSeries(4, {(1, ()): c}),
-            lambda: PSeries.from_parts(4, {(1,): c}),
+            lambda: PSeries(4, {parts_key((1,)): c}),
             lambda: PSeries.term(4, c, x=1),
             lambda: PSeries.x(4) * c,
             lambda: c * PSeries.x(4),
@@ -568,10 +591,13 @@ class TestScalarRule:
 
     def test_repeated_keys_are_checked_after_adding(self):
         # each coefficient is checked before keys are added, so "1" + "2" never concatenates
+        # (the keys name one monomial, p1 p2 x^3, in two orders)
         with pytest.raises(TypeError, match="int or Fraction"):
-            PSeries.from_parts(4, {(1, 2): "1", (2, 1): "2"})
+            PSeries(4, {parts_key((1, 2)): "1", parts_key((2, 1)): "2"})
         with pytest.raises(TypeError, match="floating-point"):
-            PSeries.from_parts(4, {(1, 2): 1, (2, 1): 0.5})
+            PSeries(4, {parts_key((1, 2)): 1, parts_key((2, 1)): 0.5})
+        with pytest.raises(TypeError, match="pair of ints"):
+            PSeries.from_part_pairs(4, {(1, 2): ("1", 1), (2, 1): ("2", 1)})
 
 
 class TestTotal:
@@ -741,15 +767,15 @@ class TestSubstitutionByShifts:
         return reduce(operator.add, products, PSeries.zero(f.N))
 
     def test_one_term_and_many_term_parts(self):
-        s = PSeries.from_parts(TR6, {(1,): Fraction(3, 2), (2,): Fraction(1, 4), (1, 1): 2})
+        s = PSeries.from_part_pairs(TR6, {(1,): (3, 2), (2,): (1, 4), (1, 1): (2, 1)})
         pw = powers(s)
-        f = PSeries.from_parts(
+        f = PSeries.from_part_pairs(
             TR6,
             {
-                (2,): Fraction(2, 3),  # one term at x^2
-                (1, 2): 1,  # two terms at x^3
-                (3,): Fraction(1, 5),
-                (1, 1, 1, 1): 6,  # one term at x^4
+                (2,): (2, 3),  # one term at x^2
+                (1, 2): (1, 1),  # two terms at x^3
+                (3,): (1, 5),
+                (1, 1, 1, 1): (6, 1),  # one term at x^4
             },
         )
         parts = f.x_parts()
@@ -770,10 +796,10 @@ class TestSubstitutionByShifts:
         # every numerator of s^d is a multiple of 2^d and every rule
         # coefficient has denominator 2 or 4, so each shift divides through
         # by gcd(b, content) > 1
-        s = PSeries.from_parts(TR6, {(1,): 2, (1, 1): 4, (2,): 6})
+        s = PSeries.from_part_pairs(TR6, {(1,): (2, 1), (1, 1): (4, 1), (2,): (6, 1)})
         pw = powers(s)
-        rule = {(1,): Fraction(1, 2), (1, 1): Fraction(5, 4), (2, 3): Fraction(3, 4)}
-        f = PSeries.from_parts(TR6, rule)
+        rule = {(1,): (1, 2), (1, 1): (5, 4), (2, 3): (3, 4)}
+        f = PSeries.from_part_pairs(TR6, rule)
         for (d, pexp), c in fraction_view(f).items():
             assert gcd(c.denominator, *pw[d].terms.values()) > 1
             assert is_canonical(pw[d].shift(c, p=pexp))
@@ -781,5 +807,5 @@ class TestSubstitutionByShifts:
         assert got == self.generic(f, pw)
         assert is_canonical(got)
         half = subst_x(PSeries.term(TR6, Fraction(1, 2), x=1), pw)
-        assert half == PSeries.from_parts(TR6, {(1,): 1, (1, 1): 2, (2,): 3})
+        assert half == PSeries.from_part_pairs(TR6, {(1,): (1, 1), (1, 1): (2, 1), (2,): (3, 1)})
         assert half.den == 1

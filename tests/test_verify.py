@@ -41,6 +41,8 @@ from hurwitz.verify import (
 from conftest import fraction_sum, is_canonical, reduced_scale, scalars_st
 
 TR8 = 8
+# 1 + x1, cut at the order it is given with
+ONE_PLUS_X1 = {(0, 0, 0): 1, (1, 0, 0): 1}
 
 
 def coeff_st():
@@ -120,17 +122,17 @@ class TestWAtoms:
 
 class TestRing:
     def test_orders_do_not_mix(self):
-        series = WPoly.univariate([1, 1], 1, 8)
+        series = WPoly(ONE_PLUS_X1, 8)
         with pytest.raises(TruncationMismatch):
             series + WPoly.var(1)
         with pytest.raises(TruncationMismatch):
-            series * WPoly.univariate([1, 1], 2, 10)
+            series * WPoly({(0, 0, 0): 1, (0, 1, 0): 1}, 10)
         with pytest.raises(TruncationMismatch):
-            series == WPoly.univariate([1, 1], 1, 10)
+            series == WPoly(ONE_PLUS_X1, 10)
 
     def test_truncation_is_per_variable(self):
         # (x1 + x1^2) x2 squared, with x1^3 and x1^4 beyond order 2
-        f = WPoly.univariate([0, 1, 1], 1, 2) * WPoly.univariate([0, 1], 2, 2)
+        f = WPoly({(1, 0, 0): 1, (2, 0, 0): 1}, 2) * WPoly({(0, 1, 0): 1}, 2)
         assert f * f == WPoly({(2, 2, 0): 1}, 2)
 
     @pytest.mark.parametrize("order", [None, 2])
@@ -316,7 +318,7 @@ class TestTotal:
         assert is_canonical(got)
 
     def test_mixed_truncations_and_p_monomials_rejected(self):
-        exact, cut = WPoly.var(1), WPoly.univariate([1, 1], 1, 8)
+        exact, cut = WPoly.var(1), WPoly(ONE_PLUS_X1, 8)
         for summand in ((exact, 1, cut), (cut, 1, exact), (cut, 0, exact)):
             with pytest.raises(TruncationMismatch):
                 WPoly.weighted_total(8, [summand])
@@ -331,9 +333,9 @@ class TestTotal:
 
     def test_mixed_truncations_rejected(self):
         with pytest.raises(TruncationMismatch):
-            WPoly.total(None, [WPoly.var(1), WPoly.univariate([1, 1], 1, 8)])
+            WPoly.total(None, [WPoly.var(1), WPoly(ONE_PLUS_X1, 8)])
         with pytest.raises(TruncationMismatch):
-            WPoly.total(8, [WPoly.univariate([1, 1], 1, 10)])
+            WPoly.total(8, [WPoly(ONE_PLUS_X1, 10)])
 
 
 class TestVanishing:
@@ -486,11 +488,12 @@ class TestKernelWeights:
     def test_integer_sums_equal_fraction_sums(self):
         for name in verify._LINEAR:
             for k in range(14):
-                assert verify._linear_coeff(name, k) == _fraction_linear(name, k), (name, k)
+                got = Fraction(*verify._linear_by(verify._LINEAR[name], k))
+                assert got == _fraction_linear(name, k), (name, k)
         for name in verify._CROSS:
             for k in range(1, 14):
                 for m in range(1, 13):
-                    got = verify._cross_coeff(name, k, m)
+                    got = Fraction(*verify._cross_by(*verify._CROSS[name], k, m))
                     assert got == _fraction_cross(name, k, m), (name, k, m)
 
     def test_a_patched_weight_is_not_served_from_the_cache(self, monkeypatch):
@@ -507,6 +510,62 @@ class TestKernelWeights:
             "kernel_recombination",
         ]
         assert all(c.witness for c in failed)
+
+
+def count_fractions(monkeypatch, build):
+    """The number of Fractions built while build() runs."""
+    count, new = [0], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", counted)
+        build()
+    return count[0]
+
+
+class TestIntegerInputs:
+    """The series inputs are built from integer pairs, with no Fraction per weight."""
+
+    def test_inputs_build_no_fraction(self, monkeypatch):
+        N, order = 12, 10
+        # s and psi_i at s read their rules through Fractions, so they are
+        # built first (each has its own cache, and either may be evicted alone)
+        closedform.s_powers(N)
+        for i in range(3):
+            closedform.psi_at_s(i, N)
+        for cache in (closedform.psi, verify._w_power, verify._linear_by, verify._cross_by):
+            cache.cache_clear()
+        rules = []
+
+        def record(rule, pw):
+            rules.append(rule)
+            return PSeries.zero(rule.N)
+
+        monkeypatch.setattr(verify, "subst_x", record)
+
+        def build():
+            for i in range(-1, 4):
+                closedform.psi(i, N)
+            for v in (1, 2, 3):
+                for e in (1, 2, 3):
+                    verify._w_power(v, e, order)
+            for m in range(-1, 3):
+                verify._direct_psi(m, 1, order)
+            verify.kernel_recombination(N)
+
+        assert count_fractions(monkeypatch, build) == 0
+        # the rules fed to subst_x, a, b, d, c, e, against the Fraction sums
+        pairs = [(k, m) for k in range(1, N) for m in range(1, N - k + 1)]
+        assert rules == [
+            PSeries(N, {(k, ((k, 1),)): _fraction_linear(name, k) for k in range(2, N + 1)})
+            for name in "abd"
+        ] + [
+            PSeries(N, {(k + m, ((k, 1), (m, 1))): _fraction_cross(name, k, m) for k, m in pairs})
+            for name in "ce"
+        ]
 
 
 def _perturbed(name):
@@ -613,10 +672,11 @@ class TestFaultInjection:
     def test_psi_rule_fault_is_caught_on_the_right_sides(self, monkeypatch):
         # the pdiff right sides read the psi rules in x, not psi_at_s: a bumped
         # psi_2 rule fails both identities that read it, and nothing else moves
-        rule = closedform._psi_rule
+        # (verify reads psi only there; s and psi_at_s read closedform's own)
+        rule = verify.psi
         bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
         monkeypatch.setattr(
-            closedform, "_psi_rule", lambda i, N: rule(i, N) + bump if i == 2 else rule(i, N)
+            verify, "psi", lambda i, N: rule(i, N) + bump if i == 2 else rule(i, N)
         )
         psi_result, g1_result = psi_pdiff_identity(TR8), g1_pdiff_identity(TR8)
         assert not psi_result.ok and psi_result.witness == "j=1, k=1: x^5*p1^2*p2"
