@@ -26,9 +26,10 @@ every engine for every row, leaves a refused cell empty and keeps the
 columns of the engines that served a row.  A ``compare`` row on which only
 one engine ran has compared nothing: its ``agree`` cell is ``-``, neither
 ``yes`` nor a disagreement.  ``json`` is imported by the
-JSON output and ``verify`` alone, and mu is reduced in integers, so a CSV
-``table`` or ``count`` by the oracle or cut-and-join loads neither ``json``
-nor ``fractions``.
+JSON output and ``verify`` alone, ``csv`` by the CSV output alone, and mu
+is reduced in integers, so a CSV ``table`` or ``count`` by the oracle or
+cut-and-join loads neither ``json`` nor ``fractions``, and ``verify`` loads
+neither ``csv`` nor ``fractions`` (its checks build no Fraction).
 Every error type main catches is defined in ``partitions`` or is a
 ValueError, so no engine is loaded to handle a failure.
 """
@@ -36,7 +37,6 @@ ValueError, so no engine is loaded to handle a failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from math import gcd
@@ -150,6 +150,8 @@ def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
 
         print(json.dumps([dict(zip(header, c)) for c in cells], indent=2, sort_keys=True))
         return
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(cells)

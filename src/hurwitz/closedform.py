@@ -30,7 +30,10 @@ The termwise series (``g1_defn``, ``f0_series``) are built in integers:
 mu_g(alpha)/r! has no r! left in it, so each partition gives one integer
 pair (``_OVER_R``), and the series brings the pairs to one denominator and
 reduces once (``PSeries.from_part_pairs``).  ``mu0`` and ``mu1`` multiply
-the same pairs by r!, so each formula is written once.
+the same pairs by r!, so each formula is written once; they are the only
+code here that builds a Fraction or loads ``fractions``.  Every weight of
+the series code (the Lagrange weights of ``s_powers``, ``g1_closed``'s
+-1/24) is an int or an integer pair.
 
 The genus-0 series enters the verification through its first p-derivatives
 
@@ -50,9 +53,9 @@ here; ``verify`` expands it from its explicit coefficients n^(n-1)/n!.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .partitions import (
     FixedPointError,
@@ -66,6 +69,9 @@ from .partitions import (
     theta,
 )
 from .series import PSeries, exp, log1, powers, subst_x
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _prod_a(alpha: Partition) -> tuple[int, int]:
@@ -112,6 +118,8 @@ _OVER_R = (_mu0_over_r, _mu1_over_r)
 
 
 def _times_r_factorial(alpha: Partition, g: int) -> Fraction:
+    from fractions import Fraction  # the one Fraction of the module: mu read out
+
     r = factorization_length(alpha, g)
     num, den = _OVER_R[g](alpha)
     return Fraction(num * factorial(r), den)
@@ -176,7 +184,7 @@ def s_powers(N: int) -> tuple[PSeries, ...]:
         for k, power in enumerate(powers(psi0)[1:N], start=1):
             kf = factorial(k)
             for d, part in power.x_parts().items():
-                yield part, Fraction((d + 1) ** (k - 1), kf), xs
+                yield part, ((d + 1) ** (k - 1), kf), xs
 
     pw = powers(PSeries.weighted_total(N, lagrange_parts()))
     if xs * exp(subst_x(psi0, pw)) != pw[1]:
@@ -225,7 +233,7 @@ def g1_defn(N: int) -> PSeries:
 @lru_cache(maxsize=16)
 def g1_closed(N: int) -> PSeries:
     """Genus-1 series in closed form through the substitution series."""
-    w = Fraction(-1, 24)
+    w = (-1, 24)
     return PSeries.weighted_total(N, ((log1(-psi_at_s(1, N)), w), (psi_at_s(0, N), w)))
 
 

@@ -6,11 +6,11 @@ as its parts, and every engine, cache and writer reads it directly.  This
 module gives enumeration in reverse-lexicographic order, the class size
 |C_alpha|, theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights r^j a_r of the closed
-formulas, a_r = r^r/(r-1)!, as integer pairs (``a_weight``; ``a_coeff`` is
-a_r as a Fraction), the integrality check of a count, the error types the
-engines raise (``IntegralityError``, ``FixedPointError``,
-``SizeLimitExceeded``) and the odd-prime code prod q_k^e of (k, e) pairs
-(``prime_code``, ``prime_pairs``) that ``series`` and ``cutjoin`` share.
+formulas, a_r = r^r/(r-1)!, as integer pairs (``a_weight``), the
+integrality check of a count, the error types the engines raise
+(``IntegralityError``, ``FixedPointError``, ``SizeLimitExceeded``) and the
+odd-prime code prod q_k^e of (k, e) pairs (``prime_code``,
+``prime_pairs``) that ``series`` and ``cutjoin`` share.
 ``factorization_length`` is the one definition of the number
 r = n + m + 2g - 2 of transpositions of a genus-g request, and the one
 check of that request; every engine keys its answer by it.  It imports no
@@ -66,9 +66,9 @@ def prime_code(pairs: Iterable[tuple[int, int]]) -> int:
     return code
 
 
-def prime_exponent(code: int, k: int) -> int:
-    """The exponent of q_k in code."""
-    q, e = odd_prime(k), 0
+def prime_exponent(code: int, q: int) -> int:
+    """The exponent of the odd prime q in code."""
+    e = 0
     while code % q == 0:
         code //= q
         e += 1
@@ -84,7 +84,7 @@ def prime_pairs(code: int) -> tuple[tuple[int, int], ...]:
         k += 1
         q = odd_prime(k)
         if code % q == 0:
-            pairs.append((k, e := prime_exponent(code, k)))
+            pairs.append((k, e := prime_exponent(code, q)))
             code //= q**e
     return tuple(pairs)
 
@@ -199,11 +199,3 @@ def a_weight(r: int, j: int = 0) -> tuple[int, int]:
     e = r + j
     return (r**e, factorial(r - 1)) if e >= 0 else (1, r**-e * factorial(r - 1))
 
-
-# `verify --N 12` asks for 160 weights of 12 distinct r, `--N 16` for 272 of 16.
-@lru_cache(maxsize=256)
-def a_coeff(r: int) -> Fraction:
-    """The weight a_r = r^r/(r-1)! attached to a part of size r, as a Fraction."""
-    from fractions import Fraction  # only the series checks load fractions
-
-    return Fraction(*a_weight(r))

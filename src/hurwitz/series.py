@@ -18,9 +18,10 @@ cut-and-join carries it.
 ``exp``, ``log1`` and ``powers`` require every input monomial to carry
 positive x-degree, which keeps their expansions finite inside the cut.
 ``subst_x`` reads a table built by ``powers`` rather than the inner series,
-so a caller builds each power table once; each term c x^d p^e of the rule
-adds c s^d p^e to one sum, so multiplying by a p-monomial has one
-implementation.
+so a caller builds each power table once; it reads each term of the rule
+off its code (x^d from the trailing zero bits, the odd part as the
+p-monomial p^e) and adds c s^d p^e to one sum, so multiplying by a
+p-monomial has one implementation.
 
 A series is stored fraction-free, as integer numerators over one positive
 denominator ``den``, in canonical form: no zero numerator, gcd(den,
@@ -31,16 +32,18 @@ summand c * f, c * f * g or c * f * g * p-monomial with c = a/b enters over
 f.den * g.den * b, with a folded into the sum's rescaling factor, and its
 numerators (or numerator products) are added straight into the running
 numerators, so a product or a p-monomial multiple that feeds a sum is never
-built as a series.  The sum is rescaled only when the lcm of the
-denominators grows; what cancels stays in it until one pass drops the zeros
-and one gcd reduces it at the end.  Scalar multiples, negation, products
+built as a series.  A weight is an int, a Fraction or an integer pair
+(a, b), b > 0; the package's own weights are ints and pairs.  The sum is
+rescaled only when the lcm of the denominators grows; what cancels stays in
+it until one pass drops the zeros and one gcd reduces it at the end.  Scalar multiples, negation, products
 and shifts (``shift``, the product by one monomial) are weighted totals of
 one summand.  A product visits only the partners inside the cut: a right
 factor's terms of each cut degree and below (``ExactRing._partner_lists``),
 built the first time a series is a right factor and kept with it.
 Derivations scale numerators and are reduced by one gcd.  Only coefficient
-reads (``coeff``, ``fraction_view``) build Fractions; floating point is
-never used.
+reads (``coeff``, ``fraction_view``) build a Fraction or import
+``fractions``, and a Fraction passed in is read by its numerator and
+denominator; floating point is never used.
 
 ``ExactRing`` holds that storage and every operation that reads no
 monomial; ``PSeries`` here and ``verify.WPoly`` are its two monomial
@@ -51,16 +54,16 @@ zeros, nothing beyond the cut); ring operations skip that pass
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .partitions import odd_prime, prime_code, prime_exponent, prime_pairs
 
-Monomial = tuple[int, tuple[tuple[int, int], ...]]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-_ZERO = Fraction(0)
+Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
 Key = TypeVar("Key", bound=Hashable)
 
@@ -89,11 +92,32 @@ def _decode(code: int) -> Monomial:
 
 def _exact(c: object) -> Fraction | int:
     """c itself if it is an exact scalar (an int or a Fraction), else TypeError."""
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
         return c
     if isinstance(c, float):
         raise TypeError("floating-point coefficients are not allowed")
+    from fractions import Fraction  # only a scalar that is no int loads fractions
+
+    if isinstance(c, Fraction):
+        return c
     raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+
+
+def _pair(num: object, den: object) -> tuple[int, int]:
+    """(num, den) if both are ints and den > 0, else TypeError or ValueError."""
+    if type(num) is not int or type(den) is not int:
+        raise TypeError(f"{(num, den)!r} is not a pair of ints")
+    if den < 1:
+        raise ValueError(f"denominator {den} is below 1")
+    return num, den
+
+
+def _ratio(c: object) -> tuple[int, int]:
+    """(a, b), b > 0, of an exact weight c = a/b: an int, a Fraction or a pair (a, b)."""
+    if type(c) is tuple:
+        return _pair(*c)
+    c = _exact(c)
+    return c.numerator, c.denominator
 
 
 def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
@@ -107,17 +131,18 @@ def _reduce(den: int, terms: dict[Key, int]) -> tuple[int, dict[Key, int]]:
 
 
 def _accumulate(
-    N: int | None, den: int, acc: dict, f: "ExactRing", c: Fraction | int,
-    g: "ExactRing | None" = None, p: Iterable[tuple[int, int]] = (),
+    N: int | None, den: int, acc: dict, f: "ExactRing", c: object,
+    g: "ExactRing | None" = None, p: Iterable[tuple[int, int]] | int = (),
 ) -> tuple[int, dict]:
-    """acc/den + c * f * g * p, added into acc (see ``weighted_total``)."""
+    """acc/den + c * f * g * p, added into acc (see ``weighted_total``); p is
+    ((i, e), ...) or, from ``subst_x``, its odd code."""
     if f.N != N or g is not None and g.N != N:
         raise TruncationMismatch(f"N={N} vs N={f.N if f.N != N else g.N}")
-    a = _exact(c).numerator
+    a, b = _ratio(c)
     if not a or not f.terms or g is not None and not g.terms:
         return den, acc
-    fden = f.den * c.denominator * (1 if g is None else g.den)
-    m = f._p_code(p) if p else 1
+    fden = f.den * b * (1 if g is None else g.den)
+    m = p if type(p) is int else f._p_code(p) if p else 1
     if not acc:
         if g is None and m == 1:
             return fden, dict(f.terms) if a == 1 else {k: v * a for k, v in f.terms.items()}
@@ -148,6 +173,8 @@ def _canonical(den: int, acc: dict) -> tuple[int, dict]:
 
 def fraction_view(f: "ExactRing") -> dict:
     """The coefficients of a PSeries or WPoly as Fractions, by monomial."""
+    from fractions import Fraction
+
     return {f._decode(m): Fraction(v, f.den) for m, v in f.terms.items()}
 
 
@@ -223,7 +250,7 @@ class ExactRing:
     def __neg__(self) -> "ExactRing":
         return self.weighted_total(self.N, ((self, -1),))
 
-    def __mul__(self, other: "ExactRing | Fraction | int") -> "ExactRing":
+    def __mul__(self, other: "ExactRing | Fraction | int | tuple[int, int]") -> "ExactRing":
         summand = (self, 1, other) if isinstance(other, ExactRing) else (self, other)
         return self.weighted_total(self.N, (summand,))
 
@@ -283,8 +310,9 @@ class ExactRing:
         """The sum of the summands c * f, c * f * g or c * f * g * p, each cut at N.
 
         A summand is a tuple (f, c), (f, c, g) or (f, c, g, p): series f and
-        g (g None for no factor), an exact weight c = a/b and a p-monomial p
-        given as ((i, e), ...) (PSeries only).  It enters over f.den * g.den
+        g (g None for no factor), an exact weight c = a/b (an int, a
+        Fraction or an integer pair (a, b), b > 0) and a p-monomial p given
+        as ((i, e), ...) (PSeries only).  It enters over f.den * g.den
         * b with a folded into the sum's rescaling factor up, which
         multiplies each left numerator once, so a product or a multiple is
         never built as a series.  Zero weights and empty factors are
@@ -320,7 +348,7 @@ class PSeries(ExactRing):
     # Code objects of their own for the benchmark probes series.PSeries.{mul,
     # add}: cProfile counts calls per code object, and a body shared with
     # WPoly would merge the two rings' counts.
-    def __mul__(self, other: "PSeries | Fraction | int") -> "PSeries":
+    def __mul__(self, other: "PSeries | Fraction | int | tuple[int, int]") -> "PSeries":
         return ExactRing.__mul__(self, other)
 
     __rmul__ = __mul__
@@ -372,10 +400,7 @@ class PSeries(ExactRing):
             raise ValueError(f"truncation degree N={N} is below 1")
         items = []
         for parts, (num, den) in coeffs.items():
-            if type(num) is not int or type(den) is not int:
-                raise TypeError(f"{(num, den)!r} is not a pair of ints")
-            if den < 1:
-                raise ValueError(f"denominator {den} is below 1")
+            num, den = _pair(num, den)
             code = _encode(n := sum(parts), ((a, 1) for a in parts))
             if n <= N:
                 items.append((code, num, den))
@@ -411,7 +436,7 @@ class PSeries(ExactRing):
         out: dict[int, int] = {}
         for c, v in self.terms.items():
             if c % q == 0:
-                out[c // q] = v * prime_exponent(c, k)
+                out[c // q] = v * prime_exponent(c, q)
         return PSeries._of(self.N, *_reduce(self.den, out))
 
     def xdiff(self) -> "PSeries":
@@ -433,8 +458,10 @@ class PSeries(ExactRing):
         """Exact coefficient of x^x_deg p_alpha, alpha given by parts."""
         if not 0 <= x_deg <= self.N:
             raise ValueError(f"x-degree {x_deg} outside truncation N={self.N}")
+        from fractions import Fraction
+
         v = self.terms.get(_encode(x_deg, ((a, 1) for a in parts)))
-        return _ZERO if v is None else Fraction(v, self.den)
+        return Fraction(0 if v is None else v, self.den)
 
 
 def _require_positive_xdeg(f: PSeries, op: str) -> None:
@@ -457,7 +484,7 @@ def exp(f: PSeries) -> PSeries:
     dfparts = f.xdiff().x_parts()
     gparts: list[PSeries] = [PSeries.one(N)]
     for d in range(1, N + 1):
-        terms = ((dfe, Fraction(1, d), gparts[d - e]) for e, dfe in dfparts.items() if e <= d)
+        terms = ((dfe, (1, d), gparts[d - e]) for e, dfe in dfparts.items() if e <= d)
         gparts.append(PSeries.weighted_total(N, terms))
     return PSeries.total(N, gparts)
 
@@ -476,7 +503,7 @@ def log1(f: PSeries) -> PSeries:
     for d in range(1, N + 1):
         corr = ((fe, -1, hparts[d - e]) for e, fe in fparts.items() if e < d)
         hparts.append(PSeries.weighted_total(N, chain(((dfparts.get(d, zero), 1),), corr)))
-    return PSeries.weighted_total(N, ((h, Fraction(1, d)) for d, h in enumerate(hparts) if d))
+    return PSeries.weighted_total(N, ((h, (1, d)) for d, h in enumerate(hparts) if d))
 
 
 def powers(s: PSeries) -> tuple[PSeries, ...]:
@@ -491,11 +518,18 @@ def powers(s: PSeries) -> tuple[PSeries, ...]:
 def subst_x(f: PSeries, pw: Sequence[PSeries]) -> PSeries:
     """Substitute x -> s in f, given the power table pw = powers(s).
 
-    f is read as the rule x-degree d -> coefficient: each term c x^d p^e of
-    f adds c s^d p^e, s^d times its p-monomial, straight into one weighted
-    total.  The p-monomial has no x, so nothing leaves the cut.
+    f is read as the rule x-degree d -> coefficient: each term v/den x^d p^e
+    of f is read off its code (d the trailing zero bits, the odd part the
+    p-code of p^e) and adds v/den s^d p^e, s^d times its p-monomial,
+    straight into one weighted total, its weight reduced to an integer pair
+    by one gcd.  The p-monomial has no x, so nothing leaves the cut.
     """
     f._check(pw[0])
-    return PSeries.weighted_total(
-        f.N, ((pw[d], c, None, pexp) for (d, pexp), c in fraction_view(f).items())
-    )
+    den = f.den
+
+    def summands():
+        for code, v in f.terms.items():
+            d, g = _xdeg(code), gcd(v, den)
+            yield pw[d], (v // g, den // g), None, code >> d
+
+    return PSeries.weighted_total(f.N, summands())

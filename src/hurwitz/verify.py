@@ -52,17 +52,21 @@ The genus-0 input dF_0/dp_k, taken as given in ``closedform``, is certified
 by ``f0_pdiff_axiom`` against the p-derivatives of the genus-0 series built
 from the explicit formula.  The right sides of the psi and G_1 pdiff
 identities are rules in x, built from ``closedform.psi``, read at x -> s
-(``_rule_at_s``); only the left sides differentiate.
+(``_rule_at_s``); only the left sides differentiate.  ``kernel_recombination``
+checks its combinations in the main ring on the rules themselves, with no
+x -> s: reading a series cut at x^N at s = x + O(x^2) is injective and keeps
+its lowest x-degree part, so pass/fail and the witness are those at s.
+Every weight here is an int or an integer pair, so no check builds a
+Fraction and the module loads no ``fractions``.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .closedform import (
     f0_pdiff,
@@ -74,10 +78,11 @@ from .closedform import (
     s_powers,
     s_series,
 )
-from .partitions import a_coeff, a_weight, elem_sym, partitions_of, theta
+from .partitions import a_weight, elem_sym, partitions_of, theta
 from .series import ExactRing, PSeries, exp, subst_x
 
-_ZERO = Fraction(0)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CheckResult(NamedTuple):
@@ -159,7 +164,7 @@ class WPoly(ExactRing):
 
     # A code object of its own for the benchmark probe verify.WPoly.mul, as
     # for the probed operations of PSeries.
-    def __mul__(self, other: "WPoly | Fraction | int") -> "WPoly":
+    def __mul__(self, other: "WPoly | Fraction | int | tuple[int, int]") -> "WPoly":
         return ExactRing.__mul__(self, other)
 
     __rmul__ = __mul__
@@ -254,7 +259,7 @@ class WExpr:
     def __neg__(self) -> "WExpr":
         return WExpr(-self.num, self.den)
 
-    def __mul__(self, other: "WExpr | Fraction | int") -> "WExpr":
+    def __mul__(self, other: "WExpr | Fraction | int | tuple[int, int]") -> "WExpr":
         if not isinstance(other, WExpr):
             return WExpr(self.num * other, self.den)
         return WExpr(
@@ -293,7 +298,7 @@ def sym_psi(m: int, v: int) -> WExpr:
 
 
 def sym_a_form(v: int) -> WExpr:
-    return (_one_minus_w(v) * wd(v, 3) + wd(v, 0) * wd(v, 2) - wd(v, 1)) * Fraction(1, 12)
+    return (_one_minus_w(v) * wd(v, 3) + wd(v, 0) * wd(v, 2) - wd(v, 1)) * (1, 12)
 
 
 def _cross(j: int, a: int, b: int) -> WExpr:
@@ -473,7 +478,7 @@ def _at_tree(p: WPoly, order: int) -> WPoly:
             e2_sums = (
                 (WPoly.weighted_total(order, row), 1, power(2, e2)) for e2, row in by_e2.items()
             )
-            yield WPoly.weighted_total(order, e2_sums), Fraction(1, p.den), power(1, e1)
+            yield WPoly.weighted_total(order, e2_sums), (1, p.den), power(1, e1)
 
     # the sum runs over p's numerators; divide by its denominator in the same pass
     return WPoly.weighted_total(order, e1_sums())
@@ -513,23 +518,34 @@ _CROSS: dict[str, tuple[Weight, Weight]] = {
 }
 
 
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of num/den over integer pairs, as one pair over the running lcm
+    of the denominators; no Fraction is built."""
+    num, den = 0, 1
+    for a, b in pairs:
+        if den % b:
+            grown = lcm(den, b)
+            num, den = num * (grown // den), grown
+        num += a * (den // b)
+    return num, den
+
+
 def _joined(w: Weight, k: int, *rest: int) -> tuple[int, int]:
     """sum_{i+j=k} a_i a_j w(i, j, *rest) as a pair (num, den), summed in integers.
 
     a_i a_j = i^i j^j C(k-2, i-1) / (k-2)!, so each summand is an integer
-    times a weight; the weights are brought to a running lcm of their
-    denominators, and no Fraction is built.
+    times a weight.
     """
     if k < 2:
         return 0, 1
-    num, den = 0, 1
-    for i in range(1, k):
-        j = k - i
-        a, b = w(i, j, *rest)
-        if den % b:
-            grown = lcm(den, b)
-            num, den = num * (grown // den), grown
-        num += i**i * j**j * comb(k - 2, i - 1) * a * (den // b)
+
+    def summands():
+        for i in range(1, k):
+            j = k - i
+            a, b = w(i, j, *rest)
+            yield i**i * j**j * comb(k - 2, i - 1) * a, b
+
+    num, den = _pair_sum(summands())
     return num, den * factorial(k - 2)
 
 
@@ -631,7 +647,9 @@ def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
     The operator is the Euler part x d/dx + sum p_i d/dp_i minus the join
     transfer through the genus-0 derivatives minus half the cut operator,
     and the inhomogeneity is half the join of the genus-0 second derivatives.
-    Identically zero when g1 is the genus-1 series.
+    Identically zero when g1 is the genus-1 series.  Every weight is an int
+    or an integer pair; the inhomogeneity sums a_i a_(k-i) from ``a_weight``
+    alone, so the residual reads no kernel weight.
     """
     if g1 is None:
         g1 = g1_closed(N)
@@ -649,46 +667,65 @@ def residual_T(N: int, g1: PSeries | None = None) -> PSeries:
                 yield df0[i], -i * (k - i), dg[k - i], ((k, 1),)
         for k in range(2, N + 1):
             for i in range(1, k):
-                yield dg[k], Fraction(-k, 2), None, ((i, 1), (k - i, 1))
+                yield dg[k], (-k, 2), None, ((i, 1), (k - i, 1))
         for k in range(2, N + 1):
-            coef = sum((a_coeff(i) * a_coeff(k - i) for i in range(1, k)), _ZERO)
-            yield pw[k], -coef / (2 * k), None, ((k, 1),)
+            # a_i a_(k-i) as a pair: the two pairs multiplied entry by entry
+            joins = (map(operator.mul, a_weight(i), a_weight(k - i)) for i in range(1, k))
+            num, den = _pair_sum(joins)
+            yield pw[k], (-num, 2 * k * den), None, ((k, 1),)
 
     return PSeries.weighted_total(N, summands())
 
 
-def kernel_recombination(N: int) -> CheckResult:
-    """The three kernel combinations vanish when rebuilt in the main ring.
+def _kernel_rules(N: int) -> tuple[PSeries, ...]:
+    """The kernels a, b, c, d, e as rules in x and p, from the weight table.
 
-    Each quadratic kernel is its weight-table rule in x and p (y_k = p_k x^k)
-    read at x -> s, an honest series in x and p, combined exactly as in
-    the degree-split of the PDE residual; all three combinations must be the
-    zero series.  The weights are shared with the symmetrized expansions,
-    but the expansion is not: this is a third route, independent of both the
-    exact polynomial route and the symmetrized series.
+    A one-slot kernel is sum_k [y_k] p_k x^k, a two-slot one the sum over
+    ordered pairs (k, m) of [y_k y_m] p_k p_m x^(k+m).
     """
-    pw = s_powers(N)
-    total = partial(PSeries.weighted_total, N)
-
-    def at_s(rule: Mapping[tuple[int, ...], tuple[int, int]]) -> PSeries:
-        # sum_k [y_k] p_k x^k, or sum over ordered pairs (k, m) of
-        # [y_k y_m] p_k p_m x^(k+m), read at x -> s
-        return subst_x(PSeries.from_part_pairs(N, rule), pw)
-
     pairs = [(k, m) for k in range(1, N) for m in range(1, N - k + 1)]
-    a_ser, b_ser, d_ser = (
-        at_s({(k,): _linear_by(_LINEAR[name], k) for k in range(2, N + 1)}) for name in "abd"
+    a, b, d = (
+        PSeries.from_part_pairs(N, {(k,): _linear_by(_LINEAR[name], k) for k in range(2, N + 1)})
+        for name in "abd"
     )
-    c_ser, e_ser = (at_s({km: _cross_by(*_CROSS[name], *km) for km in pairs}) for name in "ce")
-    psi0, psi1, psi2 = (psi_at_s(i, N) for i in range(3))
-    psi12, psi1_a = psi1 + psi2, psi1 * a_ser
+    c, e = (
+        PSeries.from_part_pairs(N, {km: _cross_by(*_CROSS[name], *km) for km in pairs})
+        for name in "ce"
+    )
+    return a, b, c, d, e
+
+
+def _recombined(
+    N: int, psis: Iterable[PSeries], kernels: Iterable[PSeries]
+) -> tuple[PSeries, PSeries, PSeries]:
+    """u1, u2, u3 from psi_0..psi_2 and the kernels a..e, combined as in the
+    degree split of the PDE residual."""
+    (psi0, psi1, psi2), (a, b, c, d, e) = psis, kernels
+    total = partial(PSeries.weighted_total, N)
+    psi12, psi1_a = psi1 + psi2, psi1 * a
     # summands (f, c) and (f, c, g): each product enters its sum as it is read
-    u1 = total(((psi2, 1), (psi0, -1), (a_ser, -12), (b_ser, -1), (d_ser, 1)))
-    u2 = total((
-        (psi0, 1, psi12), (psi1_a, 24), (psi1, 1, b_ser), (c_ser, 1), (psi12, -1, d_ser),
-        (e_ser, -1),
-    ))
-    u3 = total(((psi1, -12, psi1_a), (psi1, -1, c_ser), (psi12, 1, e_ser)))
+    u1 = total(((psi2, 1), (psi0, -1), (a, -12), (b, -1), (d, 1)))
+    u2 = total(((psi0, 1, psi12), (psi1_a, 24), (psi1, 1, b), (c, 1), (psi12, -1, d), (e, -1)))
+    u3 = total(((psi1, -12, psi1_a), (psi1, -1, c), (psi12, 1, e)))
+    return u1, u2, u3
+
+
+def kernel_recombination(N: int) -> CheckResult:
+    """The three kernel combinations vanish in the main ring.
+
+    Each quadratic kernel is its weight-table rule in x and p (y_k = p_k x^k),
+    and psi_i its rule ``closedform.psi``; they are combined exactly as in
+    the degree split of the PDE residual, and all three combinations must be
+    the zero series.  The residual reads each of them at x -> s, but the
+    check needs no s: since s = x + O(x^2), reading a series cut at x^N at
+    x -> s is an injective ring map that keeps its lowest x-degree part, so
+    a combination vanishes at s exactly when it vanishes as a rule, and a
+    nonzero one keeps its lead monomial, the witness.  The weights are
+    shared with the symmetrized expansions, but the expansion is not: this
+    is a third route, independent of both the exact polynomial route and
+    the symmetrized series.
+    """
+    u1, u2, u3 = _recombined(N, (psi(i, N) for i in range(3)), _kernel_rules(N))
     return _first_nonzero(
         "kernel_recombination", (("degree 1", u1), ("degree 2", u2), ("degree 3", u3))
     )
@@ -709,11 +746,12 @@ def _one_minus_psi1(N: int) -> tuple[PSeries, PSeries]:
     return omp, omp * omp
 
 
-def _rule_at_s(k: int, N: int, c: Fraction | int, b: Fraction | int, i: int) -> PSeries:
+def _rule_at_s(k: int, N: int, c: tuple[int, int], b: tuple[int, int], i: int) -> PSeries:
     """x^k (c (1 - psi_1) + b psi_i) read at x -> s, the right side of a pdiff
-    identity: a rule in x, read once through ``s_powers(N)``."""
-    one, psi1 = PSeries.one(N), psi(1, N)
-    rule = PSeries.weighted_total(N, ((one, c), (psi1, -c), (psi(i, N), b)))
+    identity: a rule in x, read once through ``s_powers(N)``; c and b are
+    integer pairs (num, den)."""
+    omp = PSeries.one(N) - psi(1, N)
+    rule = PSeries.weighted_total(N, ((omp, c), (psi(i, N), b)))
     return subst_x(rule.shift(x=k), s_powers(N))
 
 
@@ -734,7 +772,8 @@ def s_pdiff_identity(N: int) -> CheckResult:
     def differences():
         for k in range(1, N + 1):
             rhs = pw[k + 1] if k + 1 <= N else PSeries.zero(N)
-            yield f"k={k}", PSeries.weighted_total(N, ((s.pdiff(k), k, omp), (rhs, -a_coeff(k))))
+            num, den = a_weight(k)
+            yield f"k={k}", PSeries.weighted_total(N, ((s.pdiff(k), k, omp), (rhs, (-num, den))))
 
     return _first_nonzero("s_pdiff_identity", differences())
 
@@ -748,8 +787,8 @@ def psi_pdiff_identity(N: int) -> CheckResult:
         for j in range(0, 3):
             pj = psi_at_s(j, N)
             for k in range(1, min(PDIFF_MAX_K, N) + 1):
-                ak = a_coeff(k)
-                rhs = _rule_at_s(k, N, k**j * ak, ak, j + 1)
+                num, den = a_weight(k)
+                rhs = _rule_at_s(k, N, (k**j * num, den), (num, den), j + 1)
                 yield f"j={j}, k={k}", total(((pj.pdiff(k), k, omp), (rhs, -1)))
 
     return _first_nonzero("psi_pdiff_identity", differences())
@@ -771,9 +810,9 @@ def g1_pdiff_identity(N: int) -> CheckResult:
 
     def differences():
         for k in range(1, min(PDIFF_MAX_K, N) + 1):
-            ak = a_coeff(k)
+            num, den = a_weight(k)
             # the right side regrouped as (a_k - a_k/k)(1 - psi_1) + (a_k/k) psi_2
-            rhs = _rule_at_s(k, N, ak - ak / k, ak / k, 2)
+            rhs = _rule_at_s(k, N, ((k - 1) * num, k * den), (num, k * den), 2)
             yield f"k={k}", total(((g1.pdiff(k), 24, omp2), (rhs, -1)))
 
     return _first_nonzero("g1_pdiff_identity", differences())

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import factorial, gcd
 
 import hypothesis.strategies as st
 
@@ -20,6 +20,12 @@ def is_canonical(f) -> bool:
         and all(type(v) is int and v for v in nums)
         and gcd(f.den, *nums) == 1
     )
+
+
+def a_fraction(r: int) -> Fraction:
+    """a_r = r^r/(r-1)! as a Fraction, from its definition: the tests' reference
+    for the integer pairs of ``partitions.a_weight``."""
+    return Fraction(r**r, factorial(r - 1))
 
 
 def fraction_sum(items, weights=None) -> dict:

@@ -11,7 +11,7 @@ from math import factorial
 from hurwitz.closedform import f0_series, g1_closed, g1_defn, mu0, mu1, psi_at_s, s_series
 from hurwitz.cutjoin import evolve, extract_c
 from hurwitz.oracle import count_transitive
-from hurwitz.partitions import a_coeff, class_size, partitions_of
+from hurwitz.partitions import class_size, partitions_of
 from hurwitz.series import PSeries, exp, fraction_view
 from hurwitz.verify import (
     _tree_coeffs,
@@ -27,6 +27,8 @@ from hurwitz.verify import (
     s_pdiff_identity,
     s_xdiff_identity,
 )
+
+from conftest import a_fraction
 
 TR8 = 8
 TR10 = 10
@@ -94,7 +96,7 @@ def test_criterion_5_series_identities():
         for lam in partitions_of(n - 1):
             coeff = Fraction(1, n)
             for r, mr in lam.mults().items():
-                coeff *= (n * a_coeff(r) / r) ** mr / factorial(mr)
+                coeff *= (n * a_fraction(r) / r) ** mr / factorial(mr)
             expected[(n, lam.pexp())] = coeff
         got = {mono: c for mono, c in fraction_view(s).items() if mono[0] == n}
         if got != expected:

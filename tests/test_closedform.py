@@ -29,7 +29,6 @@ from hurwitz.oracle import count_transitive
 from hurwitz.partitions import (
     IntegralityError,
     Partition,
-    a_coeff,
     class_size,
     elem_sym,
     factorization_length,
@@ -39,7 +38,7 @@ from hurwitz.partitions import (
 from hurwitz.series import PSeries, exp, fraction_view, powers, subst_x
 from hurwitz.verify import _tree_coeffs
 
-from conftest import is_canonical
+from conftest import a_fraction, is_canonical
 from naive import count_naive
 
 TR8 = 8
@@ -133,7 +132,7 @@ class TestRecords:
 def _prod_a(alpha):
     out = Fraction(1)
     for k in alpha:
-        out *= a_coeff(k)
+        out *= a_fraction(k)
     return out
 
 
@@ -253,7 +252,7 @@ class TestSubstitutionSeries:
             for lam in partitions_of(n - 1):
                 coeff = Fraction(1, n)
                 for r, mr in lam.mults().items():
-                    coeff *= (n * a_coeff(r) / r) ** mr / factorial(mr)
+                    coeff *= (n * a_fraction(r) / r) ** mr / factorial(mr)
                 if coeff:
                     expected[(n, lam.pexp())] = coeff
             got = {
@@ -299,7 +298,7 @@ class TestSubstitutionSeries:
         omp = one - psi_at_s(1, TR8)
         pw = s_powers(TR8)
         for k in (1, 2, 3):
-            assert s.pdiff(k) * omp * k == pw[k + 1] * a_coeff(k)
+            assert s.pdiff(k) * omp * k == pw[k + 1] * a_fraction(k)
 
 
 class TestF0:

@@ -138,6 +138,13 @@ def test_a_counting_engine_loads_no_json_or_fractions(argv):
     assert loaded & {"json", "fractions", "decimal"} == set()
 
 
+def test_verify_loads_no_fractions_or_csv():
+    # every weight of the checks is an int or an integer pair, and csv
+    # serves only the CSV output
+    loaded = set(json.loads(run_fresh(_LOADED_AFTER, "verify", "--N", "4").splitlines()[-1]))
+    assert loaded & {"fractions", "decimal", "numbers", "csv"} == set()
+
+
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, hurwitz\nprint([m for m in sys.modules if m.startswith('hurwitz.')])"
     assert run_fresh(code) == "[]\n"

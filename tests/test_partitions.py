@@ -12,7 +12,6 @@ from hurwitz.cutjoin import evolve, extract_c
 from hurwitz.oracle import count_transitive
 from hurwitz.partitions import (
     Partition,
-    a_coeff,
     a_weight,
     class_size,
     elem_sym,
@@ -218,13 +217,14 @@ class TestPrimeCode:
 
 class TestACoeff:
     def test_values(self):
-        assert a_coeff(1) == 1
-        assert a_coeff(2) == 4
-        assert a_coeff(3) == Fraction(27, 2)
+        assert a_weight(1) == (1, 1)
+        assert a_weight(2) == (4, 1)
+        assert a_weight(3) == (27, 2)
+        assert Fraction(*a_weight(4)) == Fraction(256, 6)
 
     def test_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            a_coeff(0)
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            a_weight(0)
         for j in (-3, 0, 2):
             with pytest.raises(ValueError, match="r must be at least 1"):
                 a_weight(0, j)
@@ -232,11 +232,12 @@ class TestACoeff:
     def test_weight_pairs_are_the_powers_of_r_times_a_r(self):
         # r^j a_r for every j, the power of r in the denominator once r + j < 0
         for r in range(1, 11):
-            assert a_coeff(r) == Fraction(*a_weight(r))
+            a_r = Fraction(r**r, factorial(r - 1))
+            assert Fraction(*a_weight(r)) == a_r
             for j in range(-14, 4):
                 num, den = a_weight(r, j)
                 assert type(num) is int and type(den) is int and den > 0
-                assert Fraction(num, den) == Fraction(r) ** j * a_coeff(r), (r, j)
+                assert Fraction(num, den) == Fraction(r) ** j * a_r, (r, j)
         assert a_weight(3, -5) == (1, 9 * 2)
         assert a_weight(2, -2) == (1, 1)
 

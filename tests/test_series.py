@@ -500,6 +500,21 @@ class TestSubstitution:
         got = subst_x(f, powers(s))
         assert got == PSeries.term(TR8, Fraction(1, 2), x=2, p=((3, 1),))
 
+    @given(series_st(TR6, max_terms=6), series_st(TR6, max_terms=3, min_xdeg=1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_fraction_route(self, f, inner, data):
+        # each term read off its code with its weight as a pair, against the
+        # rule read through its Fraction coefficients
+        f = f * data.draw(st.sampled_from([1, 2, 6, Fraction(1, 6)]))
+        s = PSeries.x(TR6) + inner
+        pw = powers(s)
+        want = PSeries.weighted_total(
+            TR6, ((pw[d], c, None, pexp) for (d, pexp), c in fraction_view(f).items())
+        )
+        got = subst_x(f, pw)
+        assert got == want
+        assert is_canonical(got)
+
 
 class TestCoeff:
     def test_single_monomial(self):
@@ -643,6 +658,31 @@ class TestTotal:
         got = PSeries.weighted_total(TR6, [(g, 0), (f, c), (f * 2, -c / 2), (g, 3), (f, 0)])
         assert fraction_view(got) == fraction_view(g * 3)
         assert is_canonical(got)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_weights_equal_their_fractions(self, data):
+        # (a, b) weighs as a/b, also unreduced; no Fraction is needed
+        items = data.draw(st.lists(with_content_st(TR6), max_size=4))
+        weights = [data.draw(scalars_st(f)) for f in items]
+        scales = [data.draw(st.sampled_from([1, 2, 6])) for _ in items]
+        pairs = [
+            (k * Fraction(c).numerator, k * Fraction(c).denominator)
+            for c, k in zip(weights, scales)
+        ]
+        got = PSeries.weighted_total(TR6, zip(items, pairs))
+        assert fraction_view(got) == fraction_sum(items, weights)
+        assert is_canonical(got)
+
+    @pytest.mark.parametrize(
+        "weight, error",
+        [((1, 0), ValueError), ((1, -2), ValueError), ((1.0, 2), TypeError),
+         ((Fraction(1, 2), 3), TypeError), ((1, 2, 3), TypeError)],
+        ids=["zero-den", "negative-den", "float-num", "fraction-num", "three-entries"],
+    )
+    def test_bad_pair_weights_refused(self, weight, error):
+        with pytest.raises(error):
+            PSeries.weighted_total(TR6, [(xp1(TR6), weight)])
 
     def test_empty_is_zero(self):
         got = PSeries.total(TR8, ())

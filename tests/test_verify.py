@@ -10,8 +10,7 @@ from hypothesis import given, settings
 
 from hurwitz import closedform, verify
 from hurwitz.closedform import f0_series, g1_closed, g1_defn, s_series
-from hurwitz.partitions import a_coeff
-from hurwitz.series import PSeries, TruncationMismatch, fraction_view
+from hurwitz.series import PSeries, TruncationMismatch, fraction_view, subst_x
 from hurwitz.verify import (
     DEFAULT_KERNELS,
     CheckResult,
@@ -38,7 +37,7 @@ from hurwitz.verify import (
     wd,
 )
 
-from conftest import fraction_sum, is_canonical, reduced_scale, scalars_st
+from conftest import a_fraction, fraction_sum, is_canonical, reduced_scale, scalars_st
 
 TR8 = 8
 # 1 + x1, cut at the order it is given with
@@ -460,7 +459,8 @@ def _fraction_linear(name, k):
     """[y_k] of a one-slot kernel, summed term by term in Fractions."""
     w = verify._LINEAR[name]
     return sum(
-        (a_coeff(i) * a_coeff(k - i) * Fraction(*w(i, k - i)) for i in range(1, k)), Fraction(0)
+        (a_fraction(i) * a_fraction(k - i) * Fraction(*w(i, k - i)) for i in range(1, k)),
+        Fraction(0),
     )
 
 
@@ -468,10 +468,10 @@ def _fraction_cross(name, k, m):
     """[y_k y_m] of a two-slot kernel, summed term by term in Fractions."""
     join, split = verify._CROSS[name]
     joined = sum(
-        (a_coeff(i) * a_coeff(k - i) * Fraction(*join(i, k - i, m)) for i in range(1, k)),
+        (a_fraction(i) * a_fraction(k - i) * Fraction(*join(i, k - i, m)) for i in range(1, k)),
         Fraction(0),
     )
-    return a_coeff(m) * joined - a_coeff(k + m) * Fraction(*split(k, m))
+    return a_fraction(m) * joined - a_fraction(k + m) * Fraction(*split(k, m))
 
 
 def _scaled(w):
@@ -531,20 +531,13 @@ class TestIntegerInputs:
 
     def test_inputs_build_no_fraction(self, monkeypatch):
         N, order = 12, 10
-        # s and psi_i at s read their rules through Fractions, so they are
-        # built first (each has its own cache, and either may be evicted alone)
-        closedform.s_powers(N)
-        for i in range(3):
-            closedform.psi_at_s(i, N)
         for cache in (closedform.psi, verify._w_power, verify._linear_by, verify._cross_by):
             cache.cache_clear()
-        rules = []
+        rules, from_part_pairs = [], PSeries.from_part_pairs
 
-        def record(rule, pw):
-            rules.append(rule)
-            return PSeries.zero(rule.N)
-
-        monkeypatch.setattr(verify, "subst_x", record)
+        def record(N, coeffs):
+            rules.append(from_part_pairs(N, coeffs))
+            return rules[-1]
 
         def build():
             for i in range(-1, 4):
@@ -554,10 +547,12 @@ class TestIntegerInputs:
                     verify._w_power(v, e, order)
             for m in range(-1, 3):
                 verify._direct_psi(m, 1, order)
-            verify.kernel_recombination(N)
+            monkeypatch.setattr(PSeries, "from_part_pairs", staticmethod(record))
+            assert verify.kernel_recombination(N).ok
 
         assert count_fractions(monkeypatch, build) == 0
-        # the rules fed to subst_x, a, b, d, c, e, against the Fraction sums
+        # the rules kernel_recombination builds, a, b, d, c, e, against the
+        # Fraction sums
         pairs = [(k, m) for k in range(1, N) for m in range(1, N - k + 1)]
         assert rules == [
             PSeries(N, {(k, ((k, 1),)): _fraction_linear(name, k) for k in range(2, N + 1)})
@@ -566,6 +561,58 @@ class TestIntegerInputs:
             PSeries(N, {(k + m, ((k, 1), (m, 1))): _fraction_cross(name, k, m) for k, m in pairs})
             for name in "ce"
         ]
+
+
+    def test_the_checks_build_no_fraction(self, monkeypatch):
+        # every cache emptied, so each series and weight is built in the count
+        for module in (closedform, verify):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        checks = []
+        assert count_fractions(monkeypatch, lambda: checks.extend(run_all_checks(12))) == 0
+        assert checks and all(c.ok for c in checks)
+
+
+class TestKernelRulesAtS:
+    """kernel_recombination combines the rules in x; read at x -> s, each
+    combination is the one built from psi_at_s and the kernels read at s."""
+
+    @pytest.mark.parametrize("N", [TR8, 12])
+    @pytest.mark.parametrize(
+        "name, part", [(None, None), ("a", None), ("c", 1), ("e", 0)],
+        ids=["true-table", "a", "c-split", "e-join"],
+    )
+    def test_rule_combinations_read_at_s(self, monkeypatch, N, name, part):
+        # a perturbed weight table puts a nonzero rule into some combination
+        if name in verify._LINEAR:
+            monkeypatch.setitem(verify._LINEAR, name, _scaled(verify._LINEAR[name]))
+        elif name is not None:
+            weights = list(verify._CROSS[name])
+            weights[part] = _scaled(weights[part])
+            monkeypatch.setitem(verify._CROSS, name, tuple(weights))
+        pw = closedform.s_powers(N)
+        kernels = verify._kernel_rules(N)
+        rules = verify._recombined(N, (closedform.psi(i, N) for i in range(3)), kernels)
+        at_s = verify._recombined(
+            N, (closedform.psi_at_s(i, N) for i in range(3)), [subst_x(k, pw) for k in kernels]
+        )
+        assert [subst_x(u, pw) for u in rules] == list(at_s)
+        assert [u.lead_str() for u in rules] == [u.lead_str() for u in at_s]
+        assert any(u.terms for u in rules) == (name is not None)
+
+    @pytest.mark.parametrize("N", [TR8, 12])
+    def test_a_perturbed_rule_keeps_its_lead_at_s(self, N):
+        pw = closedform.s_powers(N)
+        for i in range(-1, 3):
+            for bump in (
+                PSeries.term(N, Fraction(1, 5), x=4, p=((1, 2), (2, 1))),
+                PSeries.term(N, -3, x=N, p=((N, 1),)),
+                PSeries.term(N, 2, x=2, p=((1, 2),)) - PSeries.term(N, 7, x=2, p=((2, 1),)),
+            ):
+                # the perturbed rule read at s, less the true one
+                gap = subst_x(closedform.psi(i, N) + bump, pw) - closedform.psi_at_s(i, N)
+                assert gap.terms and gap.lead_str() == bump.lead_str()
 
 
 def _perturbed(name):
@@ -670,9 +717,9 @@ class TestFaultInjection:
         assert result.witness.startswith("j=0, k=1: ")
 
     def test_psi_rule_fault_is_caught_on_the_right_sides(self, monkeypatch):
-        # the pdiff right sides read the psi rules in x, not psi_at_s: a bumped
-        # psi_2 rule fails both identities that read it, and nothing else moves
-        # (verify reads psi only there; s and psi_at_s read closedform's own)
+        # the pdiff right sides and the kernel combinations read the psi rules
+        # in x, not psi_at_s: a bumped psi_2 rule fails the three checks that
+        # read it, and nothing else moves (s and psi_at_s read closedform's own)
         rule = verify.psi
         bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
         monkeypatch.setattr(
@@ -682,7 +729,7 @@ class TestFaultInjection:
         assert not psi_result.ok and psi_result.witness == "j=1, k=1: x^5*p1^2*p2"
         assert not g1_result.ok and g1_result.witness == "k=1: x^5*p1^2*p2"
         failed = [c.name for c in run_all_checks(TR8) if not c.ok]
-        assert failed == ["psi_pdiff_identity", "g1_pdiff_identity"]
+        assert failed == ["kernel_recombination", "psi_pdiff_identity", "g1_pdiff_identity"]
 
     def test_genus1_forms_fault_is_caught(self, monkeypatch):
         bad = g1_defn(TR8) + PSeries.term(TR8, 1, x=2, p=((2, 1),))
@@ -691,12 +738,12 @@ class TestFaultInjection:
         assert [(c.name, c.witness) for c in failed] == [("g1_forms_agree", "x^2*p2")]
 
     def test_kernel_recombination_fault_is_caught(self, monkeypatch):
-        psi_at_s = verify.psi_at_s
+        # the combinations read the psi rules: a bumped psi_2 rule leaves u1
+        # nonzero, led by the bump
+        rule = verify.psi
         bump = PSeries.term(TR8, Fraction(1, 5), x=4, p=((1, 2), (2, 1)))
         monkeypatch.setattr(
-            verify,
-            "psi_at_s",
-            lambda i, N: psi_at_s(i, N) + bump if i == 2 else psi_at_s(i, N),
+            verify, "psi", lambda i, N: rule(i, N) + bump if i == 2 else rule(i, N)
         )
         result = kernel_recombination(TR8)
         assert not result.ok
