@@ -32,15 +32,21 @@ cut-and-join loads neither ``json`` nor ``fractions``, and ``verify`` loads
 neither ``csv`` nor ``fractions`` (its checks build no Fraction).
 Every error type main catches is defined in ``partitions`` or is a
 ValueError, so no engine is loaded to handle a failure.
+
+``OPTIONS`` is the one statement of the options: ``parse_args`` reads argv
+from it and the ``-h``/``--help`` text is generated from it.  An option is
+spelled in full (no prefix abbreviations), as ``--opt value`` or
+``--opt=value``; every parse failure is a UsageError, so it exits 2 with
+one ``error:`` line on stderr.  No command loads ``argparse``, ``gettext``
+or ``locale``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .partitions import (
     FixedPointError,
@@ -64,6 +70,34 @@ class UsageError(ValueError):
     pass
 
 
+HELP = ("-h", "--help")
+FORMATS = ("csv", "json")
+REQUIRED = object()  # the default of an option that has none
+
+# The one statement of the options: command -> option -> (type, default,
+# choices).  A REQUIRED default makes the option required, and a bool type
+# makes it a flag, which takes no value.
+OPTIONS = {
+    "count": {
+        "--alpha": (str, REQUIRED, None),
+        "--genus": (int, 0, None),
+        "--method": (str, "closed", METHODS),
+        "--format": (str, "csv", FORMATS),
+    },
+    "table": {
+        "--n": (int, REQUIRED, None),
+        "--method": (str, "closed", METHODS),
+        "--format": (str, "csv", FORMATS),
+    },
+    "verify": {"--N": (int, DEFAULT_N, None), "--inject-fault": (bool, False, None)},
+    "compare": {
+        "--n": (int, REQUIRED, None),
+        "--genus-max": (int, 1, None),
+        "--format": (str, "csv", FORMATS),
+    },
+}
+
+
 def parse_partition(text: str) -> tuple[Partition, bool]:
     """Parse a comma-separated partition literal; True if parts were reordered."""
     try:
@@ -74,48 +108,6 @@ def parse_partition(text: str) -> tuple[Partition, bool]:
         raise UsageError(f"partition parts must be positive integers, got {text!r}")
     ordered = sorted(parts, reverse=True)
     return Partition(ordered), ordered != parts
-
-
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None) -> None:
-        # argparse drops an OSError of this write; let main see a closed stdout
-        (file or sys.stdout).write(self.format_help())
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hurwitz",
-        description="Exact genus-0/1 Hurwitz numbers by oracle, cut-and-join, "
-        "and closed formula, with identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    pc = sub.add_parser("count", help="one Hurwitz number")
-    pc.add_argument("--alpha", required=True, help="partition, e.g. 3,2,2")
-    pc.add_argument("--genus", type=int, default=0)
-    pc.add_argument("--method", choices=METHODS, default="closed")
-    add_format(pc)
-
-    pt = sub.add_parser("table", help="all ramification types of size n")
-    pt.add_argument("--n", type=int, required=True)
-    pt.add_argument("--method", choices=METHODS, default="closed")
-    add_format(pt)
-
-    pv = sub.add_parser("verify", help="run the identity checks")
-    pv.add_argument(
-        "--N", type=int, default=DEFAULT_N, help="x-degree truncation (default %(default)s)"
-    )
-    pv.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-
-    pp = sub.add_parser("compare", help="diff all applicable engines")
-    pp.add_argument("--n", type=int, required=True)
-    pp.add_argument("--genus-max", type=int, default=1)
-    add_format(pp)
-
-    return parser
 
 
 def _count_by(method: str, alpha: Partition, g: int, genus_bound: int) -> int:
@@ -157,20 +149,18 @@ def _emit(rows: list[dict], header: list[str], fmt: str) -> None:
     writer.writerows(cells)
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    alpha, reordered = parse_partition(args.alpha)
+def cmd_count(alpha: str, genus: int, method: str, format: str) -> int:
+    alpha, reordered = parse_partition(alpha)
     if reordered:
         print(f"note: parts reordered to {alpha}", file=sys.stderr)
-    g = args.genus
-    r = factorization_length(alpha, g)  # the one request check
-    c = _count_by(args.method, alpha, g, g)
-    row = {"alpha": alpha, "g": g, "r": r, "c": c, "mu": _mu(alpha, c)}
-    _emit([row], ["alpha", "g", "r", "c", "mu"], args.format)
+    r = factorization_length(alpha, genus)  # the one request check
+    c = _count_by(method, alpha, genus, genus)
+    row = {"alpha": alpha, "g": genus, "r": r, "c": c, "mu": _mu(alpha, c)}
+    _emit([row], ["alpha", "g", "r", "c", "mu"], format)
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    n = args.n
+def cmd_table(n: int, method: str, format: str) -> int:
     if n < 1:
         raise UsageError("n must be at least 1")
     genera = (0, 1)
@@ -178,26 +168,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     for alpha in partitions_of(n):
         row = {"alpha": alpha}
         for g in genera:
-            c = _count_by(args.method, alpha, g, genera[-1])
+            c = _count_by(method, alpha, g, genera[-1])
             row[f"c{g}"], row[f"mu{g}"] = c, _mu(alpha, c)
         rows.append(row)
-    _emit(rows, ["alpha", *(f"{k}{g}" for g in genera for k in ("c", "mu"))], args.format)
+    _emit(rows, ["alpha", *(f"{k}{g}" for g in genera for k in ("c", "mu"))], format)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(N: int, inject_fault: bool) -> int:
     import json
 
     from . import verify
 
-    checks = verify.run_all_checks(args.N, inject_fault=args.inject_fault)
-    report = verify.report_obj(checks, config={"N": args.N})
+    checks = verify.run_all_checks(N, inject_fault=inject_fault)
+    report = verify.report_obj(checks, config={"N": N})
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FAIL
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    n, genus_max = args.n, args.genus_max
+def cmd_compare(n: int, genus_max: int, format: str) -> int:
     if n < 1:
         raise UsageError("n must be at least 1")
     if genus_max < 0:
@@ -220,25 +209,95 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for method in METHODS:
         if method not in methods:
             print(f"note: {method} skipped: {refusals[method]}", file=sys.stderr)
-    _emit(rows, ["alpha", "g"] + methods + ["agree"], args.format)
+    _emit(rows, ["alpha", "g"] + methods + ["agree"], format)
     return EXIT_FAIL if any(row["agree"] == "NO" for row in rows) else EXIT_OK
 
 
-COMMANDS = {"count": cmd_count, "table": cmd_table, "verify": cmd_verify, "compare": cmd_compare}
+COMMANDS = {
+    "count": (cmd_count, "one Hurwitz number; --alpha is a partition such as 3,2,2"),
+    "table": (cmd_table, "all ramification types of size n, genus 0 and 1"),
+    "verify": (
+        cmd_verify,
+        "run the identity checks, series cut at x-degree N; "
+        "--inject-fault perturbs one input to show a failing check",
+    ),
+    "compare": (cmd_compare, "diff all applicable engines"),
+}
 
 
-def _run(argv: Sequence[str] | None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as err:
-        # --help and usage errors; buffered help text still waits in stdout
-        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    return COMMANDS[args.command](args)
+def _help(names: Sequence[str]) -> int:
+    """Print the usage text of the named commands, read from OPTIONS."""
+    lines = [
+        "usage: hurwitz COMMAND [--OPTION VALUE | --OPTION=VALUE ...]",
+        "       hurwitz [COMMAND] -h | --help",
+        "",
+        "Exact genus-0/1 Hurwitz numbers by oracle, cut-and-join,",
+        "and closed formula, with identity verification.",
+    ]
+    for name in names:
+        rows = {}
+        for opt, (kind, default, choices) in OPTIONS[name].items():
+            if kind is bool:
+                rows[opt] = "flag, default off"
+                continue
+            value = "{" + ",".join(choices) + "}" if choices else opt[2:].upper()
+            rows[f"{opt} {value}"] = "required" if default is REQUIRED else f"default {default}"
+        width = max(map(len, rows))
+        lines += ["", f"{name}: {COMMANDS[name][1]}"]
+        lines += [f"  {left:<{width}}  {right}" for left, right in rows.items()]
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
+    """The function argv asks for and its keyword arguments.
+
+    ``-h``/``--help`` at the top or among a command's options asks for the
+    usage text.  Each option reads ``--opt value`` or ``--opt=value``, the
+    value taken as it is (``--genus -1``); an option given twice keeps its
+    last value.  Every malformed argv raises UsageError."""
+    if argv and argv[0] in HELP:
+        return _help, {"names": tuple(OPTIONS)}
+    if not argv or argv[0] not in OPTIONS:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{what}: choose from {', '.join(OPTIONS)}")
+    name, args = argv[0], iter(argv[1:])
+    options, given = OPTIONS[name], {}
+    for arg in args:
+        if arg in HELP:
+            return _help, {"names": (name,)}
+        opt, eq, value = arg.partition("=")
+        if opt not in options:
+            raise UsageError(f"{name} has no option {opt!r}")
+        kind, _, choices = options[opt]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{opt} takes no value")
+            given[opt] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise UsageError(f"{opt} needs a value")
+        try:
+            value = kind(value)
+        except ValueError:
+            raise UsageError(f"{opt}: invalid {kind.__name__} value {value!r}")
+        if choices and value not in choices:
+            raise UsageError(f"{opt}: invalid choice {value!r} (choose from {', '.join(choices)})")
+        given[opt] = value
+    kwargs = {}
+    for opt, (_, default, _) in options.items():
+        if default is REQUIRED and opt not in given:
+            raise UsageError(f"{name} needs {opt}")
+        kwargs[opt[2:].replace("-", "_")] = given.get(opt, default)
+    return COMMANDS[name][0], kwargs
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = _run(argv)
+        command, options = parse_args(sys.argv[1:] if argv is None else argv)
+        code = command(**options)
         sys.stdout.flush()  # here, not in the interpreter's final flush
         return code
     except BrokenPipeError:

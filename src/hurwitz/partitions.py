@@ -95,8 +95,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> Partition:
-        pt = tuple(int(a) for a in parts)
+        pt = tuple(parts)
         for pos, a in enumerate(pt):
+            if type(a) is not int:  # no silent int(): 2.9, "3" and True are refused
+                raise TypeError(f"parts must be int, not {type(a).__name__}")
             if a < 1:
                 raise ValueError(f"parts must be positive, got {a}")
             if pos and pt[pos - 1] < a:

@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
 
-import argparse
 import csv
 import hashlib
 import io
@@ -14,7 +13,16 @@ from pathlib import Path
 import pytest
 
 from hurwitz import closedform, cutjoin
-from hurwitz.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _mu, build_parser, main, parse_partition
+from hurwitz.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_USAGE,
+    OPTIONS,
+    REQUIRED,
+    _mu,
+    main,
+    parse_partition,
+)
 from hurwitz.oracle import ORACLE_MAX_N
 from hurwitz.partitions import Partition, SizeLimitExceeded, partitions_of, theta
 from hurwitz.series import PSeries
@@ -439,21 +447,90 @@ class TestUsage:
         assert run_cli(capsys, "count", "--frobnicate")[0] == EXIT_USAGE
 
     def test_option_strings_of_each_command(self):
-        (commands,) = [
-            a.choices for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
-        options = {
-            name: sorted(opt for a in p._actions for opt in a.option_strings
-                         if opt not in ("-h", "--help"))
-            for name, p in commands.items()
-        }
+        options = {name: sorted(opts) for name, opts in OPTIONS.items()}
         assert options == {
             "count": ["--alpha", "--format", "--genus", "--method"],
             "table": ["--format", "--method", "--n"],
             "verify": ["--N", "--inject-fault"],
             "compare": ["--format", "--genus-max", "--n"],
         }
+
+    # "--opt=value" reads as "--opt value", and a repeated option keeps its
+    # last value; stdout, stderr and exit status are the same
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            (("table", "--n=5"), ("table", "--n", "5")),
+            (
+                ("count", "--alpha=2,1", "--method=oracle"),
+                ("count", "--alpha", "2,1", "--method", "oracle"),
+            ),
+            (("count", "--alpha", "3", "--genus=-1"), ("count", "--alpha", "3", "--genus", "-1")),
+            (("table", "--n", "4", "--n", "5"), ("table", "--n", "5")),
+            (
+                ("verify", "--N", "4", "--inject-fault", "--inject-fault"),
+                ("verify", "--N", "4", "--inject-fault"),
+            ),
+        ],
+        ids=["equals", "equals-choice", "equals-negative", "repeated", "repeated-flag"],
+    )
+    def test_option_spellings_agree(self, capsys, argv, same):
+        assert run_cli(capsys, *argv) == run_cli(capsys, *same)
+
+    # every parse failure is one "error: ..." line naming the command or
+    # option at fault, exit 2 and nothing on stdout; argparse's prefix
+    # abbreviations (--genus for --genus-max) are not accepted
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ((), "command"),
+            (("frobnicate",), "frobnicate"),
+            (("table",), "--n"),
+            (("count",), "--alpha"),
+            (("table", "--n"), "--n"),
+            (("table", "--n", "five"), "--n"),
+            (("table", "--n", "3", "--method", "slow"), "--method"),
+            (("table", "--n", "3", "--format", "xml"), "--format"),
+            (("verify", "--inject-fault=1"), "--inject-fault"),
+            (("compare", "--n", "3", "--genus", "1"), "--genus"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "table-no-n", "count-no-alpha", "n-no-value",
+            "n-not-int", "bad-method", "bad-format", "flag-value", "abbreviation",
+        ],
+    )
+    def test_parse_error(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and named in err
+
+    @pytest.mark.parametrize(
+        "argv, commands",
+        [
+            (("--help",), tuple(OPTIONS)),
+            (("-h",), tuple(OPTIONS)),
+            *(((name, "--help"), (name,)) for name in OPTIONS),
+            (("count", "--alpha", "3", "-h"), ("count",)),
+        ],
+        ids=["help", "h", *(f"{name}-help" for name in OPTIONS), "count-h-after-option"],
+    )
+    def test_help_lists_every_option(self, capsys, argv, commands):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        # one block per command: "name: summary", then one line per option
+        blocks = {block.split(":", 1)[0]: block for block in out.split("\n\n")}
+        for name in OPTIONS:
+            assert (name in blocks) == (name in commands)
+        for name in commands:
+            rows = {line.split()[0]: line for line in blocks[name].splitlines()[1:]}
+            assert rows.keys() == OPTIONS[name].keys()
+            for opt, (kind, default, choices) in OPTIONS[name].items():
+                want = (
+                    "required" if default is REQUIRED
+                    else "default off" if kind is bool else f"default {default}"
+                )
+                assert rows[opt].endswith(want)
+                assert all(choice in rows[opt] for choice in choices or ())
 
     # bounds that no result depends on, and verify's format, are not options
     @pytest.mark.parametrize(

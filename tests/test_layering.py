@@ -145,6 +145,26 @@ def test_verify_loads_no_fractions_or_csv():
     assert loaded & {"fractions", "decimal", "numbers", "csv"} == set()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "5", "--method", "oracle"),
+        ("table", "--n", "5", "--method", "cutjoin"),
+        ("table", "--n", "5", "--method", "closed"),
+        ("count", "--alpha", "3,2", "--genus", "1"),
+        ("verify", "--N", "4"),
+        ("compare", "--n", "4"),
+        ("--help",),
+    ],
+    ids=["table-oracle", "table-cutjoin", "table-closed", "count", "verify", "compare", "help"],
+)
+def test_no_command_loads_argparse(argv):
+    # the CLI parses from its own option table: argparse would bring
+    # gettext, and its first message lookup locale
+    loaded = set(json.loads(run_fresh(_LOADED_AFTER, *argv).splitlines()[-1]))
+    assert loaded & {"argparse", "gettext", "locale"} == set()
+
+
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, hurwitz\nprint([m for m in sys.modules if m.startswith('hurwitz.')])"
     assert run_fresh(code) == "[]\n"

@@ -40,6 +40,16 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    # a part is an int as given: 2.9 is no 2, and "3" and True are no parts
+    @pytest.mark.parametrize(
+        "parts",
+        [[2.9, 1], [2.0], ["3"], [True], [3, True]],
+        ids=["float", "whole-float", "str", "bool", "bool-after-int"],
+    )
+    def test_non_int_part_refused(self, parts):
+        with pytest.raises(TypeError, match=r"^parts must be int, not "):
+            Partition(parts)
+
     def test_empty_partition(self):
         empty = Partition()
         assert empty.n == 0 and empty.m == 0
