@@ -25,18 +25,20 @@ a request outside its range with ``SizeLimitExceeded``; ``compare`` asks
 every engine for every row, leaves a refused cell empty and keeps the
 columns of the engines that served a row.  A ``compare`` row on which only
 one engine ran has compared nothing: its ``agree`` cell is ``-``, neither
-``yes`` nor a disagreement.  ``json`` is imported by the
-JSON output and ``verify`` alone, ``csv`` by the CSV output alone, and mu
-is reduced in integers, so a CSV ``table`` or ``count`` by the oracle or
-cut-and-join loads neither ``json`` nor ``fractions``, and ``verify`` loads
-neither ``csv`` nor ``fractions`` (its checks build no Fraction).
-Every error type main catches is defined in ``partitions`` or is a
-ValueError, so no engine is loaded to handle a failure.
+``yes`` nor a disagreement.  ``json`` is imported by the JSON output and
+``verify`` alone, and ``csv`` by the CSV output alone.  Every engine turns
+its count into an int by one integer division (``partitions.exact_quotient``,
+the closed formulas from their integer pairs) and mu is reduced in integers,
+so no command loads ``fractions``, ``decimal`` or ``numbers``.  Every error
+type main catches is defined in ``partitions`` or is a ValueError, so no
+engine is loaded to handle a failure.
 
 ``OPTIONS`` is the one statement of the options: ``parse_args`` reads argv
 from it and the ``-h``/``--help`` text is generated from it.  An option is
 spelled in full (no prefix abbreviations), as ``--opt value`` or
-``--opt=value``; every parse failure is a UsageError, so it exits 2 with
+``--opt=value``.  An integer, of an option or a partition part, is ASCII
+digits after an optional ``-`` (``read_int``: no ``1_0``, ``+2``, spaces or
+non-ASCII digits).  Every parse failure is a UsageError, so it exits 2 with
 one ``error:`` line on stderr.  No command loads ``argparse``, ``gettext``
 or ``locale``.
 """
@@ -98,12 +100,20 @@ OPTIONS = {
 }
 
 
+def read_int(text: str, error: str) -> int:
+    """text as an int if it is ASCII digits after an optional "-"; else UsageError(error).
+
+    ``int()`` alone would also read "1_0", " 3", "+2" and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(error)
+    return int(text)
+
+
 def parse_partition(text: str) -> tuple[Partition, bool]:
     """Parse a comma-separated partition literal; True if parts were reordered."""
-    try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse partition literal {text!r}")
+    error = f"cannot parse partition literal {text!r}"
+    parts = [read_int(tok, error) for tok in text.split(",")]
     if not parts or any(a < 1 for a in parts):
         raise UsageError(f"partition parts must be positive integers, got {text!r}")
     ordered = sorted(parts, reverse=True)
@@ -254,8 +264,8 @@ def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
 
     ``-h``/``--help`` at the top or among a command's options asks for the
     usage text.  Each option reads ``--opt value`` or ``--opt=value``, the
-    value taken as it is (``--genus -1``); an option given twice keeps its
-    last value.  Every malformed argv raises UsageError."""
+    value taken as it is (``--genus -1``), an int by ``read_int``; an option
+    given twice keeps its last value.  Every malformed argv raises UsageError."""
     if argv and argv[0] in HELP:
         return _help, {"names": tuple(OPTIONS)}
     if not argv or argv[0] not in OPTIONS:
@@ -279,10 +289,8 @@ def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
             value = next(args, None)
             if value is None:
                 raise UsageError(f"{opt} needs a value")
-        try:
-            value = kind(value)
-        except ValueError:
-            raise UsageError(f"{opt}: invalid {kind.__name__} value {value!r}")
+        if kind is int:
+            value = read_int(value, f"{opt}: invalid int value {value!r}")
         if choices and value not in choices:
             raise UsageError(f"{opt}: invalid choice {value!r} (choose from {', '.join(choices)})")
         given[opt] = value

@@ -29,11 +29,12 @@ formulas, are built here too, from the integer pairs of ``a_weight``.
 The termwise series (``g1_defn``, ``f0_series``) are built in integers:
 mu_g(alpha)/r! has no r! left in it, so each partition gives one integer
 pair (``_OVER_R``), and the series brings the pairs to one denominator and
-reduces once (``PSeries.from_part_pairs``).  ``mu0`` and ``mu1`` multiply
-the same pairs by r!, so each formula is written once; they are the only
-code here that builds a Fraction or loads ``fractions``.  Every weight of
-the series code (the Lagrange weights of ``s_powers``, ``g1_closed``'s
--1/24) is an int or an integer pair.
+reduces once (``PSeries.from_part_pairs``).  ``c_value`` turns the same
+pair into a count in integers (``partitions.exact_quotient``), and ``mu0``
+and ``mu1``, its Fraction read-outs, are the only code here that builds a
+Fraction or loads ``fractions``.  Every weight of the series code (the
+Lagrange weights of ``s_powers``, ``g1_closed``'s -1/24) is an int or an
+integer pair.
 
 The genus-0 series enters the verification through its first p-derivatives
 
@@ -63,7 +64,7 @@ from .partitions import (
     SizeLimitExceeded,
     a_weight,
     elem_sym,
-    factorization_count,
+    exact_quotient,
     factorization_length,
     partitions_of,
     theta,
@@ -112,8 +113,9 @@ def _mu1_over_r(alpha: Partition) -> tuple[int, int]:
     return num * _bracket(alpha), 24 * den * theta(alpha)
 
 
-# mu_g(alpha)/r! by genus, in integers: the termwise series read these, and
-# mu0 and mu1 multiply them by r!.
+# mu_g(alpha)/r! by genus, in integers: the termwise series read these, c_value
+# turns them into counts, and mu0 and mu1 multiply them by r!.  The closed
+# engine serves exactly g < len(_OVER_R).
 _OVER_R = (_mu0_over_r, _mu1_over_r)
 
 
@@ -135,16 +137,14 @@ def mu1(alpha: Partition) -> Fraction:
     return _times_r_factorial(alpha, 1)
 
 
-# The closed formulas by genus: the closed engine serves exactly g < len(MU).
-MU = (mu0, mu1)
-
-
 def c_value(alpha: Partition, g: int) -> int:
-    """Factorization count c_g(alpha) = mu_g(alpha) * n! / |C_alpha| (g < len(MU))."""
-    factorization_length(alpha, g)  # the request check every engine shares
-    if g >= len(MU):
+    """c_g(alpha) = num r! theta(alpha) / den, (num, den) = mu_g(alpha)/r!; g < len(_OVER_R)."""
+    r = factorization_length(alpha, g)  # the request check every engine shares
+    if g >= len(_OVER_R):
         raise SizeLimitExceeded(f"no closed formula for genus {g}")
-    return factorization_count(MU[g](alpha), alpha, g)
+    num, den = _OVER_R[g](alpha)
+    what = f"non-integral count for {alpha}, g={g}"
+    return exact_quotient(num * factorial(r) * theta(alpha), den, what)
 
 
 # -- the substitution series s and everything written in it -----------------

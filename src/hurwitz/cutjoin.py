@@ -39,8 +39,10 @@ multiplication: a cut code / q_k * q_i * q_{k-i}, a handle join
 code / (q_a q_b) * q_{a+b} and a cross join rest_a * rest_b * q_{i+j}, rest
 the code of alpha less one part.
 
-That halving and extract_c's L_r(alpha) / |C_alpha| raise IntegralityError
-through an explicit test, not an assert, when they leave the integers.
+That halving checks its weight, and extract_c divides L_r(alpha) by
+|C_alpha| through ``partitions.exact_quotient``; each raises
+IntegralityError through an explicit test, not an assert, when it leaves
+the integers.
 
 Terms with n > N or g > G are dropped; no family lowers n or g, so every
 kept coefficient is exact.  A type with n <= N and g <= G has m <= n parts
@@ -57,6 +59,7 @@ from .partitions import (
     IntegralityError,
     Partition,
     class_size,
+    exact_quotient,
     factorization_length,
     odd_prime,
     prime_code,
@@ -191,7 +194,5 @@ def extract_c(state: CutJoinState, alpha: Partition, g: int) -> int:
             f"query (n={n}, g={g}, r={r}) outside truncation "
             f"(N={state.N}, G={state.G}, computed orders {state.order})"
         )
-    L, size = state.phi[r].get(prime_code(alpha.pexp()), 0), class_size(alpha)
-    if L < 0 or L % size:
-        raise IntegralityError(f"non-integral count for {alpha}, g={g}: {L}/{size}")
-    return L // size
+    L = state.phi[r].get(prime_code(alpha.pexp()), 0)
+    return exact_quotient(L, class_size(alpha), f"non-integral count for {alpha}, g={g}")

@@ -24,7 +24,8 @@ with chi^lambda(alpha) from the Murnaghan-Nakayama rule on beta-sets and
 dim(lambda) = chi^lambda(1^n) from the same rule.  Each lambda stays its
 n-bead beta-set throughout.  cont(lambda) is read off the beads once per
 lambda, beside dim(lambda) in the cached identity column of each size n.
-The sum is taken in integers and divided by n! exactly; a remainder raises
+The sum is taken in integers and divided by n! through
+``partitions.exact_quotient``; a remainder or a negative quotient raises
 IntegralityError.
 
 Counts are plain Python integers, hence arbitrary precision.
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .partitions import IntegralityError, Partition, SizeLimitExceeded, factorization_length
+from .partitions import Partition, SizeLimitExceeded, exact_quotient, factorization_length
 
 # `compare --n 16 --genus-max 3` takes 1.2-1.9 s cold, 0.95-1.2 s of it in
 # the oracle and half of that in the character sums (shared 2-core Intel Xeon,
@@ -112,12 +113,7 @@ def _frobenius_terms(tp: Parts) -> tuple[tuple[int, int], ...]:
 def _walks_type(tp: Parts, r: int) -> int:
     """W(tp, r): the character sum, divided by n! exactly."""
     total = sum(w * c**r for c, w in _frobenius_terms(tp))
-    walks, rem = divmod(total, factorial(sum(tp)))
-    if rem or walks < 0:
-        raise IntegralityError(
-            f"character sum for {tp}, r={r}: {total}/{sum(tp)}! is not a nonnegative integer"
-        )
-    return walks
+    return exact_quotient(total, factorial(sum(tp)), f"character sum for {tp}, r={r}")
 
 
 # `table --n 7 --method oracle`: 156 entries; `compare --genus-max 3` at

@@ -6,8 +6,9 @@ as its parts, and every engine, cache and writer reads it directly.  This
 module gives enumeration in reverse-lexicographic order, the class size
 |C_alpha|, theta(alpha) = prod_i i^{m_i} m_i! = n!/|C_alpha|, elementary
 symmetric functions of the parts, the weights r^j a_r of the closed
-formulas, a_r = r^r/(r-1)!, as integer pairs (``a_weight``), the
-integrality check of a count, the error types the engines raise
+formulas, a_r = r^r/(r-1)!, as integer pairs (``a_weight``), the one
+integrality check that turns every engine's count into an int
+(``exact_quotient``, in integers alone), the error types the engines raise
 (``IntegralityError``, ``FixedPointError``, ``SizeLimitExceeded``) and the
 odd-prime code prod q_k^e of (k, e) pairs (``prime_code``,
 ``prime_pairs``) that ``series`` and ``cutjoin`` share.
@@ -22,10 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Iterator
 
 
 class IntegralityError(ArithmeticError):
@@ -174,12 +172,13 @@ def factorization_length(alpha: Partition, g: int) -> int:
     return alpha.n + alpha.m + 2 * g - 2
 
 
-def factorization_count(mu: Fraction, alpha: Partition, g: int) -> int:
-    """c_g(alpha) = mu_g(alpha) * n!/|C_alpha|, checked to be a nonnegative integer."""
-    raw = mu * theta(alpha)
-    if raw.denominator != 1 or raw < 0:
-        raise IntegralityError(f"non-integral count for {alpha}, g={g}: {raw}")
-    return int(raw)
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num/den for den > 0: the one check that turns an engine's count into an int.
+    A remainder or a negative quotient raises IntegralityError "what: num/den"."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        raise IntegralityError(f"{what}: {num}/{den}")
+    return q
 
 
 def elem_sym(alpha: Partition) -> tuple[int, ...]:

@@ -254,7 +254,9 @@ class WExpr:
         return WExpr(self._lift(target) + other._lift(target), target)
 
     def __sub__(self, other: "WExpr") -> "WExpr":
-        return self + -other
+        # one weighted total with weights 1 and -1 (ExactRing.__sub__), no negation pass
+        target = tuple(max(a, b) for a, b in zip(self.den, other.den))
+        return WExpr(self._lift(target) - other._lift(target), target)
 
     def __neg__(self) -> "WExpr":
         return WExpr(-self.num, self.den)

@@ -121,7 +121,7 @@ class TestCount:
         assert out.splitlines()[1] == '"(1,1)",2,6,1,1/2'
 
     def test_non_integral_count_is_a_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(1, 7), closedform.mu1))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._mu1_over_r))
         code, out, err = run_cli(capsys, "count", "--alpha", "3", "--genus", "0")
         assert code == EXIT_FAIL
         assert out == "" and err.startswith("error: non-integral count")
@@ -493,10 +493,15 @@ class TestUsage:
             (("table", "--n", "3", "--format", "xml"), "--format"),
             (("verify", "--inject-fault=1"), "--inject-fault"),
             (("compare", "--n", "3", "--genus", "1"), "--genus"),
+            # only ASCII digits after an optional "-" read as an integer
+            (("table", "--n", "1_0"), "--n"),
+            (("count", "--alpha", " 3,+2"), "partition literal"),
+            (("table", "--n", "\u0663"), "--n"),
         ],
         ids=[
             "no-command", "unknown-command", "table-no-n", "count-no-alpha", "n-no-value",
             "n-not-int", "bad-method", "bad-format", "flag-value", "abbreviation",
+            "n-underscore", "alpha-space-plus", "n-non-ascii-digit",
         ],
     )
     def test_parse_error(self, capsys, argv, named):

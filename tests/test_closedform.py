@@ -104,20 +104,19 @@ class TestRecords:
             c_value(Partition((2,)), 2)
 
     def test_non_integral_count_raises(self, monkeypatch):
-        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(1, 7), closedform.mu1))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._mu1_over_r))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
-        monkeypatch.setattr(closedform, "MU", (lambda alpha: Fraction(-1), closedform.mu1))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (-1, 1), closedform._mu1_over_r))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
 
     def test_integrality_guard_survives_optimize_flag(self):
         # python -O strips assert statements; the guard must still fire
         code = (
-            "from fractions import Fraction\n"
             "from hurwitz import closedform\n"
             "from hurwitz.partitions import IntegralityError, Partition\n"
-            "closedform.MU = (lambda alpha: Fraction(1, 7), closedform.mu1)\n"
+            "closedform._OVER_R = (lambda alpha: (1, 7), closedform._mu1_over_r)\n"
             "try:\n"
             "    closedform.c_value(Partition((3,)), 0)\n"
             "except IntegralityError:\n"
@@ -156,7 +155,7 @@ class TestIntegerFormulas:
             for alpha in partitions_of(n):
                 for g, reference in enumerate((_mu0_reference, _mu1_reference)):
                     want = reference(alpha)
-                    assert closedform.MU[g](alpha) == want, (alpha, g)
+                    assert (mu0, mu1)[g](alpha) == want, (alpha, g)
                     assert c_value(alpha, g) == want * theta(alpha), (alpha, g)
 
     @pytest.mark.parametrize("N", range(1, 11))
@@ -165,7 +164,7 @@ class TestIntegerFormulas:
         want = PSeries(
             N,
             {
-                (n, alpha.pexp()): closedform.MU[g](alpha)
+                (n, alpha.pexp()): (mu0, mu1)[g](alpha)
                 / factorial(factorization_length(alpha, g))
                 for n in range(1, N + 1)
                 for alpha in partitions_of(n)

@@ -145,7 +145,8 @@ def test_verify_loads_no_fractions_or_csv():
     assert loaded & {"fractions", "decimal", "numbers", "csv"} == set()
 
 
-@pytest.mark.parametrize(
+# One invocation of every command and of each table engine.
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ("table", "--n", "5", "--method", "oracle"),
@@ -158,11 +159,22 @@ def test_verify_loads_no_fractions_or_csv():
     ],
     ids=["table-oracle", "table-cutjoin", "table-closed", "count", "verify", "compare", "help"],
 )
+
+
+@EVERY_COMMAND
 def test_no_command_loads_argparse(argv):
     # the CLI parses from its own option table: argparse would bring
     # gettext, and its first message lookup locale
     loaded = set(json.loads(run_fresh(_LOADED_AFTER, *argv).splitlines()[-1]))
     assert loaded & {"argparse", "gettext", "locale"} == set()
+
+
+@EVERY_COMMAND
+def test_no_command_loads_fractions(argv):
+    # every engine turns its count into an int by an integer division, the
+    # closed formulas from their integer pairs, and mu is reduced in integers
+    loaded = set(json.loads(run_fresh(_LOADED_AFTER, *argv).splitlines()[-1]))
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -1,5 +1,6 @@
 """Partition enumeration, class sizes, symmetric functions, psi weights,
-the factorization length r shared by every engine and the odd-prime code."""
+the factorization length r and the integrality check shared by every
+engine, and the odd-prime code."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,10 +12,12 @@ from hurwitz.closedform import c_value, psi
 from hurwitz.cutjoin import evolve, extract_c
 from hurwitz.oracle import count_transitive
 from hurwitz.partitions import (
+    IntegralityError,
     Partition,
     a_weight,
     class_size,
     elem_sym,
+    exact_quotient,
     factorization_length,
     odd_prime,
     partitions_of,
@@ -100,6 +103,16 @@ class TestFactorizationLength:
             count(Partition(), 0)
         with pytest.raises(ValueError, match="genus must be nonnegative"):
             count(Partition((2,)), -1)
+
+
+class TestExactQuotient:
+    def test_exact_remainder_and_negative(self):
+        assert exact_quotient(42, 6, "count") == 7
+        assert exact_quotient(0, 5, "count") == 0
+        with pytest.raises(IntegralityError, match="^count for x: 43/6$"):
+            exact_quotient(43, 6, "count for x")
+        with pytest.raises(IntegralityError, match="^count for x: -42/6$"):
+            exact_quotient(-42, 6, "count for x")
 
 
 class TestEnumeration:
@@ -225,7 +238,7 @@ class TestPrimeCode:
         assert prime_code([]) == 1 and prime_pairs(1) == ()
 
 
-class TestACoeff:
+class TestAWeight:
     def test_values(self):
         assert a_weight(1) == (1, 1)
         assert a_weight(2) == (4, 1)

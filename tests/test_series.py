@@ -90,33 +90,6 @@ def parts_key(parts):
     return sum(parts), tuple((a, 1) for a in parts)
 
 
-class TestFromParts:
-    """PSeries.from_part_pairs builds x^n p_alpha from the parts of alpha."""
-
-    def test_x_degree_is_the_size(self):
-        f = PSeries.from_part_pairs(TR8, {(3, 1): (1, 2), (1,): (2, 1)})
-        assert f == PSeries.term(TR8, Fraction(1, 2), x=4, p=((1, 1), (3, 1))) + (
-            PSeries.term(TR8, 2, x=1, p=((1, 1),))
-        )
-        assert f.coeff(4, (1, 3)) == Fraction(1, 2)
-
-    def test_keys_naming_one_partition_add_up(self):
-        pairs = {(2, 1): (1, 1), (1, 2): (2, 1), (2, 2): (3, 1), (4,): (0, 1)}
-        f = PSeries.from_part_pairs(TR8, pairs)
-        assert f == PSeries.from_part_pairs(TR8, {(2, 1): (3, 1), (2, 2): (3, 1)})
-
-    def test_sizes_above_n_dropped(self):
-        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 1)}).is_zero
-
-    def test_non_positive_parts_rejected(self):
-        # above the cut too: a key is encoded before its size meets the cut
-        for parts in ((2, 0), (9, 0), (10, -1)):
-            with pytest.raises(ValueError, match="odd-prime index -?[01] is below 1"):
-                PSeries.from_part_pairs(TR8, {parts: (1, 1)})
-        with pytest.raises(ValueError):
-            PSeries.one(TR8).coeff(0, (0,))
-
-
 class TestTerm:
     """PSeries.term builds its one monomial with the constructor and keeps the
     edges of a shift of the series 1."""
@@ -152,7 +125,15 @@ class TestTerm:
 
 
 class TestFromPartPairs:
-    """PSeries.from_part_pairs: integer pairs (num, den), one reduction."""
+    """PSeries.from_part_pairs builds x^n p_alpha from the parts of alpha and an
+    integer pair (num, den), with one reduction."""
+
+    def test_x_degree_is_the_size(self):
+        f = PSeries.from_part_pairs(TR8, {(3, 1): (1, 2), (1,): (2, 1)})
+        assert f == PSeries.term(TR8, Fraction(1, 2), x=4, p=((1, 1), (3, 1))) + (
+            PSeries.term(TR8, 2, x=1, p=((1, 1),))
+        )
+        assert f.coeff(4, (1, 3)) == Fraction(1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -167,6 +148,11 @@ class TestFromPartPairs:
         assert got == PSeries(TR6, {parts_key(k): Fraction(*v) for k, v in pairs.items()})
         assert is_canonical(got)
 
+    def test_keys_naming_one_partition_add_up(self):
+        pairs = {(2, 1): (1, 1), (1, 2): (2, 1), (2, 2): (3, 1), (4,): (0, 1)}
+        f = PSeries.from_part_pairs(TR8, pairs)
+        assert f == PSeries.from_part_pairs(TR8, {(2, 1): (3, 1), (2, 2): (3, 1)})
+
     def test_keys_naming_one_partition_add_up_and_cancel(self):
         pairs = {(2, 1): (1, 6), (1, 2): (1, 3), (3,): (2, 4), (2, 2): (0, 5)}
         f = PSeries.from_part_pairs(TR8, pairs)
@@ -177,7 +163,16 @@ class TestFromPartPairs:
         assert g.is_zero and g.den == 1
 
     def test_sizes_above_n_dropped(self):
+        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 1)}).is_zero
         assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 3)}).is_zero
+
+    def test_non_positive_parts_rejected(self):
+        # above the cut too: a key is encoded before its size meets the cut
+        for parts in ((2, 0), (9, 0), (10, -1)):
+            with pytest.raises(ValueError, match="odd-prime index -?[01] is below 1"):
+                PSeries.from_part_pairs(TR8, {parts: (1, 1)})
+        with pytest.raises(ValueError):
+            PSeries.one(TR8).coeff(0, (0,))
 
     @pytest.mark.parametrize(
         "pair",
