@@ -163,8 +163,10 @@ class TestFromPartPairs:
         assert g.is_zero and g.den == 1
 
     def test_sizes_above_n_dropped(self):
-        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 1)}).is_zero
         assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 3)}).is_zero
+
+    def test_whole_coefficient_above_n_dropped(self):
+        assert PSeries.from_part_pairs(TR_SMALL, {(2, 1): (1, 1)}).is_zero
 
     def test_non_positive_parts_rejected(self):
         # above the cut too: a key is encoded before its size meets the cut
