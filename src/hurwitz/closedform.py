@@ -26,13 +26,15 @@ read ``psi`` there) is a rule in x read at x -> s through that table
 one-part series psi_i, whose weights a_r = r^r/(r-1)! drive the closed
 formulas, are built here too, from the integer pairs of ``a_weight``.
 
-The termwise series (``g1_defn``, ``f0_series``) are built in integers:
-mu_g(alpha)/r! has no r! left in it, so each partition gives one integer
-pair (``_OVER_R``), and the series brings the pairs to one denominator and
-reduces once (``PSeries.from_part_pairs``).  ``c_value`` turns the same
-pair into a count in integers (``partitions.exact_quotient``), and ``mu0``
-and ``mu1``, its Fraction read-outs, are the only code here that builds a
-Fraction or loads ``fractions``.  Every weight of the series code (the
+The counts and the termwise series (``g1_defn``, ``f0_series``) are built
+in integers: c_g(alpha)/r! has no r! left in it, so each partition gives
+one integer pair (``_OVER_R``), with no theta(alpha) in it.  ``c_value``
+multiplies the pair by r! into a count (``partitions.exact_quotient``).
+The termwise series divide each pair by theta(alpha), where theta enters
+once, then bring the pairs to one denominator and reduce once
+(``PSeries.from_part_pairs``).  ``mu0`` and ``mu1`` read ``c_value`` over
+theta(alpha); they are the only code here that builds a Fraction or loads
+``fractions``.  Every weight of the series code (the
 Lagrange weights of ``s_powers``, ``g1_closed``'s -1/24) is an int or an
 integer pair.
 
@@ -92,59 +94,51 @@ def _bracket(alpha: Partition) -> int:
     return val
 
 
-def _mu0_over_r(alpha: Partition) -> tuple[int, int]:
-    """mu_0(alpha)/r!, r = n+m-2: n^(m-3) prod a_{alpha_i} / theta(alpha), as (num, den).
+def _c0_over_r(alpha: Partition) -> tuple[int, int]:
+    """c_0(alpha)/r!, r = n+m-2: n^(m-3) prod a_{alpha_i}, as (num, den).
 
-    |C_alpha|/n! is 1/theta(alpha); n^(m-3) moves to the denominator for m < 3.
+    n^(m-3) moves to the denominator for m < 3.
     """
     n, m = alpha.n, alpha.m
     num, den = _prod_a(alpha)
-    den *= theta(alpha)
     if m >= 3:
-        num *= n ** (m - 3)
-    else:
-        den *= n ** (3 - m)
-    return num, den
+        return num * n ** (m - 3), den
+    return num, den * n ** (3 - m)
 
 
-def _mu1_over_r(alpha: Partition) -> tuple[int, int]:
-    """mu_1(alpha)/r!, r = n+m: prod a_{alpha_i} * bracket / (24 theta(alpha)), as (num, den)."""
+def _c1_over_r(alpha: Partition) -> tuple[int, int]:
+    """c_1(alpha)/r!, r = n+m: prod a_{alpha_i} * bracket / 24, as (num, den)."""
     num, den = _prod_a(alpha)
-    return num * _bracket(alpha), 24 * den * theta(alpha)
+    return num * _bracket(alpha), 24 * den
 
 
-# mu_g(alpha)/r! by genus, in integers: the termwise series read these, c_value
-# turns them into counts, and mu0 and mu1 multiply them by r!.  The closed
+# c_g(alpha)/r! by genus, in integers and without theta: c_value multiplies
+# them by r!, and the termwise series divide them by theta(alpha).  The closed
 # engine serves exactly g < len(_OVER_R).
-_OVER_R = (_mu0_over_r, _mu1_over_r)
-
-
-def _times_r_factorial(alpha: Partition, g: int) -> Fraction:
-    from fractions import Fraction  # the one Fraction of the module: mu read out
-
-    r = factorization_length(alpha, g)
-    num, den = _OVER_R[g](alpha)
-    return Fraction(num * factorial(r), den)
-
-
-def mu0(alpha: Partition) -> Fraction:
-    """Genus-0 Hurwitz number (n+m-2)! n^(m-3) prod a_{alpha_i} / theta(alpha)."""
-    return _times_r_factorial(alpha, 0)
-
-
-def mu1(alpha: Partition) -> Fraction:
-    """Genus-1 Hurwitz number (n+m)! prod a_{alpha_i} * bracket / (24 theta(alpha))."""
-    return _times_r_factorial(alpha, 1)
+_OVER_R = (_c0_over_r, _c1_over_r)
 
 
 def c_value(alpha: Partition, g: int) -> int:
-    """c_g(alpha) = num r! theta(alpha) / den, (num, den) = mu_g(alpha)/r!; g < len(_OVER_R)."""
+    """c_g(alpha) = num r! / den, (num, den) = c_g(alpha)/r!; g < len(_OVER_R)."""
     r = factorization_length(alpha, g)  # the request check every engine shares
     if g >= len(_OVER_R):
         raise SizeLimitExceeded(f"no closed formula for genus {g}")
     num, den = _OVER_R[g](alpha)
-    what = f"non-integral count for {alpha}, g={g}"
-    return exact_quotient(num * factorial(r) * theta(alpha), den, what)
+    return exact_quotient(num * factorial(r), den, f"non-integral count for {alpha}, g={g}")
+
+
+def mu0(alpha: Partition) -> Fraction:
+    """Genus-0 Hurwitz number (n+m-2)! n^(m-3) prod a_{alpha_i} / theta(alpha)."""
+    from fractions import Fraction  # the Fractions of the module: mu read out
+
+    return Fraction(c_value(alpha, 0), theta(alpha))
+
+
+def mu1(alpha: Partition) -> Fraction:
+    """Genus-1 Hurwitz number (n+m)! prod a_{alpha_i} * bracket / (24 theta(alpha))."""
+    from fractions import Fraction
+
+    return Fraction(c_value(alpha, 1), theta(alpha))
 
 
 # -- the substitution series s and everything written in it -----------------
@@ -211,14 +205,14 @@ def _formula_series(N: int, g: int) -> PSeries:
     """sum over alpha of mu_g(alpha)/r! x^n p_alpha, r = factorization_length(alpha, g).
 
     r is the number of transpositions, so multiplying a coefficient by
-    n! r!/|C_alpha| recovers c_g(alpha).  Each coefficient is an integer
-    pair (``_OVER_R``); the series brings them to one denominator and
-    reduces once.
+    n! r!/|C_alpha| recovers c_g(alpha).  Each coefficient is the integer
+    pair c_g(alpha)/r! (``_OVER_R``) with theta(alpha) put into its
+    denominator; the series brings them to one denominator and reduces once.
     """
     over_r = _OVER_R[g]
-    return PSeries.from_part_pairs(
-        N, {alpha: over_r(alpha) for n in range(1, N + 1) for alpha in partitions_of(n)}
-    )
+    alphas = (alpha for n in range(1, N + 1) for alpha in partitions_of(n))
+    pairs = ((alpha, over_r(alpha), theta(alpha)) for alpha in alphas)
+    return PSeries.from_part_pairs(N, {alpha: (num, den * th) for alpha, (num, den), th in pairs})
 
 
 def g1_defn(N: int) -> PSeries:

@@ -26,7 +26,8 @@ Three layers, each exact:
   ``_CROSS``; the symmetrized expansions and ``kernel_recombination``'s
   main-ring rebuild share those weights but expand them independently.
   A weight gives an integer pair (num, den).  Each coefficient
-  sum_{i+j=k} a_i a_j w(i, j) is summed in integers (``_joined``) and
+  sum_{i+j=k} a_i a_j w(i, j) is summed in integers (``_joined``) from the
+  pairs of ``partitions.a_weight``, the one statement of r^j a_r, and
   cached as a pair by the weight function, not by kernel name, so a table
   entry replaced at run time is summed afresh; the expansions enter
   ``WPoly`` as integer numerators over one denominator.
@@ -65,7 +66,7 @@ from __future__ import annotations
 import operator
 import sys
 from functools import lru_cache, partial, reduce
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .closedform import (
@@ -533,26 +534,14 @@ def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _joined(w: Weight, k: int, *rest: int) -> tuple[int, int]:
-    """sum_{i+j=k} a_i a_j w(i, j, *rest) as a pair (num, den), summed in integers.
-
-    a_i a_j = i^i j^j C(k-2, i-1) / (k-2)!, so each summand is an integer
-    times a weight.
-    """
-    if k < 2:
-        return 0, 1
-
-    def summands():
-        for i in range(1, k):
-            j = k - i
-            a, b = w(i, j, *rest)
-            yield i**i * j**j * comb(k - 2, i - 1) * a, b
-
-    num, den = _pair_sum(summands())
-    return num, den * factorial(k - 2)
+    """sum_{i+j=k} a_i a_j w(i, j, *rest) as a pair (num, den), summed in integers."""
+    pairs = ((a_weight(i), a_weight(k - i), w(i, k - i, *rest)) for i in range(1, k))
+    return _pair_sum((an * bn * c, ad * bd * d) for (an, ad), (bn, bd), (c, d) in pairs)
 
 
 # Pairs keyed by the weight function, so a replaced table entry is a cache
-# miss.  `verify --N 16`: 51 pairs (a, b, d at k = 0..16).
+# miss; a patched ``a_weight`` is not, so clear both caches after one.
+# `verify --N 16`: 51 pairs (a, b, d at k = 0..16).
 @lru_cache(maxsize=128)
 def _linear_by(w: Weight, k: int) -> tuple[int, int]:
     return _joined(w, k)
@@ -561,10 +550,11 @@ def _linear_by(w: Weight, k: int) -> tuple[int, int]:
 # `verify --N 16`: 260 pairs (c and e at k, m <= 10 or k + m <= 16).
 @lru_cache(maxsize=512)
 def _cross_by(join: Weight, split: Weight, k: int, m: int) -> tuple[int, int]:
-    """a_m joined - a_(k+m) split(k, m) as a pair, a_r = r^r/(r-1)!."""
+    """a_m joined - a_(k+m) split(k, m) as a pair."""
     (jn, jd), (sn, sd) = _joined(join, k, m), split(k, m)
-    left, right = factorial(m - 1) * jd, factorial(k + m - 1) * sd
-    return m**m * jn * right - (k + m) ** (k + m) * sn * left, left * right
+    (an, ad), (bn, bd) = a_weight(m), a_weight(k + m)
+    left, right = ad * jd, bd * sd
+    return an * jn * right - bn * sn * left, left * right
 
 
 # -- direct (weights-only) expansions of the symmetrized images -------------
@@ -789,8 +779,7 @@ def psi_pdiff_identity(N: int) -> CheckResult:
         for j in range(0, 3):
             pj = psi_at_s(j, N)
             for k in range(1, min(PDIFF_MAX_K, N) + 1):
-                num, den = a_weight(k)
-                rhs = _rule_at_s(k, N, (k**j * num, den), (num, den), j + 1)
+                rhs = _rule_at_s(k, N, a_weight(k, j), a_weight(k), j + 1)
                 yield f"j={j}, k={k}", total(((pj.pdiff(k), k, omp), (rhs, -1)))
 
     return _first_nonzero("psi_pdiff_identity", differences())
@@ -812,9 +801,9 @@ def g1_pdiff_identity(N: int) -> CheckResult:
 
     def differences():
         for k in range(1, min(PDIFF_MAX_K, N) + 1):
-            num, den = a_weight(k)
+            num, den = a_weight(k, -1)  # a_k/k
             # the right side regrouped as (a_k - a_k/k)(1 - psi_1) + (a_k/k) psi_2
-            rhs = _rule_at_s(k, N, ((k - 1) * num, k * den), (num, k * den), 2)
+            rhs = _rule_at_s(k, N, ((k - 1) * num, den), (num, den), 2)
             yield f"k={k}", total(((g1.pdiff(k), 24, omp2), (rhs, -1)))
 
     return _first_nonzero("g1_pdiff_identity", differences())

@@ -121,7 +121,7 @@ class TestCount:
         assert out.splitlines()[1] == '"(1,1)",2,6,1,1/2'
 
     def test_non_integral_count_is_a_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._mu1_over_r))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._c1_over_r))
         code, out, err = run_cli(capsys, "count", "--alpha", "3", "--genus", "0")
         assert code == EXIT_FAIL
         assert out == "" and err.startswith("error: non-integral count")

@@ -104,10 +104,10 @@ class TestRecords:
             c_value(Partition((2,)), 2)
 
     def test_non_integral_count_raises(self, monkeypatch):
-        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._mu1_over_r))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (1, 7), closedform._c1_over_r))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
-        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (-1, 1), closedform._mu1_over_r))
+        monkeypatch.setattr(closedform, "_OVER_R", (lambda alpha: (-1, 1), closedform._c1_over_r))
         with pytest.raises(IntegralityError):
             c_value(Partition((3,)), 0)
 
@@ -116,7 +116,7 @@ class TestRecords:
         code = (
             "from hurwitz import closedform\n"
             "from hurwitz.partitions import IntegralityError, Partition\n"
-            "closedform._OVER_R = (lambda alpha: (1, 7), closedform._mu1_over_r)\n"
+            "closedform._OVER_R = (lambda alpha: (1, 7), closedform._c1_over_r)\n"
             "try:\n"
             "    closedform.c_value(Partition((3,)), 0)\n"
             "except IntegralityError:\n"
@@ -157,6 +157,15 @@ class TestIntegerFormulas:
                     want = reference(alpha)
                     assert (mu0, mu1)[g](alpha) == want, (alpha, g)
                     assert c_value(alpha, g) == want * theta(alpha), (alpha, g)
+
+    def test_pairs_are_counts_over_r_factorial(self):
+        # no theta(alpha) in the pair: r! times it is the count itself
+        for n in range(1, 13):
+            for alpha in partitions_of(n):
+                for g in (0, 1):
+                    r = factorization_length(alpha, g)
+                    got = Fraction(*closedform._OVER_R[g](alpha)) * factorial(r)
+                    assert got == c_value(alpha, g), (alpha, g)
 
     @pytest.mark.parametrize("N", range(1, 11))
     @pytest.mark.parametrize("g", [0, 1])

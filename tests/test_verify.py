@@ -689,6 +689,37 @@ class TestFaultInjection:
         assert all(c.witness for c in failed)
         assert (checks[0].name, checks[0].ok) == ("pde_residual", True)
 
+    def test_one_a_weight_fault_is_caught(self, monkeypatch):
+        # a_3 scaled by 13/12 in verify's one a_r rule: every check that reads
+        # a weight of verify's own fails, the exact route reads none
+        a_weight = verify.a_weight
+        off = _scaled(a_weight)
+        monkeypatch.setattr(verify, "a_weight", lambda r, j=0: (off if r == 3 else a_weight)(r, j))
+        caches = (verify._linear_by, verify._cross_by)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            checks = run_all_checks(TR8)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        failed = [c for c in checks if not c.ok]
+        assert [c.name for c in failed] == [
+            "pde_residual",
+            *(f"sym_closed_form_{name}" for name in "abcde"),
+            "psi_image_series",
+            "u1_series",
+            "u2_series",
+            "u3_series",
+            "kernel_recombination",
+            "s_pdiff_identity",
+            "psi_pdiff_identity",
+            "g1_pdiff_identity",
+        ]
+        assert all(c.witness for c in failed)
+        passed = {c.name for c in checks if c.ok}
+        assert {"u1_vanishes", "u2_vanishes", "u3_vanishes"} <= passed
+
     def test_genus0_input_fault_is_caught(self, monkeypatch):
         assert f0_pdiff_axiom(TR8).ok
         bad = f0_series(TR8) + PSeries.term(TR8, 1, x=3, p=((1, 1), (2, 1)))
